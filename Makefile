@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test test-race test-short audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard serve-smoke clean
+.PHONY: check fmt vet staticcheck build test test-race test-short audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard bench-smoke serve-smoke clean
 
 # `test` runs the full suite race-free — including the complete engine
 # equivalence matrix, which self-trims to a representative slice under
@@ -117,6 +117,14 @@ lint-wcec:
 bench:
 	EHSIM_BENCH_OUT=$(CURDIR)/BENCH_core.json \
 		$(GO) test ./internal/device/ -run TestWriteBenchJSON -count=1 -v
+
+# compile and smoke the benchmark harness. bench/ is its own Go module,
+# so the root `go build ./...` never compiles it, yet it reaches into
+# the cpu and device APIs; its short suite includes the golden-digest
+# smoke of every workload (figure CSVs and seed-1 sim Results under
+# bench/golden/).
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # end-to-end smoke of cmd/ehserve: build it, start it against a
 # throwaway disk store, ask the same figure twice (the second reply must

@@ -58,6 +58,28 @@ func main() {
 	os.Exit(cliMain())
 }
 
+// Connection limits. There is deliberately no WriteTimeout: it would
+// cut /v1/events SSE streams and long cold id=all figure generations
+// short; -request-timeout bounds handler work instead. IdleTimeout sits
+// far above any client's keep-alive gap between requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer builds the listening server with the connection limits
+// above, so a slow or idle client cannot pin a connection forever.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 func cliMain() int {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	cacheMode := flag.String("cache", "mem", "result store: mem (in-process LRU), disk (persistent CAS under -cache-dir) or off")
@@ -92,7 +114,7 @@ func cliMain() int {
 		s.traces = nil
 	}
 	s.series = obsv.NewSeries(*seriesWindow)
-	srv := &http.Server{Addr: *addr, Handler: s.handler()}
+	srv := newHTTPServer(*addr, s.handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

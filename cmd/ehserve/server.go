@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
@@ -586,7 +588,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	pts := pr.SweepTauB(values, dead)
-	writeJSON(w, http.StatusOK, sweepResponse{
+	writeResult(w, sweepResponse{
 		Params:  pr,
 		Dead:    dead.String(),
 		Points:  pts,
@@ -615,7 +617,7 @@ func (s *server) handleModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lo, hi := pr.ProgressBounds()
-	writeJSON(w, http.StatusOK, modelResponse{
+	writeResult(w, modelResponse{
 		Params:       pr,
 		Progress:     pr.Progress(),
 		ProgressLo:   lo,
@@ -668,6 +670,9 @@ func floatParam(q url.Values, name string, def float64) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad %s: %v", name, err)
 	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("%w: %s = %v", core.ErrNotFinite, name, f)
+	}
 	return f, nil
 }
 
@@ -692,4 +697,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body) //nolint:errcheck // client gone
+}
+
+// writeResult writes a closed-form model result. Valid, finite inputs
+// can still overflow float64 (e=1e308 drives Eq. 8's terms to Inf), and
+// JSON has no encoding for Inf or NaN: the query asked for a result
+// outside float64's range, so it answers 400 rather than writeJSON's 500.
+func writeResult(w http.ResponseWriter, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	var uv *json.UnsupportedValueError
+	switch {
+	case errors.As(err, &uv):
+		http.Error(w, "result is not finite for these parameters: "+uv.Str, http.StatusBadRequest)
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body) //nolint:errcheck // client gone
+	}
 }

@@ -224,6 +224,70 @@ func TestSweepQuery(t *testing.T) {
 	}
 }
 
+// TestModelSweepNonFinite: non-finite range bounds and results that
+// overflow float64 are the query's fault — 400 naming the problem, not
+// a 500 from the JSON encoder.
+func TestModelSweepNonFinite(t *testing.T) {
+	h := testServer().handler()
+	for _, c := range []struct{ url, want string }{
+		{"/v1/sweep?lo=NaN", "lo"},
+		{"/v1/sweep?hi=NaN", "hi"},
+		{"/v1/sweep?hi=Inf", "hi"},
+		{"/v1/model?e=1e308", "not finite"},
+	} {
+		rec := get(t, h, c.url)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400 (%s)", c.url, rec.Code, strings.TrimSpace(rec.Body.String()))
+			continue
+		}
+		if !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("%s: body %q does not mention %q", c.url, rec.Body.String(), c.want)
+		}
+	}
+}
+
+// FuzzModelSweepQuery: no query string may make /v1/model or /v1/sweep
+// answer a server error — bad input is always the client's 4xx.
+func FuzzModelSweepQuery(f *testing.F) {
+	for _, q := range []string{
+		"", "tau_b=10&alpha_b=0.1", "lo=1&hi=1000&n=200", "lo=NaN", "hi=Inf",
+		"e=1e308", "lo=1e-300&hi=1e300&space=lin", "epsilon_c=-0&dead=worst",
+		"n=2&lo=5&hi=5", "tau_b=1e-320&omega_b=1e300",
+	} {
+		f.Add(q)
+	}
+	h := testServer().handler()
+	f.Fuzz(func(t *testing.T, q string) {
+		for _, path := range []string{"/v1/model", "/v1/sweep"} {
+			req := httptest.NewRequest("GET", path, nil)
+			req.URL.RawQuery = q
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code >= 500 {
+				t.Fatalf("%s?%s: %d %s", path, q, rec.Code, rec.Body.String())
+			}
+		}
+	})
+}
+
+// TestNewHTTPServerLimits pins the connection limits ehserve listens
+// with — and that no WriteTimeout cuts SSE streams short.
+func TestNewHTTPServerLimits(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || srv.IdleTimeout < time.Minute {
+		t.Errorf("IdleTimeout = %v", srv.IdleTimeout)
+	}
+	if srv.MaxHeaderBytes != maxHeaderBytes || srv.MaxHeaderBytes <= 0 {
+		t.Errorf("MaxHeaderBytes = %d", srv.MaxHeaderBytes)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none", srv.WriteTimeout)
+	}
+}
+
 // TestMetricsEndpoint: served requests show up in /metrics, along with
 // the result store's counters.
 func TestMetricsEndpoint(t *testing.T) {

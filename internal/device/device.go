@@ -236,8 +236,10 @@ const (
 	EngineDefault Engine = iota
 	// EngineBatched runs the event-horizon engine: instructions execute
 	// in batches bounded by the next event (power death, strategy
-	// trigger, scheduled fault, poll chunk) and accounting settles once
-	// per batch by replaying the per-step energy sequence bit for bit.
+	// trigger, scheduled fault, poll chunk), and one fused loop settles
+	// the per-step energy sequence bit for bit as it interprets — the
+	// same loop for bench, harvested, fault-injected and recorded runs.
+	// Cache configs fall back to the reference loop.
 	EngineBatched
 	// EngineReference runs the original per-instruction loop. Results
 	// are byte-identical to EngineBatched (the equivalence oracle test
@@ -387,10 +389,10 @@ type Config struct {
 
 	// Record, when non-nil, logs the run's observation sequence (input
 	// reads, committed outputs, checkpoint/restore lineage) for the
-	// formal correctness oracle (internal/faults). Attaching a recorder
-	// forces SysSense into the batch-stop mask and disables the fused
-	// settle path so every input read gets an exact per-instruction
-	// timestamp; results are unchanged (see obslog.go).
+	// formal correctness oracle (internal/faults). Both engines log
+	// every input read and watched store with its exact
+	// per-instruction timestamp; the recorder is write-only, so results
+	// and batching are unchanged (see obslog.go).
 	Record *ObsLog
 }
 
@@ -520,11 +522,10 @@ type Device struct {
 	sincePoll uint64
 
 	// Batched-engine state (run.go): the resolved engine, the SYS codes
-	// that end a batch, the reusable per-batch record sink, and the
-	// worst-case active energy per cycle the event-horizon math uses.
+	// that end a batch, and the worst-case active energy per cycle the
+	// event-horizon math uses.
 	engine  Engine
 	stopSys isa.SysMask
-	sink    cpu.BatchSink
 	maxEPC  float64
 
 	// obs is the attached lifecycle tracer; nil means observability is
@@ -620,14 +621,6 @@ func New(cfg Config, s Strategy) (*Device, error) {
 		d.stratNaive = true
 	}
 	d.rec = cfg.Record
-	if d.rec != nil {
-		// Every input read must end its batch so the recorder sees an
-		// exact per-instruction timestamp. Extra batch boundaries are
-		// result-neutral: the reference engine delivers a PostStep after
-		// every instruction anyway, so the Horizon contract already
-		// requires strategies to tolerate them.
-		d.stopSys |= isa.MaskOf(isa.SysSense)
-	}
 	s.Attach(d)
 	return d, nil
 }

@@ -66,8 +66,8 @@ func BenchmarkEngineBatched(b *testing.B)   { benchmarkEngine(b, device.EngineBa
 // benchmarkStepN is the interpreter micro-benchmark behind the
 // zero-allocation row of BENCH_core.json: one op is one cpu.StepN call
 // over a 16 Ki-cycle budget of the counter hot loop into a reused
-// sink. Its allocs/op must stay at zero — the batched engine's
-// hot-loop contract (pinned hard by cpu.TestStepNZeroAllocs).
+// sink. Its allocs/op must stay at zero — the interpreter's hot-loop
+// contract (pinned hard by cpu.TestStepNZeroAllocs).
 func benchmarkStepN(b *testing.B) {
 	w, ok := workload.Get("counter")
 	if !ok {

@@ -19,7 +19,9 @@ import (
 // (bench, harvested RF trace, fault-injected), a run under
 // EngineBatched must produce a Result byte-identical to EngineReference
 // — same periods, same backups, same committed output, same
-// floating-point energy accounting to the last bit. Short mode and
+// floating-point energy accounting to the last bit. All three supply
+// shapes settle in the same fused loop, so the harvested and faulted
+// cases pin its harvest-credit and cut-guard branches. Short mode and
 // race-detector builds run a representative slice; a plain
 // `go test` without -short runs the full matrix (that is `make
 // check`'s race-free test pass — see equivFullMatrix).
@@ -180,8 +182,8 @@ func TestEngineEquivalenceBench(t *testing.T) {
 	}
 }
 
-// TestEngineEquivalenceWideWindow aims the oracle at the fused
-// engine's large-batch regimes: timer windows far beyond
+// TestEngineEquivalenceWideWindow aims the oracle at the fused settle
+// loop's large-batch regimes: timer windows far beyond
 // maxBatchCycles (so batches run at the cap and PostStep firings land
 // mid-stretch), windows aligned to the cap, and the infinite window
 // (batches bounded by the energy horizon alone). Supplies that
@@ -225,7 +227,9 @@ func TestEngineEquivalenceWideWindow(t *testing.T) {
 
 // TestEngineEquivalenceHarvested repeats the oracle with an RF-style
 // harvester driving the supply, so batches meet charge phases, partial
-// periods and harvest-while-executing accounting.
+// periods and harvest-while-executing accounting — including the
+// fused loop's inlined capacitor clamp at VMax, which every period on
+// these supplies starts at.
 func TestEngineEquivalenceHarvested(t *testing.T) {
 	kinds := trace.Kinds()
 	if !equivFullMatrix() {

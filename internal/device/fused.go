@@ -41,6 +41,14 @@ import (
 //     operands (once for pendingE, once as the next step's eBefore);
 //     one evaluation reused is the same bits by determinism of the
 //     operations.
+//
+// Every batched run settles here: bench and harvested supplies, fault
+// injection and observation recording alike. The harvest credit is
+// Capacitor.Store inlined (same operands, same order, same clamp), and
+// pendingE keeps the reference's eBefore + (H − hBefore) − eAfter
+// association — the harvested delta is not always bit-equal to the
+// amount absorbed, and on a bench supply the term is +0, which leaves
+// those bits unchanged.
 func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) {
 	var (
 		b  cpu.Batch
@@ -48,13 +56,19 @@ func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) 
 
 		m     = d.mem
 		stop  = d.stopSys
+		harv  = d.cfg.Harvester
+		rec   = d.rec
+		boot  = int32(len(d.result.Periods))
 		hc    = 0.5 * d.cap.C
+		vmax  = d.cap.VMax
+		eMax  = hc * vmax * vmax // 0.5*c*VMax*VMax, the clamp's energy
 		voff  = d.cfg.VOff
 		cp    = d.cfg.Power.CyclePeriod()
 		v     = d.cap.Voltage()
 		eb    = hc * v * v // 0.5*c*v*v, carried instruction to instruction
 		timeS = d.timeS
 		pend  = d.pendingE
+		hv    = d.period.HarvestedE
 		fram  uint64
 	)
 	var epc [energy.NumClasses]float64
@@ -66,6 +80,7 @@ func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) 
 		d.cap.SetVoltage(v)
 		d.timeS = timeS
 		d.pendingE = pend
+		d.period.HarvestedE = hv
 		d.framWrites += fram
 		d.cycles += b.Cycles
 		d.sinceCommit += b.Cycles
@@ -89,7 +104,20 @@ func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) 
 			fram++
 		}
 		n := float64(st.Cycles)
-		timeS += n * cp
+		dt := n * cp
+		eBefore, hBefore := eb, hv
+		if harv != nil {
+			if h := harv.EnergyOver(timeS, dt); h > 0 {
+				if v = math.Sqrt((eb + h) / hc); v > vmax {
+					v = vmax
+					hv += math.Max(0, eMax-eb)
+				} else {
+					hv += h
+				}
+				eb = hc * v * v
+			}
+		}
+		timeS += dt
 		e2 := eb - n*epc[st.Class]
 		if e2 <= 0 {
 			d.framWrites += fram
@@ -101,11 +129,23 @@ func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) 
 			return b, errBatchOverrun()
 		}
 		eNext := hc * v * v
-		pend += eb - eNext
+		pend += eBefore + (hv - hBefore) - eNext
 		eb = eNext
+		// No power-cut check: batchBudget ends every batch cutGuard
+		// cycles short of the next scheduled cut, and PowerCutDue has no
+		// side effect while it returns false, so skipping it here leaves
+		// the injector exactly where the reference engine's checks do.
 		b.Cycles += st.Cycles
 		b.Steps++
 		b.HasSys, b.Sys = st.HasSys, st.Sys
+		if rec != nil {
+			at := d.cycles + b.Cycles
+			if st.HasSys && st.Sys == isa.SysSense {
+				rec.sense(d.core.SenseSeq-1, at, boot)
+			} else if st.HasAccess && st.Access.Store && rec.wantsStore(st.Access.Addr) {
+				rec.store(st.Access.Addr, at)
+			}
+		}
 		if st.HasSys && (d.core.Halted || stop.Has(st.Sys)) {
 			b.Stop = cpu.StopSys
 			break
@@ -116,7 +156,9 @@ func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) 
 }
 
 // errBatchOverrun is the engine-bug report for a batch the budget
-// should have protected dying mid-flight (see settleBatch).
+// should have protected dying mid-flight: the budget guarantees the
+// supply survives every step (see batchBudget), so a mid-batch death
+// would mean instructions executed that the reference engine never ran.
 func errBatchOverrun() error {
 	return fmt.Errorf("device: internal: batch overran its energy horizon")
 }

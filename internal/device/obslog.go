@@ -10,14 +10,13 @@ package device
 // detect violations (torn state, replayed inputs, stale outputs,
 // timeliness) that the final-memory check cannot see.
 //
-// Attaching a recorder never changes simulation results: the recorder
-// is written to, never read, by the engines. It does force SysSense
-// into the batch-stop mask and disables the fused settle path so every
-// input read gets an exact per-instruction timestamp — both are
-// result-neutral by the engine equivalence contract (the reference
-// engine delivers a PostStep after every instruction anyway, and the
-// StepN settle path is proven byte-identical to the fused one). A nil
-// recorder costs the usual single nil check per emission site.
+// Attaching a recorder never changes simulation results or batching:
+// the recorder is written to, never read, by the engines. Both engines
+// call its hooks after each executed instruction — the batched engine
+// from inside its fused settle loop — so every input read and watched
+// store carries its exact per-instruction timestamp and the log is
+// engine-independent. A nil recorder costs the usual single nil check
+// per emission site.
 
 // obsLogMaxRecords bounds each record slice so a pathological run
 // (thousands of replayed periods) cannot grow the log without limit.

@@ -7,18 +7,27 @@ import (
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
 	"ehmodel/internal/faults"
+	"ehmodel/internal/mem"
 	"ehmodel/internal/strategy"
+	"ehmodel/internal/trace"
 	"ehmodel/internal/workload"
 )
 
-// obslog_test.go — the observation recorder's neutrality contract:
-// attaching Config.Record must not change a run's Result in any field,
-// on either engine, with or without fault injection. The recorder
-// disables the fused settle path and widens the batch-stop mask, both
-// covered by the engine-equivalence oracle, so any divergence here is a
-// recorder bug.
+// obslog_test.go — the observation recorder's contracts: attaching
+// Config.Record must not change a run's Result in any field, on either
+// engine, with or without fault injection; and the log itself must be
+// engine-independent, down to every timestamp. The recorder is
+// write-only and never changes how a run is batched, so any divergence
+// here is a recorder bug.
 
-func obslogCfg(t *testing.T, stratName, wlName string, eng device.Engine, inject bool) (device.Config, device.Strategy, []uint32) {
+// Supplies the recorder tests run under.
+const (
+	supplyClean   = "clean"
+	supplyFaulted = "faulted"
+	supplyRF      = "rf"
+)
+
+func obslogCfg(t *testing.T, stratName, wlName string, eng device.Engine, supply string) (device.Config, device.Strategy, []uint32) {
 	t.Helper()
 	spec, ok := strategy.Lookup(stratName)
 	if !ok {
@@ -42,7 +51,8 @@ func obslogCfg(t *testing.T, stratName, wlName string, eng device.Engine, inject
 		MaxPeriods: 20000, MaxCycles: 2_000_000_000,
 		Engine: eng,
 	}
-	if inject {
+	switch supply {
+	case supplyFaulted:
 		inj, err := faults.New(faults.Plan{
 			Seed:                5,
 			RandomCutMeanCycles: 7000,
@@ -53,6 +63,12 @@ func obslogCfg(t *testing.T, stratName, wlName string, eng device.Engine, inject
 			t.Fatal(err)
 		}
 		cfg.Faults = inj
+	case supplyRF:
+		h, err := energy.NewHarvester(trace.Generate(trace.Spikes, 20, 1e-3, 42), 3000, 0.7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Harvester = h
 	}
 	return cfg, spec.New(), w.Ref(opts)
 }
@@ -62,12 +78,13 @@ func TestObsLogResultNeutral(t *testing.T) {
 	for _, stratName := range []string{"timer", "chain", "clank"} {
 		for _, wlName := range []string{"sense", "counter"} {
 			for _, eng := range engines {
-				for _, inject := range []bool{false, true} {
+				for _, supply := range []string{supplyClean, supplyFaulted} {
+					inject := supply == supplyFaulted
 					// An honest fail-stop (e.g. Clank detecting
 					// unrecoverable FRAM under injection) is a valid
 					// outcome; it too must be recorder-invariant.
 					run := func(rec *device.ObsLog) (*device.Result, error) {
-						cfg, strat, _ := obslogCfg(t, stratName, wlName, eng, inject)
+						cfg, strat, _ := obslogCfg(t, stratName, wlName, eng, supply)
 						cfg.Record = rec
 						d, err := device.New(cfg, strat)
 						if err != nil {
@@ -103,12 +120,78 @@ func TestObsLogResultNeutral(t *testing.T) {
 	}
 }
 
+// allWords watches every word of the default SRAM and FRAM, so every
+// data store of a run lands in the log as a HazardStore.
+func allWords() map[uint32]struct{} {
+	words := make(map[uint32]struct{})
+	for a := mem.SRAMBase; a < mem.SRAMBase+8*1024; a += 4 {
+		words[a] = struct{}{}
+	}
+	for a := mem.FRAMBase; a < mem.FRAMBase+256*1024; a += 4 {
+		words[a] = struct{}{}
+	}
+	return words
+}
+
+// TestObsLogEngineParity: the whole observation log — boots, senses,
+// commits and every watched store, with their cycle timestamps — is
+// identical under both engines on clean, fault-injected and harvested
+// supplies. The batched engine records from inside its fused settle
+// loop, so this pins that loop's per-instruction timestamps to the
+// reference engine's.
+func TestObsLogEngineParity(t *testing.T) {
+	strats := []string{"timer", "chain", "clank", "mementos"}
+	wls := []string{"sense", "counter", "crc"}
+	if !equivFullMatrix() {
+		strats, wls = []string{"timer", "clank"}, []string{"sense", "crc"}
+	}
+	words := allWords()
+	for _, stratName := range strats {
+		for _, wlName := range wls {
+			for _, supply := range []string{supplyClean, supplyFaulted, supplyRF} {
+				stratName, wlName, supply := stratName, wlName, supply
+				t.Run(stratName+"/"+wlName+"/"+supply, func(t *testing.T) {
+					t.Parallel()
+					run := func(eng device.Engine) (*device.ObsLog, *device.Result, error) {
+						cfg, strat, _ := obslogCfg(t, stratName, wlName, eng, supply)
+						log := &device.ObsLog{HazardWords: words}
+						cfg.Record = log
+						d, err := device.New(cfg, strat)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := d.Run()
+						return log, res, err
+					}
+					refLog, refRes, refErr := run(device.EngineReference)
+					batLog, batRes, batErr := run(device.EngineBatched)
+					if (refErr == nil) != (batErr == nil) ||
+						(refErr != nil && refErr.Error() != batErr.Error()) {
+						t.Fatalf("engines disagree on error:\nreference: %v\nbatched:   %v", refErr, batErr)
+					}
+					if !reflect.DeepEqual(refRes, batRes) {
+						t.Fatal("engines disagree on the Result")
+					}
+					if !reflect.DeepEqual(refLog, batLog) {
+						t.Fatalf("observation logs differ: boots %d/%d senses %d/%d commits %d/%d stores %d/%d",
+							len(refLog.Boots), len(batLog.Boots), len(refLog.Senses), len(batLog.Senses),
+							len(refLog.Commits), len(batLog.Commits), len(refLog.HazardStores), len(batLog.HazardStores))
+					}
+					if len(refLog.HazardStores) == 0 {
+						t.Fatal("no stores recorded with every word watched")
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestObsLogStructure pins the recorder's core invariants on a clean
 // sense run: the boot lineage starts cold, sense indices are the
 // architectural sequence, every committed sense points at a commit that
 // lists it, and committed output grows append-only.
 func TestObsLogStructure(t *testing.T) {
-	cfg, strat, want := obslogCfg(t, "timer", "sense", device.EngineBatched, false)
+	cfg, strat, want := obslogCfg(t, "timer", "sense", device.EngineBatched, supplyClean)
 	log := &device.ObsLog{}
 	cfg.Record = log
 	d, err := device.New(cfg, strat)

@@ -440,9 +440,9 @@ const (
 	// exceed the ≤ 7-cycle instruction overshoot so per-step territory
 	// is entered strictly before any event can fire.
 	minBatchCycles = 32
-	// maxBatchCycles caps one batch (and the record sink it fills) so a
-	// long event-free stretch still settles accounting and polls the
-	// interrupt hook at a bounded latency.
+	// maxBatchCycles caps one batch so a long event-free stretch still
+	// settles accounting and polls the interrupt hook at a bounded
+	// latency.
 	maxBatchCycles = 1 << 14
 	// cutGuard is slack between a batch's end and the next scheduled
 	// power cut; it must exceed the instruction overshoot so the cut
@@ -552,25 +552,16 @@ func (d *Device) stepOnce(code []isa.Instr) (done bool, err error) {
 // horizon, the conservative brown-out horizon, the next scheduled fault
 // and the run limits all lie at or beyond its end — executes it, then
 // delivers the single synthesized PostStep the Horizon contract
-// promises. On a clean bench supply the batch runs in fusedBatch,
-// which interleaves the per-step energy sequence with interpretation
-// (fused.go); under a harvester or fault injector it runs in one
-// cpu.StepN call whose records settleBatch replays through the full
-// consume() protocol. Both settle modes reproduce the reference
-// engine's floating-point sequence bit for bit. When the nearest
-// event is closer than minBatchCycles the engine falls back to
-// stepOnce, so every event (trigger, brown-out, power cut, halt)
-// fires in exact per-step mode on the same instruction as the
-// reference engine.
+// promises. Every batch runs in fusedBatch, which interleaves the
+// per-step energy sequence — harvest credit included — and the
+// recorder's hooks with interpretation (fused.go), reproducing the
+// reference engine's floating-point sequence bit for bit on bench,
+// harvested and fault-injected supplies alike. When the nearest event
+// is closer than minBatchCycles the engine falls back to stepOnce, so
+// every event (trigger, brown-out, power cut, halt) fires in exact
+// per-step mode on the same instruction as the reference engine.
 func (d *Device) activePhaseBatched() error {
 	code := d.cfg.Prog.Code
-	// The fused settle path is reserved for the unobserved fast case:
-	// with a recorder attached the engine takes the StepN+settleBatch
-	// route, whose per-step records carry the store addresses and sense
-	// boundaries the observation log needs. Results are identical either
-	// way (the equivalence oracle proves the two settle modes
-	// byte-identical); only the recording fidelity differs.
-	fused := d.cfg.Harvester == nil && d.inj == nil && d.rec == nil
 	for d.cycles < d.cfg.MaxCycles {
 		if int(d.core.PC) >= len(code) {
 			return &ProgramError{PC: d.core.PC, Program: d.cfg.Prog.Name}
@@ -587,28 +578,7 @@ func (d *Device) activePhaseBatched() error {
 			d.emit(obsv.EvBatchHorizon, budget, d.strat.Horizon(d), 0)
 		}
 
-		var b cpu.Batch
-		var stepErr error
-		if fused {
-			b, stepErr = d.fusedBatch(code, budget)
-		} else {
-			if d.sink.Recs == nil {
-				d.sink.Recs = make([]cpu.StepRec, 0, maxBatchCycles)
-			}
-			d.sink.Recs = d.sink.Recs[:0]
-			b, stepErr = d.core.StepN(code, d.mem, budget, d.stopSys, &d.sink)
-			if b.Steps > 0 {
-				if err := d.settleBatch(d.sink.Recs); err != nil {
-					return err
-				}
-				// A recorder forces SysSense into the stop mask, so a
-				// batch whose final instruction read an input ends here
-				// with the exact per-instruction cycle position.
-				if d.rec != nil && b.HasSys && b.Sys == isa.SysSense {
-					d.rec.sense(d.core.SenseSeq-1, d.cycles, int32(len(d.result.Periods)))
-				}
-			}
-		}
+		b, stepErr := d.fusedBatch(code, budget)
 		if b.Steps > 0 {
 			if err := d.pollInterrupt(b.Cycles); err != nil {
 				return err
@@ -680,42 +650,6 @@ func (d *Device) batchBudget() uint64 {
 		}
 	}
 	return budget
-}
-
-// settleBatch applies a StepN batch's accounting by replaying the
-// recorded per-step sequence through the full consume() protocol in
-// the reference engine's exact order — FRAM store count, then energy
-// draw (with harvest credit and fault checks), then the progress
-// counters, step by step — so every floating-point operation happens
-// with the same operands and in the same association as the
-// per-instruction loop. Clean bench supplies never come here: their
-// batches run fused with interpretation (fused.go).
-//
-// The batch budget guarantees the supply survives every step (see
-// batchBudget); a mid-batch death would mean instructions executed that
-// the reference engine never ran, so it is reported as an engine bug
-// rather than a power failure.
-func (d *Device) settleBatch(recs []cpu.StepRec) error {
-	var total uint64
-	for _, r := range recs {
-		if r.Flags&cpu.RecStore != 0 && d.mem.Region(r.Addr) == mem.RegionFRAM {
-			d.framWrites++
-		}
-		n := uint64(r.Cycles)
-		eBefore, hBefore := d.cap.Energy(), d.period.HarvestedE
-		alive := d.consume(n, energy.InstrClass(r.Class))
-		d.pendingE += eBefore + (d.period.HarvestedE - hBefore) - d.cap.Energy()
-		total += n
-		if d.rec != nil && r.Flags&cpu.RecStore != 0 && d.rec.wantsStore(r.Addr) {
-			d.rec.store(r.Addr, d.cycles)
-		}
-		if !alive {
-			return errBatchOverrun()
-		}
-	}
-	d.sinceCommit += total
-	d.execSinceBkup += total
-	return nil
 }
 
 // cachePenalty simulates the access in the cache model and returns the

@@ -318,13 +318,14 @@ func (td *TraceData) WriteTree(w io.Writer) error {
 }
 
 // SpanCounter folds a device's lifecycle event stream into summary
-// attributes on a span: how many active periods, committed backups and
-// brown-outs a simulation cell saw, its final simulated-cycle position
-// and whether it completed. It implements Tracer and, like any
-// per-device sink, assumes single-goroutine access; call Flush after
-// the run to attach the attributes.
+// attributes on a span: which engine path ran, how many active periods,
+// committed backups and brown-outs a simulation cell saw, its final
+// simulated-cycle position and whether it completed. It implements
+// Tracer and, like any per-device sink, assumes single-goroutine
+// access; call Flush after the run to attach the attributes.
 type SpanCounter struct {
 	sp        *Span
+	engine    string
 	periods   uint64
 	backups   uint64
 	brownOuts uint64
@@ -339,6 +340,8 @@ func NewSpanCounter(sp *Span) *SpanCounter { return &SpanCounter{sp: sp} }
 // Event implements Tracer.
 func (c *SpanCounter) Event(e Event) {
 	switch e.Type {
+	case EvRunBegin:
+		c.engine = engineName(e.Arg)
 	case EvPowerOn:
 		c.periods++
 	case EvCheckpointCommit:
@@ -355,6 +358,9 @@ func (c *SpanCounter) Event(e Event) {
 func (c *SpanCounter) Flush() {
 	if c.sp == nil {
 		return
+	}
+	if c.engine != "" {
+		c.sp.SetAttr("engine", c.engine)
 	}
 	c.sp.SetUint("periods", c.periods)
 	c.sp.SetUint("backups", c.backups)

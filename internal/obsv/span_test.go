@@ -147,6 +147,7 @@ func TestSpanCounter(t *testing.T) {
 	ctx := ContextWithTrace(context.Background(), tr)
 	_, sp := StartSpan(ctx, "device.run")
 	c := NewSpanCounter(sp)
+	c.Event(Event{Type: EvRunBegin, Arg: 1})
 	c.Event(Event{Type: EvPowerOn})
 	c.Event(Event{Type: EvPowerOn})
 	c.Event(Event{Type: EvCheckpointCommit})
@@ -157,6 +158,7 @@ func TestSpanCounter(t *testing.T) {
 
 	node := tr.Snapshot().Tree()[0]
 	want := map[string]string{
+		"engine":  "batched",
 		"periods": "2", "backups": "1", "brown_outs": "1",
 		"simcycles": "1234", "completed": "true",
 	}
@@ -164,6 +166,16 @@ func TestSpanCounter(t *testing.T) {
 		if node.Attrs[k] != v {
 			t.Errorf("attr %s = %q, want %q", k, node.Attrs[k], v)
 		}
+	}
+
+	// The reference engine tags its run too.
+	_, rsp := StartSpan(ctx, "device.run")
+	rc := NewSpanCounter(rsp)
+	rc.Event(Event{Type: EvRunBegin, Arg: 0})
+	rc.Flush()
+	rsp.Finish()
+	if got := tr.Snapshot().Tree()[1].Attrs["engine"]; got != "reference" {
+		t.Errorf("reference run engine attr = %q, want reference", got)
 	}
 
 	// A nil-span counter still counts without attributing anywhere.

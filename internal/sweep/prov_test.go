@@ -67,7 +67,7 @@ func TestExecutorCellSpans(t *testing.T) {
 		if dev == nil {
 			t.Fatal("cell span has no device.run child")
 		}
-		if dev.Attrs["periods"] == "" || dev.Attrs["backups"] == "" {
+		if dev.Attrs["periods"] == "" || dev.Attrs["backups"] == "" || dev.Attrs["engine"] != "batched" {
 			t.Fatalf("device.run attrs %v", dev.Attrs)
 		}
 	}
