@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test test-race test-short audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard bench-smoke serve-smoke clean
+.PHONY: check fmt vet staticcheck build test test-race test-short audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard bench-smoke bench-ledger serve-smoke clean
 
 # `test` runs the full suite race-free — including the complete engine
 # equivalence matrix, which self-trims to a representative slice under
@@ -125,6 +125,15 @@ bench:
 # bench/golden/).
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# the per-layer performance ledger: one traced ehbench pass (the same
+# for every workload) recording each layer's rows — the critical cell
+# (runner.critical_cell_ms), per-pass allocations and GCs, per-figure
+# cold and warm times, span self-times — into .bench_build/ledger along
+# with its span trees. CI uploads the directory on every push; the
+# numbers are informational, not a gate.
+bench-ledger:
+	bash bench/run.sh --workload all --seed 1 --trace 1 --out .bench_build/ledger
 
 # end-to-end smoke of cmd/ehserve: build it, start it against a
 # throwaway disk store, ask the same figure twice (the second reply must

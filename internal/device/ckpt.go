@@ -131,13 +131,16 @@ type decodedCkpt struct {
 // volatile output buffer is excluded: committed outputs live in the
 // checkpoint area's output log, referenced by the commit record. SRAM
 // snapshots cover the program's data footprint — the bytes the modeled
-// AppBytes payload actually pays for — not the whole physical SRAM.
+// AppBytes payload actually pays for — not the whole physical SRAM,
+// read through a view rather than a copy. The image is encoded into a
+// buffer the device reuses, so it is valid only until the next call;
+// writeCheckpoint copies it word by word into the checkpoint area.
 func (d *Device) encodeCheckpoint(p Payload) []uint32 {
 	var sram []byte
 	if p.SaveSRAM {
-		sram = d.mem.SnapshotSRAM()[:d.SRAMFootprint()]
+		sram = d.mem.SRAMPrefix(d.SRAMFootprint())
 	}
-	words := make([]uint32, 0, ckptHeaderWords+len(sram)/4)
+	words := d.ckptBuf[:0]
 	var flags uint32
 	if p.SaveSRAM {
 		flags |= ckptFlagSRAM
@@ -154,6 +157,7 @@ func (d *Device) encodeCheckpoint(p Payload) []uint32 {
 	for i := 0; i+4 <= len(sram); i += 4 {
 		words = append(words, binary.LittleEndian.Uint32(sram[i:]))
 	}
+	d.ckptBuf = words
 	return words
 }
 
@@ -255,6 +259,9 @@ func (d *Device) writeCheckpoint(p Payload) bool {
 		if !ok {
 			return false
 		}
+		// Size the slot once: growing it word by word would reallocate
+		// on every word of the first commit to each slot.
+		d.store.EnsureSlot(target, len(words))
 		for i, w := range words {
 			d.store.WriteSlotWord(target, i, w)
 		}

@@ -99,7 +99,7 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	if ck.framWrites != d.framWrites {
 		t.Errorf("framWrites %d, want %d (64-bit split broken)", ck.framWrites, d.framWrites)
 	}
-	if want := d.mem.SnapshotSRAM()[:d.SRAMFootprint()]; !bytes.Equal(ck.sram, want) {
+	if want := d.mem.SRAMPrefix(d.SRAMFootprint()); !bytes.Equal(ck.sram, want) {
 		t.Errorf("sram snapshot %x, want %x", ck.sram, want)
 	}
 
@@ -114,6 +114,33 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	}
 	if ck.sram != nil || ck.payload.SaveSRAM {
 		t.Error("register-only image decoded with an SRAM snapshot")
+	}
+}
+
+// TestWriteCheckpointAllocs: on a fault-free device a committed backup
+// — encode, slot write, checksum, commit record — must not allocate.
+// The warm-up commits size both slots of the two-slot area.
+func TestWriteCheckpointAllocs(t *testing.T) {
+	prog := loopProgram(t, 10, asm.SRAM)
+	d, err := New(fixedConfig(t, prog, 1.0), nullStrategy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.mem.WriteSRAMImage(prog.SRAMImage); err != nil {
+		t.Fatal(err)
+	}
+	d.cap.SetVoltage(d.cfg.VOn)
+	p := Payload{ArchBytes: cpu.ArchStateBytes, AppBytes: d.SRAMFootprint(), SaveSRAM: true}
+	if !d.writeCheckpoint(p) {
+		t.Fatal("warm-up commit failed")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if !d.writeCheckpoint(p) {
+			t.Fatal("commit failed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("writeCheckpoint allocates %.1f per commit, want 0", allocs)
 	}
 }
 

@@ -84,8 +84,9 @@ type Strategy interface {
 	// cycles — except at a SYS code it declared via SysObserver, where
 	// the engine ends the batch and calls PostStep anyway. Returning
 	// HorizonInfinite means "never on a cycle count" (site- or
-	// SYS-driven strategies); returning 1 opts out of batching entirely
-	// and keeps the exact per-step PreStep/PostStep protocol.
+	// SYS-driven strategies); returning 1 (or 0) opts out of batching
+	// and keeps the exact per-step PreStep/PostStep protocol. Any
+	// larger horizon is batched, however short.
 	//
 	// The contract a Horizon > 1 buys into:
 	//   - PreStep must return nil for every instruction in the window
@@ -507,6 +508,9 @@ type Device struct {
 	// maxSeq is the newest commit sequence number that ever landed — the
 	// ground truth the staleness guard compares restore targets against.
 	maxSeq uint64
+	// ckptBuf is the reusable checkpoint image buffer encodeCheckpoint
+	// fills; nothing retains the image past writeCheckpoint.
+	ckptBuf []uint32
 	// stratNaive mirrors the strategy's NaiveCommitter claim: the
 	// attached runtime itself selects the single-slot unvalidated
 	// commit (alpaca-naive). Effective only while an injector is

@@ -183,23 +183,57 @@ func TestEngineEquivalenceBench(t *testing.T) {
 }
 
 // TestEngineEquivalenceWideWindow aims the oracle at the fused settle
-// loop's large-batch regimes: timer windows far beyond
+// loop's window regimes. Large windows: timer windows far beyond
 // maxBatchCycles (so batches run at the cap and PostStep firings land
 // mid-stretch), windows aligned to the cap, and the infinite window
-// (batches bounded by the energy horizon alone). Supplies that
-// complete the workload in one period and supplies that brown out
-// repeatedly both appear, so the per-step fallback window and
-// mid-run death execute under both engines at every window size.
+// (batches bounded by the energy horizon alone). Short windows: timer
+// and Hibernus comparator windows down to one instruction, which batch
+// whenever their horizon exceeds one cycle. Supplies that complete the
+// workload in one period and supplies that brown out repeatedly both
+// appear, so the per-step fallback and mid-run death execute under
+// both engines at every window size.
 func TestEngineEquivalenceWideWindow(t *testing.T) {
+	timer := func(tauB uint64) func() device.Strategy {
+		return func() device.Strategy { return strategy.NewTimer(tauB, 0.1) }
+	}
+	hibernus := func(checkPeriod uint64, margin float64) func() device.Strategy {
+		return func() device.Strategy {
+			h := strategy.NewHibernus()
+			h.CheckPeriod, h.Margin = checkPeriod, margin
+			return h
+		}
+	}
 	cases := []struct {
 		name           string
-		tauB           uint64
+		strat          func() device.Strategy
 		cyclesOfEnergy float64
+		// maxPeriods and maxCycles replace benchEquivCfg's run limits
+		// when nonzero.
+		maxPeriods int
+		maxCycles  uint64
 	}{
-		{"wide-window/one-period", 50_000, 600_000},
-		{"wide-window/brownouts", 20_000, 60_000},
-		{"chunk-aligned", 8192, 100_000},
-		{"infinite-window", 0, 600_000},
+		{"wide-window/one-period", timer(50_000), 600_000, 0, 0},
+		{"wide-window/brownouts", timer(20_000), 60_000, 0, 0},
+		{"chunk-aligned", timer(8192), 100_000, 0, 0},
+		{"infinite-window", timer(0), 600_000, 0, 0},
+		{"short-window/timer-2", timer(2), 20_000, 0, 0},
+		{"short-window/timer-7", timer(7), 20_000, 0, 0},
+		{"short-window/timer-31", timer(31), 20_000, 0, 0},
+		{"short-window/hibernus-check-1", hibernus(1, 2), 20_000, 0, 0},
+		{"short-window/hibernus-check-2", hibernus(2, 2), 20_000, 0, 0},
+		{"short-window/hibernus-check-15", hibernus(15, 2), 20_000, 0, 0},
+		{"short-window/hibernus-check-33", hibernus(33, 2), 20_000, 0, 0},
+		// §IV-B's hazard: on this supply the backup dies mid-write every
+		// period, so the run never completes and samples every window
+		// of every period up to MaxPeriods.
+		{"short-window/hibernus-margin-1.02", hibernus(16, 1.02), 3_000, 200, 0},
+		// A SENSE ends a batch inside a comparator window; the wrapper
+		// must still count the cycles before it toward the next sample.
+		{"short-window/hibernus+sense", func() device.Strategy {
+			return strategy.NewSenseCommit(strategy.NewHibernus())
+		}, 20_000, 0, 0},
+		// An odd run limit ends the final batch inside a timer window.
+		{"short-window/odd-max-cycles", timer(1000), 3_000, 0, 12_345},
 	}
 	for _, c := range cases {
 		for _, w := range equivWorkloads(t) {
@@ -213,7 +247,13 @@ func TestEngineEquivalenceWideWindow(t *testing.T) {
 				runEngines(t, func(eng device.Engine) (*device.Device, device.Strategy) {
 					cfg := benchEquivCfg(prog, c.cyclesOfEnergy)
 					cfg.Engine = eng
-					s := strategy.NewTimer(c.tauB, 0.1)
+					if c.maxPeriods != 0 {
+						cfg.MaxPeriods = c.maxPeriods
+					}
+					if c.maxCycles != 0 {
+						cfg.MaxCycles = c.maxCycles
+					}
+					s := c.strat()
 					d, err := device.New(cfg, s)
 					if err != nil {
 						t.Fatal(err)

@@ -140,10 +140,10 @@ func allWords() map[uint32]struct{} {
 // loop, so this pins that loop's per-instruction timestamps to the
 // reference engine's.
 func TestObsLogEngineParity(t *testing.T) {
-	strats := []string{"timer", "chain", "clank", "mementos"}
+	strats := []string{"timer", "chain", "clank", "mementos", "hibernus"}
 	wls := []string{"sense", "counter", "crc"}
 	if !equivFullMatrix() {
-		strats, wls = []string{"timer", "clank"}, []string{"sense", "crc"}
+		strats, wls = []string{"timer", "clank", "hibernus"}, []string{"sense", "crc"}
 	}
 	words := allWords()
 	for _, stratName := range strats {

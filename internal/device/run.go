@@ -435,11 +435,6 @@ func previewAccess(in isa.Instr, c *cpu.Core) AccessPreview {
 // fault, run limit — so inside a batch nothing can observably happen
 // and the engine may execute instructions back to back.
 const (
-	// minBatchCycles is the smallest budget worth batching: below it the
-	// engine runs the exact per-step protocol. It must comfortably
-	// exceed the ≤ 7-cycle instruction overshoot so per-step territory
-	// is entered strictly before any event can fire.
-	minBatchCycles = 32
 	// maxBatchCycles caps one batch so a long event-free stretch still
 	// settles accounting and polls the interrupt hook at a bounded
 	// latency.
@@ -556,10 +551,11 @@ func (d *Device) stepOnce(code []isa.Instr) (done bool, err error) {
 // per-step energy sequence — harvest credit included — and the
 // recorder's hooks with interpretation (fused.go), reproducing the
 // reference engine's floating-point sequence bit for bit on bench,
-// harvested and fault-injected supplies alike. When the nearest event
-// is closer than minBatchCycles the engine falls back to stepOnce, so
-// every event (trigger, brown-out, power cut, halt) fires in exact
-// per-step mode on the same instruction as the reference engine.
+// harvested and fault-injected supplies alike. A zero budget — the
+// strategy wants its PreStep, a brown-out is within reach, or a power
+// cut is within cutGuard — falls back to stepOnce, so those events fire
+// in exact per-step mode on the same instruction as the reference
+// engine; every other event ends a batch exactly (see batchBudget).
 func (d *Device) activePhaseBatched() error {
 	code := d.cfg.Prog.Code
 	for d.cycles < d.cfg.MaxCycles {
@@ -567,7 +563,7 @@ func (d *Device) activePhaseBatched() error {
 			return &ProgramError{PC: d.core.PC, Program: d.cfg.Prog.Name}
 		}
 		budget := d.batchBudget()
-		if budget < minBatchCycles {
+		if budget == 0 {
 			done, err := d.stepOnce(code)
 			if done || err != nil {
 				return err
@@ -612,22 +608,30 @@ func (d *Device) activePhaseBatched() error {
 }
 
 // batchBudget returns how many cycles the engine may execute before the
-// next possible event. Anything below minBatchCycles means "per-step
-// territory".
+// next possible event, or 0 when the next instruction must run the
+// exact per-step protocol. Every bound is either exact or carries its
+// own slack over the ≤ 7-cycle overshoot of a batch's final
+// instruction, so any nonzero budget batches, however small:
+//
+//   - the strategy horizon is exact by the Horizon contract (the batch
+//     ends on the instruction that crosses it); a horizon ≤ 1 opts out
+//     of batching, because PreStep must run;
+//   - CyclesAboveEnergy subtracts at least 64 cycles of slack; 0 means
+//     a brown-out may be one instruction away;
+//   - the MaxCycles bound is the reference loop's own condition;
+//   - a scheduled cut stops the batch cutGuard short, and a cut within
+//     cutGuard must fire in per-step mode.
 func (d *Device) batchBudget() uint64 {
 	// Strategy horizon first: it is cheap, and a per-step strategy
 	// (Horizon 1) must not pay for the energy math below.
 	budget := d.strat.Horizon(d)
-	if budget < minBatchCycles {
-		return budget
+	if budget <= 1 {
+		return 0
 	}
 	// Conservative brown-out horizon: worst active class, no harvest
 	// credit, slack for float drift — the supply cannot die inside it.
 	if h := d.CyclesAboveEnergy(0); h < budget {
 		budget = h
-	}
-	if budget < minBatchCycles {
-		return budget
 	}
 	// Run limit: an instruction starts only while cycles < MaxCycles,
 	// which is exactly the reference loop's per-step condition.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sync"
 )
 
 // NVMProfile captures a nonvolatile-memory technology's checkpoint
@@ -135,15 +136,31 @@ func DecodeRecord(w [CommitRecordWords]uint32) (CommitRecord, bool) {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// crcChunk is the fixed buffer ChecksumSlot streams its bytes through.
+// It is pooled rather than a stack array because crc32.Update reaches
+// the hardware CRC through a function value, which makes any slice it
+// is given escape to the heap.
+type crcChunk [256]byte
+
+var crcChunks = sync.Pool{New: func() any { return new(crcChunk) }}
+
 // ChecksumSlot computes the CRC a commit record must carry for the given
 // payload. The record's own ordering fields are folded in so a payload
-// paired with a stale record is rejected too.
+// paired with a stale record is rejected too. The CRC covers the
+// little-endian bytes of the record fields (magic, seq lo, seq hi,
+// output length, payload length) followed by the payload words; they
+// are streamed through one pooled chunk, so no call allocates.
 func ChecksumSlot(payload []uint32, r CommitRecord) uint32 {
-	buf := make([]byte, 0, 4*(len(payload)+5))
-	var w [4]byte
+	buf := crcChunks.Get().(*crcChunk)
+	var crc uint32
+	n := 0
 	put := func(v uint32) {
-		binary.LittleEndian.PutUint32(w[:], v)
-		buf = append(buf, w[:]...)
+		if n == len(buf) {
+			crc = crc32.Update(crc, castagnoli, buf[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint32(buf[n:], v)
+		n += 4
 	}
 	put(CommitMagic)
 	put(uint32(r.Seq))
@@ -153,7 +170,9 @@ func ChecksumSlot(payload []uint32, r CommitRecord) uint32 {
 	for _, v := range payload {
 		put(v)
 	}
-	return crc32.Checksum(buf, castagnoli)
+	crc = crc32.Update(crc, castagnoli, buf[:n])
+	crcChunks.Put(buf)
+	return crc
 }
 
 // CheckpointArea is the checkpoint region of the device's FRAM: two

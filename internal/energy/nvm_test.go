@@ -92,6 +92,35 @@ func TestChecksumSlotBindsRecordFields(t *testing.T) {
 	}
 }
 
+// TestChecksumSlotStreaming pins ChecksumSlot to the values the
+// original one-buffer implementation computed, across the boundaries
+// of its 256-byte stream chunk (the 20 header bytes plus 59 payload
+// words fill exactly one chunk), and checks that no call allocates.
+func TestChecksumSlotStreaming(t *testing.T) {
+	want := map[int]uint32{
+		0:   0xdbf0f342,
+		59:  0x8c780413,
+		60:  0xd7d1af56,
+		61:  0x57705be9,
+		123: 0x665b227b,
+		124: 0x48b652e6,
+		200: 0x6d8dec71,
+	}
+	for n, crc := range want {
+		payload := make([]uint32, n)
+		for i := range payload {
+			payload[i] = uint32(i)*0x9E3779B9 ^ 0xA5A5A5A5
+		}
+		r := CommitRecord{Seq: 1<<32 | 7, OutLen: 3, Len: uint32(n)}
+		if got := ChecksumSlot(payload, r); got != crc {
+			t.Errorf("%d-word payload: checksum %#08x, want %#08x", n, got, crc)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { ChecksumSlot(payload, r) }); allocs != 0 {
+			t.Errorf("%d-word payload: ChecksumSlot allocates %.1f per call, want 0", n, allocs)
+		}
+	}
+}
+
 func TestCheckpointAreaCommitAndValidate(t *testing.T) {
 	a := NewCheckpointArea()
 	if a.Validate(0) || a.Validate(1) {

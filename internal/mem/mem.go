@@ -161,19 +161,12 @@ func (s *System) LoseVolatile() {
 	}
 }
 
-// SnapshotSRAM returns a copy of volatile memory — the application-state
-// payload of a full checkpoint.
-func (s *System) SnapshotSRAM() []byte {
-	return append([]byte(nil), s.sram...)
-}
-
-// RestoreSRAM reinstates a snapshot taken by SnapshotSRAM.
-func (s *System) RestoreSRAM(snap []byte) error {
-	if len(snap) != len(s.sram) {
-		return fmt.Errorf("mem: snapshot size %d != sram size %d", len(snap), len(s.sram))
-	}
-	copy(s.sram, snap)
-	return nil
+// SRAMPrefix returns the first n bytes of volatile memory — the
+// footprint a full checkpoint encodes — as a view, not a copy. The
+// view aliases live memory: callers must treat it as read-only and
+// finish with it before the next store. n must not exceed SRAMSize.
+func (s *System) SRAMPrefix(n int) []byte {
+	return s.sram[:n:n]
 }
 
 // RestoreSRAMPrefix reinstates a partial snapshot covering the first

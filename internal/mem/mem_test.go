@@ -104,29 +104,11 @@ func TestLoseVolatile(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreSRAM(t *testing.T) {
-	s := newSys(t)
-	s.StoreWord(8, 42)
-	snap := s.SnapshotSRAM()
-	s.StoreWord(8, 99)
-	s.LoseVolatile()
-	if err := s.RestoreSRAM(snap); err != nil {
-		t.Fatal(err)
-	}
-	v, _ := s.LoadWord(8)
-	if v != 42 {
-		t.Errorf("restored value %d, want 42", v)
-	}
-	if err := s.RestoreSRAM(make([]byte, 3)); err == nil {
-		t.Error("wrong-size snapshot accepted")
-	}
-}
-
 func TestSnapshotIsACopy(t *testing.T) {
 	s := newSys(t)
-	snap := s.SnapshotSRAM()
-	s.StoreWord(0, 7)
-	if bytes.Equal(snap[:4], s.SnapshotSRAM()[:4]) {
+	snap := s.SnapshotFRAM()
+	s.StoreWord(FRAMBase, 7)
+	if bytes.Equal(snap[:4], s.SnapshotFRAM()[:4]) {
 		t.Error("snapshot aliases live memory")
 	}
 }

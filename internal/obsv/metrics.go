@@ -175,6 +175,11 @@ type Metrics struct {
 	StaleRestores   uint64 `json:"stale_restores"`
 	Unrecoverables  uint64 `json:"unrecoverables"`
 	BatchedHorizons uint64 `json:"batched_horizons"`
+	// BatchBudget is the distribution of the batched engine's batch
+	// budgets in cycles (EvBatchHorizon's Arg): how far apart the events
+	// that bound each batch sit, e.g. Hibernus's 16-cycle comparator
+	// windows next to a timer's 16k-cycle capped stretches.
+	BatchBudget Histogram `json:"batch_budget_cycles"`
 
 	// Verdicts counts correctness-oracle violations by class (EvVerdict
 	// and EvCampaignFinding both land here, so sweep and campaign
@@ -288,6 +293,7 @@ func (m *Metrics) Event(e Event) {
 		m.Deadlines++
 	case EvBatchHorizon:
 		m.BatchedHorizons++
+		m.BatchBudget.Observe(e.Arg)
 	case EvTrigger:
 		if e.Arg < uint64(NumTriggerReasons) {
 			m.Triggers[e.Arg]++
@@ -399,6 +405,7 @@ func (m *Metrics) Merge(other *Metrics) {
 	m.StaleRestores += other.StaleRestores
 	m.Unrecoverables += other.Unrecoverables
 	m.BatchedHorizons += other.BatchedHorizons
+	m.BatchBudget.Merge(&other.BatchBudget)
 	for i := range m.Verdicts {
 		m.Verdicts[i] += other.Verdicts[i]
 	}
@@ -469,6 +476,7 @@ func (m *Metrics) rows() [][2]string {
 	hist("dead_cycles_per_period", &m.TauD)
 	hist("exec_cycles_per_backup", &m.TauB)
 	hist("checkpoint_bytes", &m.CkptBytes)
+	hist("batch_budget_cycles", &m.BatchBudget)
 	stat := func(name string, s *FloatStat) {
 		out = append(out,
 			[2]string{name + "_count", u(s.Count)},

@@ -153,6 +153,8 @@ func TestMetricsDerivation(t *testing.T) {
 		{Type: EvTrigger, Arg: uint64(TrigWAR)},
 		{Type: EvWARFlush, Arg: 17, Arg2: uint64(TrigWAR)},
 		{Type: EvFaultBitFlips, Arg: 3},
+		{Type: EvBatchHorizon, Arg: 16, Arg2: 16},
+		{Type: EvBatchHorizon, Arg: 5, Arg2: 9},
 		{Type: EvHalt},
 		{Type: EvRunEnd, Arg: 1},
 	}
@@ -174,9 +176,14 @@ func TestMetricsDerivation(t *testing.T) {
 	if m.FaultBitFlips != 3 || m.Halts != 1 {
 		t.Fatalf("faults: %+v", m)
 	}
+	// The budget (Arg), not the strategy horizon (Arg2), is observed.
+	if b := m.BatchBudget; m.BatchedHorizons != 2 || b.Count != 2 || b.Sum != 21 || b.Min != 5 || b.Max != 16 {
+		t.Fatalf("batch budgets: horizons=%d %+v", m.BatchedHorizons, b)
+	}
 
 	var m2 Metrics
 	m2.Event(Event{Type: EvWARFlush, Arg: 5, Arg2: uint64(TrigWatchdog)})
+	m2.Event(Event{Type: EvBatchHorizon, Arg: 1 << 14})
 	m2.AddErrorClass("deadline", 2)
 	m.AddErrorClass("deadline", 1)
 	m.Merge(&m2)
@@ -186,12 +193,16 @@ func TestMetricsDerivation(t *testing.T) {
 	if m.ErrorClasses["deadline"] != 3 {
 		t.Fatalf("error classes: %v", m.ErrorClasses)
 	}
+	if b := m.BatchBudget; m.BatchedHorizons != 3 || b.Count != 3 || b.Max != 1<<14 || b.Buckets[15] != 1 {
+		t.Fatalf("merged batch budgets: horizons=%d %+v", m.BatchedHorizons, b)
+	}
 }
 
 func TestMetricsExport(t *testing.T) {
 	var m Metrics
 	m.Event(Event{Type: EvPowerOn, F: 0.5})
 	m.Event(Event{Type: EvTrigger, Arg: uint64(TrigTimer)})
+	m.Event(Event{Type: EvBatchHorizon, Arg: 16})
 	m.AddErrorClass("panic", 4)
 
 	var csv bytes.Buffer
@@ -202,7 +213,8 @@ func TestMetricsExport(t *testing.T) {
 	if !strings.HasPrefix(out, "metric,value\n") {
 		t.Fatalf("missing CSV header: %q", out[:40])
 	}
-	for _, want := range []string{"periods,1", "trigger_timer,1", "error_panic,4", "charge_seconds_mean,0.5"} {
+	for _, want := range []string{"periods,1", "trigger_timer,1", "error_panic,4", "charge_seconds_mean,0.5",
+		"batched_horizons,1", "batch_budget_cycles_count,1", "batch_budget_cycles_p50,16"} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("CSV missing %q:\n%s", want, out)
 		}
@@ -219,6 +231,10 @@ func TestMetricsExport(t *testing.T) {
 	trig, ok := doc["triggers"].(map[string]any)
 	if !ok || trig["timer"] != float64(1) {
 		t.Fatalf("triggers export: %v", doc["triggers"])
+	}
+	bb, ok := doc["batch_budget_cycles"].(map[string]any)
+	if !ok || bb["count"] != float64(1) || bb["max"] != float64(16) {
+		t.Fatalf("batch budget export: %v", doc["batch_budget_cycles"])
 	}
 }
 

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"slices"
 	"sort"
 
 	"ehmodel/internal/cpu"
@@ -30,8 +31,13 @@ type Clank struct {
 	// saves 20 32-bit registers (80 bytes).
 	ArchBytes int
 
-	readFirst  map[uint32]struct{}
-	writeFirst map[uint32]struct{}
+	// readFirst and writeFirst hold at most ReadFirstEntries and
+	// WriteFirstEntries words, so they are slices searched linearly and
+	// truncated on Reset: a checkpoint or power failure reuses their
+	// storage instead of allocating. Only membership and length are
+	// observable.
+	readFirst  []uint32
+	writeFirst []uint32
 	stats      ClankStats
 	// violated records every word whose store triggered a WAR violation
 	// over the whole run. Like stats it is analysis-side bookkeeping and
@@ -51,14 +57,12 @@ type ClankStats struct {
 // 8-entry read-first and write-first buffers, an 8000-cycle watchdog and
 // an 80-byte register checkpoint.
 func NewClank() *Clank {
-	c := &Clank{
+	return &Clank{
 		ReadFirstEntries:  8,
 		WriteFirstEntries: 8,
 		WatchdogCycles:    8000,
 		ArchBytes:         80,
 	}
-	c.Reset()
-	return c
 }
 
 // Name implements device.Strategy.
@@ -86,8 +90,8 @@ func (c *Clank) payload() device.Payload {
 // Reset drops the volatile tracking buffers (lost at power failure and
 // cleared by every checkpoint).
 func (c *Clank) Reset() {
-	c.readFirst = make(map[uint32]struct{}, c.ReadFirstEntries)
-	c.writeFirst = make(map[uint32]struct{}, c.WriteFirstEntries)
+	c.readFirst = c.readFirst[:0]
+	c.writeFirst = c.writeFirst[:0]
 }
 
 // Boot takes the mandatory initial checkpoint on a cold start so that
@@ -114,10 +118,10 @@ func (c *Clank) PreStep(d *device.Device, _ isa.Instr, acc device.AccessPreview)
 	}
 	word := acc.Addr &^ 3
 	if acc.Store {
-		if _, ok := c.writeFirst[word]; ok {
+		if slices.Contains(c.writeFirst, word) {
 			return nil // writing our own data: idempotent
 		}
-		if _, ok := c.readFirst[word]; ok {
+		if slices.Contains(c.readFirst, word) {
 			// Write-after-read violation: checkpoint, then track the
 			// store as write-first in the fresh region.
 			c.stats.Violations++
@@ -139,14 +143,11 @@ func (c *Clank) PreStep(d *device.Device, _ isa.Instr, acc device.AccessPreview)
 			p := c.payload()
 			return &p
 		}
-		c.writeFirst[word] = struct{}{}
+		c.writeFirst = append(c.writeFirst, word)
 		return nil
 	}
 	// Load path.
-	if _, ok := c.writeFirst[word]; ok {
-		return nil
-	}
-	if _, ok := c.readFirst[word]; ok {
+	if slices.Contains(c.writeFirst, word) || slices.Contains(c.readFirst, word) {
 		return nil
 	}
 	if len(c.readFirst) >= c.ReadFirstEntries {
@@ -154,11 +155,11 @@ func (c *Clank) PreStep(d *device.Device, _ isa.Instr, acc device.AccessPreview)
 		d.Trace(obsv.EvTrigger, uint64(obsv.TrigBufferFull), uint64(word))
 		d.Trace(obsv.EvWARFlush, c.occupancy(), uint64(obsv.TrigBufferFull))
 		c.Reset()
-		c.readFirst[word] = struct{}{}
+		c.readFirst = append(c.readFirst, word)
 		p := c.payload()
 		return &p
 	}
-	c.readFirst[word] = struct{}{}
+	c.readFirst = append(c.readFirst, word)
 	return nil
 }
 
@@ -166,7 +167,7 @@ func (c *Clank) PreStep(d *device.Device, _ isa.Instr, acc device.AccessPreview)
 // is the pending store.
 func (c *Clank) clearAndTrackWrite(word uint32) {
 	c.Reset()
-	c.writeFirst[word] = struct{}{}
+	c.writeFirst = append(c.writeFirst, word)
 }
 
 // PostStep runs the watchdog.

@@ -58,23 +58,34 @@ func (h *Hibernus) PostStep(d *device.Device, st cpu.Step) *device.Payload {
 		return nil
 	}
 	h.sinceCheck = 0
-	p := fullPayload(d)
-	if d.StoredEnergy() > h.Margin*d.BackupCost(p) {
+	// The returned payload lives on the heap, so it is built only when
+	// the sample fires; the energy test prices a stack copy.
+	if d.StoredEnergy() > h.Margin*d.BackupCost(fullPayload(d)) {
 		return nil
 	}
 	h.armed = false
+	p := fullPayload(d)
 	p.ThenSleep = true
 	d.Trace(obsv.EvTrigger, uint64(obsv.TrigThreshold), uint64(p.Bytes()))
 	return &p
+}
+
+// skip advances the sampling phase by cycles whose PostStep a wrapper
+// answered itself (SenseCommit at a SENSE), exactly as PostStep would
+// short of a sample.
+func (h *Hibernus) skip(cycles uint64) {
+	if h.armed {
+		h.sinceCheck += cycles
+	}
 }
 
 // Horizon promises no backup before the comparator's next sample: the
 // batched engine ends its batch exactly at the cycle-count crossing
 // where PostStep resets sinceCheck, so the sampling phase — and the
 // stored energy the sample reads — match the per-step engine bit for
-// bit. (With the default 16-cycle period this sits below the engine's
-// minimum batch, so Hibernus effectively runs per-step; the promise
-// still has to be exact for any larger CheckPeriod.)
+// bit. With the default 16-cycle period every sample window is one
+// short batch; a CheckPeriod of 0 or 1 samples after every instruction
+// and so runs per-step.
 func (h *Hibernus) Horizon(*device.Device) uint64 {
 	if !h.armed {
 		return device.HorizonInfinite

@@ -46,10 +46,25 @@ func (s *SenseCommit) PreStep(d *device.Device, in isa.Instr, acc device.AccessP
 	return s.inner.PreStep(d, in, acc)
 }
 
+// phaseCounter is implemented by wrapped strategies whose PostStep
+// counts Step.Cycles in private state (Hibernus's comparator phase).
+// skip counts cycles whose PostStep the wrapper answered itself.
+type phaseCounter interface{ skip(cycles uint64) }
+
+// senseCycles is the cost of the SENSE instruction itself.
+var senseCycles = cpu.CyclesFor(isa.Instr{Op: isa.SYS, Imm: int32(isa.SysSense)}, false)
+
 // PostStep commits after every SENSE and otherwise defers to the
 // wrapped strategy.
 func (s *SenseCommit) PostStep(d *device.Device, st cpu.Step) *device.Payload {
 	if st.HasSys && st.Sys == isa.SysSense {
+		// A batch that ends at the SENSE also carries the instructions
+		// before it, whose PostSteps the per-step engine hands to the
+		// wrapped strategy; they stay short of its horizon (the batch
+		// did not end there), so only a private count needs them.
+		if pc, ok := s.inner.(phaseCounter); ok {
+			pc.skip(st.Cycles - senseCycles)
+		}
 		p := fullPayload(d)
 		d.Trace(obsv.EvTrigger, uint64(obsv.TrigSense), uint64(p.Bytes()))
 		return &p

@@ -69,18 +69,19 @@ func (n *NVP) Reset() { n.armed = false }
 
 // PostStep backs up per the configured mode.
 func (n *NVP) PostStep(d *device.Device, _ cpu.Step) *device.Payload {
-	p := device.Payload{ArchBytes: n.ArchBytes}
 	if n.EveryCycle {
-		return &p
+		return &device.Payload{ArchBytes: n.ArchBytes}
 	}
 	if !n.armed {
 		return nil
 	}
-	if d.StoredEnergy() > n.Margin*d.BackupCost(p) {
+	// As in Hibernus, the heap payload is built only when the sample
+	// fires.
+	if d.StoredEnergy() > n.Margin*d.BackupCost(device.Payload{ArchBytes: n.ArchBytes}) {
 		return nil
 	}
 	n.armed = false
-	p.ThenSleep = true
+	p := device.Payload{ArchBytes: n.ArchBytes, ThenSleep: true}
 	d.Trace(obsv.EvTrigger, uint64(obsv.TrigThreshold), uint64(p.Bytes()))
 	return &p
 }
@@ -91,8 +92,10 @@ func (n *NVP) PostStep(d *device.Device, _ cpu.Step) *device.Payload {
 // brown-out-style bound: the stored energy cannot reach the trigger
 // threshold within the returned cycle count (worst active class, no
 // harvest credit), so the comparator — which the per-step engine polls
-// every instruction — provably stays quiet for the whole batch, and
-// near the threshold the horizon collapses to per-step execution.
+// every instruction — provably stays quiet for the whole batch. The
+// bound carries its own slack, so even short horizons near the trigger
+// are batched; only once it rounds down to one cycle or none does the
+// comparator run per-step.
 func (n *NVP) Horizon(d *device.Device) uint64 {
 	if n.EveryCycle {
 		return 1

@@ -82,6 +82,33 @@ func TestHibernusSingleBackupPerPeriod(t *testing.T) {
 	}
 }
 
+// TestHibernusSampleAllocs: a comparator sample that does not fire
+// must not allocate — Hibernus samples every 16 cycles for the whole
+// run, so a per-sample allocation dominates its runs' garbage.
+func TestHibernusSampleAllocs(t *testing.T) {
+	prog := buildWorkload(t, "crc", asm.SRAM)
+	h := NewHibernus()
+	d, err := device.New(fixedCfg(prog, 600_000), h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One period on a large supply completes and leaves the capacitor
+	// far above the hibernation threshold.
+	if res, err := d.Run(); err != nil || !res.Completed {
+		t.Fatalf("setup run: err=%v", err)
+	}
+	h.Boot(d)
+	st := cpu.Step{Cycles: h.CheckPeriod}
+	allocs := testing.AllocsPerRun(100, func() {
+		if h.PostStep(d, st) != nil {
+			t.Fatal("sample fired on a full capacitor")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("non-firing Hibernus sample allocates %.1f per call, want 0", allocs)
+	}
+}
+
 // TestDINOBackupsMatchTasks: every committed backup in a full-energy run
 // corresponds to a task end (plus the final commit).
 func TestDINOBackupsMatchTasks(t *testing.T) {
@@ -147,6 +174,29 @@ func TestClankBufferOverflow(t *testing.T) {
 	}
 	if c.Stats().BufferFulls != 1 {
 		t.Fatalf("buffer fulls = %d", c.Stats().BufferFulls)
+	}
+}
+
+// TestClankResetAllocs: a checkpoint or power failure resets Clank's
+// tracking buffers, and re-tracking up to their capacity must reuse the
+// storage instead of allocating per region.
+func TestClankResetAllocs(t *testing.T) {
+	c := NewClank()
+	region := func() {
+		c.Reset()
+		for i := 0; i < c.ReadFirstEntries; i++ {
+			if c.PreStep(nil, isa.Instr{}, device.AccessPreview{Valid: true, Addr: uint32(4 * i)}) != nil {
+				t.Fatal("load within capacity checkpointed")
+			}
+		}
+		for i := 0; i < c.WriteFirstEntries; i++ {
+			if c.PreStep(nil, isa.Instr{}, device.AccessPreview{Valid: true, Addr: 0x1000 + uint32(4*i), Store: true}) != nil {
+				t.Fatal("store within capacity checkpointed")
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, region); allocs != 0 {
+		t.Fatalf("Clank reset and re-tracking allocates %.1f per region, want 0", allocs)
 	}
 }
 
