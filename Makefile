@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test test-race test-short audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard bench-smoke bench-ledger serve-smoke clean
+.PHONY: check fmt vet staticcheck build test test-race test-short fuzz-equiv audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard bench-smoke bench-ledger serve-smoke clean
 
 # `test` runs the full suite race-free — including the complete engine
 # equivalence matrix, which self-trims to a representative slice under
@@ -43,6 +43,12 @@ test-race:
 # 100-schedule audit sweep
 test-short:
 	$(GO) test -short ./...
+
+# a time-boxed search for engine divergence beyond the seed corpus
+# (every wide-window equivalence row, which plain `go test` replays); a
+# failing input lands in internal/device/testdata/fuzz/FuzzEngineEquivalence
+fuzz-equiv:
+	$(GO) test ./internal/device/ -run '^$$' -fuzz '^FuzzEngineEquivalence$$' -fuzztime 60s
 
 # the crash-consistency audit sweep on its own
 audit:

@@ -226,6 +226,21 @@ type SysObserver interface {
 	ObservedSys() isa.SysMask
 }
 
+// Memoryless is optional Strategy metadata for the fixed-point test
+// (fastforward.go). A strategy returns true when Reset followed by Boot
+// rebuilds all of its state from its parameters, so skipping one active
+// period's hook calls is unobservable: nothing it keeps — no counter,
+// log or reading — outlives a period that commits nothing. On a fixed
+// supply such a period then repeats bit for bit, which lets the batched
+// engine replay it instead of simulating it again and lets
+// Config.DetectLivelock diagnose it. Wrappers that accumulate readings
+// across periods (RegionMeter), and runtimes whose run-wide counters a
+// failed backup still bumps (Clank, Ratchet), return false. A strategy
+// without the interface is never fast-forwarded or diagnosed.
+type Memoryless interface {
+	Memoryless() bool
+}
+
 // Engine selects the active-phase execution loop.
 type Engine int
 
@@ -378,14 +393,18 @@ type Config struct {
 	// single-goroutine delivery.
 	Observe obsv.Tracer
 
-	// DetectLivelock enables the exact-repeat livelock diagnosis: on a
-	// bench supply (nil Harvester) with no fault injector, a full charge
-	// that commits nothing, leaves no nonvolatile side effects, and dies
-	// at the same PC with the same uncommitted cycle count as the charge
-	// before it will repeat identically forever; Run then fail-stops
-	// with a *NoProgressError (Livelock=true) naming the region entry
-	// instead of burning MaxPeriods. Ignored under a harvester or an
-	// injector, where consecutive periods legitimately differ.
+	// DetectLivelock turns the fixed-point test into a diagnosis: on a
+	// bench supply (nil Harvester) with no fault injector and a
+	// Memoryless strategy, a period that ends without halting, commits
+	// nothing and stores nothing to FRAM leaves every piece of state the
+	// next period boots from unchanged, so once the next period repeats
+	// it exactly every later one does too. Run then fail-stops with a
+	// *NoProgressError (Livelock=true) naming the region entry instead
+	// of burning MaxPeriods — on both engines, at the same period.
+	// Without it the batched engine replays such a fixed point up to the
+	// run limits instead (see Run). Ignored under a harvester or an
+	// injector, where consecutive periods legitimately differ, and for
+	// strategies that are not Memoryless.
 	DetectLivelock bool
 
 	// Record, when non-nil, logs the run's observation sequence (input
@@ -544,16 +563,17 @@ type Device struct {
 	rec       *ObsLog
 	bkupStart uint64
 
-	// Livelock diagnosis state (run.go): where the last brown-out hit,
-	// the boot PC of the current period (the atomic-region entry), and
-	// the previous period's signature for the exact-repeat check.
-	deathPC        uint32
-	deathSince     uint64
-	bootPC         uint32
-	repeatArmed    bool
-	lastDeathPC    uint32
-	lastDeadCycles uint64
-	lastFramWrites uint64
+	// No-progress diagnosis state (run.go): where the last brown-out
+	// hit and the boot PC of the current period (the atomic-region
+	// entry).
+	deathPC    uint32
+	deathSince uint64
+	bootPC     uint32
+
+	// ff is the fixed-point fast-forward state (fastforward.go); tape is
+	// non-nil only while the batched engine records a period to replay.
+	ff   fixedPoint
+	tape *periodTape
 
 	// per-period running counters
 	period        PeriodStats
@@ -751,6 +771,9 @@ func (d *Device) consume(n uint64, class energy.InstrClass) bool {
 	}
 	d.timeS += dt
 	d.cycles += n
+	if d.tape != nil {
+		d.tape.add(dt, n)
+	}
 	e := float64(n) * d.cfg.Power.EnergyPerCycle(class)
 	ok := d.cap.Draw(e)
 	alive := ok && d.cap.Voltage() >= d.cfg.VOff

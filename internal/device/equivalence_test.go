@@ -183,85 +183,130 @@ func TestEngineEquivalenceBench(t *testing.T) {
 }
 
 // TestEngineEquivalenceWideWindow aims the oracle at the fused settle
-// loop's window regimes. Large windows: timer windows far beyond
-// maxBatchCycles (so batches run at the cap and PostStep firings land
-// mid-stretch), windows aligned to the cap, and the infinite window
-// (batches bounded by the energy horizon alone). Short windows: timer
-// and Hibernus comparator windows down to one instruction, which batch
-// whenever their horizon exceeds one cycle. Supplies that complete the
-// workload in one period and supplies that brown out repeatedly both
-// appear, so the per-step fallback and mid-run death execute under
-// both engines at every window size.
+// loop's window regimes and at the fixed-point fast-forward. Large
+// windows: timer windows far beyond maxBatchCycles (so batches run at
+// the cap and PostStep firings land mid-stretch), windows aligned to the
+// cap, and the infinite window (batches bounded by the energy horizon
+// alone). Short windows: timer and Hibernus comparator windows down to
+// one instruction, which batch whenever their horizon exceeds one cycle.
+// Supplies that complete the workload in one period and supplies that
+// brown out repeatedly both appear, so the per-step fallback and
+// mid-run death execute under both engines at every window size. The
+// fixed-point rows pin the replay: a run that freezes after committing,
+// zero-commit periods that store to FRAM (which must never replay), and
+// a run limit that lands mid-period. Every row is also a seed of
+// FuzzEngineEquivalence (see TestFuzzCorpusHoldsWideWindowRows).
 func TestEngineEquivalenceWideWindow(t *testing.T) {
-	timer := func(tauB uint64) func() device.Strategy {
-		return func() device.Strategy { return strategy.NewTimer(tauB, 0.1) }
-	}
-	hibernus := func(checkPeriod uint64, margin float64) func() device.Strategy {
-		return func() device.Strategy {
-			h := strategy.NewHibernus()
-			h.CheckPeriod, h.Margin = checkPeriod, margin
-			return h
-		}
-	}
-	cases := []struct {
-		name           string
-		strat          func() device.Strategy
-		cyclesOfEnergy float64
-		// maxPeriods and maxCycles replace benchEquivCfg's run limits
-		// when nonzero.
-		maxPeriods int
-		maxCycles  uint64
-	}{
-		{"wide-window/one-period", timer(50_000), 600_000, 0, 0},
-		{"wide-window/brownouts", timer(20_000), 60_000, 0, 0},
-		{"chunk-aligned", timer(8192), 100_000, 0, 0},
-		{"infinite-window", timer(0), 600_000, 0, 0},
-		{"short-window/timer-2", timer(2), 20_000, 0, 0},
-		{"short-window/timer-7", timer(7), 20_000, 0, 0},
-		{"short-window/timer-31", timer(31), 20_000, 0, 0},
-		{"short-window/hibernus-check-1", hibernus(1, 2), 20_000, 0, 0},
-		{"short-window/hibernus-check-2", hibernus(2, 2), 20_000, 0, 0},
-		{"short-window/hibernus-check-15", hibernus(15, 2), 20_000, 0, 0},
-		{"short-window/hibernus-check-33", hibernus(33, 2), 20_000, 0, 0},
-		// §IV-B's hazard: on this supply the backup dies mid-write every
-		// period, so the run never completes and samples every window
-		// of every period up to MaxPeriods.
-		{"short-window/hibernus-margin-1.02", hibernus(16, 1.02), 3_000, 200, 0},
-		// A SENSE ends a batch inside a comparator window; the wrapper
-		// must still count the cycles before it toward the next sample.
-		{"short-window/hibernus+sense", func() device.Strategy {
-			return strategy.NewSenseCommit(strategy.NewHibernus())
-		}, 20_000, 0, 0},
-		// An odd run limit ends the final batch inside a timer window.
-		{"short-window/odd-max-cycles", timer(1000), 3_000, 0, 12_345},
-	}
-	for _, c := range cases {
-		for _, w := range equivWorkloads(t) {
-			c, w := c, w
-			t.Run(c.name+"/"+w.Name, func(t *testing.T) {
+	for _, r := range wideWindowRows() {
+		for _, wl := range r.workloads(t) {
+			r, c := r, r.equivCase
+			c.workload = wl
+			t.Run(r.name+"/"+wl, func(t *testing.T) {
 				t.Parallel()
-				prog, err := w.Build(workload.Options{})
-				if err != nil {
-					t.Fatal(err)
+				c.run(t)
+				if !r.checksFF(wl) {
+					return
 				}
-				runEngines(t, func(eng device.Engine) (*device.Device, device.Strategy) {
-					cfg := benchEquivCfg(prog, c.cyclesOfEnergy)
-					cfg.Engine = eng
-					if c.maxPeriods != 0 {
-						cfg.MaxPeriods = c.maxPeriods
-					}
-					if c.maxCycles != 0 {
-						cfg.MaxCycles = c.maxCycles
-					}
-					s := c.strat()
-					d, err := device.New(cfg, s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return d, s
-				})
+				// The replay must really fire where the row says it does
+				// (and stay off where it must), or the row proves nothing.
+				ff := c.fastForwarded(t)
+				if r.noFF && ff != 0 {
+					t.Fatalf("batched engine fast-forwarded %d periods; want none", ff)
+				}
+				if ff < r.minFF {
+					t.Fatalf("batched engine fast-forwarded %d periods; want at least %d", ff, r.minFF)
+				}
+				t.Logf("batched engine fast-forwarded %d periods", ff)
 			})
 		}
+	}
+}
+
+// wideWindowRow is one TestEngineEquivalenceWideWindow configuration.
+// Without a workload it runs on every equivWorkloads workload.
+type wideWindowRow struct {
+	name string
+	equivCase
+	// minFF is the fewest periods the batched engine must fast-forward on
+	// counter and crc (or on the row's own workload); noFF forbids any.
+	minFF uint64
+	noFF  bool
+}
+
+func (r wideWindowRow) workloads(t *testing.T) []string {
+	if r.workload != "" {
+		return []string{r.workload}
+	}
+	var out []string
+	for _, w := range equivWorkloads(t) {
+		out = append(out, w.Name)
+	}
+	return out
+}
+
+// checksFF reports whether the row pins the replay on this workload:
+// counter and crc, or the row's own workload.
+func (r wideWindowRow) checksFF(wl string) bool {
+	return (r.minFF > 0 || r.noFF) && (r.workload != "" || wl == "counter" || wl == "crc")
+}
+
+// wideWindowRows lists the TestEngineEquivalenceWideWindow table.
+// Margins are in thousandths, as FuzzEngineEquivalence decodes them.
+func wideWindowRows() []wideWindowRow {
+	timer := func(tauB uint32, energy uint32) equivCase {
+		return equivCase{strategy: "timer", window: tauB, energy: energy}
+	}
+	hibernus := func(check, margin uint16, energy uint32) equivCase {
+		return equivCase{strategy: "hibernus", check: check, margin: margin, energy: energy}
+	}
+	limits := func(c equivCase, maxPeriods uint16, maxCycles uint32) equivCase {
+		c.maxPeriods, c.maxCycles = maxPeriods, maxCycles
+		return c
+	}
+	sense := hibernus(16, 2000, 20_000)
+	sense.sense = true
+	senseBrownouts := hibernus(32, 2000, 3_000)
+	senseBrownouts.sense, senseBrownouts.workload = true, "sense"
+	return []wideWindowRow{
+		{name: "wide-window/one-period", equivCase: timer(50_000, 600_000)},
+		{name: "wide-window/brownouts", equivCase: timer(20_000, 60_000)},
+		{name: "chunk-aligned", equivCase: timer(8192, 100_000)},
+		{name: "infinite-window", equivCase: timer(0, 600_000)},
+		{name: "short-window/timer-2", equivCase: timer(2, 20_000)},
+		{name: "short-window/timer-7", equivCase: timer(7, 20_000)},
+		{name: "short-window/timer-31", equivCase: timer(31, 20_000)},
+		{name: "short-window/hibernus-check-1", equivCase: hibernus(1, 2000, 20_000)},
+		{name: "short-window/hibernus-check-2", equivCase: hibernus(2, 2000, 20_000)},
+		{name: "short-window/hibernus-check-15", equivCase: hibernus(15, 2000, 20_000)},
+		{name: "short-window/hibernus-check-33", equivCase: hibernus(33, 2000, 20_000)},
+		// §IV-B's hazard: on this supply the backup dies mid-write every
+		// period, so the run never completes and repeats one zero-commit
+		// period up to MaxPeriods — the fast-forward's home case.
+		{name: "short-window/hibernus-margin-1.02",
+			equivCase: limits(hibernus(16, 1020, 3_000), 200, 0), minFF: 190},
+		// A SENSE ends a batch inside a comparator window; the wrapper
+		// must still count the cycles before it toward the next sample.
+		{name: "short-window/hibernus+sense", equivCase: sense},
+		// The same on the SENSE-heavy workload under a budget that browns
+		// out, where those counted cycles decide where each sample lands.
+		{name: "short-window/hibernus+sense-brownouts", equivCase: senseBrownouts},
+		// An odd run limit ends the final batch inside a timer window.
+		{name: "short-window/odd-max-cycles", equivCase: limits(timer(1000, 3_000), 0, 12_345)},
+		// Mementos commits in the first few periods, then reaches a
+		// region no charge can finish and freezes into a fixed point.
+		{name: "fixed-point/commits-then-freezes", equivCase: limits(equivCase{
+			workload: "qsort", strategy: "mementos", window: 512, margin: 3000, energy: 1000,
+		}, 200, 0), minFF: 150},
+		// Every period cold-starts and bumps a FRAM-resident counter that
+		// drives the loop, committing nothing until the counter reaches
+		// its bound: the periods look alike but must never replay.
+		{name: "fixed-point/fram-stores", equivCase: equivCase{
+			workload: framCounterName, strategy: "timer", energy: 3_000,
+		}, noFF: true},
+		// A fixed point whose odd run limit lands mid-period: replay up to
+		// the last whole period, then simulate the cut-short one.
+		{name: "fixed-point/odd-max-cycles",
+			equivCase: limits(hibernus(16, 1020, 3_000), 0, 123_457), minFF: 30},
 	}
 }
 

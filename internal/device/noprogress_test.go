@@ -106,13 +106,13 @@ func TestDetectLivelockIgnoresHarvester(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.checkLivelock(); err != nil {
-		t.Fatalf("empty history must not diagnose: %v", err)
+	d.resetFixedPoint()
+	if !d.ff.eligible {
+		t.Fatal("a bench supply with a memoryless strategy must run the fixed-point test")
 	}
 	d.cfg.Harvester = &energy.Harvester{}
-	d.result.Periods = append(d.result.Periods, PeriodStats{DeadCycles: 8}, PeriodStats{DeadCycles: 8})
-	d.repeatArmed = true
-	if err := d.checkLivelock(); err != nil {
-		t.Fatalf("harvester-driven supply must not diagnose livelock: %v", err)
+	d.resetFixedPoint()
+	if d.ff.eligible {
+		t.Fatal("harvester-driven supply must not diagnose livelock")
 	}
 }

@@ -57,7 +57,7 @@ func resolveObserver(explicit obsv.Tracer) obsv.Tracer {
 // Callers on hot paths must check d.obs != nil first so the disabled
 // path never constructs an Event; Trace wraps the check for strategies.
 func (d *Device) emit(t obsv.EventType, arg, arg2 uint64, f float64) {
-	d.obs.Event(obsv.Event{
+	e := obsv.Event{
 		Type:   t,
 		Period: int32(len(d.result.Periods)),
 		Cycles: d.cycles,
@@ -65,7 +65,11 @@ func (d *Device) emit(t obsv.EventType, arg, arg2 uint64, f float64) {
 		Arg:    arg,
 		Arg2:   arg2,
 		F:      f,
-	})
+	}
+	if d.tape != nil {
+		d.tape.event(e)
+	}
+	d.obs.Event(e)
 }
 
 // Trace lets strategies emit lifecycle events (trigger reasons,

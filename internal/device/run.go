@@ -24,9 +24,10 @@ var ErrNoProgress = errors.New("device: no forward progress")
 
 // NoProgressError reports a run terminated because the device can never
 // commit again: the supply stalled below the power-on threshold, or —
-// with Config.DetectLivelock — consecutive charges died identically
-// with nothing committed (a livelock). It wraps ErrNoProgress for
-// errors.Is and carries the period count reached before the stall.
+// with Config.DetectLivelock — the fixed-point test found a period that
+// committed nothing and stored nothing to FRAM followed by its exact
+// repeat (a livelock). It wraps ErrNoProgress for errors.Is and carries
+// the period count reached before the stall.
 type NoProgressError struct {
 	// Periods is the number of active periods completed before the
 	// supply stalled.
@@ -43,10 +44,10 @@ type NoProgressError struct {
 	PC          uint32
 	SinceCommit uint64
 	RegionEntry uint32
-	// Livelock marks the exact-repeat diagnosis: a full charge died at
-	// the same PC with the same uncommitted work and no nonvolatile
-	// side effects as the charge before it, so every future period
-	// repeats it forever.
+	// Livelock marks the fixed-point diagnosis: a full charge committed
+	// nothing, left no nonvolatile side effects and was repeated exactly
+	// by the next, so every future period repeats it forever. Periods
+	// counts the repeat; PC and SinceCommit are its death point.
 	Livelock bool
 }
 
@@ -143,10 +144,19 @@ func (d *Device) pollInterrupt(n uint64) error {
 	if d.cfg.Interrupt == nil && d.cfg.RunTimeout == 0 {
 		return nil
 	}
+	if d.tape != nil {
+		d.tape.addCredit(n)
+	}
 	d.sincePoll += n
 	if d.sincePoll < pollBatchCycles {
 		return nil
 	}
+	return d.pollCheck()
+}
+
+// pollCheck is pollInterrupt's real check, run once the credit counter
+// has reached pollBatchCycles.
+func (d *Device) pollCheck() error {
 	// Carry the overshoot instead of zeroing: the k-th real check then
 	// falls at the same cumulative credit count in every engine, which
 	// is what makes the poll boundary below engine-independent.
@@ -188,7 +198,16 @@ func (d *Device) pollInterrupt(n uint64) error {
 // in both cases (Completed distinguishes them); errors indicate program
 // or configuration bugs, not power failures — except the sweep-engine
 // aborts: a RunTimeout expiry returns a *DeadlineError (errors.Is
-// ErrDeadlineExceeded) and a firing Interrupt hook returns its error.
+// ErrDeadlineExceeded) and a firing Interrupt hook returns its error,
+// and the no-progress diagnoses return a *NoProgressError.
+//
+// After every period Run applies the fixed-point test (fastforward.go):
+// on a bench supply with no injector and a Memoryless strategy, a
+// period that commits nothing and stores nothing to FRAM, followed by
+// an exact repeat, repeats forever. DetectLivelock reports that as a
+// livelock; otherwise the batched engine replays the repeat for every
+// remaining period that fits the run limits instead of simulating it,
+// with the same Result, events and interrupt polls bit for bit.
 func (d *Device) Run() (*Result, error) {
 	d.result = Result{Strategy: d.strat.Name(), Program: d.cfg.Prog.Name}
 	d.runStart = time.Now()
@@ -209,7 +228,15 @@ func (d *Device) Run() (*Result, error) {
 		}
 		d.emit(obsv.EvRunBegin, eng, 0, 0)
 	}
+	d.resetFixedPoint()
 	for len(d.result.Periods) < d.cfg.MaxPeriods && d.cycles < d.cfg.MaxCycles && !d.halted {
+		if d.ff.tape != nil {
+			if err := d.fastForward(); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		d.watchPeriod()
 		// Credit a nominal batch per period so strategies that thrash
 		// through thousands of near-empty periods still hit the check.
 		if err := d.pollInterrupt(pollCreditPeriod); err != nil {
@@ -232,7 +259,7 @@ func (d *Device) Run() (*Result, error) {
 			}
 		}
 		d.endPeriod()
-		if err := d.checkLivelock(); err != nil {
+		if err := d.fixedPointTest(); err != nil {
 			return nil, err
 		}
 	}
@@ -313,7 +340,7 @@ func (d *Device) beginPeriod() {
 func (d *Device) endPeriod() {
 	if !d.halted {
 		// Capture where the period died and how much work it loses, for
-		// the NoProgressError report and the livelock repeat check.
+		// the NoProgressError report.
 		d.deathPC = d.core.PC
 		d.deathSince = d.sinceCommit
 	}
@@ -335,40 +362,6 @@ func (d *Device) endPeriod() {
 	d.sinceCommit = 0
 	d.pendingE = 0
 	d.result.Periods = append(d.result.Periods, d.period)
-}
-
-// checkLivelock runs the exact-repeat livelock diagnosis after a period
-// (Config.DetectLivelock). On a bench supply without a fault injector a
-// period is a deterministic function of the persistent state it boots
-// from, so a full charge that committed nothing, wrote no nonvolatile
-// data, and died at the same PC with the same uncommitted cycle count
-// as the charge before it will repeat identically forever — the
-// dynamic twin of the static WCEC livelock verdict.
-func (d *Device) checkLivelock() error {
-	if !d.cfg.DetectLivelock || d.halted ||
-		d.cfg.Harvester != nil || d.inj != nil || len(d.result.Periods) == 0 {
-		return nil
-	}
-	p := &d.result.Periods[len(d.result.Periods)-1]
-	if p.Backups > 0 {
-		d.repeatArmed = false
-		return nil
-	}
-	if d.repeatArmed && d.deathPC == d.lastDeathPC &&
-		p.DeadCycles == d.lastDeadCycles && d.framWrites == d.lastFramWrites {
-		return &NoProgressError{
-			Periods:     len(d.result.Periods),
-			PC:          d.deathPC,
-			SinceCommit: d.deathSince,
-			RegionEntry: d.bootPC,
-			Livelock:    true,
-		}
-	}
-	d.repeatArmed = true
-	d.lastDeathPC = d.deathPC
-	d.lastDeadCycles = p.DeadCycles
-	d.lastFramWrites = d.framWrites
-	return nil
 }
 
 // boot powers the core up: restore the newest valid checkpoint from the
@@ -452,9 +445,10 @@ const (
 // produce byte-identical results (see TestEngineEquivalence): the
 // reference per-instruction loop, and the batched event-horizon loop.
 // The cache model is inherently per-access, so cache configs always run
-// the reference loop.
+// the reference loop, as does a period the batched engine records for
+// fast-forward (fastforward.go).
 func (d *Device) activePhase() error {
-	if d.engine == EngineReference || d.cache != nil {
+	if d.engine == EngineReference || d.cache != nil || d.tape != nil {
 		return d.activePhaseReference()
 	}
 	return d.activePhaseBatched()

@@ -126,6 +126,12 @@ const (
 	// verdict code (0 certified, 1 livelock, 2 unknown), Arg2 the
 	// region's entry PC.
 	EvWCECRegion
+	// EvFastForward is the batched engine replaying a confirmed fixed
+	// point instead of simulating it (engine-diagnostic: the reference
+	// engine simulates every period). Arg is the number of periods
+	// replayed, Arg2 the consumed cycles of each. The replayed periods'
+	// own lifecycle events follow it, stamped as if simulated.
+	EvFastForward
 
 	// NumEventTypes bounds the vocabulary for sink lookup tables.
 	NumEventTypes
@@ -163,6 +169,7 @@ var eventNames = [NumEventTypes]string{
 	EvTaskCommit:       "task-commit",
 	EvTaskReexec:       "task-reexec",
 	EvWCECRegion:       "wcec-region",
+	EvFastForward:      "fast-forward",
 }
 
 func (t EventType) String() string {
@@ -175,7 +182,7 @@ func (t EventType) String() string {
 // EngineDiagnostic reports whether the event's presence is allowed to
 // differ between the batched and reference engines. The golden-trace
 // test filters these out before asserting cross-engine equality.
-func (t EventType) EngineDiagnostic() bool { return t == EvBatchHorizon }
+func (t EventType) EngineDiagnostic() bool { return t == EvBatchHorizon || t == EvFastForward }
 
 // VerdictClass classifies a correctness-oracle violation (EvVerdict /
 // EvCampaignFinding Arg; internal/faults assigns them). The vocabulary

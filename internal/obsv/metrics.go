@@ -180,6 +180,10 @@ type Metrics struct {
 	// that bound each batch sit, e.g. Hibernus's 16-cycle comparator
 	// windows next to a timer's 16k-cycle capped stretches.
 	BatchBudget Histogram `json:"batch_budget_cycles"`
+	// FastForwardPeriods counts the active periods the batched engine
+	// replayed from a confirmed fixed point instead of simulating them
+	// (EvFastForward's Arg); the replayed periods still count in Periods.
+	FastForwardPeriods uint64 `json:"fastforward_periods"`
 
 	// Verdicts counts correctness-oracle violations by class (EvVerdict
 	// and EvCampaignFinding both land here, so sweep and campaign
@@ -294,6 +298,8 @@ func (m *Metrics) Event(e Event) {
 	case EvBatchHorizon:
 		m.BatchedHorizons++
 		m.BatchBudget.Observe(e.Arg)
+	case EvFastForward:
+		m.FastForwardPeriods += e.Arg
 	case EvTrigger:
 		if e.Arg < uint64(NumTriggerReasons) {
 			m.Triggers[e.Arg]++
@@ -406,6 +412,7 @@ func (m *Metrics) Merge(other *Metrics) {
 	m.Unrecoverables += other.Unrecoverables
 	m.BatchedHorizons += other.BatchedHorizons
 	m.BatchBudget.Merge(&other.BatchBudget)
+	m.FastForwardPeriods += other.FastForwardPeriods
 	for i := range m.Verdicts {
 		m.Verdicts[i] += other.Verdicts[i]
 	}
@@ -461,6 +468,7 @@ func (m *Metrics) rows() [][2]string {
 		{"stale_restores", u(m.StaleRestores)},
 		{"unrecoverables", u(m.Unrecoverables)},
 		{"batched_horizons", u(m.BatchedHorizons)},
+		{"fastforward_periods", u(m.FastForwardPeriods)},
 	}
 	hist := func(name string, h *Histogram) {
 		out = append(out,

@@ -155,6 +155,7 @@ func TestMetricsDerivation(t *testing.T) {
 		{Type: EvFaultBitFlips, Arg: 3},
 		{Type: EvBatchHorizon, Arg: 16, Arg2: 16},
 		{Type: EvBatchHorizon, Arg: 5, Arg2: 9},
+		{Type: EvFastForward, Arg: 198, Arg2: 2975},
 		{Type: EvHalt},
 		{Type: EvRunEnd, Arg: 1},
 	}
@@ -181,9 +182,16 @@ func TestMetricsDerivation(t *testing.T) {
 		t.Fatalf("batch budgets: horizons=%d %+v", m.BatchedHorizons, b)
 	}
 
+	// Replayed periods count by EvFastForward's Arg, and only there:
+	// their own power-on events are what Periods counts.
+	if m.FastForwardPeriods != 198 || m.Periods != 2 {
+		t.Fatalf("fast-forward: ff=%d periods=%d", m.FastForwardPeriods, m.Periods)
+	}
+
 	var m2 Metrics
 	m2.Event(Event{Type: EvWARFlush, Arg: 5, Arg2: uint64(TrigWatchdog)})
 	m2.Event(Event{Type: EvBatchHorizon, Arg: 1 << 14})
+	m2.Event(Event{Type: EvFastForward, Arg: 2})
 	m2.AddErrorClass("deadline", 2)
 	m.AddErrorClass("deadline", 1)
 	m.Merge(&m2)
@@ -196,6 +204,9 @@ func TestMetricsDerivation(t *testing.T) {
 	if b := m.BatchBudget; m.BatchedHorizons != 3 || b.Count != 3 || b.Max != 1<<14 || b.Buckets[15] != 1 {
 		t.Fatalf("merged batch budgets: horizons=%d %+v", m.BatchedHorizons, b)
 	}
+	if m.FastForwardPeriods != 200 {
+		t.Fatalf("merged fast-forward periods = %d, want 200", m.FastForwardPeriods)
+	}
 }
 
 func TestMetricsExport(t *testing.T) {
@@ -203,6 +214,7 @@ func TestMetricsExport(t *testing.T) {
 	m.Event(Event{Type: EvPowerOn, F: 0.5})
 	m.Event(Event{Type: EvTrigger, Arg: uint64(TrigTimer)})
 	m.Event(Event{Type: EvBatchHorizon, Arg: 16})
+	m.Event(Event{Type: EvFastForward, Arg: 7, Arg2: 100})
 	m.AddErrorClass("panic", 4)
 
 	var csv bytes.Buffer
@@ -214,7 +226,8 @@ func TestMetricsExport(t *testing.T) {
 		t.Fatalf("missing CSV header: %q", out[:40])
 	}
 	for _, want := range []string{"periods,1", "trigger_timer,1", "error_panic,4", "charge_seconds_mean,0.5",
-		"batched_horizons,1", "batch_budget_cycles_count,1", "batch_budget_cycles_p50,16"} {
+		"batched_horizons,1", "batch_budget_cycles_count,1", "batch_budget_cycles_p50,16",
+		"fastforward_periods,7"} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("CSV missing %q:\n%s", want, out)
 		}
@@ -235,6 +248,9 @@ func TestMetricsExport(t *testing.T) {
 	bb, ok := doc["batch_budget_cycles"].(map[string]any)
 	if !ok || bb["count"] != float64(1) || bb["max"] != float64(16) {
 		t.Fatalf("batch budget export: %v", doc["batch_budget_cycles"])
+	}
+	if doc["fastforward_periods"] != float64(7) {
+		t.Fatalf("fast-forward export: %v", doc["fastforward_periods"])
 	}
 }
 

@@ -319,8 +319,10 @@ func (td *TraceData) WriteTree(w io.Writer) error {
 
 // SpanCounter folds a device's lifecycle event stream into summary
 // attributes on a span: which engine path ran, how many active periods,
-// committed backups and brown-outs a simulation cell saw, its final
-// simulated-cycle position and whether it completed. It implements
+// committed backups and brown-outs a simulation cell saw, how many of
+// those periods the batched engine replayed from a fixed point instead
+// of simulating (ff_periods), its final simulated-cycle position and
+// whether it completed. It implements
 // Tracer and, like any per-device sink, assumes single-goroutine
 // access; call Flush after the run to attach the attributes.
 type SpanCounter struct {
@@ -329,6 +331,7 @@ type SpanCounter struct {
 	periods   uint64
 	backups   uint64
 	brownOuts uint64
+	ffPeriods uint64
 	cycles    uint64
 	completed bool
 }
@@ -348,6 +351,8 @@ func (c *SpanCounter) Event(e Event) {
 		c.backups++
 	case EvBrownOut:
 		c.brownOuts++
+	case EvFastForward:
+		c.ffPeriods += e.Arg
 	case EvRunEnd:
 		c.cycles = e.Cycles
 		c.completed = e.Arg == 1
@@ -365,6 +370,7 @@ func (c *SpanCounter) Flush() {
 	c.sp.SetUint("periods", c.periods)
 	c.sp.SetUint("backups", c.backups)
 	c.sp.SetUint("brown_outs", c.brownOuts)
+	c.sp.SetUint("ff_periods", c.ffPeriods)
 	c.sp.SetUint("simcycles", c.cycles)
 	c.sp.SetBool("completed", c.completed)
 }

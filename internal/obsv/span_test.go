@@ -152,6 +152,7 @@ func TestSpanCounter(t *testing.T) {
 	c.Event(Event{Type: EvPowerOn})
 	c.Event(Event{Type: EvCheckpointCommit})
 	c.Event(Event{Type: EvBrownOut})
+	c.Event(Event{Type: EvFastForward, Arg: 40, Arg2: 3000})
 	c.Event(Event{Type: EvRunEnd, Arg: 1, Cycles: 1234})
 	c.Flush()
 	sp.Finish()
@@ -159,7 +160,7 @@ func TestSpanCounter(t *testing.T) {
 	node := tr.Snapshot().Tree()[0]
 	want := map[string]string{
 		"engine":  "batched",
-		"periods": "2", "backups": "1", "brown_outs": "1",
+		"periods": "2", "backups": "1", "brown_outs": "1", "ff_periods": "40",
 		"simcycles": "1234", "completed": "true",
 	}
 	for k, v := range want {

@@ -110,6 +110,8 @@ func eventFields(e Event) []Field {
 		fs = append(fs, Field{"boundary_cyc", e.Arg})
 	case EvBatchHorizon:
 		fs = append(fs, Field{"budget", e.Arg}, Field{"strategy_horizon", horizonStr(e.Arg2)})
+	case EvFastForward:
+		fs = append(fs, Field{"periods", e.Arg}, Field{"cycles_per_period", e.Arg2})
 	case EvTrigger:
 		fs = append(fs, Field{"reason", TriggerReason(e.Arg).String()}, Field{"detail", e.Arg2})
 	case EvWARFlush:

@@ -45,14 +45,29 @@ func (t *Trace) VoltageAt(ts float64) float64 {
 	if len(t.SamplesV) == 1 {
 		return t.SamplesV[0]
 	}
-	pos := math.Mod(ts/t.PeriodS, float64(len(t.SamplesV)))
-	if pos < 0 {
-		pos += float64(len(t.SamplesV))
-	}
+	pos := t.cyclePos(ts)
 	i := int(pos)
 	frac := pos - float64(i)
 	j := (i + 1) % len(t.SamplesV)
 	return t.SamplesV[i]*(1-frac) + t.SamplesV[j]*frac
+}
+
+// cyclePos maps ts onto the sample axis, wrapped into one recording.
+// math.Mod returns its argument exactly when 0 ≤ x < n, so positions
+// inside the first recording — where most runs spend their time — skip
+// it; NaN fails both comparisons and, like ±Inf and negative times,
+// keeps the Mod path.
+func (t *Trace) cyclePos(ts float64) float64 {
+	n := float64(len(t.SamplesV))
+	x := ts / t.PeriodS
+	if 0 <= x && x < n {
+		return x
+	}
+	pos := math.Mod(x, n)
+	if pos < 0 {
+		pos += n
+	}
+	return pos
 }
 
 // Stats summarizes a trace for experiment logs.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -106,6 +107,48 @@ func TestVoltageAtInterpolation(t *testing.T) {
 	if got := tr.VoltageAt(3.0); got != 0 {
 		t.Errorf("V(3) wrap = %g, want 0", got)
 	}
+}
+
+// TestCyclePosMatchesMod pins the first-recording fast path to the
+// math.Mod expression it replaces, bit for bit, inside the first
+// recording, on its boundary, several recordings in, before zero and at
+// NaN.
+func TestCyclePosMatchesMod(t *testing.T) {
+	tr := Generate(MultiPeak, 20, 1e-3, 7)
+	n := float64(len(tr.SamplesV))
+	mod := func(ts float64) float64 {
+		pos := math.Mod(ts/tr.PeriodS, n)
+		if pos < 0 {
+			pos += n
+		}
+		return pos
+	}
+	d := tr.Duration()
+	first := []float64{0, math.Copysign(0, -1), 1e-9, 0.37 * d, math.Nextafter(d, 0)}
+	boundary := []float64{d}
+	later := []float64{3*d + 0.123, 1e4 * d}
+	negative := []float64{-1e-9, -0.37 * d, -2.5 * d}
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, ts := range slices.Concat(first, boundary, later, negative, special) {
+		got, want := tr.cyclePos(ts), mod(ts)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("cyclePos(%v) = %v (%#x), math.Mod path %v (%#x)",
+				ts, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		if !math.IsNaN(want) && !math.IsInf(ts, 0) {
+			if v := interp(tr, want); v != tr.VoltageAt(ts) {
+				t.Errorf("VoltageAt(%v) = %v, want %v", ts, tr.VoltageAt(ts), v)
+			}
+		}
+	}
+}
+
+// interp is VoltageAt's interpolation at an already wrapped position.
+func interp(tr *Trace, pos float64) float64 {
+	i := int(pos)
+	frac := pos - float64(i)
+	j := (i + 1) % len(tr.SamplesV)
+	return tr.SamplesV[i]*(1-frac) + tr.SamplesV[j]*frac
 }
 
 func TestVoltageAtDegenerate(t *testing.T) {
