@@ -44,9 +44,9 @@ test-race:
 test-short:
 	$(GO) test -short ./...
 
-# a time-boxed search for engine divergence beyond the seed corpus
-# (every wide-window equivalence row, which plain `go test` replays); a
-# failing input lands in internal/device/testdata/fuzz/FuzzEngineEquivalence
+# a time-boxed search for engine divergence beyond the seeds (every
+# wide-window equivalence row, which plain `go test` runs); a failing
+# input lands in internal/device/testdata/fuzz/FuzzEngineEquivalence
 fuzz-equiv:
 	$(GO) test ./internal/device/ -run '^$$' -fuzz '^FuzzEngineEquivalence$$' -fuzztime 60s
 

@@ -226,17 +226,18 @@ type SysObserver interface {
 	ObservedSys() isa.SysMask
 }
 
-// Memoryless is optional Strategy metadata for the fixed-point test
-// (fastforward.go). A strategy returns true when Reset followed by Boot
-// rebuilds all of its state from its parameters, so skipping one active
-// period's hook calls is unobservable: nothing it keeps — no counter,
-// log or reading — outlives a period that commits nothing. On a fixed
-// supply such a period then repeats bit for bit, which lets the batched
-// engine replay it instead of simulating it again and lets
-// Config.DetectLivelock diagnose it. Wrappers that accumulate readings
-// across periods (RegionMeter), and runtimes whose run-wide counters a
-// failed backup still bumps (Clank, Ratchet), return false. A strategy
-// without the interface is never fast-forwarded or diagnosed.
+// Memoryless is optional Strategy metadata for the fixed-point
+// fast-forward (fastforward.go). A strategy returns true when Reset
+// followed by Boot rebuilds all of its state from its parameters, so
+// skipping one active period's hook calls is unobservable: nothing it
+// keeps — no counter, log or reading — outlives a period that commits
+// nothing. On a fixed supply such a period then repeats bit for bit,
+// which lets the batched engine replay it instead of simulating it
+// again. Wrappers that accumulate readings across periods (RegionMeter)
+// and runtimes whose run-wide counters a failed backup still bumps
+// (Clank, Ratchet) leave the interface out. A strategy without it, or
+// returning false, is never fast-forwarded; Config.DetectLivelock
+// diagnoses its fixed points all the same.
 type Memoryless interface {
 	Memoryless() bool
 }
@@ -394,17 +395,17 @@ type Config struct {
 	Observe obsv.Tracer
 
 	// DetectLivelock turns the fixed-point test into a diagnosis: on a
-	// bench supply (nil Harvester) with no fault injector and a
-	// Memoryless strategy, a period that ends without halting, commits
-	// nothing and stores nothing to FRAM leaves every piece of state the
-	// next period boots from unchanged, so once the next period repeats
-	// it exactly every later one does too. Run then fail-stops with a
+	// bench supply (nil Harvester) with no fault injector, a period that
+	// ends without halting, commits nothing and stores nothing to FRAM
+	// leaves every piece of state the next period boots from unchanged,
+	// so once the next period repeats it — same stats, same death PC —
+	// every later one does too. Run then fail-stops with a
 	// *NoProgressError (Livelock=true) naming the region entry instead
-	// of burning MaxPeriods — on both engines, at the same period.
-	// Without it the batched engine replays such a fixed point up to the
-	// run limits instead (see Run). Ignored under a harvester or an
-	// injector, where consecutive periods legitimately differ, and for
-	// strategies that are not Memoryless.
+	// of burning MaxPeriods — on both engines, at the same period, for
+	// any strategy. Without it the batched engine replays such a fixed
+	// point up to the run limits instead when the strategy is Memoryless
+	// (see Run). Ignored under a harvester or an injector, where
+	// consecutive periods legitimately differ.
 	DetectLivelock bool
 
 	// Record, when non-nil, logs the run's observation sequence (input

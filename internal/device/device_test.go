@@ -25,7 +25,6 @@ func (nullStrategy) FinalPayload(*Device) Payload                       { return
 func (nullStrategy) ReplaySafe() bool                                   { return true }
 func (nullStrategy) Reset()                                             {}
 func (nullStrategy) Horizon(*Device) uint64                             { return 1 }
-func (nullStrategy) Memoryless() bool                                   { return true }
 
 // intervalStrategy backs up (registers only) every k executed cycles.
 type intervalStrategy struct {

@@ -3,6 +3,7 @@ package device_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ehmodel/internal/asm"
@@ -194,8 +195,8 @@ func TestEngineEquivalenceBench(t *testing.T) {
 // mid-run death execute under both engines at every window size. The
 // fixed-point rows pin the replay: a run that freezes after committing,
 // zero-commit periods that store to FRAM (which must never replay), and
-// a run limit that lands mid-period. Every row is also a seed of
-// FuzzEngineEquivalence (see TestFuzzCorpusHoldsWideWindowRows).
+// a run limit that lands mid-period. Every row also seeds
+// FuzzEngineEquivalence.
 func TestEngineEquivalenceWideWindow(t *testing.T) {
 	for _, r := range wideWindowRows() {
 		for _, wl := range r.workloads(t) {
@@ -244,10 +245,18 @@ func (r wideWindowRow) workloads(t *testing.T) []string {
 	return out
 }
 
-// checksFF reports whether the row pins the replay on this workload:
-// counter and crc, or the row's own workload.
+// pinned lists the workloads the row pins the replay on and seeds
+// FuzzEngineEquivalence with: counter and crc, or the row's own workload.
+func (r wideWindowRow) pinned() []string {
+	if r.workload != "" {
+		return []string{r.workload}
+	}
+	return []string{"counter", "crc"}
+}
+
+// checksFF reports whether the row pins the replay on this workload.
 func (r wideWindowRow) checksFF(wl string) bool {
-	return (r.minFF > 0 || r.noFF) && (r.workload != "" || wl == "counter" || wl == "crc")
+	return (r.minFF > 0 || r.noFF) && slices.Contains(r.pinned(), wl)
 }
 
 // wideWindowRows lists the TestEngineEquivalenceWideWindow table.

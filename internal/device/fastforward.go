@@ -24,33 +24,35 @@ import (
 // for bit, and so does every later one — the EH model's single repeating
 // active period (Eqs. 1–8), exactly.
 //
-// The fixed-point test runs after every period on both engines. With
-// Config.DetectLivelock, a qualifying period followed by its confirmed
-// repeat is a livelock. Otherwise the batched engine, with no cache
-// model and no recorder attached, records the repeat through the
-// per-step loop — where consume is the only place simulated time and
-// cycles advance — and replays the recording up to the run limits:
-// every timeS increment in order, the interrupt-poll credits and the
-// observer events at their positions among those increments, and a copy
-// of the period's stats. The reference engine never replays, so the
-// equivalence oracle fences every replayed bit.
+// With Config.DetectLivelock the fixed-point test runs after every
+// period on both engines, for any strategy, and a qualifying period
+// followed by a repeat that dies at the same PC is a livelock. Otherwise,
+// for a Memoryless strategy, the batched engine with no cache model and
+// no recorder attached records the repeat through the per-step loop —
+// where consume is the only place simulated time and cycles advance —
+// and replays the recording up to the run limits: every timeS increment
+// in order, the interrupt-poll credits and the observer events at their
+// positions among those increments, and a copy of the period's stats.
+// Memoryless matters only to the replay, whose skipped hook calls a
+// strategy that keeps run-wide counts would miss. The reference engine
+// never replays, so the equivalence oracle fences every replayed bit.
 
 // fixedPoint is the per-run fast-forward state.
 type fixedPoint struct {
-	// eligible: the supply and strategy make a zero-commit period a
-	// function of persistent state (see above). replay: eligible, and
-	// this run replays confirmed fixed points instead of diagnosing them.
+	// eligible: the test runs, because the run diagnoses fixed points or
+	// replays them. replay: the run replays them.
 	eligible, replay bool
 	// framAt, cyclesAt and timeAt are framWrites, the consumed cycles and
 	// the simulated time at the current period's start.
 	framAt, cyclesAt uint64
 	timeAt           float64
-	// armed: the previous period qualified, and want holds its stats;
-	// the current period must repeat it. tape is the confirmed
-	// recording, ready to replay.
-	armed bool
-	want  PeriodStats
-	tape  *periodTape
+	// armed: the previous period qualified, and want and wantPC hold its
+	// stats and death PC; the current period must repeat them. tape is
+	// the confirmed recording, ready to replay.
+	armed  bool
+	want   PeriodStats
+	wantPC uint32
+	tape   *periodTape
 }
 
 // periodTape is one recorded active period of a fixed point.
@@ -68,19 +70,6 @@ type periodTape struct {
 	// the cycles its increments accounted for.
 	stats                 PeriodStats
 	cycles, credit, added uint64
-	// grid caches the increments rounded to one binade's grid (see
-	// gridAt).
-	grid tapeGrid
-}
-
-// tapeGrid holds, for the binade [2^(exp-1), 2^exp) of simulated time,
-// the prefix sums of the tape's increments in units of that binade's
-// spacing u; ok is false when some increment is a rounding tie there.
-type tapeGrid struct {
-	exp int
-	u   float64
-	pre []uint64
-	ok  bool
 }
 
 // tapeMark positions a credit or event within a period: after `at`
@@ -119,19 +108,19 @@ func (t *periodTape) mark() tapeMark {
 	return tapeMark{at: uint32(len(t.dts)), cyc: uint32(t.added), cum: uint32(t.credit)}
 }
 
-// resetFixedPoint decides at the start of a run whether its periods can
-// be fixed points. Strategy parameters may change between New and Run,
-// so the Memoryless claim is read here.
+// resetFixedPoint decides at the start of a run whether it diagnoses or
+// replays fixed points. Strategy parameters may change between New and
+// Run, so the Memoryless claim is read here.
 func (d *Device) resetFixedPoint() {
 	d.ff = fixedPoint{}
 	d.tape = nil
-	m, ok := d.strat.(Memoryless)
-	if !ok || !m.Memoryless() || d.cfg.Harvester != nil || d.inj != nil {
+	if d.cfg.Harvester != nil || d.inj != nil {
 		return
 	}
-	d.ff.eligible = true
-	d.ff.replay = d.engine != EngineReference && d.cache == nil &&
-		d.rec == nil && !d.cfg.DetectLivelock
+	m, ok := d.strat.(Memoryless)
+	d.ff.replay = ok && m.Memoryless() && !d.cfg.DetectLivelock &&
+		d.engine != EngineReference && d.cache == nil && d.rec == nil
+	d.ff.eligible = d.cfg.DetectLivelock || d.ff.replay
 }
 
 // watchPeriod runs at the top of every period, before its interrupt
@@ -142,8 +131,8 @@ func (d *Device) watchPeriod() {
 
 // fixedPointTest runs after every period. A period qualifies when it
 // ended without halting, committed nothing and stored nothing to FRAM.
-// A qualifying period whose successor repeats it exactly is a fixed
-// point: a livelock under DetectLivelock, otherwise — when the
+// A qualifying period whose successor repeats its stats and death PC is
+// a fixed point: a livelock under DetectLivelock, otherwise — when the
 // successor was recorded — a tape fastForward replays. A recorded
 // successor that does not repeat means a Memoryless claim or an engine
 // invariant is broken, which is an internal error, never a silent
@@ -159,7 +148,9 @@ func (d *Device) fixedPointTest() error {
 	qualifies := !d.halted && p.Backups == 0 && d.framWrites == ff.framAt
 	if ff.armed {
 		ff.armed = false
-		repeated := qualifies && samePeriod(*p, ff.want)
+		// With no committed backup the per-backup slices of both periods
+		// are nil, so the comparison is over the counters and energies.
+		repeated := qualifies && d.deathPC == ff.wantPC && reflect.DeepEqual(*p, ff.want)
 		switch {
 		case repeated && d.cfg.DetectLivelock:
 			return &NoProgressError{
@@ -178,7 +169,7 @@ func (d *Device) fixedPointTest() error {
 	}
 	if qualifies {
 		ff.armed = true
-		ff.want = *p
+		ff.want, ff.wantPC = *p, d.deathPC
 		// Record the repeat only when a replay can follow it: room for the
 		// recorded period and at least one more within both run limits.
 		// Nothing happens between here and the next period's start, so
@@ -225,7 +216,8 @@ func (d *Device) confirmTape(t *periodTape, p *PeriodStats) error {
 // replayed position, exactly as simulation would stamp them — at their
 // recorded positions among the increments, then appends the period's
 // stats. An interrupt or deadline firing mid-replay aborts the run
-// exactly where it would have fired in simulation.
+// exactly where it would have fired in simulation. One EvFastForward
+// follows, counting the periods replayed whole.
 func (d *Device) fastForward() error {
 	t := d.ff.tape
 	d.ff.tape = nil
@@ -233,36 +225,32 @@ func (d *Device) fastForward() error {
 	if room := (d.cfg.MaxCycles - d.cycles) / t.cycles; room < k {
 		k = room
 	}
-	if k == 0 {
-		return nil
-	}
-	if d.obs != nil {
-		d.emit(obsv.EvFastForward, k, t.cycles, 0)
-	}
-	for ; k > 0; k-- {
-		if err := d.replayPeriod(t); err != nil {
-			return err
+	var n uint64
+	var err error
+	for ; n < k; n++ {
+		if err = d.replayPeriod(t); err != nil {
+			break
 		}
 		d.result.Periods = append(d.result.Periods, t.stats)
 	}
-	return nil
+	if d.obs != nil && n > 0 {
+		d.emit(obsv.EvFastForward, n, t.cycles, 0)
+	}
+	return err
 }
 
 // replayPeriod replays one recorded period from the current position:
 // its events in order, and its credits, which it finds by their running
 // total. A credit that reaches pollBatchCycles runs the real interrupt
 // check at its simulated position, after exactly the events that
-// preceded it. Simulated time at any point of the period comes from the
-// binade grid when it applies, and from adding the increments one by
-// one otherwise.
+// preceded it. Simulated time is the recorded increments added one by
+// one in order, as consume added them.
 func (d *Device) replayPeriod(t *periodTape) error {
-	start, x := d.cycles, d.timeS
-	pre, u := t.gridAt(x)
-	i, timeS := 0, x
+	start := d.cycles
+	i, timeS := 0, d.timeS
+	// timeAt advances the running time through the first n increments;
+	// marks are visited in order, so n never decreases.
 	timeAt := func(n int) float64 {
-		if pre != nil {
-			return x + float64(pre[n])*u
-		}
 		for ; i < n; i++ {
 			timeS += t.dts[i]
 		}
@@ -300,56 +288,4 @@ func (d *Device) replayEvent(e obsv.Event, cycles uint64, timeS float64) {
 	e.Period = int32(len(d.result.Periods))
 	e.Cycles, e.TimeS = cycles, timeS
 	d.obs.Event(e)
-}
-
-// gridAt returns the prefix sums and spacing of the grid of the binade
-// x lies in, or nil when adding the increments to x one by one is not
-// plain integer arithmetic on that grid.
-//
-// Take x in [2^(exp-1), 2^exp): it is a multiple of u = 2^(exp-53), and
-// so is every double in the binade. Adding dt ≥ 0 rounds x+dt to the
-// nearest multiple of u, which is x + u·round(dt/u) unless dt/u is a
-// tie, where round-half-even would depend on x. So while the sums stay
-// below 2^exp, x after n increments is exactly x + u·pre[n] — a multiple
-// of u below 2^exp, hence a double, computed without rounding. Ties and
-// periods that would cross 2^exp fall back to adding one by one.
-func (t *periodTape) gridAt(x float64) ([]uint64, float64) {
-	if !(x > 0x1p-960) || math.IsInf(x, 1) {
-		return nil, 0
-	}
-	_, exp := math.Frexp(x)
-	g := &t.grid
-	if g.pre == nil || g.exp != exp {
-		g.exp, g.u, g.ok = exp, math.Ldexp(1, exp-53), true
-		if cap(g.pre) <= len(t.dts) {
-			g.pre = make([]uint64, len(t.dts)+1)
-		}
-		g.pre = g.pre[:len(t.dts)+1]
-		for i, dt := range t.dts {
-			m := dt / g.u
-			if m-math.Floor(m) == 0.5 || m >= 0x1p52 {
-				g.ok = false
-				break
-			}
-			// A sum past 2^52 units no longer fits the binade; stopping
-			// there also keeps the sum exact as a double.
-			if g.pre[i+1] = g.pre[i] + uint64(math.Round(m)); g.pre[i+1] >= 1<<52 {
-				g.ok = false
-				break
-			}
-		}
-	}
-	if !g.ok || x+float64(g.pre[len(t.dts)])*g.u >= math.Ldexp(1, exp) {
-		return nil, 0
-	}
-	return g.pre, g.u
-}
-
-// samePeriod reports whether two zero-commit periods are identical.
-// With no committed backup their per-backup slices are empty, so the
-// comparison is over the counters and energies.
-func samePeriod(a, b PeriodStats) bool {
-	a.BackupIntervals, a.AppBytes, a.PayloadBytes = nil, nil, nil
-	b.BackupIntervals, b.AppBytes, b.PayloadBytes = nil, nil, nil
-	return reflect.DeepEqual(a, b)
 }

@@ -1,12 +1,8 @@
 package device_test
 
 import (
-	"bytes"
-	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -28,13 +24,26 @@ import (
 // the batched engine fast-forwards — on a bench, harvested or
 // fault-injected supply, with run limits small enough that one case
 // takes milliseconds. Cases that record an observation log or trace
-// events compare those too. The seed corpus under
-// testdata/fuzz/FuzzEngineEquivalence holds every row of
-// TestEngineEquivalenceWideWindow, so plain `go test` replays them;
-// `make fuzz-equiv` searches beyond them.
+// events compare those too. Every TestEngineEquivalenceWideWindow row,
+// on the workloads it pins the replay on, seeds the search, so plain
+// `go test` runs them and `make fuzz-equiv` starts from them.
 func FuzzEngineEquivalence(f *testing.F) {
+	for _, r := range wideWindowRows() {
+		for _, wl := range r.pinned() {
+			c := r.equivCase
+			f.Add(wl, c.strategy, c.sense, c.fram, c.window, c.check, c.margin, c.buf,
+				c.energy, c.supply, c.seed, c.maxPeriods, c.maxCycles, c.record, c.events)
+		}
+	}
 	f.Fuzz(func(t *testing.T, wl, strat string, sense, fram bool, window uint32, check, margin uint16,
 		buf uint8, energy uint32, supply uint8, seed int64, maxPeriods uint16, maxCycles uint32, record, events bool) {
+		// A zero or oversized run limit selects the cap.
+		if maxPeriods == 0 || maxPeriods > fuzzMaxPeriods {
+			maxPeriods = fuzzMaxPeriods
+		}
+		if maxCycles == 0 || maxCycles > fuzzMaxCycles {
+			maxCycles = fuzzMaxCycles
+		}
 		c := equivCase{
 			workload: wl, strategy: strat, sense: sense, fram: fram,
 			window: window, check: check, margin: margin, buf: buf, energy: energy,
@@ -47,9 +56,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 
 // Fuzz input decoding limits.
 const (
-	// fuzzMaxPeriods and fuzzMaxCycles cap a case's run limits; a zero
-	// input selects the cap. Every TestEngineEquivalenceWideWindow row
-	// completes well inside them.
+	// fuzzMaxPeriods and fuzzMaxCycles cap a fuzz case's run limits.
 	fuzzMaxPeriods = 20_000
 	fuzzMaxCycles  = 1 << 21
 	// Period energies up to fuzzLiteralEnergy ALU cycles are taken
@@ -81,7 +88,8 @@ type equivCase struct {
 	// (4), modulo 5; seed seeds the trace or the plan.
 	supply uint8
 	seed   int64
-	// maxPeriods and maxCycles are the run limits, capped.
+	// maxPeriods and maxCycles replace benchEquivCfg's run limits when
+	// nonzero.
 	maxPeriods uint16
 	maxCycles  uint32
 	// record compares the runs' observation logs, events their
@@ -197,18 +205,6 @@ func (c equivCase) periodEnergy() float64 {
 	return fuzzMinEnergy * math.Pow(fuzzLiteralEnergy/fuzzMinEnergy, frac)
 }
 
-// limits decodes the capped run limits.
-func (c equivCase) limits() (int, uint64) {
-	periods, cycles := int(c.maxPeriods), uint64(c.maxCycles)
-	if periods == 0 || periods > fuzzMaxPeriods {
-		periods = fuzzMaxPeriods
-	}
-	if cycles == 0 || cycles > fuzzMaxCycles {
-		cycles = fuzzMaxCycles
-	}
-	return periods, cycles
-}
-
 // caseRun is one engine's run of a case, with its recorders.
 type caseRun struct {
 	d      *device.Device
@@ -219,11 +215,16 @@ type caseRun struct {
 
 // newRun builds a fresh device for one engine: fresh strategy,
 // harvester, injector and recorders.
-func (c equivCase) newRun(t *testing.T, prog *asm.Program, spec strategy.Spec, eng device.Engine, observe obsv.Tracer) caseRun {
+func (c equivCase) newRun(t *testing.T, prog *asm.Program, spec strategy.Spec, eng device.Engine) caseRun {
 	t.Helper()
 	cfg := benchEquivCfg(prog, c.periodEnergy())
 	cfg.Engine = eng
-	cfg.MaxPeriods, cfg.MaxCycles = c.limits()
+	if c.maxPeriods != 0 {
+		cfg.MaxPeriods = int(c.maxPeriods)
+	}
+	if c.maxCycles != 0 {
+		cfg.MaxCycles = uint64(c.maxCycles)
+	}
 	switch k := c.supply % 5; {
 	case k >= 1 && k <= 3:
 		h, err := energy.NewHarvester(trace.Generate(trace.Kinds()[k-1], 20, 1e-3, c.seed), 3000, 0.7)
@@ -252,9 +253,8 @@ func (c equivCase) newRun(t *testing.T, prog *asm.Program, spec strategy.Spec, e
 	}
 	if c.events {
 		r.events = &obsv.SliceSink{}
-		observe = obsv.Combine(observe, r.events)
+		cfg.Observe = r.events
 	}
-	cfg.Observe = observe
 	d, err := device.New(cfg, r.strat)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func (c equivCase) run(t *testing.T) {
 	prog := c.program(t, spec.Seg)
 	runs := map[device.Engine]caseRun{}
 	runEngines(t, func(eng device.Engine) (*device.Device, device.Strategy) {
-		r := c.newRun(t, prog, spec, eng, nil)
+		r := c.newRun(t, prog, spec, eng)
 		runs[eng] = r
 		return r.d, r.strat
 	})
@@ -282,10 +282,7 @@ func (c equivCase) run(t *testing.T) {
 			len(ref.log.Commits), len(bat.log.Commits))
 	}
 	if c.events {
-		re, be := filterDiagnostics(ref.events.Events), filterDiagnostics(bat.events.Events)
-		if !reflect.DeepEqual(re, be) {
-			t.Fatalf("event streams differ: %s", diffEvents(re, be))
-		}
+		sameEvents(t, filterDiagnostics(ref.events.Events), filterDiagnostics(bat.events.Events))
 	}
 }
 
@@ -294,91 +291,10 @@ func (c equivCase) run(t *testing.T) {
 func (c equivCase) fastForwarded(t *testing.T) uint64 {
 	t.Helper()
 	spec := c.spec()
-	var ff ffCounter
-	r := c.newRun(t, c.program(t, spec.Seg), spec, device.EngineBatched, &ff)
+	c.events = true
+	r := c.newRun(t, c.program(t, spec.Seg), spec, device.EngineBatched)
 	if _, err := r.d.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return ff.periods
-}
-
-// ffCounter totals the periods EvFastForward reports.
-type ffCounter struct{ periods uint64 }
-
-func (c *ffCounter) Event(e obsv.Event) {
-	if e.Type == obsv.EvFastForward {
-		c.periods += e.Arg
-	}
-}
-
-// diffEvents names the first differing event of two streams.
-func diffEvents(a, b []obsv.Event) string {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return fmt.Sprintf("event %d:\nreference: %+v\nbatched:   %+v", i, a[i], b[i])
-		}
-	}
-	return fmt.Sprintf("reference emits %d events, batched %d", len(a), len(b))
-}
-
-// TestFuzzCorpusHoldsWideWindowRows keeps the fuzz seed corpus in step
-// with TestEngineEquivalenceWideWindow: every row, on counter and crc or
-// on its own workload, must have its corpus file, byte for byte. After
-// changing the table, run it with EHSIM_WRITE_FUZZ_CORPUS=1 to rewrite
-// the files.
-func TestFuzzCorpusHoldsWideWindowRows(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzEngineEquivalence")
-	write := os.Getenv("EHSIM_WRITE_FUZZ_CORPUS") == "1"
-	if write {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, r := range wideWindowRows() {
-		wls := []string{r.workload}
-		if r.workload == "" {
-			wls = []string{"counter", "crc"}
-		}
-		for _, wl := range wls {
-			c := r.equivCase
-			c.workload = wl
-			path := filepath.Join(dir, corpusName(r.name, wl))
-			want := c.corpusEntry()
-			if write {
-				if err := os.WriteFile(path, want, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			got, err := os.ReadFile(path)
-			if err != nil || !bytes.Equal(got, want) {
-				t.Errorf("corpus entry %s missing or stale (rerun with EHSIM_WRITE_FUZZ_CORPUS=1): %v", path, err)
-			}
-		}
-	}
-}
-
-// corpusName turns a row and workload into a corpus file name.
-func corpusName(row, wl string) string {
-	b := []byte("row-" + row + "-" + wl)
-	for i, ch := range b {
-		if !(ch >= 'a' && ch <= 'z' || ch >= '0' && ch <= '9' || ch == '-') {
-			b[i] = '_'
-		}
-	}
-	return string(b)
-}
-
-// corpusEntry encodes the case as a `go test fuzz v1` corpus file, in
-// FuzzEngineEquivalence's argument order.
-func (c equivCase) corpusEntry() []byte {
-	var b bytes.Buffer
-	b.WriteString("go test fuzz v1\n")
-	fmt.Fprintf(&b, "string(%q)\nstring(%q)\n", c.workload, c.strategy)
-	fmt.Fprintf(&b, "bool(%v)\nbool(%v)\n", c.sense, c.fram)
-	fmt.Fprintf(&b, "uint32(%d)\nuint16(%d)\nuint16(%d)\nbyte(%q)\n", c.window, c.check, c.margin, c.buf)
-	fmt.Fprintf(&b, "uint32(%d)\nbyte(%q)\nint64(%d)\n", c.energy, c.supply, c.seed)
-	fmt.Fprintf(&b, "uint16(%d)\nuint32(%d)\n", c.maxPeriods, c.maxCycles)
-	fmt.Fprintf(&b, "bool(%v)\nbool(%v)\n", c.record, c.events)
-	return b.Bytes()
+	return fastForwardedPeriods(r.events.Events)
 }

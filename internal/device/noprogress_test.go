@@ -108,7 +108,7 @@ func TestDetectLivelockIgnoresHarvester(t *testing.T) {
 	}
 	d.resetFixedPoint()
 	if !d.ff.eligible {
-		t.Fatal("a bench supply with a memoryless strategy must run the fixed-point test")
+		t.Fatal("a bench supply must run the fixed-point test under DetectLivelock")
 	}
 	d.cfg.Harvester = &energy.Harvester{}
 	d.resetFixedPoint()

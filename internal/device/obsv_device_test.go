@@ -69,6 +69,18 @@ func sameEvents(t *testing.T, ref, bat []obsv.Event) {
 	t.Fatalf("engines emit different event counts: reference %d, batched %d", len(ref), len(bat))
 }
 
+// fastForwardedPeriods totals the periods a run's EvFastForward events
+// report replayed.
+func fastForwardedPeriods(evs []obsv.Event) uint64 {
+	var n uint64
+	for _, e := range evs {
+		if e.Type == obsv.EvFastForward {
+			n += e.Arg
+		}
+	}
+	return n
+}
+
 // filterDiagnostics drops engine-shape diagnostics (EvBatchHorizon) and
 // normalizes the engine tag on EvRunBegin, leaving exactly the lifecycle
 // stream both engines must agree on event for event.
@@ -135,13 +147,7 @@ func TestGoldenTraceHibernusCounter(t *testing.T) {
 	refEvs, _ = traceRun(t, device.EngineReference, 1, 3_000, 1.02, 200)
 	batEvs, _ = traceRun(t, device.EngineBatched, 1, 3_000, 1.02, 200)
 	sameEvents(t, filterDiagnostics(refEvs), filterDiagnostics(batEvs))
-	var ff uint64
-	for _, e := range batEvs {
-		if e.Type == obsv.EvFastForward {
-			ff += e.Arg
-		}
-	}
-	if ff < 190 {
+	if ff := fastForwardedPeriods(batEvs); ff < 190 {
 		t.Fatalf("batched engine fast-forwarded %d of 200 periods, want at least 190", ff)
 	}
 }

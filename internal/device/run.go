@@ -202,12 +202,12 @@ func (d *Device) pollCheck() error {
 // and the no-progress diagnoses return a *NoProgressError.
 //
 // After every period Run applies the fixed-point test (fastforward.go):
-// on a bench supply with no injector and a Memoryless strategy, a
-// period that commits nothing and stores nothing to FRAM, followed by
-// an exact repeat, repeats forever. DetectLivelock reports that as a
-// livelock; otherwise the batched engine replays the repeat for every
-// remaining period that fits the run limits instead of simulating it,
-// with the same Result, events and interrupt polls bit for bit.
+// on a bench supply with no injector, a period that commits nothing and
+// stores nothing to FRAM, followed by an exact repeat, repeats forever.
+// DetectLivelock reports that as a livelock; otherwise, for a Memoryless
+// strategy, the batched engine replays the repeat for every remaining
+// period that fits the run limits instead of simulating it, with the
+// same Result, events and interrupt polls bit for bit.
 func (d *Device) Run() (*Result, error) {
 	d.result = Result{Strategy: d.strat.Name(), Program: d.cfg.Prog.Name}
 	d.runStart = time.Now()

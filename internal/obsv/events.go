@@ -129,8 +129,8 @@ const (
 	// EvFastForward is the batched engine replaying a confirmed fixed
 	// point instead of simulating it (engine-diagnostic: the reference
 	// engine simulates every period). Arg is the number of periods
-	// replayed, Arg2 the consumed cycles of each. The replayed periods'
-	// own lifecycle events follow it, stamped as if simulated.
+	// replayed whole, Arg2 the consumed cycles of each. It follows the
+	// replayed periods' own lifecycle events, stamped as if simulated.
 	EvFastForward
 
 	// NumEventTypes bounds the vocabulary for sink lookup tables.

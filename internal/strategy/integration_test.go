@@ -1,12 +1,14 @@
 package strategy
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"ehmodel/internal/asm"
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
+	"ehmodel/internal/obsv"
 	"ehmodel/internal/trace"
 	"ehmodel/internal/workload"
 )
@@ -131,5 +133,57 @@ func TestStrategyNames(t *testing.T) {
 			t.Errorf("bad or duplicate strategy name %q", n)
 		}
 		seen[n] = true
+	}
+}
+
+// TestDetectLivelockRunWideCounters checks that the livelock diagnosis
+// does not hinge on device.Memoryless. Clank and Ratchet keep run-wide
+// trigger counters, so the batched engine never replays their periods,
+// yet on a budget too small to reach their first committed backup every
+// charge dies identically: both engines must report the livelock after
+// two periods, and without the diagnosis the batched run must simulate
+// every period.
+func TestDetectLivelockRunWideCounters(t *testing.T) {
+	w, ok := workload.Get("counter")
+	if !ok {
+		t.Fatal("counter workload missing")
+	}
+	for _, name := range []string{"clank", "ratchet"} {
+		spec, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("no %s in catalog", name)
+		}
+		prog, err := w.Build(workload.Options{Seg: spec.Seg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range []device.Engine{device.EngineReference, device.EngineBatched} {
+			cfg := fixedCfg(prog, 30)
+			cfg.Engine = eng
+			cfg.DetectLivelock = true
+			d, err := device.New(cfg, spec.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = d.Run()
+			var np *device.NoProgressError
+			if !errors.As(err, &np) || !np.Livelock || np.Periods != 2 {
+				t.Fatalf("%s, engine %v: want a livelock after 2 periods, got %v", name, eng, err)
+			}
+		}
+		cfg := fixedCfg(prog, 30)
+		cfg.MaxPeriods = 500
+		var m obsv.Metrics
+		cfg.Observe = &m
+		d, err := device.New(cfg, spec.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if m.FastForwardPeriods != 0 || m.Periods != 500 {
+			t.Fatalf("%s: %d of %d periods fast-forwarded, want 0 of 500", name, m.FastForwardPeriods, m.Periods)
+		}
 	}
 }

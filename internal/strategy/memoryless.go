@@ -19,10 +19,12 @@ import "ehmodel/internal/device"
 //     appends to it, so an instance recording commits opts out.
 //   - Clank's Stats and violation set and Ratchet's violation count
 //     span the whole run and count triggers whose backup then failed,
-//     so neither can claim it.
+//     so a replayed period would leave them short. Neither implements
+//     the interface.
 //
 // SenseCommit holds no state of its own and defers to the strategy it
-// wraps; RegionMeter accumulates traversal readings across periods.
+// wraps. RegionMeter accumulates traversal readings across periods and
+// does not implement the interface either.
 
 // Memoryless implements device.Memoryless.
 func (t *Timer) Memoryless() bool { return true }
@@ -46,14 +48,6 @@ func (c *Chain) Memoryless() bool { return true }
 // records its commit log.
 func (a *Alpaca) Memoryless() bool { return !a.recordCommits }
 
-// Memoryless implements device.Memoryless: false, because Stats and
-// ViolationWords outlive every period.
-func (c *Clank) Memoryless() bool { return false }
-
-// Memoryless implements device.Memoryless: false, because Violations
-// outlives every period.
-func (r *Ratchet) Memoryless() bool { return false }
-
 // Memoryless implements device.Memoryless.
 func (n *NVP) Memoryless() bool { return true }
 
@@ -70,13 +64,8 @@ func (s *SenseCommit) Memoryless() bool {
 	return ok && m.Memoryless()
 }
 
-// Memoryless implements device.Memoryless: false, because the meter's
-// readings accumulate across periods.
-func (m *RegionMeter) Memoryless() bool { return false }
-
 var (
 	_ device.Memoryless = (*Timer)(nil)
 	_ device.Memoryless = (*Alpaca)(nil)
 	_ device.Memoryless = (*SenseCommit)(nil)
-	_ device.Memoryless = (*RegionMeter)(nil)
 )
