@@ -9,7 +9,11 @@ GO ?= go
 # equivalence matrix, which self-trims to a representative slice under
 # the race detector (its ~10× slowdown would blow the package timeout).
 # `test-race` then re-runs everything with -race on that slice.
-check: fmt vet staticcheck build test test-race
+# `bench-smoke` last: its golden digests pin the seed-1 sim Results and
+# the quick-figure CSVs, which an edit to a path both engines share
+# (stepOnce, consume, idleToDeath) must reproduce — the equivalence
+# oracle cannot see such an edit.
+check: fmt vet staticcheck build test test-race bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -124,11 +128,11 @@ bench:
 	EHSIM_BENCH_OUT=$(CURDIR)/BENCH_core.json \
 		$(GO) test ./internal/device/ -run TestWriteBenchJSON -count=1 -v
 
-# compile and smoke the benchmark harness. bench/ is its own Go module,
-# so the root `go build ./...` never compiles it, yet it reaches into
-# the cpu and device APIs; its short suite includes the golden-digest
-# smoke of every workload (figure CSVs and seed-1 sim Results under
-# bench/golden/).
+# compile and smoke the benchmark harness (about 6 s; part of `check`).
+# bench/ is its own Go module, so the root `go build ./...` never
+# compiles it, yet it reaches into the cpu and device APIs; its short
+# suite includes the golden-digest smoke of every workload (figure CSVs
+# and seed-1 sim Results under bench/golden/).
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 

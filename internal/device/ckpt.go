@@ -562,7 +562,7 @@ func (d *Device) applyDecoded(ck *decodedCkpt, slot int, rec energy.CommitRecord
 		d.rec.bootRestore(d.cycles, int32(len(d.result.Periods)), rec.Seq, ck.core.SenseSeq)
 	}
 	if d.obs != nil {
-		restoreE := float64(cyc)*d.cfg.Power.EnergyPerCycle(energy.ClassMem) +
+		restoreE := float64(cyc)*d.epc[energy.ClassMem] +
 			float64(bytes)*d.cfg.OmegaRExtra
 		d.emit(obsv.EvRestore, uint64(bytes), uint64(slot), restoreE)
 	}

@@ -552,6 +552,14 @@ type Device struct {
 	stopSys isa.SysMask
 	maxEPC  float64
 
+	// The power model evaluated once by New: the cycle period and each
+	// class's energy per cycle. consume, BackupCost, the restore charge
+	// and fusedBatch multiply by these instead of dividing by FreqHz on
+	// every instruction; each entry is the very quotient PowerModel
+	// returns, so every product keeps its bits.
+	cyclePeriod float64
+	epc         [energy.NumClasses]float64
+
 	// obs is the attached lifecycle tracer; nil means observability is
 	// disabled and every emission site reduces to this nil check
 	// (observe.go).
@@ -635,8 +643,11 @@ func New(cfg Config, s Strategy) (*Device, error) {
 	}
 	d.engine = cfg.Engine.resolve()
 	d.obs = resolveObserver(cfg.Observe)
-	d.maxEPC = math.Max(cfg.Power.EnergyPerCycle(energy.ClassALU),
-		cfg.Power.EnergyPerCycle(energy.ClassMem))
+	d.cyclePeriod = cfg.Power.CyclePeriod()
+	for c := range d.epc {
+		d.epc[c] = cfg.Power.EnergyPerCycle(energy.InstrClass(c))
+	}
+	d.maxEPC = math.Max(d.epc[energy.ClassALU], d.epc[energy.ClassMem])
 	if so, ok := s.(SysObserver); ok {
 		d.stopSys = so.ObservedSys()
 	} else {
@@ -706,7 +717,7 @@ func (d *Device) SRAMFootprint() int {
 // threshold.
 func (d *Device) BackupCost(p Payload) float64 {
 	cycles := d.transferCycles(p.Bytes(), d.cfg.SigmaB)
-	return float64(cycles)*d.cfg.Power.EnergyPerCycle(energy.ClassMem) +
+	return float64(cycles)*d.epc[energy.ClassMem] +
 		float64(p.Bytes())*d.cfg.OmegaBExtra
 }
 
@@ -765,7 +776,7 @@ func (d *Device) consume(n uint64, class energy.InstrClass) bool {
 	if n == 0 {
 		return d.cap.Voltage() >= d.cfg.VOff
 	}
-	dt := float64(n) * d.cfg.Power.CyclePeriod()
+	dt := float64(n) * d.cyclePeriod
 	if d.cfg.Harvester != nil {
 		h := d.cfg.Harvester.EnergyOver(d.timeS, dt)
 		d.period.HarvestedE += d.cap.Store(h)
@@ -775,7 +786,7 @@ func (d *Device) consume(n uint64, class energy.InstrClass) bool {
 	if d.tape != nil {
 		d.tape.add(dt, n)
 	}
-	e := float64(n) * d.cfg.Power.EnergyPerCycle(class)
+	e := float64(n) * d.epc[class]
 	ok := d.cap.Draw(e)
 	alive := ok && d.cap.Voltage() >= d.cfg.VOff
 	// Scheduled supply faults fire independent of the capacitor model:

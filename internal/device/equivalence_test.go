@@ -276,6 +276,8 @@ func wideWindowRows() []wideWindowRow {
 	sense.sense = true
 	senseBrownouts := hibernus(32, 2000, 3_000)
 	senseBrownouts.sense, senseBrownouts.workload = true, "sense"
+	meter := hibernus(16, 2000, 3_000)
+	meter.meter = true
 	return []wideWindowRow{
 		{name: "wide-window/one-period", equivCase: timer(50_000, 600_000)},
 		{name: "wide-window/brownouts", equivCase: timer(20_000, 60_000)},
@@ -299,6 +301,10 @@ func wideWindowRows() []wideWindowRow {
 		// The same on the SENSE-heavy workload under a budget that browns
 		// out, where those counted cycles decide where each sample lands.
 		{name: "short-window/hibernus+sense-brownouts", equivCase: senseBrownouts},
+		// RegionMeter's Horizon of 1 sends every instruction of a batched
+		// strategy through stepOnce on both engines, the comparator's
+		// post-backup sleep included, under a budget that browns out.
+		{name: "per-step/hibernus+meter", equivCase: meter},
 		// An odd run limit ends the final batch inside a timer window.
 		{name: "short-window/odd-max-cycles", equivCase: limits(timer(1000, 3_000), 0, 12_345)},
 		// Mementos commits in the first few periods, then reaches a

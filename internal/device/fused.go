@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"ehmodel/internal/cpu"
-	"ehmodel/internal/energy"
 	"ehmodel/internal/isa"
 	"ehmodel/internal/mem"
 )
@@ -63,7 +62,8 @@ func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) 
 		vmax  = d.cap.VMax
 		eMax  = hc * vmax * vmax // 0.5*c*VMax*VMax, the clamp's energy
 		voff  = d.cfg.VOff
-		cp    = d.cfg.Power.CyclePeriod()
+		cp    = d.cyclePeriod
+		epc   = d.epc
 		v     = d.cap.Voltage()
 		eb    = hc * v * v // 0.5*c*v*v, carried instruction to instruction
 		timeS = d.timeS
@@ -71,10 +71,6 @@ func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) 
 		hv    = d.period.HarvestedE
 		fram  uint64
 	)
-	var epc [energy.NumClasses]float64
-	for cl := range epc {
-		epc[cl] = d.cfg.Power.EnergyPerCycle(energy.InstrClass(cl))
-	}
 
 	writeback := func() {
 		d.cap.SetVoltage(v)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ehmodel/internal/analyze"
 	"ehmodel/internal/asm"
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
@@ -18,11 +19,12 @@ import (
 )
 
 // FuzzEngineEquivalence searches the configuration space for a batched
-// run that differs from the reference engine: any workload, catalog
-// strategy and knob setting, optional SenseCommit, any period energy —
-// including budgets no region fits, where runs freeze into fixed points
-// the batched engine fast-forwards — on a bench, harvested or
-// fault-injected supply, with run limits small enough that one case
+// run that differs from the reference engine: any workload (unknown
+// names favour the SENSE-heavy and FRAM-storing ones), catalog strategy
+// and knob setting, optional SenseCommit and RegionMeter, any period
+// energy — including budgets no region fits, where runs freeze into
+// fixed points the batched engine fast-forwards — on a bench, harvested
+// or fault-injected supply, with run limits small enough that one case
 // takes milliseconds. Cases that record an observation log or trace
 // events compare those too. Every TestEngineEquivalenceWideWindow row,
 // on the workloads it pins the replay on, seeds the search, so plain
@@ -31,11 +33,11 @@ func FuzzEngineEquivalence(f *testing.F) {
 	for _, r := range wideWindowRows() {
 		for _, wl := range r.pinned() {
 			c := r.equivCase
-			f.Add(wl, c.strategy, c.sense, c.fram, c.window, c.check, c.margin, c.buf,
+			f.Add(wl, c.strategy, c.sense, c.meter, c.fram, c.window, c.check, c.margin, c.buf,
 				c.energy, c.supply, c.seed, c.maxPeriods, c.maxCycles, c.record, c.events)
 		}
 	}
-	f.Fuzz(func(t *testing.T, wl, strat string, sense, fram bool, window uint32, check, margin uint16,
+	f.Fuzz(func(t *testing.T, wl, strat string, sense, meter, fram bool, window uint32, check, margin uint16,
 		buf uint8, energy uint32, supply uint8, seed int64, maxPeriods uint16, maxCycles uint32, record, events bool) {
 		// A zero or oversized run limit selects the cap.
 		if maxPeriods == 0 || maxPeriods > fuzzMaxPeriods {
@@ -45,7 +47,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			maxCycles = fuzzMaxCycles
 		}
 		c := equivCase{
-			workload: wl, strategy: strat, sense: sense, fram: fram,
+			workload: wl, strategy: strat, sense: sense, meter: meter, fram: fram,
 			window: window, check: check, margin: margin, buf: buf, energy: energy,
 			supply: supply, seed: seed, maxPeriods: maxPeriods, maxCycles: maxCycles,
 			record: record, events: events,
@@ -72,9 +74,11 @@ const (
 // it too. Unknown workload and strategy names pick one by hash.
 type equivCase struct {
 	workload, strategy string
-	// sense wraps the strategy in SenseCommit; fram places the program's
-	// data in FRAM whatever the strategy's own segment.
-	sense, fram bool
+	// sense wraps the strategy in SenseCommit, and meter wraps the result
+	// in RegionMeter, whose Horizon of 1 sends every instruction through
+	// the per-step protocol whatever the strategy inside; fram places the
+	// program's data in FRAM whatever the strategy's own segment.
+	sense, meter, fram bool
 	// window is τ_B, the watchdog or region cap, Mementos' minimum gap or
 	// Alpaca's coalescing, whichever the strategy has; check the
 	// comparator's CheckPeriod; margin its Margin in thousandths; buf
@@ -132,20 +136,29 @@ func pick(name string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// program builds the case's workload with the strategy's segment.
+// program builds the case's workload with the strategy's segment. An
+// unknown name picks by hash: half the time any workload, a quarter
+// each sense and the FRAM counter, whose SENSE reads and FRAM stores
+// are what the recorder, SenseCommit and the fixed-point test react to.
 func (c equivCase) program(t *testing.T, seg asm.Segment) *asm.Program {
 	t.Helper()
 	if c.fram {
 		seg = asm.FRAM
 	}
+	if c.workload == framCounterName {
+		return framCounter(t)
+	}
 	w, ok := workload.Get(c.workload)
 	if !ok {
 		all := workload.All()
-		i := pick(c.workload, len(all)+1)
-		if c.workload == framCounterName || i == len(all) {
+		switch i := pick(c.workload, 2*len(all)); {
+		case i < len(all):
+			w = all[i]
+		case i%2 == 0:
+			w, _ = workload.Get("sense")
+		default:
 			return framCounter(t)
 		}
-		w = all[i]
 	}
 	prog, err := w.Build(workload.Options{Seg: seg})
 	if err != nil {
@@ -163,8 +176,9 @@ func (c equivCase) spec() strategy.Spec {
 	return all[pick(c.strategy, len(all))]
 }
 
-// newStrategy builds the strategy with the case's knobs.
-func (c equivCase) newStrategy(spec strategy.Spec) device.Strategy {
+// newStrategy builds the strategy with the case's knobs and wrappers.
+func (c equivCase) newStrategy(t *testing.T, spec strategy.Spec, prog *asm.Program) device.Strategy {
+	t.Helper()
 	margin := float64(c.margin) / 1000
 	s := spec.New()
 	switch s := s.(type) {
@@ -190,10 +204,34 @@ func (c equivCase) newStrategy(spec strategy.Spec) device.Strategy {
 	case *strategy.CacheVolatile:
 		s.WatchdogCycles = uint64(c.window)
 	}
+	out := s
 	if c.sense {
-		return strategy.NewSenseCommit(s)
+		out = strategy.NewSenseCommit(s)
 	}
-	return s
+	if c.meter {
+		out = strategy.NewRegionMeter(out, c.regionTable(t, prog, s))
+	}
+	return out
+}
+
+// regionTable is the WCEC table RegionMeter meters against, in the
+// region semantics the strategy declares (checkpoint sites when it
+// declares none).
+func (c equivCase) regionTable(t *testing.T, prog *asm.Program, s device.Strategy) *analyze.WCECTable {
+	t.Helper()
+	mode := analyze.WCECCheckpoint
+	if ro, ok := s.(device.RegionObserver); ok && ro.Regions() == device.RegionTaskBoundaries {
+		mode = analyze.WCECTask
+	}
+	pm := energy.MSP430Power()
+	tbl, err := analyze.WCEC(prog, analyze.WCECOptions{
+		Mode: mode, Power: pm,
+		BudgetJ: c.periodEnergy() * pm.EnergyPerCycle(energy.ClassALU),
+	})
+	if err != nil {
+		t.Fatalf("WCEC: %v", err)
+	}
+	return tbl
 }
 
 // periodEnergy decodes the period energy in ALU cycles.
@@ -246,7 +284,7 @@ func (c equivCase) newRun(t *testing.T, prog *asm.Program, spec strategy.Spec, e
 		}
 		cfg.Faults = inj
 	}
-	r := caseRun{strat: c.newStrategy(spec)}
+	r := caseRun{strat: c.newStrategy(t, spec, prog)}
 	if c.record {
 		r.log = &device.ObsLog{}
 		cfg.Record = r.log
@@ -263,8 +301,9 @@ func (c equivCase) newRun(t *testing.T, prog *asm.Program, spec strategy.Spec, e
 	return r
 }
 
-// run checks the case on both engines: Results through runEngines, and
-// the observation logs and lifecycle events when the case records them.
+// run checks the case on both engines: Results through runEngines, the
+// meter's region readings when it has one, and the observation logs and
+// lifecycle events when the case records them.
 func (c equivCase) run(t *testing.T) {
 	t.Helper()
 	spec := c.spec()
@@ -276,6 +315,12 @@ func (c equivCase) run(t *testing.T) {
 		return r.d, r.strat
 	})
 	ref, bat := runs[device.EngineReference], runs[device.EngineBatched]
+	if c.meter {
+		mRef, mBat := ref.strat.(*strategy.RegionMeter).Observed(), bat.strat.(*strategy.RegionMeter).Observed()
+		if !reflect.DeepEqual(mRef, mBat) {
+			t.Fatalf("region meter readings differ:\nreference: %v\nbatched:   %v", mRef, mBat)
+		}
+	}
 	if c.record && !reflect.DeepEqual(ref.log, bat.log) {
 		t.Fatalf("observation logs differ: boots %d/%d senses %d/%d commits %d/%d",
 			len(ref.log.Boots), len(bat.log.Boots), len(ref.log.Senses), len(bat.log.Senses),

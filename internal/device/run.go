@@ -487,10 +487,15 @@ func (d *Device) stepOnce(code []isa.Instr) (done bool, err error) {
 		}
 	}
 
-	st, err := d.core.Step(code, d.mem)
-	if err != nil {
+	// StepInto fills the report in place; Core.Step would return it by
+	// value, copying every field stepInto has just written. Nothing
+	// between the fetch above and here moves the PC, so in is the
+	// instruction Step would have echoed.
+	var st cpu.Step
+	if err := d.core.StepInto(code, d.mem, &st); err != nil {
 		return true, err
 	}
+	st.Instr = in
 	if st.HasAccess && st.Access.Store && d.mem.Region(st.Access.Addr) == mem.RegionFRAM {
 		d.framWrites++
 	}

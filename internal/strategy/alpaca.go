@@ -126,10 +126,14 @@ func (a *Alpaca) Commits() []TaskCommit { return a.commits }
 func (a *Alpaca) Table() *analyze.TaskTable { return a.table }
 
 // Reset drops the in-flight task's privatized writes and coalesced
-// span.
+// span. It runs at every boot and commit, so it empties both in place
+// and keeps their storage (record copies what it logs).
 func (a *Alpaca) Reset() {
-	a.dirty = make(map[uint32]struct{})
-	a.span = nil
+	if a.dirty == nil {
+		a.dirty = make(map[uint32]struct{})
+	}
+	clear(a.dirty)
+	a.span = a.span[:0]
 }
 
 // coalesce returns the effective minimum instruction count between

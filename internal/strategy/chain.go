@@ -34,8 +34,14 @@ func NewChain() *Chain {
 // Name implements device.Strategy.
 func (c *Chain) Name() string { return "chain" }
 
-// Reset drops the in-flight task's write set.
-func (c *Chain) Reset() { c.dirty = make(map[uint32]struct{}) }
+// Reset drops the in-flight task's write set. It runs at every boot and
+// commit, so it empties the map in place and keeps its storage.
+func (c *Chain) Reset() {
+	if c.dirty == nil {
+		c.dirty = make(map[uint32]struct{})
+	}
+	clear(c.dirty)
+}
 
 // PreStep records the task's writes (the channel payload).
 func (c *Chain) PreStep(_ *device.Device, _ isa.Instr, acc device.AccessPreview) *device.Payload {

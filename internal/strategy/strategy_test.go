@@ -200,6 +200,42 @@ func TestClankResetAllocs(t *testing.T) {
 	}
 }
 
+// TestAlpacaResetAllocs: every boot and commit resets Alpaca's
+// privatized write set and coalesced span, and tracking as many words
+// and skipped boundaries again must reuse their storage.
+func TestAlpacaResetAllocs(t *testing.T) {
+	a := NewAlpaca()
+	task := func() {
+		a.Reset()
+		for i := 0; i < 64; i++ {
+			if a.PreStep(nil, isa.Instr{}, device.AccessPreview{Valid: true, Addr: uint32(4 * i), Store: true}) != nil {
+				t.Fatal("store tracking committed")
+			}
+			a.skip(uint32(i))
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, task); allocs != 0 {
+		t.Fatalf("Alpaca reset and re-tracking allocates %.1f per task, want 0", allocs)
+	}
+}
+
+// TestChainResetAllocs: every boot and commit resets Chain's channel
+// write set, and tracking as many words again must reuse its storage.
+func TestChainResetAllocs(t *testing.T) {
+	c := NewChain()
+	task := func() {
+		c.Reset()
+		for i := 0; i < 64; i++ {
+			if c.PreStep(nil, isa.Instr{}, device.AccessPreview{Valid: true, Addr: uint32(4 * i), Store: true}) != nil {
+				t.Fatal("store tracking committed")
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, task); allocs != 0 {
+		t.Fatalf("Chain reset and re-tracking allocates %.1f per task, want 0", allocs)
+	}
+}
+
 // TestClankWatchdog: with no memory traffic at all, only the watchdog
 // checkpoints, at its period.
 func TestClankWatchdog(t *testing.T) {

@@ -37,26 +37,40 @@ func (t *Trace) Duration() float64 {
 
 // VoltageAt returns the linearly interpolated voltage at time ts seconds.
 // The trace repeats cyclically, so simulations may run longer than one
-// recording.
+// recording. A trace of two or more samples has no voltage at a
+// non-finite time and returns NaN.
 func (t *Trace) VoltageAt(ts float64) float64 {
-	if len(t.SamplesV) == 0 {
+	n := len(t.SamplesV)
+	if n == 0 {
 		return 0
 	}
-	if len(t.SamplesV) == 1 {
+	if n == 1 {
 		return t.SamplesV[0]
 	}
 	pos := t.cyclePos(ts)
+	if math.IsNaN(pos) {
+		return pos
+	}
 	i := int(pos)
 	frac := pos - float64(i)
-	j := (i + 1) % len(t.SamplesV)
+	// pos < n, so i+1 ≤ n and only the last sample wraps: the compare is
+	// (i+1) % n without the integer division.
+	j := i + 1
+	if j == n {
+		j = 0
+	}
 	return t.SamplesV[i]*(1-frac) + t.SamplesV[j]*frac
 }
 
-// cyclePos maps ts onto the sample axis, wrapped into one recording.
-// math.Mod returns its argument exactly when 0 ≤ x < n, so positions
-// inside the first recording — where most runs spend their time — skip
-// it; NaN fails both comparisons and, like ±Inf and negative times,
-// keeps the Mod path.
+// cyclePos maps ts onto the sample axis, wrapped into one recording: a
+// position in [0, n), or NaN when ts/PeriodS is not finite. math.Mod
+// returns its argument exactly when 0 ≤ x < n, so positions inside the
+// first recording — where most runs spend their time — skip it; NaN
+// fails both comparisons and, like ±Inf and negative times, keeps the
+// Mod path, where Mod(±Inf, n) is NaN too. Wrapping a negative x adds
+// n, which rounds to n itself when |x| is at most half an ulp of n
+// (ts = −1e-20 s on a 1 ms trace); that position is the start of the
+// next recording, so it folds to 0.
 func (t *Trace) cyclePos(ts float64) float64 {
 	n := float64(len(t.SamplesV))
 	x := ts / t.PeriodS
@@ -65,7 +79,9 @@ func (t *Trace) cyclePos(ts float64) float64 {
 	}
 	pos := math.Mod(x, n)
 	if pos < 0 {
-		pos += n
+		if pos += n; pos == n {
+			pos = 0
+		}
 	}
 	return pos
 }

@@ -111,8 +111,10 @@ func TestVoltageAtInterpolation(t *testing.T) {
 
 // TestCyclePosMatchesMod pins the first-recording fast path to the
 // math.Mod expression it replaces, bit for bit, inside the first
-// recording, on its boundary, several recordings in, before zero and at
-// NaN.
+// recording, on its boundary, several recordings in, before zero, just
+// before zero where the wrap rounds up to n and folds to 0, and at NaN
+// and ±Inf, where VoltageAt returns NaN; and VoltageAt's wrap to the
+// modulo it replaces at each of those positions.
 func TestCyclePosMatchesMod(t *testing.T) {
 	tr := Generate(MultiPeak, 20, 1e-3, 7)
 	n := float64(len(tr.SamplesV))
@@ -121,6 +123,9 @@ func TestCyclePosMatchesMod(t *testing.T) {
 		if pos < 0 {
 			pos += n
 		}
+		if pos == n {
+			pos = 0
+		}
 		return pos
 	}
 	d := tr.Duration()
@@ -128,22 +133,26 @@ func TestCyclePosMatchesMod(t *testing.T) {
 	boundary := []float64{d}
 	later := []float64{3*d + 0.123, 1e4 * d}
 	negative := []float64{-1e-9, -0.37 * d, -2.5 * d}
+	roundsUp := []float64{-1e-20, -math.SmallestNonzeroFloat64}
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
-	for _, ts := range slices.Concat(first, boundary, later, negative, special) {
+	for _, ts := range slices.Concat(first, boundary, later, negative, roundsUp, special) {
 		got, want := tr.cyclePos(ts), mod(ts)
 		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
 			t.Errorf("cyclePos(%v) = %v (%#x), math.Mod path %v (%#x)",
 				ts, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
-		if !math.IsNaN(want) && !math.IsInf(ts, 0) {
-			if v := interp(tr, want); v != tr.VoltageAt(ts) {
-				t.Errorf("VoltageAt(%v) = %v, want %v", ts, tr.VoltageAt(ts), v)
-			}
+		wantV := math.NaN()
+		if !math.IsNaN(want) {
+			wantV = interp(tr, want)
+		}
+		if v := tr.VoltageAt(ts); v != wantV && !(math.IsNaN(v) && math.IsNaN(wantV)) {
+			t.Errorf("VoltageAt(%v) = %v, want %v", ts, v, wantV)
 		}
 	}
 }
 
-// interp is VoltageAt's interpolation at an already wrapped position.
+// interp is VoltageAt's interpolation at an already wrapped position,
+// wrapping the upper sample with the modulo VoltageAt avoids.
 func interp(tr *Trace, pos float64) float64 {
 	i := int(pos)
 	frac := pos - float64(i)

@@ -34,4 +34,9 @@ go test ./...
 echo "== go test -race =="
 go test -race ./...
 
+# The benchmark harness is its own module; its golden digests pin the
+# per-step path both engines share, which the oracle cannot see.
+echo "== bench smoke =="
+(cd bench && go vet ./... && go test -short ./...)
+
 echo "all checks passed"
