@@ -74,16 +74,23 @@ type ClankRun struct {
 	Result *device.Result
 }
 
-// clankCell builds the one-benchmark × trace cell behind RunClank.
-// Clank's violation/overflow/watchdog counters live on the strategy, not
-// the Result, so the Extras hook serializes them into the store — a
-// cache hit recalls them without a strategy instance.
-func clankCell(bench string, kind trace.Kind, cfg ClankConfig) sweep.Cell {
+// clankTrace generates the supply trace of kind for cfg (defaults
+// applied).
+func clankTrace(kind trace.Kind, cfg ClankConfig) *trace.Trace {
+	return trace.Generate(kind, cfg.TraceSeconds, 1e-3, 7+int64(kind))
+}
+
+// clankCell builds the one-benchmark × trace cell behind RunClank and
+// TauBProfile from cfg with its defaults applied, harvesting tr
+// (clankTrace's output for kind; a run and a cell key only read it, so
+// cells may share it). Clank's violation/overflow/watchdog counters
+// live on the strategy, not the Result, so the Extras hook serializes
+// them into the store — a cache hit recalls them without a strategy
+// instance.
+func clankCell(bench string, kind trace.Kind, tr *trace.Trace, cfg ClankConfig) sweep.Cell {
 	return sweep.Cell{
 		Label: fmt.Sprintf("clank %s under %v trace", bench, kind),
 		Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
-			cfg := cfg
-			cfg.setDefaults()
 			w, ok := workload.Get(bench)
 			if !ok {
 				return device.Config{}, nil, fmt.Errorf("characterize: unknown workload %q", bench)
@@ -95,7 +102,6 @@ func clankCell(bench string, kind trace.Kind, cfg ClankConfig) sweep.Cell {
 			pm := energy.CortexM0Power() // Clank is modelled on a Cortex-M0+
 			e := cfg.PeriodCycles * pm.EnergyPerCycle(energy.ClassALU)
 			capC, vmax, von, voff := device.FixedSupplyConfig(e)
-			tr := trace.Generate(kind, cfg.TraceSeconds, 1e-3, 7+int64(kind))
 			h, err := energy.NewHarvester(tr, cfg.HarvestR, cfg.HarvestEta)
 			if err != nil {
 				return device.Config{}, nil, err
@@ -141,7 +147,9 @@ func clankRunFrom(bench string, kind trace.Kind, cr *sweep.CellResult) (*ClankRu
 // RunClank executes one benchmark under Clank powered by the given
 // trace kind and returns its τ_B/τ_D profile.
 func RunClank(ctx context.Context, bench string, kind trace.Kind, cfg ClankConfig) (*ClankRun, error) {
-	all, errs := sweep.Run(ctx, []sweep.Cell{clankCell(bench, kind, cfg)}, cfg.Run)
+	cfg.setDefaults()
+	cell := clankCell(bench, kind, clankTrace(kind, cfg), cfg)
+	all, errs := sweep.Run(ctx, []sweep.Cell{cell}, cfg.Run)
 	if len(errs) > 0 {
 		return nil, errs[0].Err
 	}
@@ -158,6 +166,13 @@ func TauBProfile(ctx context.Context, benches []string, cfg ClankConfig) (out []
 		return nil, nil, err
 	}
 	kinds := trace.Kinds()
+	// A trace depends only on its kind: generate each once and share it
+	// across the benchmarks.
+	cfg.setDefaults()
+	traces := make([]*trace.Trace, len(kinds))
+	for i, kind := range kinds {
+		traces[i] = clankTrace(kind, cfg)
+	}
 	type job struct {
 		bench string
 		kind  trace.Kind
@@ -166,9 +181,9 @@ func TauBProfile(ctx context.Context, benches []string, cfg ClankConfig) (out []
 	plan := sweep.NewPlan("characterize-taub")
 	for _, bench := range benches {
 		g := plan.Group(bench)
-		for _, kind := range kinds {
+		for i, kind := range kinds {
 			jobs = append(jobs, job{bench: bench, kind: kind})
-			g.Add(clankCell(bench, kind, cfg))
+			g.Add(clankCell(bench, kind, traces[i], cfg))
 		}
 	}
 	all, errs := sweep.RunPlan(ctx, plan, cfg.Run)

@@ -70,6 +70,69 @@ func TestFigureBytesIdenticalAcrossCacheTemps(t *testing.T) {
 	}
 }
 
+// TestAllFiguresIdenticalThroughDiskTier holds the whole quick catalog
+// to the same invariant through both tiers of a persistent store: the
+// CSVs and notes must be byte-identical with caching off, on a cold
+// disk store, from a fresh executor over the filled directory (every
+// cell a disk hit, as in a second process) and from a second pass on
+// that executor (every cell a memory hit). The catalog stores what
+// Fig. 5 alone never does: harvested results, Clank extras and
+// fast-forwarded runs.
+func TestAllFiguresIdenticalThroughDiskTier(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulated sweep is slow")
+	}
+	prev := sweep.Default()
+	defer sweep.SetDefault(prev)
+
+	allCSV := func(exec *sweep.Executor) []byte {
+		t.Helper()
+		sweep.SetDefault(exec)
+		figs, failures := GenerateFigures(context.Background(), "all", true, runner.Options{})
+		if len(failures) != 0 {
+			t.Fatalf("%s: %v", failures[0].ID, failures[0].Err)
+		}
+		var buf bytes.Buffer
+		for _, f := range figs {
+			buf.WriteString("# " + f.ID + "\n")
+			if err := f.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range f.Notes {
+				buf.WriteString("# " + n + "\n")
+			}
+		}
+		return buf.Bytes()
+	}
+	tiered := func(dir string) *sweep.Executor {
+		t.Helper()
+		store, err := sweep.NewTiered(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sweep.NewExecutor(store)
+	}
+
+	ref := allCSV(sweep.NewExecutor(nil))
+	dir := t.TempDir()
+	cold := allCSV(tiered(dir))
+	warm := tiered(dir)
+	disk := allCSV(warm)
+	st := warm.Stats()
+	if st.Total() == 0 || st.Hits != st.Total() {
+		t.Fatalf("disk pass: %+v, want every cell a hit", st)
+	}
+	mem := allCSV(warm)
+	if again := warm.Stats(); again.Hits-st.Hits != st.Total() || again.Total() != 2*st.Total() {
+		t.Fatalf("memory pass: %+v after %+v, want every cell a hit", again, st)
+	}
+	for name, got := range map[string][]byte{"cold": cold, "disk": disk, "memory": mem} {
+		if !bytes.Equal(ref, got) {
+			t.Errorf("%s pass: CSVs differ from cache=off", name)
+		}
+	}
+}
+
 // TestGenerateFiguresDedupesAcrossFigures: one `-fig all`-style batch
 // funnels every driver through the shared default executor, so cells
 // repeated across figures (and across runs) are answered from the

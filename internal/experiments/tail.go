@@ -47,6 +47,9 @@ func TailLatencyStudy(ctx context.Context, periods int, run runner.Options) (*Fi
 	tailS := Series{Label: "5th percentile p"}
 
 	tauBs := []uint64{250, 500, 1000, 2000, 4000, 8000, 14000}
+	// Every cell harvests the same trace; a run and a cell key only
+	// read it, so the cells share one instance.
+	tr := trace.Generate(trace.MultiPeak, 10, 1e-3, 77)
 	plan := sweep.NewPlan("tail")
 	for _, tauB := range tauBs {
 		tauB := tauB
@@ -58,7 +61,6 @@ func TailLatencyStudy(ctx context.Context, periods int, run runner.Options) (*Fi
 				if err != nil {
 					return device.Config{}, nil, err
 				}
-				tr := trace.Generate(trace.MultiPeak, 10, 1e-3, 77)
 				h, err := energy.NewHarvester(tr, 40000, 0.7)
 				if err != nil {
 					return device.Config{}, nil, err

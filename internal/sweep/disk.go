@@ -40,6 +40,10 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 // Dir returns the store's root directory.
 func (s *DiskStore) Dir() string { return s.dir }
 
+// path names k's entry file. The ".json" suffix dates from the JSON
+// entry format; it is kept so a store written in that format is healed
+// in place, each old file overwritten by its rewrite instead of
+// orphaned beside it.
 func (s *DiskStore) path(k Key) string {
 	hex := k.String()
 	return filepath.Join(s.dir, hex[:2], hex+".json")

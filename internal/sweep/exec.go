@@ -193,8 +193,9 @@ func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (Cell
 			e.noteCell(ctx, sp, c, "hit", key, true, ent.Result, start, storedComputeUS(ent))
 			return e.finish(c, cfg, strat, key, ent, true)
 		}
-		// An undecodable entry (possible only if a foreign writer put
-		// garbage in the store) is a miss; the rewrite below heals it.
+		// An undecodable entry (one written in an older format, or
+		// garbage from a foreign writer) is a miss; the rewrite below
+		// heals it.
 	}
 
 	waitStart := time.Now()
@@ -209,12 +210,7 @@ func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (Cell
 			ComputeUS:     time.Since(live).Microseconds(),
 			CreatedUnixMS: live.UnixMilli(),
 		}}
-		if enc, err := encodeEntry(ent); err == nil {
-			if err := e.store.Put(key, enc); err != nil {
-				e.storeErrs.Add(1)
-			}
-		} else {
-			// Non-finite floats in the result: serve it, don't store it.
+		if err := e.store.Put(key, encodeEntry(ent)); err != nil {
 			e.storeErrs.Add(1)
 		}
 		return ent, nil

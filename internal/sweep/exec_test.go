@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"sync/atomic"
@@ -442,28 +441,5 @@ func TestExecutorDiskWarm(t *testing.T) {
 		if !reflect.DeepEqual(cold[i].Result, warm[i].Result) {
 			t.Fatalf("cell %d: disk round trip changed the result", i)
 		}
-	}
-}
-
-// TestEntryEncodingRejectsNonFinite: entries with NaN results fail to
-// encode (the executor then serves without storing).
-func TestEntryEncoding(t *testing.T) {
-	ent := &Entry{Result: &device.Result{}, Extras: json.RawMessage(`{"k":1}`)}
-	enc, err := encodeEntry(ent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodeEntry(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Result == nil || string(back.Extras) != `{"k":1}` {
-		t.Fatalf("round trip: %+v", back)
-	}
-	if _, err := decodeEntry([]byte(`{"extras":{}}`)); err == nil {
-		t.Fatal("entry without result accepted")
-	}
-	if _, err := decodeEntry([]byte(`garbage`)); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }

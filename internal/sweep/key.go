@@ -12,10 +12,10 @@
 // a second axis: figures are byte-identical at any worker count and any
 // cache temperature. That holds because a cell's key covers every input
 // of the simulation, results round-trip losslessly through the store
-// (float64s survive JSON exactly), and cells whose inputs cannot be
-// proven hashable — fault injectors, observation recorders, strategies
-// without a CacheKey — bypass the store entirely rather than risk a
-// stale answer.
+// (the entry codec keeps every float's bits), and cells whose inputs
+// cannot be proven hashable — fault injectors, observation recorders,
+// strategies without a CacheKey — bypass the store entirely rather than
+// risk a stale answer.
 package sweep
 
 import (

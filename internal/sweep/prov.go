@@ -35,7 +35,7 @@ type CellProv struct {
 	Completed bool   `json:"completed"`
 	// ComputeUS is the producing simulation's wall-clock cost: equal to
 	// WallUS for a miss or bypass, recovered from the CAS entry for a
-	// hit (0 for entries stored before provenance existed).
+	// hit (0 when the entry carries no provenance).
 	ComputeUS int64 `json:"compute_us"`
 }
 
@@ -45,10 +45,10 @@ func (p *CellProv) Computed() bool { return p.Outcome == "miss" || p.Outcome == 
 // StoredProv is the compute-cost stub persisted inside each CAS entry:
 // enough to answer "what did this result originally cost" on a hit.
 type StoredProv struct {
-	Label     string `json:"label"`
-	ComputeUS int64  `json:"compute_us"`
+	Label     string
+	ComputeUS int64
 	// CreatedUnixMS stamps when the producing simulation ran.
-	CreatedUnixMS int64 `json:"created_unix_ms"`
+	CreatedUnixMS int64
 }
 
 // ProvLog collects the provenance records of one request. Attach it to

@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"ehmodel/internal/obsv"
@@ -138,45 +140,86 @@ func TestExecutorProvenance(t *testing.T) {
 }
 
 // TestStoredProvPersisted: the compute-cost stub rides inside the CAS
-// entry, and entries stored before provenance existed decode to a hit
-// with ComputeUS 0.
+// entry, and an entry in the JSON format that preceded the binary codec
+// is a miss in either tier: the cell re-simulates, the entry is
+// rewritten in the current format, and the next run hits.
 func TestStoredProvPersisted(t *testing.T) {
 	store := NewMemStore(0)
 	e := NewExecutor(store)
 	c := testCell(t, 1, 2000)
-	run1(t, e, []Cell{c}, 1)
+	live := run1(t, e, []Cell{c}, 1)[0]
+	k := live.Key
+	ent := storedEntry(t, store, k)
+	if ent.Prov == nil || ent.Prov.ComputeUS <= 0 || ent.Prov.CreatedUnixMS <= 0 || ent.Prov.Label != c.Label {
+		t.Fatalf("stored prov %+v", ent.Prov)
+	}
 
-	cfg, strat, err := c.Build(context.Background())
+	legacy, err := json.Marshal(map[string]any{
+		"result": live.Result,
+		"prov":   map[string]any{"label": c.Label, "compute_us": 7, "created_unix_ms": 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, ok := CellKey(cfg, strat)
-	if !ok {
-		t.Fatal("cell not keyable")
+	// heals runs c on a store holding the JSON-era entry: one miss that
+	// rewrites it, then a hit on the same executor.
+	heals := func(t *testing.T, s Store) {
+		t.Helper()
+		e := NewExecutor(s)
+		run1(t, e, []Cell{c}, 1)
+		if st := e.Stats(); st.Misses != 1 || st.Hits != 0 {
+			t.Fatalf("JSON-era entry not a miss: %+v", st)
+		}
+		storedEntry(t, s, k)
+		warm := run1(t, e, []Cell{c}, 1)[0]
+		if st := e.Stats(); st.Hits != 1 || !warm.Cached {
+			t.Fatalf("rewritten entry not a hit: %+v", st)
+		}
+		if !reflect.DeepEqual(warm.Result, live.Result) {
+			t.Fatal("healed entry serves a different result")
+		}
 	}
-	enc, ok := store.Get(k)
+	t.Run("memory", func(t *testing.T) {
+		s := NewMemStore(0)
+		s.Put(k, legacy) //nolint:errcheck // MemStore.Put cannot fail
+		heals(t, s)
+	})
+	t.Run("disk", func(t *testing.T) {
+		dir := t.TempDir()
+		ds, err := NewDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Put(k, legacy); err != nil {
+			t.Fatal(err)
+		}
+		tiers, err := NewTiered(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heals(t, tiers)
+		// A later process, with an empty memory tier, reads the rewrite.
+		fresh, err := NewTiered(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		storedEntry(t, fresh.Disk, k)
+	})
+}
+
+// storedEntry reads and decodes k's entry from s, failing the test when
+// it is missing or not in the current format.
+func storedEntry(t *testing.T, s Store, k Key) *Entry {
+	t.Helper()
+	enc, ok := s.Get(k)
 	if !ok {
 		t.Fatal("entry not stored")
 	}
 	ent, err := decodeEntry(enc)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("stored entry does not decode: %v", err)
 	}
-	if ent.Prov == nil || ent.Prov.ComputeUS <= 0 || ent.Prov.CreatedUnixMS <= 0 || ent.Prov.Label != c.Label {
-		t.Fatalf("stored prov %+v", ent.Prov)
-	}
-
-	// A pre-provenance entry (no prov field) still decodes and hits.
-	legacy, err := decodeEntry([]byte(`{"result":{}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Prov != nil {
-		t.Fatal("legacy entry grew provenance")
-	}
-	if storedComputeUS(legacy) != 0 {
-		t.Fatal("legacy compute cost not zero")
-	}
+	return ent
 }
 
 // TestProvLogLimit: records past the limit are counted, not stored, and

@@ -2,45 +2,8 @@ package sweep
 
 import (
 	"container/list"
-	"encoding/json"
-	"fmt"
 	"sync"
-
-	"ehmodel/internal/device"
 )
-
-// Entry is one cell's stored outcome: the full simulation Result plus
-// any strategy-side extras the cell's Extras hook captured after the
-// live run (e.g. Clank's violation counters), serialized so cache hits
-// can hand them back without a strategy instance. Prov records what the
-// producing simulation cost (entries written before provenance existed
-// decode with a nil Prov — a hit then reports ComputeUS 0).
-type Entry struct {
-	Result *device.Result  `json:"result"`
-	Extras json.RawMessage `json:"extras,omitempty"`
-	Prov   *StoredProv     `json:"prov,omitempty"`
-}
-
-// encodeEntry serializes an entry. JSON is the storage format on
-// purpose: Go marshals float64 with the shortest representation that
-// round-trips exactly, so a decoded Result is bit-identical to the live
-// one and figures rendered from cache hits stay byte-identical.
-// Entries containing non-finite floats fail to encode; the executor
-// treats that as a bypass rather than storing a lossy approximation.
-func encodeEntry(e *Entry) ([]byte, error) {
-	return json.Marshal(e)
-}
-
-func decodeEntry(b []byte) (*Entry, error) {
-	var e Entry
-	if err := json.Unmarshal(b, &e); err != nil {
-		return nil, err
-	}
-	if e.Result == nil {
-		return nil, fmt.Errorf("sweep: entry has no result")
-	}
-	return &e, nil
-}
 
 // Store is a content-addressed result store: encoded entries keyed by
 // cell hash. Implementations must be safe for concurrent use. Get

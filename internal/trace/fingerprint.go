@@ -13,6 +13,9 @@ import (
 // into a cell key. Two traces with equal fingerprints drive simulations
 // identically; generator parameters (kind, seed) need no separate
 // representation because they are fully captured by the samples.
+// Samples are buffered into 4 KiB blocks before hashing; the digest is
+// that of the plain little-endian sample stream, which every stored
+// harvested cell key depends on (TestCacheFingerprintPinned pins it).
 func (t *Trace) CacheFingerprint() string {
 	h := sha256.New()
 	var b [8]byte
@@ -23,9 +26,15 @@ func (t *Trace) CacheFingerprint() string {
 	h.Write(b[:])
 	binary.LittleEndian.PutUint64(b[:], uint64(len(t.SamplesV)))
 	h.Write(b[:])
+	var block [4096]byte
+	n := 0
 	for _, v := range t.SamplesV {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
+		binary.LittleEndian.PutUint64(block[n:], math.Float64bits(v))
+		if n += 8; n == len(block) {
+			h.Write(block[:])
+			n = 0
+		}
 	}
+	h.Write(block[:n])
 	return "trace:" + hex.EncodeToString(h.Sum(nil))
 }

@@ -268,3 +268,30 @@ func TestKindString(t *testing.T) {
 		t.Error("three kinds expected")
 	}
 }
+
+// TestCacheFingerprintPinned: every harvested cell key folds in these
+// digests, so a change to the fingerprint's byte stream would silently
+// orphan every stored harvested entry. The digests were recorded before
+// samples were hashed in blocks; the 1024-sample trace fills the block
+// buffer exactly, the others end mid-block.
+func TestCacheFingerprintPinned(t *testing.T) {
+	ramp := make([]float64, 1024)
+	for i := range ramp {
+		ramp[i] = float64(i) * 0.001
+	}
+	for _, c := range []struct {
+		tr   *Trace
+		want string
+	}{
+		{Generate(Spikes, 10, 1e-3, 7), "trace:d70b6f93103eedad5b128b61aea55821eedb9b46613c1e056d2394ed33e35d7b"},
+		{Generate(Ramp, 10, 1e-3, 8), "trace:502b2dbdf501a8c1f0d5dd133325a96b0313da759182b3fe49271286c4552d67"},
+		{Generate(MultiPeak, 10, 1e-3, 77), "trace:18a89d952a834b93c6f2692fd25d7b178081a8fd875857e47fc0223620203935"},
+		{Constant(2.5, 1, 1e-3), "trace:4b330095f2db762bb0e4c976ba77dc9da42db6d856a13d39965d2bc2d136945f"},
+		{&Trace{Name: "ramp-1024", SamplesV: ramp, PeriodS: 1e-3}, "trace:1a06ff36b1e67f82a2ece15ec9640a3070f5811d8810ad625d307a774ea0cb96"},
+		{&Trace{Name: "ramp-777", SamplesV: ramp[:777], PeriodS: 1e-3}, "trace:8f814a823863e479dd55ba8e0c8294d3d97b54a5fd1659136bcbec7dce84a9b3"},
+	} {
+		if got := c.tr.CacheFingerprint(); got != c.want {
+			t.Errorf("%s (%d samples): fingerprint %s, want %s", c.tr.Name, len(c.tr.SamplesV), got, c.want)
+		}
+	}
+}
