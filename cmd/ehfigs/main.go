@@ -2,12 +2,14 @@
 // evaluation (Figs. 2–11 and the §VI case studies), rendering ASCII
 // charts with the derived scalars and optionally dumping CSVs.
 //
-// Simulation sweeps run through the parallel sweep engine: -workers
-// bounds the pool, -run-timeout caps each simulation, and SIGINT or
-// SIGTERM cancels the sweep while still rendering and flushing the
-// points that finished. A failing figure no longer aborts the rest of
-// an `-fig all` run — survivors render, failures are summarized, and
-// the exit status is non-zero only if something failed.
+// Simulation sweeps run through the parallel sweep engine. Every
+// requested figure's driver runs at once, and -workers bounds the
+// simulations running at once across all of them; -run-timeout caps
+// each simulation, and SIGINT or SIGTERM cancels the sweeps while still
+// rendering and flushing the points that finished. A failing figure no
+// longer aborts the rest of an `-fig all` run — survivors render,
+// failures are summarized, and the exit status is non-zero only if
+// something failed.
 //
 // Memoization: -cache selects the result store (mem, disk or off).
 // Every simulation cell is keyed by a content hash of its workload,
@@ -62,7 +64,7 @@ func cliMain() int {
 	fig := flag.String("fig", "all", "which figure: all, "+strings.Join(experiments.FigureIDs(), ", "))
 	quick := flag.Bool("quick", false, "scaled-down simulation sweeps (same shapes, ~100× faster)")
 	csvDir := flag.String("csv", "", "directory to write per-figure CSV files (created if missing)")
-	workers := flag.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "simulations run at once across all figures (0 = GOMAXPROCS)")
 	runTimeout := flag.Duration("run-timeout", 0, "wall-clock deadline per simulation run (0 = none)")
 	engineName := flag.String("engine", "batched", "execution engine: batched (event-horizon) or reference (per-instruction); results are byte-identical")
 	cacheMode := flag.String("cache", "mem", "result store: mem (in-process LRU), disk (persistent CAS under -cache-dir) or off")

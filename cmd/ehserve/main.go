@@ -84,7 +84,7 @@ func cliMain() int {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	cacheMode := flag.String("cache", "mem", "result store: mem (in-process LRU), disk (persistent CAS under -cache-dir) or off")
 	cacheDir := flag.String("cache-dir", "results/cache", "directory for the on-disk result store (with -cache disk)")
-	workers := flag.Int("workers", 0, "parallel sweep workers per request (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "simulations run at once across all figures, per request (0 = GOMAXPROCS)")
 	runTimeout := flag.Duration("run-timeout", 0, "wall-clock deadline per simulation run (0 = none)")
 	reqTimeout := flag.Duration("request-timeout", 10*time.Minute, "deadline per HTTP request (0 = none)")
 	engineName := flag.String("engine", "batched", "execution engine: batched (event-horizon) or reference (per-instruction)")

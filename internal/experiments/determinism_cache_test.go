@@ -77,7 +77,9 @@ func TestFigureBytesIdenticalAcrossCacheTemps(t *testing.T) {
 // cell a disk hit, as in a second process) and from a second pass on
 // that executor (every cell a memory hit). The catalog stores what
 // Fig. 5 alone never does: harvested results, Clank extras and
-// fast-forwarded runs.
+// fast-forwarded runs. The cache-off reference runs on one worker slot
+// and the cold pass on eight, so the drivers running at once must also
+// reproduce a serial pass.
 func TestAllFiguresIdenticalThroughDiskTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated sweep is slow")
@@ -85,10 +87,10 @@ func TestAllFiguresIdenticalThroughDiskTier(t *testing.T) {
 	prev := sweep.Default()
 	defer sweep.SetDefault(prev)
 
-	allCSV := func(exec *sweep.Executor) []byte {
+	allCSV := func(exec *sweep.Executor, workers int) []byte {
 		t.Helper()
 		sweep.SetDefault(exec)
-		figs, failures := GenerateFigures(context.Background(), "all", true, runner.Options{})
+		figs, failures := GenerateFigures(context.Background(), "all", true, runner.Options{Workers: workers})
 		if len(failures) != 0 {
 			t.Fatalf("%s: %v", failures[0].ID, failures[0].Err)
 		}
@@ -113,16 +115,16 @@ func TestAllFiguresIdenticalThroughDiskTier(t *testing.T) {
 		return sweep.NewExecutor(store)
 	}
 
-	ref := allCSV(sweep.NewExecutor(nil))
+	ref := allCSV(sweep.NewExecutor(nil), 1)
 	dir := t.TempDir()
-	cold := allCSV(tiered(dir))
+	cold := allCSV(tiered(dir), 8)
 	warm := tiered(dir)
-	disk := allCSV(warm)
+	disk := allCSV(warm, 0)
 	st := warm.Stats()
 	if st.Total() == 0 || st.Hits != st.Total() {
 		t.Fatalf("disk pass: %+v, want every cell a hit", st)
 	}
-	mem := allCSV(warm)
+	mem := allCSV(warm, 0)
 	if again := warm.Stats(); again.Hits-st.Hits != st.Total() || again.Total() != 2*st.Total() {
 		t.Fatalf("memory pass: %+v after %+v, want every cell a hit", again, st)
 	}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
+	"sync"
 
 	"ehmodel/internal/runner"
 )
@@ -51,161 +53,194 @@ func KnownFigureID(id string) bool {
 // Simulation sweeps execute through the process-default sweep executor,
 // so a front end that installed a memoizing store serves repeats from
 // cache.
+//
+// Every requested driver runs at once, and run.Workers bounds the
+// simulations of all of them together (runner.WithLimit): one driver's
+// sweep fills the slots another's leaves idle. Figures and failures
+// still come back in catalog order, so the output is the same at any
+// worker count.
 func GenerateFigures(ctx context.Context, which string, quick bool, run runner.Options) ([]*Figure, []Failure) {
-	want := func(id string) bool { return which == "all" || which == id }
+	figs, failures := runDrivers(runner.WithLimit(ctx, run.Workers), drivers(which, quick, run))
+	if len(figs) == 0 && len(failures) == 0 {
+		failures = append(failures, Failure{ID: which, Err: fmt.Errorf("unknown figure %q", which)})
+	}
+	return figs, failures
+}
+
+// driver is one independently runnable catalog entry. id names its
+// failures; gen returns its figures (possibly partial) and its error.
+type driver struct {
+	id  string
+	gen func(ctx context.Context) ([]*Figure, error)
+}
+
+// runDrivers runs every driver in its own goroutine and returns their
+// figures and failures in list order, whatever order they finish in. A
+// driver that panics becomes its own Failure, wrapping a
+// *runner.PanicError; the other drivers' figures are unaffected.
+func runDrivers(ctx context.Context, ds []driver) ([]*Figure, []Failure) {
+	type outcome struct {
+		figs []*Figure
+		err  error
+	}
+	outs := make([]outcome, len(ds))
+	var wg sync.WaitGroup
+	for i, d := range ds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					outs[i] = outcome{err: &runner.PanicError{Value: r, Stack: debug.Stack()}}
+				}
+			}()
+			figs, err := d.gen(ctx)
+			outs[i] = outcome{figs, err}
+		}()
+	}
+	wg.Wait()
 	var figs []*Figure
 	var failures []Failure
-	add := func(f *Figure) { figs = append(figs, f) }
-	// collect appends the figure (possibly partial) and the error —
-	// whichever the generator produced.
-	collect := func(id string, f *Figure, err error) {
-		if f != nil {
-			figs = append(figs, f)
+	for i, o := range outs {
+		figs = append(figs, o.figs...)
+		if o.err != nil {
+			failures = append(failures, Failure{ID: ds[i].id, Err: o.err})
 		}
-		if err != nil {
-			failures = append(failures, Failure{ID: id, Err: err})
+	}
+	return figs, failures
+}
+
+// one adapts a single-figure generator's result; a nil figure (nothing
+// survived) contributes none.
+func one(f *Figure, err error) ([]*Figure, error) {
+	if f == nil {
+		return nil, err
+	}
+	return []*Figure{f}, err
+}
+
+// drivers lists the drivers that build the requested figures, in the
+// order their output is reported. Figs. 8 and 9 share one driver (and
+// the failure ID "8/9"); each ablation is a driver of its own.
+func drivers(which string, quick bool, run runner.Options) []driver {
+	want := func(id string) bool { return which == "all" || which == id }
+	var ds []driver
+	add := func(id string, gen func(context.Context) ([]*Figure, error)) {
+		if want(id) {
+			ds = append(ds, driver{id, gen})
 		}
+	}
+	analytic := func(id string, f func() *Figure) {
+		add(id, func(context.Context) ([]*Figure, error) { return []*Figure{f()}, nil })
+	}
+	characterization := func() CharacterizationConfig {
+		cfg := CharacterizationConfig{}
+		if quick {
+			cfg = QuickCharacterizationConfig()
+		}
+		cfg.Run = run
+		return cfg
 	}
 
-	if want("2") {
-		add(Fig2())
-	}
-	if want("3") {
-		add(Fig3())
-	}
-	if want("4") {
-		add(Fig4())
-	}
-	if want("5") {
+	analytic("2", Fig2)
+	analytic("3", Fig3)
+	analytic("4", Fig4)
+	add("5", func(ctx context.Context) ([]*Figure, error) {
 		cfg := Fig5Config{}
 		if quick {
 			cfg = QuickFig5Config()
 		}
 		cfg.Run = run
 		f, _, err := Fig5(ctx, cfg)
-		collect("5", f, err)
-	}
-	if want("6") {
+		return one(f, err)
+	})
+	add("6", func(ctx context.Context) ([]*Figure, error) {
 		f, _, err := Fig6(ctx, Fig6Config{Run: run})
-		collect("6", f, err)
-	}
-	if want("7") {
+		return one(f, err)
+	})
+	add("7", func(ctx context.Context) ([]*Figure, error) {
 		f, _, err := Fig7(ctx, Fig6Config{Run: run})
-		collect("7", f, err)
-	}
+		return one(f, err)
+	})
 	if want("8") || want("9") {
-		cfg := CharacterizationConfig{}
-		if quick {
-			cfg = QuickCharacterizationConfig()
-		}
-		cfg.Run = run
-		f8, f9, _, err := Fig8And9(ctx, cfg)
-		if !want("8") {
-			f8 = nil
-		}
-		if !want("9") {
-			f9 = nil
-		}
-		if f8 != nil {
-			add(f8)
-		}
-		if f9 != nil {
-			add(f9)
-		}
-		if err != nil {
-			failures = append(failures, Failure{ID: "8/9", Err: err})
-		}
+		ds = append(ds, driver{"8/9", func(ctx context.Context) ([]*Figure, error) {
+			f8, f9, _, err := Fig8And9(ctx, characterization())
+			var figs []*Figure
+			if f8 != nil && want("8") {
+				figs = append(figs, f8)
+			}
+			if f9 != nil && want("9") {
+				figs = append(figs, f9)
+			}
+			return figs, err
+		}})
 	}
-	if want("10") {
-		cfg := CharacterizationConfig{}
-		if quick {
-			cfg = QuickCharacterizationConfig()
-		}
-		cfg.Run = run
-		f, _, err := Fig10(ctx, cfg)
-		collect("10", f, err)
-	}
-	if want("11") {
-		add(Fig11(Fig11Config{Base: DefaultFig11Base()}))
-	}
-	if want("table2") {
+	add("10", func(ctx context.Context) ([]*Figure, error) {
+		f, _, err := Fig10(ctx, characterization())
+		return one(f, err)
+	})
+	analytic("11", func() *Figure { return Fig11(Fig11Config{Base: DefaultFig11Base()}) })
+	add("table2", func(context.Context) ([]*Figure, error) {
 		rows, err := Table2(nil)
 		if err != nil {
-			failures = append(failures, Failure{ID: "table2", Err: err})
-		} else {
-			f := &Figure{ID: "table2", Title: "Table II benchmark inventory (measured characteristics)"}
-			for _, r := range rows {
-				f.AddNote("%-6s %s — %d instrs, %d cycles, %.1f%% loads, %.1f%% stores, τ_store %.0f, %d B sram",
-					r.Name, r.Desc, r.Instructions, r.Cycles, 100*r.LoadFrac, 100*r.StoreFrac, r.TauStore, r.SRAMFootprint)
-			}
-			add(f)
+			return nil, err
 		}
-	}
-	if want("storemajor") {
+		f := &Figure{ID: "table2", Title: "Table II benchmark inventory (measured characteristics)"}
+		for _, r := range rows {
+			f.AddNote("%-6s %s — %d instrs, %d cycles, %.1f%% loads, %.1f%% stores, τ_store %.0f, %d B sram",
+				r.Name, r.Desc, r.Instructions, r.Cycles, 100*r.LoadFrac, 100*r.StoreFrac, r.TauStore, r.SRAMFootprint)
+		}
+		return []*Figure{f}, nil
+	})
+	add("storemajor", func(context.Context) ([]*Figure, error) {
 		f, _, err := CaseStoreMajor()
-		collect("storemajor", f, err)
-	}
-	if want("storemajor-device") {
+		return one(f, err)
+	})
+	add("storemajor-device", func(ctx context.Context) ([]*Figure, error) {
 		f, _, err := CaseStoreMajorDevice(ctx, run)
-		collect("storemajor-device", f, err)
-	}
-	if want("circular") {
+		return one(f, err)
+	})
+	add("circular", func(ctx context.Context) ([]*Figure, error) {
 		f, _, _, err := CaseCircularBuffer(ctx, CircularConfig{Run: run})
-		collect("circular", f, err)
-	}
-	for _, abl := range []struct {
-		id  string
-		gen func(context.Context, runner.Options) (*Figure, error)
-	}{
-		{"clank-buffers", AblationClankBuffers},
-		{"clank-watchdog", AblationClankWatchdog},
-		{"hibernus-margin", AblationHibernusMargin},
-		{"mementos-gap", AblationMementosGap},
-	} {
-		if want(abl.id) {
-			f, err := abl.gen(ctx, run)
-			collect(abl.id, f, err)
-		}
-	}
-	if want("tail") {
+		return one(f, err)
+	})
+	add("clank-buffers", func(ctx context.Context) ([]*Figure, error) { return one(AblationClankBuffers(ctx, run)) })
+	add("clank-watchdog", func(ctx context.Context) ([]*Figure, error) { return one(AblationClankWatchdog(ctx, run)) })
+	add("hibernus-margin", func(ctx context.Context) ([]*Figure, error) { return one(AblationHibernusMargin(ctx, run)) })
+	add("mementos-gap", func(ctx context.Context) ([]*Figure, error) { return one(AblationMementosGap(ctx, run)) })
+	add("tail", func(ctx context.Context) ([]*Figure, error) {
 		f, _, err := TailLatencyStudy(ctx, 0, run)
-		collect("tail", f, err)
-	}
-	if want("charging") {
+		return one(f, err)
+	})
+	add("charging", func(ctx context.Context) ([]*Figure, error) {
 		f, _, err := ChargingStudy(ctx, run)
-		collect("charging", f, err)
-	}
-	if want("breakeven") {
+		return one(f, err)
+	})
+	add("breakeven", func(ctx context.Context) ([]*Figure, error) {
 		f, _, _, err := BreakEvenStudy(ctx, run)
-		collect("breakeven", f, err)
-	}
-	if want("breakdown") {
+		return one(f, err)
+	})
+	add("breakdown", func(ctx context.Context) ([]*Figure, error) {
 		f, _, err := BreakdownComparison(ctx, "crc", 0, run)
-		collect("breakdown", f, err)
-	}
-	if want("capacitor") {
-		f, err := CapacitorSweep(ctx, "crc", nil, run)
-		collect("capacitor", f, err)
-	}
-	if want("nvm") {
+		return one(f, err)
+	})
+	add("capacitor", func(ctx context.Context) ([]*Figure, error) {
+		return one(CapacitorSweep(ctx, "crc", nil, run))
+	})
+	add("nvm", func(ctx context.Context) ([]*Figure, error) {
 		f, _, err := NVMComparison(ctx, "crc", 2000, run)
-		collect("nvm", f, err)
-	}
-	if want("variability") {
-		f, err := VariabilityStudy(ctx, 4000, 40, run)
-		collect("variability", f, err)
-	}
-	if want("bitprecision") {
-		base := DefaultFig11Base()
-		r := CaseBitPrecision(base)
+		return one(f, err)
+	})
+	add("variability", func(ctx context.Context) ([]*Figure, error) {
+		return one(VariabilityStudy(ctx, 4000, 40, run))
+	})
+	analytic("bitprecision", func() *Figure {
+		r := CaseBitPrecision(DefaultFig11Base())
 		f := &Figure{ID: "case-bitprecision", Title: "Reduced bit-precision payoff (§VI-C)"}
 		f.AddNote("τ_B,bit = %.1f cycles", r.TauBBit)
 		f.AddNote("Δp for a 1-bit α_B cut at τ_B,bit: %.4f", r.GainOneBit)
 		f.AddNote("Δp for the same cut at τ_B,opt: %.4f", r.GainAtOpt)
-		add(f)
-	}
-	if len(figs) == 0 && len(failures) == 0 {
-		failures = append(failures, Failure{ID: which, Err: fmt.Errorf("unknown figure %q", which)})
-	}
-	return figs, failures
+		return f
+	})
+	return ds
 }

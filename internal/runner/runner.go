@@ -18,6 +18,12 @@
 // points that never started. Surviving points are always returned, so
 // drivers can degrade gracefully: drop the failed points, note the
 // failures on the figure, and keep the sweep's output usable.
+//
+// Concurrent sweeps can share one bound: WithLimit puts a pool of n
+// worker slots on a context, and every MapCtx started under it — from
+// any goroutine — runs each point in one of those slots. A front end
+// that runs several drivers at once thereby keeps "at most n
+// simulations at once" without the drivers knowing of each other.
 package runner
 
 import (
@@ -217,15 +223,67 @@ func Interrupt(ctx context.Context) func() error {
 	}
 }
 
-// workerKey carries the worker slot executing the current point, for
+// workerKey carries the *slot executing the current point, for
 // provenance records that want to name the worker.
 type workerKey struct{}
 
+// limitKey carries the *limit WithLimit installed.
+type limitKey struct{}
+
+// slot is one worker slot. lim is the shared pool it belongs to, or nil
+// for a worker of a MapCtx that runs under no limit.
+type slot struct {
+	id  int
+	lim *limit
+}
+
+// limit is a pool of worker slots shared by every MapCtx started under
+// one context. free holds the slots no point is running in.
+type limit struct {
+	free chan *slot
+}
+
+// WithLimit returns a context under which every point of every MapCtx —
+// across goroutines, for as long as the context lives — holds one of n
+// worker slots while its fn runs (n ≤ 0 means GOMAXPROCS). The limit
+// takes the place of each sweep's Options.Workers: all of a sweep's
+// points wait for slots at once, served in the order they queued, and
+// WorkerFrom reports the shared slot. A point still waiting for a slot
+// when the context ends fails with the cancellation cause. A MapCtx
+// started inside a point runs its points one at a time in that point's
+// slot, since waiting for a second slot could deadlock.
+func WithLimit(ctx context.Context, n int) context.Context {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	l := &limit{free: make(chan *slot, n)}
+	for i := 0; i < n; i++ {
+		l.free <- &slot{id: i, lim: l}
+	}
+	return context.WithValue(ctx, limitKey{}, l)
+}
+
+// acquire waits for a free slot, or fails with the cancellation cause
+// once ctx ends — also when a slot and the end arrive together, so a
+// cancelled sweep starts nothing new.
+func (l *limit) acquire(ctx context.Context) (*slot, error) {
+	select {
+	case s := <-l.free:
+		if ctx.Err() == nil {
+			return s, nil
+		}
+		l.free <- s
+	case <-ctx.Done():
+	}
+	return nil, context.Cause(ctx)
+}
+
 // WorkerFrom returns the worker slot (0-based) running the current
-// sweep point, or -1 outside a MapCtx worker.
+// sweep point, or -1 outside a MapCtx worker. Under WithLimit the slot
+// is the shared one, in [0, n).
 func WorkerFrom(ctx context.Context) int {
-	if w, ok := ctx.Value(workerKey{}).(int); ok {
-		return w
+	if s, ok := ctx.Value(workerKey{}).(*slot); ok {
+		return s.id
 	}
 	return -1
 }
@@ -246,11 +304,13 @@ func Map[T any](ctx context.Context, n int, o Options, fn func(i int) (T, error)
 }
 
 // MapCtx is Map with the worker's context threaded into fn: the same
-// bounded pool, panic isolation and ordered merge, plus a per-worker
-// context carrying the worker slot (WorkerFrom) so request-scoped
-// layers above — tracing spans, provenance records — know which slot
-// resolved each point. fn must treat its context as request-scoped:
-// it is derived from ctx and shared by every point the worker runs.
+// bounded pool, panic isolation and ordered merge, plus a context
+// carrying the worker slot (WorkerFrom) so request-scoped layers above
+// — tracing spans, provenance records — know which slot resolved each
+// point. fn must treat its context as request-scoped: it is derived
+// from ctx and may be shared by every point the worker runs. Under
+// WithLimit each point holds one of the limit's shared slots while fn
+// runs.
 func MapCtx[T any](ctx context.Context, n int, o Options, fn func(ctx context.Context, i int) (T, error)) ([]T, Errors) {
 	results := make([]T, n)
 	if n <= 0 {
@@ -260,21 +320,70 @@ func MapCtx[T any](ctx context.Context, n int, o Options, fn func(ctx context.Co
 		ctx = context.Background()
 	}
 	perPoint := make([]*RunError, n)
+	failPoint := func(i int, err error) {
+		perPoint[i] = &RunError{Index: i, Label: o.label(i), Err: err}
+	}
+	point := func(ctx context.Context, i int) {
+		v, err := runOne(ctx, i, fn)
+		if err != nil {
+			failPoint(i, err)
+		} else {
+			results[i] = v
+		}
+	}
 
+	lim, _ := ctx.Value(limitKey{}).(*limit)
+	if held, _ := ctx.Value(workerKey{}).(*slot); lim != nil && held != nil && held.lim == lim {
+		// Nested inside a point that holds one of lim's slots: waiting
+		// for another could deadlock, so run in this one, serially.
+		for i := 0; i < n; i++ {
+			if ctx.Err() != nil {
+				failPoint(i, context.Cause(ctx))
+				continue
+			}
+			point(ctx, i)
+		}
+		return results, collect(perPoint)
+	}
+
+	// Under a limit every point queues for a slot at once, in input
+	// order, so the slots serve concurrent sweeps first come, first
+	// served: a sweep of long cells is not starved by a stream of short
+	// ones, and the limit alone bounds the running points. A queued
+	// point costs one parked goroutine, small next to the simulation it
+	// waits to run.
+	workers := o.workers(n)
+	if lim != nil {
+		workers = n
+	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < o.workers(n); w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wctx := context.WithValue(ctx, workerKey{}, w)
+			wctx := ctx
+			if lim == nil {
+				wctx = context.WithValue(ctx, workerKey{}, &slot{id: w})
+			}
 			for i := range idx {
-				v, err := runOne(wctx, i, fn)
-				if err != nil {
-					perPoint[i] = &RunError{Index: i, Label: o.label(i), Err: err}
-				} else {
-					results[i] = v
+				// The feed's select may hand over a point just as the
+				// context ends; such a point does not start either.
+				if ctx.Err() != nil {
+					failPoint(i, context.Cause(ctx))
+					continue
 				}
+				if lim == nil {
+					point(wctx, i)
+					continue
+				}
+				s, err := lim.acquire(ctx)
+				if err != nil {
+					failPoint(i, err)
+					continue
+				}
+				point(context.WithValue(ctx, workerKey{}, s), i)
+				lim.free <- s
 			}
 		}(w)
 	}
@@ -282,9 +391,8 @@ feed:
 	for i := 0; i < n; i++ {
 		select {
 		case <-ctx.Done():
-			cause := context.Cause(ctx)
 			for j := i; j < n; j++ {
-				perPoint[j] = &RunError{Index: j, Label: o.label(j), Err: cause}
+				failPoint(j, context.Cause(ctx))
 			}
 			break feed
 		case idx <- i:
@@ -292,14 +400,19 @@ feed:
 	}
 	close(idx)
 	wg.Wait()
+	return results, collect(perPoint)
+}
 
+// collect gathers the failed points in input order; nil when none
+// failed.
+func collect(perPoint []*RunError) Errors {
 	var errs Errors
 	for _, e := range perPoint {
 		if e != nil {
 			errs = append(errs, e)
 		}
 	}
-	return results, errs
+	return errs
 }
 
 // runOne invokes fn(ctx, i) with panic isolation.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -429,5 +430,134 @@ func TestMapCtxPanicIsolation(t *testing.T) {
 	}
 	if res[0] != 0 || res[2] != 2 {
 		t.Fatal("surviving points lost")
+	}
+}
+
+// TestWithLimit: sweeps started under one WithLimit context share its
+// slots. Four concurrent MapCtx calls under a limit of 3 never run more
+// than 3 points at once, and every running point holds its own slot in
+// [0, 3). Cancelling the context fails every point still waiting for a
+// slot with the cause, promptly, though the slot is never freed. A
+// MapCtx started inside a point under a limit of 1 runs in that point's
+// slot instead of deadlocking.
+func TestWithLimit(t *testing.T) {
+	const limit, sweeps, n = 3, 4, 24
+	shared := WithLimit(context.Background(), limit)
+	var running, peak atomic.Int32
+	var held [limit]atomic.Bool
+	var wg sync.WaitGroup
+	errc := make(chan error, sweeps)
+	for s := 0; s < sweeps; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, errs := MapCtx(shared, n, Options{Workers: limit}, func(ctx context.Context, i int) (int, error) {
+				r := running.Add(1)
+				defer running.Add(-1)
+				for p := peak.Load(); r > p && !peak.CompareAndSwap(p, r); p = peak.Load() {
+				}
+				w := WorkerFrom(ctx)
+				if w < 0 || w >= limit {
+					return 0, fmt.Errorf("slot %d out of [0, %d)", w, limit)
+				}
+				if !held[w].CompareAndSwap(false, true) {
+					return 0, fmt.Errorf("slot %d held by two running points", w)
+				}
+				defer held[w].Store(false)
+				time.Sleep(100 * time.Microsecond) // overlap the sweeps
+				return i, nil
+			})
+			if errs != nil {
+				errc <- errs
+				return
+			}
+			for i, v := range res {
+				if v != i {
+					errc <- fmt.Errorf("result %d misordered: %d", i, v)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if p := peak.Load(); p > limit || p < 2 {
+		t.Errorf("peak of %d points running at once, want 2..%d", p, limit)
+	}
+
+	// Cancel while a point waits for the one slot, which another sweep
+	// holds until the end of the test.
+	one := WithLimit(context.Background(), 1)
+	holding, release, holderDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(holderDone)
+		MapCtx(one, 1, Options{}, func(context.Context, int) (int, error) {
+			close(holding)
+			<-release
+			return 0, nil
+		})
+	}()
+	<-holding
+	ctx, cancel := context.WithCancelCause(one)
+	var ran atomic.Int32
+	done := make(chan Errors, 1)
+	go func() {
+		_, errs := MapCtx(ctx, 5, Options{Workers: 5}, func(context.Context, int) (int, error) {
+			ran.Add(1)
+			return 0, nil
+		})
+		done <- errs
+	}()
+	time.Sleep(10 * time.Millisecond) // let the points block on the slot
+	cause := errors.New("caller gave up")
+	cancel(cause)
+	select {
+	case errs := <-done:
+		if len(errs) != 5 {
+			t.Errorf("got %d failed points, want 5: %v", len(errs), errs)
+		}
+		for _, re := range errs {
+			if !errors.Is(re, cause) {
+				t.Errorf("point %d failed with %v, want the cancellation cause", re.Index, re.Err)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("MapCtx did not return after its context was cancelled")
+	}
+	if got := ran.Load(); got != 0 {
+		t.Errorf("%d points ran without a slot", got)
+	}
+	close(release)
+	<-holderDone
+
+	// Nested under a limit of 1.
+	nested := make(chan Errors, 1)
+	go func() {
+		_, errs := MapCtx(one, 2, Options{}, func(ctx context.Context, i int) (int, error) {
+			inner, errs := MapCtx(ctx, 3, Options{Workers: 3}, func(ctx context.Context, j int) (int, error) {
+				return WorkerFrom(ctx), nil
+			})
+			if errs != nil {
+				return 0, errs
+			}
+			for j, w := range inner {
+				if w != WorkerFrom(ctx) {
+					return 0, fmt.Errorf("inner point %d ran on slot %d, outer on %d", j, w, WorkerFrom(ctx))
+				}
+			}
+			return i, nil
+		})
+		nested <- errs
+	}()
+	select {
+	case errs := <-nested:
+		if errs != nil {
+			t.Error(errs)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a MapCtx nested in a point under a limit of 1 deadlocked")
 	}
 }
