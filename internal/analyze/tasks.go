@@ -237,13 +237,22 @@ func taskFootprint(g *cfg, acc []*accessInfo, pcBounds map[int]bool, entry int, 
 	return reads, stores
 }
 
-// BoundarySet returns the WAR-cut boundaries keyed by PC, the form the
-// task runtime consumes.
-func (t *TaskTable) BoundarySet() map[uint32]struct{} {
-	out := make(map[uint32]struct{}, len(t.Boundaries))
+// BoundarySet returns the WAR-cut boundaries as a table indexed by PC,
+// the form the task runtime tests before every instruction: true at a
+// boundary, false elsewhere and beyond the table's end, nil when there
+// is no boundary.
+func (t *TaskTable) BoundarySet() []bool {
+	n := 0
+	for _, pc := range t.Boundaries {
+		n = max(n, pc+1)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]bool, n)
 	for _, pc := range t.Boundaries {
 		if pc >= 0 {
-			out[uint32(pc)] = struct{}{}
+			out[pc] = true
 		}
 	}
 	return out

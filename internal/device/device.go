@@ -90,7 +90,10 @@ type Strategy interface {
 	//
 	// The contract a Horizon > 1 buys into:
 	//   - PreStep must return nil for every instruction in the window
-	//     (the engine does not call it inside a batch);
+	//     (the engine does not call it inside a batch) — unless the
+	//     strategy implements PreStepFilter, whose AdmitStep the engine
+	//     calls instead before every batched instruction, ending the
+	//     batch just before one whose PreStep would fire;
 	//   - PostStep is called once per batch with a synthesized Step
 	//     whose Cycles is the whole batch's total and whose HasSys/Sys
 	//     describe only the final instruction, so PostStep may read
@@ -121,8 +124,32 @@ type Strategy interface {
 
 // HorizonInfinite is the Strategy.Horizon result meaning "no
 // cycle-counted backup trigger exists": the strategy only ever fires at
-// declared SYS sites, or is disarmed.
+// declared SYS sites or in a filtered PreStep, or is disarmed.
 const HorizonInfinite = ^uint64(0)
+
+// PreStepFilter is the optional companion to Strategy.Horizon for a
+// runtime whose PreStep watches every access but fires only on a rare
+// event (a write-after-read, a full tracking buffer, a task boundary
+// past the coalescing threshold): it lets the batched engine run the
+// non-firing PreStep inside a batch. Before every instruction of a
+// batch the engine calls AdmitStep with the PC and access preview
+// PreStep would see and the ExecSinceBackup it would read:
+//   - AdmitStep returns true after making exactly the state changes
+//     PreStep would make when it returns nil;
+//   - it returns false, changing nothing, exactly when PreStep would
+//     return a payload, and the engine ends the batch before that
+//     instruction, which then runs the per-step protocol — its real
+//     PreStep fires;
+//   - it reads only its arguments and the strategy's own state: no
+//     device calls, no events.
+//
+// An implementer writes PreStep as "AdmitStep, else the firing path",
+// so the two cannot drift apart. A wrapper must implement the interface
+// exactly when the strategy it wraps does: forwarding Horizon alone
+// would batch straight through a firing PreStep.
+type PreStepFilter interface {
+	AdmitStep(pc uint32, acc AccessPreview, execSinceBackup uint64) bool
+}
 
 // InputProtector is optional Strategy metadata: a runtime that claims
 // its protocol keeps committed input observations replay-safe (no
@@ -218,7 +245,8 @@ type RegionObserver interface {
 // SysObserver is the optional companion to Strategy.Horizon: a strategy
 // whose PostStep reacts to specific SYS codes (checkpoint sites, task
 // boundaries) declares them so the batched engine ends a batch — and
-// delivers a PostStep — exactly there. Strategies with Horizon > 1 that
+// delivers a PostStep — exactly there. A strategy whose PostStep reads
+// no SYS code (a watchdog) declares 0. Strategies with Horizon > 1 that
 // do not implement SysObserver are conservatively treated as observing
 // every SYS code, which keeps them correct at the price of a batch
 // boundary per SYS instruction.
@@ -546,10 +574,12 @@ type Device struct {
 	sincePoll uint64
 
 	// Batched-engine state (run.go): the resolved engine, the SYS codes
-	// that end a batch, and the worst-case active energy per cycle the
-	// event-horizon math uses.
+	// that end a batch, the strategy's PreStep filter (nil without one),
+	// and the worst-case active energy per cycle the event-horizon math
+	// uses.
 	engine  Engine
 	stopSys isa.SysMask
+	filter  PreStepFilter
 	maxEPC  float64
 
 	// The power model evaluated once by New: the cycle period and each
@@ -653,6 +683,7 @@ func New(cfg Config, s Strategy) (*Device, error) {
 	} else {
 		d.stopSys = isa.AllSys
 	}
+	d.filter, _ = s.(PreStepFilter)
 	if nc, ok := s.(NaiveCommitter); ok && nc.NaiveCommit() {
 		d.stratNaive = true
 	}

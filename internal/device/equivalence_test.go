@@ -27,10 +27,21 @@ import (
 // `go test` without -short runs the full matrix (that is `make
 // check`'s race-free test pass — see equivFullMatrix).
 
-// violationWorder is implemented by Clank; its WAR-hazard word set must
-// also survive the engine swap.
-type violationWorder interface {
-	ViolationWords() []uint32
+// strategyExtras returns what a runtime records outside the Result —
+// Clank's trigger counts and WAR-hazard words, Ratchet's violation
+// count, Alpaca's commit log — which must survive the engine swap too.
+// Both engines run these runtimes' PreSteps, the batched one mostly
+// through their PreStepFilter, so the counts pin where each fired.
+func strategyExtras(s device.Strategy) any {
+	switch s := s.(type) {
+	case *strategy.Clank:
+		return []any{s.Stats(), s.ViolationWords()}
+	case *strategy.Ratchet:
+		return s.Violations()
+	case *strategy.Alpaca:
+		return s.Commits()
+	}
+	return nil
 }
 
 // benchEquivCfg builds the bench-supply config the integration tests
@@ -71,11 +82,8 @@ func runEngines(t *testing.T, make func(eng device.Engine) (*device.Device, devi
 	if !reflect.DeepEqual(resRef, resBat) {
 		t.Fatalf("results differ:\n%s", diffResults(resRef, resBat))
 	}
-	vwRef, okRef := sRef.(violationWorder)
-	vwBat, okBat := sBat.(violationWorder)
-	if okRef && okBat && !reflect.DeepEqual(vwRef.ViolationWords(), vwBat.ViolationWords()) {
-		t.Fatalf("violation words differ:\nreference: %v\nbatched:   %v",
-			vwRef.ViolationWords(), vwBat.ViolationWords())
+	if xRef, xBat := strategyExtras(sRef), strategyExtras(sBat); !reflect.DeepEqual(xRef, xBat) {
+		t.Fatalf("%s run records differ:\nreference: %+v\nbatched:   %+v", sRef.Name(), xRef, xBat)
 	}
 }
 
@@ -312,6 +320,26 @@ func wideWindowRows() []wideWindowRow {
 		{name: "fixed-point/commits-then-freezes", equivCase: limits(equivCase{
 			workload: "qsort", strategy: "mementos", window: 512, margin: 3000, energy: 1000,
 		}, 200, 0), minFF: 150},
+		// The access-tracking runtimes batch through their PreStep
+		// filters, which must end each batch just before a PreStep that
+		// fires. Small buffers, a short watchdog and coalescing window,
+		// and budgets that brown out make those PreSteps fire often;
+		// Alpaca's row also compares its commit log.
+		{name: "filtered/clank-small-buffers", equivCase: equivCase{
+			strategy: "clank", buf: 2, window: 300, energy: 3_000,
+		}},
+		{name: "filtered/ratchet-short-region", equivCase: equivCase{
+			strategy: "ratchet", window: 200, energy: 3_000,
+		}},
+		{name: "filtered/alpaca-commits", equivCase: equivCase{
+			strategy: "alpaca", window: 16, energy: 5_000, commits: true,
+		}},
+		// SenseCommit must forward Alpaca's filter along with its
+		// Horizon: without it the batched engine would run through the
+		// boundary commits Alpaca's PreStep takes.
+		{name: "filtered/alpaca+sense", equivCase: equivCase{
+			workload: "sense", strategy: "alpaca", sense: true, window: 16, energy: 5_000,
+		}},
 		// Every period cold-starts and bumps a FRAM-resident counter that
 		// drives the loop, committing nothing until the counter reaches
 		// its bound: the periods look alike but must never replay.

@@ -48,6 +48,13 @@ import (
 // association — the harvested delta is not always bit-equal to the
 // amount absorbed, and on a bench supply the term is +0, which leaves
 // those bits unchanged.
+//
+// A strategy with a PreStepFilter is asked before every instruction
+// whether its PreStep would fire there, with the ExecSinceBackup that
+// PreStep would read. The caller has admitted the first instruction; a
+// later refusal ends the batch before the refused instruction, whose
+// firing PreStep the caller then runs in stepOnce. Without a filter the
+// check costs one nil test per instruction.
 func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) {
 	var (
 		b  cpu.Batch
@@ -55,6 +62,8 @@ func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) 
 
 		m     = d.mem
 		stop  = d.stopSys
+		filt  = d.filter
+		exec  = d.execSinceBkup
 		harv  = d.cfg.Harvester
 		rec   = d.rec
 		boot  = int32(len(d.result.Periods))
@@ -84,10 +93,14 @@ func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) 
 	}
 
 	for b.Cycles < budget && !d.core.Halted {
-		if int(d.core.PC) >= len(code) {
+		pc := d.core.PC
+		if int(pc) >= len(code) {
 			b.Stop = cpu.StopPCRange
 			writeback()
 			return b, nil
+		}
+		if filt != nil && b.Steps > 0 && !filt.AdmitStep(pc, previewAccess(code[pc], d.core), exec+b.Cycles) {
+			break
 		}
 		if err := d.core.StepInto(code, m, &st); err != nil {
 			// The failing instruction mutated nothing; the settled

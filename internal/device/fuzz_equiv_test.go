@@ -34,11 +34,11 @@ func FuzzEngineEquivalence(f *testing.F) {
 		for _, wl := range r.pinned() {
 			c := r.equivCase
 			f.Add(wl, c.strategy, c.sense, c.meter, c.fram, c.window, c.check, c.margin, c.buf,
-				c.energy, c.supply, c.seed, c.maxPeriods, c.maxCycles, c.record, c.events)
+				c.energy, c.supply, c.seed, c.maxPeriods, c.maxCycles, c.record, c.events, c.commits)
 		}
 	}
 	f.Fuzz(func(t *testing.T, wl, strat string, sense, meter, fram bool, window uint32, check, margin uint16,
-		buf uint8, energy uint32, supply uint8, seed int64, maxPeriods uint16, maxCycles uint32, record, events bool) {
+		buf uint8, energy uint32, supply uint8, seed int64, maxPeriods uint16, maxCycles uint32, record, events, commits bool) {
 		// A zero or oversized run limit selects the cap.
 		if maxPeriods == 0 || maxPeriods > fuzzMaxPeriods {
 			maxPeriods = fuzzMaxPeriods
@@ -50,7 +50,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			workload: wl, strategy: strat, sense: sense, meter: meter, fram: fram,
 			window: window, check: check, margin: margin, buf: buf, energy: energy,
 			supply: supply, seed: seed, maxPeriods: maxPeriods, maxCycles: maxCycles,
-			record: record, events: events,
+			record: record, events: events, commits: commits,
 		}
 		c.run(t)
 	})
@@ -97,8 +97,9 @@ type equivCase struct {
 	maxPeriods uint16
 	maxCycles  uint32
 	// record compares the runs' observation logs, events their
-	// lifecycle events.
-	record, events bool
+	// lifecycle events; commits turns on Alpaca's commit log, which
+	// runEngines compares.
+	record, events, commits bool
 }
 
 // framCounterName names the test-only workload framCounter builds.
@@ -194,6 +195,9 @@ func (c equivCase) newStrategy(t *testing.T, spec strategy.Spec, prog *asm.Progr
 		s.WatchdogCycles = uint64(c.window)
 	case *strategy.Alpaca:
 		s.Coalesce = int(c.window)
+		if c.commits {
+			s.RecordCommits()
+		}
 	case *strategy.Clank:
 		s.WatchdogCycles = uint64(c.window)
 		s.ReadFirstEntries, s.WriteFirstEntries = int(c.buf), int(c.buf)

@@ -554,15 +554,20 @@ func (d *Device) stepOnce(code []isa.Instr) (done bool, err error) {
 // strategy wants its PreStep, a brown-out is within reach, or a power
 // cut is within cutGuard — falls back to stepOnce, so those events fire
 // in exact per-step mode on the same instruction as the reference
-// engine; every other event ends a batch exactly (see batchBudget).
+// engine; every other event ends a batch exactly (see batchBudget). So
+// does a PreStep that would fire (see PreStepFilter): the batch ends
+// before that instruction, and when it is the batch's first, the
+// instruction runs through stepOnce, where the real PreStep fires.
 func (d *Device) activePhaseBatched() error {
 	code := d.cfg.Prog.Code
 	for d.cycles < d.cfg.MaxCycles {
-		if int(d.core.PC) >= len(code) {
-			return &ProgramError{PC: d.core.PC, Program: d.cfg.Prog.Name}
+		pc := d.core.PC
+		if int(pc) >= len(code) {
+			return &ProgramError{PC: pc, Program: d.cfg.Prog.Name}
 		}
 		budget := d.batchBudget()
-		if budget == 0 {
+		if budget == 0 || (d.filter != nil &&
+			!d.filter.AdmitStep(pc, previewAccess(code[pc], d.core), d.execSinceBkup)) {
 			done, err := d.stepOnce(code)
 			if done || err != nil {
 				return err

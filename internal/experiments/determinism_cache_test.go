@@ -3,8 +3,10 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"testing"
 
+	"ehmodel/internal/device"
 	"ehmodel/internal/runner"
 	"ehmodel/internal/sweep"
 )
@@ -90,21 +92,7 @@ func TestAllFiguresIdenticalThroughDiskTier(t *testing.T) {
 	allCSV := func(exec *sweep.Executor, workers int) []byte {
 		t.Helper()
 		sweep.SetDefault(exec)
-		figs, failures := GenerateFigures(context.Background(), "all", true, runner.Options{Workers: workers})
-		if len(failures) != 0 {
-			t.Fatalf("%s: %v", failures[0].ID, failures[0].Err)
-		}
-		var buf bytes.Buffer
-		for _, f := range figs {
-			buf.WriteString("# " + f.ID + "\n")
-			if err := f.WriteCSV(&buf); err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range f.Notes {
-				buf.WriteString("# " + n + "\n")
-			}
-		}
-		return buf.Bytes()
+		return quickCatalogBytes(t, workers)
 	}
 	tiered := func(dir string) *sweep.Executor {
 		t.Helper()
@@ -133,6 +121,65 @@ func TestAllFiguresIdenticalThroughDiskTier(t *testing.T) {
 			t.Errorf("%s pass: CSVs differ from cache=off", name)
 		}
 	}
+}
+
+// quickCatalogBytes generates the quick `-fig all` catalog through the
+// default executor and returns every figure's CSV and notes.
+func quickCatalogBytes(t *testing.T, workers int) []byte {
+	t.Helper()
+	figs, failures := GenerateFigures(context.Background(), "all", true, runner.Options{Workers: workers})
+	if len(failures) != 0 {
+		t.Fatalf("%s: %v", failures[0].ID, failures[0].Err)
+	}
+	var buf bytes.Buffer
+	for _, f := range figs {
+		buf.WriteString("# " + f.ID + "\n")
+		if err := f.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range f.Notes {
+			buf.WriteString("# " + n + "\n")
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestAllFiguresIdenticalAcrossEngines runs the engine-equivalence
+// oracle over the whole quick catalog: with caching off, every figure's
+// CSV and notes must be byte-identical under the reference and the
+// batched engine. The drivers run the runtimes with parameters the
+// oracle's own table never uses — Figs. 8–10's Clank and store-queue
+// characterization, the breakdown figure and the Clank ablations among
+// them.
+func TestAllFiguresIdenticalAcrossEngines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulated sweep is slow")
+	}
+	prevExec, prevEngine := sweep.Default(), device.EngineDefault.Resolved()
+	defer func() {
+		sweep.SetDefault(prevExec)
+		device.SetDefaultEngine(prevEngine)
+	}()
+	sweep.SetDefault(sweep.NewExecutor(nil))
+
+	device.SetDefaultEngine(device.EngineReference)
+	ref := quickCatalogBytes(t, 0)
+	device.SetDefaultEngine(device.EngineBatched)
+	bat := quickCatalogBytes(t, 0)
+	if !bytes.Equal(ref, bat) {
+		t.Errorf("quick catalog differs between engines:\n%s", firstDiffLine(ref, bat))
+	}
+}
+
+// firstDiffLine names the first line on which two outputs differ.
+func firstDiffLine(a, b []byte) string {
+	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := 0; i < min(len(al), len(bl)); i++ {
+		if !bytes.Equal(al[i], bl[i]) {
+			return fmt.Sprintf("line %d:\nreference: %s\nbatched:   %s", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("%d lines vs %d", len(al), len(bl))
 }
 
 // TestGenerateFiguresDedupesAcrossFigures: one `-fig all`-style batch

@@ -154,10 +154,13 @@ func (s *System) StoreByte(addr uint32, v byte) error {
 }
 
 // LoseVolatile corrupts all SRAM contents, modelling a power failure.
-// FRAM is untouched.
+// FRAM is untouched. The fill doubles a filled prefix with copy, which
+// writes the same bytes as a byte loop in a few bulk moves (NewSystem
+// never makes an empty SRAM).
 func (s *System) LoseVolatile() {
-	for i := range s.sram {
-		s.sram[i] = corruptByte
+	s.sram[0] = corruptByte
+	for n := 1; n < len(s.sram); n *= 2 {
+		copy(s.sram[n:], s.sram[:n])
 	}
 }
 

@@ -89,18 +89,32 @@ func TestRegionClassification(t *testing.T) {
 	}
 }
 
+// TestLoseVolatile: a power loss leaves every SRAM byte at the decay
+// pattern and FRAM exactly as it was, for power-of-two and other SRAM
+// sizes.
 func TestLoseVolatile(t *testing.T) {
-	s := newSys(t)
-	s.StoreWord(0, 0x12345678)
-	s.StoreWord(FRAMBase, 0xCAFEBABE)
-	s.LoseVolatile()
-	v, _ := s.LoadWord(0)
-	if v == 0x12345678 {
-		t.Error("SRAM survived power loss")
-	}
-	v, _ = s.LoadWord(FRAMBase)
-	if v != 0xCAFEBABE {
-		t.Error("FRAM lost on power loss")
+	for _, size := range []int{4, 4096, 8 * 1024, 4092, 3000} {
+		s, err := NewSystem(size, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.StoreWord(0, 0x12345678)
+		s.StoreWord(uint32(size-4), 0x9ABCDEF0)
+		s.StoreWord(FRAMBase, 0xCAFEBABE)
+		s.StoreWord(FRAMBase+4092, 0x01020304)
+		fram := s.SnapshotFRAM()
+		s.LoseVolatile()
+		for i, b := range s.SRAMPrefix(size) {
+			if b != corruptByte {
+				t.Fatalf("size %d: SRAM byte %d = %#x after power loss, want %#x", size, i, b, corruptByte)
+			}
+		}
+		if !bytes.Equal(fram, s.SnapshotFRAM()) {
+			t.Errorf("size %d: FRAM changed on power loss", size)
+		}
+		if v, _ := s.LoadWord(FRAMBase); v != 0xCAFEBABE {
+			t.Errorf("size %d: FRAM lost on power loss", size)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package strategy
 
 import (
+	"slices"
+
 	"ehmodel/internal/analyze"
 	"ehmodel/internal/cpu"
 	"ehmodel/internal/device"
@@ -50,7 +52,7 @@ type Alpaca struct {
 	Coalesce int
 
 	table  *analyze.TaskTable
-	bounds map[uint32]struct{} // static task-boundary PCs
+	bounds []bool              // per PC: a static task boundary (nil: none)
 	dirty  map[uint32]struct{} // privatized words of the in-flight task
 	entry  uint32              // boundary the in-flight task started at
 	span   []uint32            // task entries coalesced since the last commit
@@ -69,7 +71,8 @@ const DefaultCoalesce = 256
 // TaskCommit records one committed (possibly coalesced) task for
 // cross-validation against the static per-task footprints: the
 // boundary PC the span entered at, the entries of the further tasks
-// coalesced into the commit, and the privatized words it flushed.
+// coalesced into the commit, and the privatized words it flushed, in
+// ascending order.
 type TaskCommit struct {
 	Entry uint32
 	Span  []uint32
@@ -129,10 +132,7 @@ func (a *Alpaca) Table() *analyze.TaskTable { return a.table }
 // span. It runs at every boot and commit, so it empties both in place
 // and keeps their storage (record copies what it logs).
 func (a *Alpaca) Reset() {
-	if a.dirty == nil {
-		a.dirty = make(map[uint32]struct{})
-	}
-	clear(a.dirty)
+	clearSet(&a.dirty)
 	a.span = a.span[:0]
 }
 
@@ -207,6 +207,7 @@ func (a *Alpaca) record() {
 	for w := range a.dirty {
 		words = append(words, w)
 	}
+	slices.Sort(words)
 	var span []uint32
 	if len(a.span) > 0 {
 		span = append(span, a.span...)
@@ -230,22 +231,43 @@ func (a *Alpaca) commit(d *device.Device, pc uint32) *device.Payload {
 // writes. ExecSinceBackup (which resets on every backup and restore)
 // doubles as the coalescing counter, so right after a restore the
 // device never re-commits an empty task at the boundary it woke up on.
+// A runtime without boundaries never reads the device.
 func (a *Alpaca) PreStep(d *device.Device, _ isa.Instr, acc device.AccessPreview) *device.Payload {
-	var p *device.Payload
-	if a.bounds != nil && d.ExecSinceBackup() > 0 {
-		if pc := d.PC(); isBound(a.bounds, pc) {
-			if d.ExecSinceBackup() >= uint64(a.coalesce()) {
-				p = a.commit(d, pc)
-			} else {
-				a.skip(pc)
-			}
-		}
+	var pc uint32
+	var exec uint64
+	if a.bounds != nil {
+		pc, exec = d.PC(), d.ExecSinceBackup()
 	}
-	if acc.Valid && acc.Store {
-		a.dirty[acc.Addr&^3] = struct{}{}
+	if a.AdmitStep(pc, acc, exec) {
+		return nil
 	}
+	p := a.commit(d, pc)
+	trackStore(a.dirty, acc) // the first write of the task the commit opens
 	return p
 }
+
+// AdmitStep implements device.PreStepFilter: it refuses a boundary at or
+// past the coalescing threshold, where PreStep commits, and otherwise
+// records a skipped boundary and privatizes the write as PreStep does.
+func (a *Alpaca) AdmitStep(pc uint32, acc device.AccessPreview, exec uint64) bool {
+	if exec > 0 && int(pc) < len(a.bounds) && a.bounds[pc] {
+		if exec >= uint64(a.coalesce()) {
+			return false
+		}
+		a.skip(pc)
+	}
+	trackStore(a.dirty, acc)
+	return true
+}
+
+// Horizon is infinite: Alpaca commits only at static boundaries, which
+// its PreStepFilter refuses, and at the task ends it declares through
+// ObservedSys.
+func (a *Alpaca) Horizon(*device.Device) uint64 { return device.HorizonInfinite }
+
+// ObservedSys reports the task-end marker, the only SYS code PostStep
+// reacts to.
+func (a *Alpaca) ObservedSys() isa.SysMask { return isa.SysTaskEnd.Mask() }
 
 // PostStep commits at programmer task ends, under the same coalescing
 // rule as the static boundaries.
@@ -268,11 +290,6 @@ func (a *Alpaca) FinalPayload(d *device.Device) device.Payload {
 	return p
 }
 
-func isBound(bounds map[uint32]struct{}, pc uint32) bool {
-	_, ok := bounds[pc]
-	return ok
-}
-
 // Regions implements device.RegionObserver: Alpaca commits only at the
 // static task boundaries of analyze.Tasks (coalescing skips commit
 // opportunities, it never adds any), so task-mode WCEC verdicts apply.
@@ -280,6 +297,8 @@ func (a *Alpaca) Regions() device.RegionScheme { return device.RegionTaskBoundar
 
 var (
 	_ device.Strategy       = (*Alpaca)(nil)
+	_ device.PreStepFilter  = (*Alpaca)(nil)
+	_ device.SysObserver    = (*Alpaca)(nil)
 	_ device.NaiveCommitter = (*Alpaca)(nil)
 	_ device.RegionObserver = (*Alpaca)(nil)
 )

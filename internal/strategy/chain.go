@@ -36,20 +36,29 @@ func (c *Chain) Name() string { return "chain" }
 
 // Reset drops the in-flight task's write set. It runs at every boot and
 // commit, so it empties the map in place and keeps its storage.
-func (c *Chain) Reset() {
-	if c.dirty == nil {
-		c.dirty = make(map[uint32]struct{})
-	}
-	clear(c.dirty)
-}
+func (c *Chain) Reset() { clearSet(&c.dirty) }
 
-// PreStep records the task's writes (the channel payload).
+// PreStep records the task's writes (the channel payload). It never
+// fires: Chain commits only at task ends.
 func (c *Chain) PreStep(_ *device.Device, _ isa.Instr, acc device.AccessPreview) *device.Payload {
-	if acc.Valid && acc.Store {
-		c.dirty[acc.Addr&^3] = struct{}{}
-	}
+	trackStore(c.dirty, acc)
 	return nil
 }
+
+// AdmitStep implements device.PreStepFilter: it records the write as
+// PreStep does and admits every instruction.
+func (c *Chain) AdmitStep(_ uint32, acc device.AccessPreview, _ uint64) bool {
+	trackStore(c.dirty, acc)
+	return true
+}
+
+// Horizon is infinite: Chain commits only at the task ends it declares
+// through ObservedSys, and its PreStep never fires.
+func (c *Chain) Horizon(*device.Device) uint64 { return device.HorizonInfinite }
+
+// ObservedSys reports the task-end marker, the only SYS code PostStep
+// commits at.
+func (c *Chain) ObservedSys() isa.SysMask { return isa.SysTaskEnd.Mask() }
 
 func (c *Chain) payload() device.Payload {
 	return device.Payload{
@@ -85,5 +94,7 @@ func (c *Chain) Regions() device.RegionScheme { return device.RegionCheckpointSi
 
 var (
 	_ device.Strategy       = (*Chain)(nil)
+	_ device.PreStepFilter  = (*Chain)(nil)
+	_ device.SysObserver    = (*Chain)(nil)
 	_ device.RegionObserver = (*Chain)(nil)
 )

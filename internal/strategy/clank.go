@@ -111,63 +111,71 @@ func (c *Clank) occupancy() uint64 {
 	return uint64(len(c.readFirst) + len(c.writeFirst))
 }
 
-// PreStep detects idempotency violations before the access commits.
+// PreStep detects idempotency violations before the access commits: an
+// access the region can absorb is tracked, and one it cannot — a store
+// to a read-first word, or a new word for a full buffer — forces a
+// checkpoint and starts the fresh region with that access.
 func (c *Clank) PreStep(d *device.Device, _ isa.Instr, acc device.AccessPreview) *device.Payload {
-	if !acc.Valid {
+	if c.admit(acc) {
 		return nil
 	}
 	word := acc.Addr &^ 3
-	if acc.Store {
-		if slices.Contains(c.writeFirst, word) {
-			return nil // writing our own data: idempotent
+	reason := obsv.TrigBufferFull
+	if acc.Store && slices.Contains(c.readFirst, word) {
+		reason = obsv.TrigWAR
+		c.stats.Violations++
+		if c.violated == nil {
+			c.violated = make(map[uint32]struct{})
 		}
-		if slices.Contains(c.readFirst, word) {
-			// Write-after-read violation: checkpoint, then track the
-			// store as write-first in the fresh region.
-			c.stats.Violations++
-			if c.violated == nil {
-				c.violated = make(map[uint32]struct{})
-			}
-			c.violated[word] = struct{}{}
-			d.Trace(obsv.EvTrigger, uint64(obsv.TrigWAR), uint64(word))
-			d.Trace(obsv.EvWARFlush, c.occupancy(), uint64(obsv.TrigWAR))
-			c.clearAndTrackWrite(word)
-			p := c.payload()
-			return &p
-		}
-		if len(c.writeFirst) >= c.WriteFirstEntries {
-			c.stats.BufferFulls++
-			d.Trace(obsv.EvTrigger, uint64(obsv.TrigBufferFull), uint64(word))
-			d.Trace(obsv.EvWARFlush, c.occupancy(), uint64(obsv.TrigBufferFull))
-			c.clearAndTrackWrite(word)
-			p := c.payload()
-			return &p
-		}
-		c.writeFirst = append(c.writeFirst, word)
-		return nil
-	}
-	// Load path.
-	if slices.Contains(c.writeFirst, word) || slices.Contains(c.readFirst, word) {
-		return nil
-	}
-	if len(c.readFirst) >= c.ReadFirstEntries {
+		c.violated[word] = struct{}{}
+	} else {
 		c.stats.BufferFulls++
-		d.Trace(obsv.EvTrigger, uint64(obsv.TrigBufferFull), uint64(word))
-		d.Trace(obsv.EvWARFlush, c.occupancy(), uint64(obsv.TrigBufferFull))
-		c.Reset()
-		c.readFirst = append(c.readFirst, word)
-		p := c.payload()
-		return &p
 	}
-	c.readFirst = append(c.readFirst, word)
-	return nil
+	d.Trace(obsv.EvTrigger, uint64(reason), uint64(word))
+	d.Trace(obsv.EvWARFlush, c.occupancy(), uint64(reason))
+	c.Reset()
+	if acc.Store {
+		c.writeFirst = append(c.writeFirst, word)
+	} else {
+		c.readFirst = append(c.readFirst, word)
+	}
+	p := c.payload()
+	return &p
 }
 
-// clearAndTrackWrite starts a fresh idempotent region whose first access
-// is the pending store.
-func (c *Clank) clearAndTrackWrite(word uint32) {
-	c.Reset()
-	c.writeFirst = append(c.writeFirst, word)
+// AdmitStep implements device.PreStepFilter; Clank's PreStep reads only
+// the access.
+func (c *Clank) AdmitStep(_ uint32, acc device.AccessPreview, _ uint64) bool {
+	return c.admit(acc)
+}
+
+// admit tracks an access that keeps the region idempotent and reports
+// true, or reports false, changing nothing, for one that forces a
+// checkpoint: a store to a read-first word, or a new word for a full
+// buffer.
+func (c *Clank) admit(acc device.AccessPreview) bool {
+	if !acc.Valid {
+		return true
+	}
+	word := acc.Addr &^ 3
+	if slices.Contains(c.writeFirst, word) {
+		return true // our own data: idempotent
+	}
+	if acc.Store {
+		if slices.Contains(c.readFirst, word) || len(c.writeFirst) >= c.WriteFirstEntries {
+			return false
+		}
+		c.writeFirst = append(c.writeFirst, word)
+		return true
+	}
+	if slices.Contains(c.readFirst, word) {
+		return true
+	}
+	if len(c.readFirst) >= c.ReadFirstEntries {
+		return false
+	}
+	c.readFirst = append(c.readFirst, word)
+	return true
 }
 
 // PostStep runs the watchdog.
@@ -183,17 +191,24 @@ func (c *Clank) PostStep(d *device.Device, _ cpu.Step) *device.Payload {
 	return &p
 }
 
-// Horizon stays at 1 (per-step) deliberately: Clank's PreStep must
-// inspect every memory access to catch write-after-read violations
-// before the store commits, and no sound cycle-count headroom exists —
-// the very next instruction can violate. Batching would skip PreStep
-// for the whole window, which the Horizon contract forbids for a
-// strategy whose PreStep can fire.
-func (c *Clank) Horizon(*device.Device) uint64 { return 1 }
+// Horizon promises no watchdog checkpoint until the watchdog period
+// elapses, as Timer's does. The checkpoints PreStep takes ahead of a
+// violating access need no headroom: the batched engine asks AdmitStep
+// before every instruction and ends the batch before one that violates.
+func (c *Clank) Horizon(d *device.Device) uint64 {
+	return watchdogHorizon(c.WatchdogCycles, d.ExecSinceBackup())
+}
+
+// ObservedSys reports that the watchdog ignores SYS codes.
+func (c *Clank) ObservedSys() isa.SysMask { return 0 }
 
 // FinalPayload commits the register state at halt.
 func (c *Clank) FinalPayload(*device.Device) device.Payload {
 	return device.Payload{ArchBytes: c.ArchBytes}
 }
 
-var _ device.Strategy = (*Clank)(nil)
+var (
+	_ device.Strategy      = (*Clank)(nil)
+	_ device.PreStepFilter = (*Clank)(nil)
+	_ device.SysObserver   = (*Clank)(nil)
+)

@@ -27,9 +27,28 @@ type SenseCommit struct {
 	inner device.Strategy
 }
 
-// NewSenseCommit wraps inner with post-SENSE commits.
-func NewSenseCommit(inner device.Strategy) *SenseCommit {
-	return &SenseCommit{inner: inner}
+// NewSenseCommit wraps inner with post-SENSE commits. The wrapper
+// implements device.PreStepFilter exactly when inner does: it forwards
+// Horizon, and a horizon without the filter would let the batched
+// engine run through a PreStep of inner's that fires.
+func NewSenseCommit(inner device.Strategy) device.Strategy {
+	s := &SenseCommit{inner: inner}
+	if f, ok := inner.(device.PreStepFilter); ok {
+		return filteredSenseCommit{s, f}
+	}
+	return s
+}
+
+// filteredSenseCommit is SenseCommit over a strategy with a PreStep
+// filter, which it forwards.
+type filteredSenseCommit struct {
+	*SenseCommit
+	filter device.PreStepFilter
+}
+
+// AdmitStep implements device.PreStepFilter.
+func (s filteredSenseCommit) AdmitStep(pc uint32, acc device.AccessPreview, exec uint64) bool {
+	return s.filter.AdmitStep(pc, acc, exec)
 }
 
 // Name implements device.Strategy.
@@ -79,7 +98,8 @@ func (s *SenseCommit) FinalPayload(d *device.Device) device.Payload {
 
 // Horizon defers to the wrapped strategy; the extra SENSE trigger is a
 // declared SYS site (ObservedSys), which the batching contract already
-// honors inside any horizon.
+// honors inside any horizon. The wrapped strategy's PreStep filter
+// comes along with it (NewSenseCommit).
 func (s *SenseCommit) Horizon(d *device.Device) uint64 { return s.inner.Horizon(d) }
 
 // ReplaySafe implements device.Strategy.
@@ -108,4 +128,5 @@ var (
 	_ device.Strategy       = (*SenseCommit)(nil)
 	_ device.SysObserver    = (*SenseCommit)(nil)
 	_ device.InputProtector = (*SenseCommit)(nil)
+	_ device.PreStepFilter  = filteredSenseCommit{}
 )

@@ -32,21 +32,35 @@ func NewMixedVolatility(watchdog uint64) *MixedVolatility {
 // Name implements device.Strategy.
 func (m *MixedVolatility) Name() string { return "mixvol" }
 
-// Reset drops the volatile store queue.
-func (m *MixedVolatility) Reset() {
-	m.dirty = make(map[uint32]struct{})
-}
+// Reset drops the volatile store queue. It runs at every boot and
+// backup, so it empties the map in place and keeps its storage.
+func (m *MixedVolatility) Reset() { clearSet(&m.dirty) }
 
 // DirtyBytes is the current store-queue payload in bytes.
 func (m *MixedVolatility) DirtyBytes() int { return 4 * len(m.dirty) }
 
-// PreStep records stores into the queue.
+// PreStep records stores into the queue. It never fires: the watchdog
+// backs up in PostStep.
 func (m *MixedVolatility) PreStep(_ *device.Device, _ isa.Instr, acc device.AccessPreview) *device.Payload {
-	if acc.Valid && acc.Store {
-		m.dirty[acc.Addr&^3] = struct{}{}
-	}
+	trackStore(m.dirty, acc)
 	return nil
 }
+
+// AdmitStep implements device.PreStepFilter: it records the store as
+// PreStep does and admits every instruction.
+func (m *MixedVolatility) AdmitStep(_ uint32, acc device.AccessPreview, _ uint64) bool {
+	trackStore(m.dirty, acc)
+	return true
+}
+
+// Horizon promises no backup until the watchdog period elapses, as
+// Timer's does.
+func (m *MixedVolatility) Horizon(d *device.Device) uint64 {
+	return watchdogHorizon(m.WatchdogCycles, d.ExecSinceBackup())
+}
+
+// ObservedSys reports that the watchdog ignores SYS codes.
+func (m *MixedVolatility) ObservedSys() isa.SysMask { return 0 }
 
 func (m *MixedVolatility) payload(d *device.Device) device.Payload {
 	return device.Payload{
@@ -75,4 +89,8 @@ func (m *MixedVolatility) FinalPayload(d *device.Device) device.Payload {
 	return p
 }
 
-var _ device.Strategy = (*MixedVolatility)(nil)
+var (
+	_ device.Strategy      = (*MixedVolatility)(nil)
+	_ device.PreStepFilter = (*MixedVolatility)(nil)
+	_ device.SysObserver   = (*MixedVolatility)(nil)
+)

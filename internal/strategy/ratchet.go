@@ -44,10 +44,11 @@ func (r *Ratchet) Name() string { return "ratchet" }
 // Violations counts WAR-driven checkpoints across the run.
 func (r *Ratchet) Violations() uint64 { return r.violations }
 
-// Reset drops the section's access sets.
+// Reset drops the section's access sets. It runs at every boot and
+// checkpoint, so it empties the maps in place and keeps their storage.
 func (r *Ratchet) Reset() {
-	r.readFirst = make(map[uint32]struct{})
-	r.writeFirst = make(map[uint32]struct{})
+	clearSet(&r.readFirst)
+	clearSet(&r.writeFirst)
 }
 
 func (r *Ratchet) payload() device.Payload {
@@ -66,31 +67,47 @@ func (r *Ratchet) Boot(d *device.Device) *device.Payload {
 
 // PreStep cuts the section before a write-after-read commits.
 func (r *Ratchet) PreStep(d *device.Device, _ isa.Instr, acc device.AccessPreview) *device.Payload {
-	if !acc.Valid {
+	if r.admit(acc) {
 		return nil
+	}
+	// Checkpoint, then track the store as write-first in the fresh
+	// section.
+	word := acc.Addr &^ 3
+	r.violations++
+	d.Trace(obsv.EvTrigger, uint64(obsv.TrigWAR), uint64(word))
+	d.Trace(obsv.EvWARFlush, uint64(len(r.readFirst)+len(r.writeFirst)), uint64(obsv.TrigWAR))
+	r.Reset()
+	r.writeFirst[word] = struct{}{}
+	p := r.payload()
+	return &p
+}
+
+// AdmitStep implements device.PreStepFilter; Ratchet's PreStep reads
+// only the access.
+func (r *Ratchet) AdmitStep(_ uint32, acc device.AccessPreview, _ uint64) bool {
+	return r.admit(acc)
+}
+
+// admit tracks an access that keeps the section idempotent and reports
+// true, or reports false, changing nothing, for a store to a read-first
+// word.
+func (r *Ratchet) admit(acc device.AccessPreview) bool {
+	if !acc.Valid {
+		return true
 	}
 	word := acc.Addr &^ 3
-	if acc.Store {
-		if _, ok := r.writeFirst[word]; ok {
-			return nil
-		}
-		if _, ok := r.readFirst[word]; ok {
-			r.violations++
-			d.Trace(obsv.EvTrigger, uint64(obsv.TrigWAR), uint64(word))
-			d.Trace(obsv.EvWARFlush, uint64(len(r.readFirst)+len(r.writeFirst)), uint64(obsv.TrigWAR))
-			r.Reset()
-			r.writeFirst[word] = struct{}{}
-			p := r.payload()
-			return &p
-		}
-		r.writeFirst[word] = struct{}{}
-		return nil
-	}
 	if _, ok := r.writeFirst[word]; ok {
-		return nil
+		return true
 	}
-	r.readFirst[word] = struct{}{}
-	return nil
+	if !acc.Store {
+		r.readFirst[word] = struct{}{}
+		return true
+	}
+	if _, ok := r.readFirst[word]; ok {
+		return false
+	}
+	r.writeFirst[word] = struct{}{}
+	return true
 }
 
 // PostStep enforces the compiler's section-length cap.
@@ -105,9 +122,22 @@ func (r *Ratchet) PostStep(d *device.Device, _ cpu.Step) *device.Payload {
 	return &p
 }
 
+// Horizon promises no checkpoint until the section-length cap, as
+// Timer's does; AdmitStep ends a batch before a write-after-read.
+func (r *Ratchet) Horizon(d *device.Device) uint64 {
+	return watchdogHorizon(r.MaxRegion, d.ExecSinceBackup())
+}
+
+// ObservedSys reports that the section cap ignores SYS codes.
+func (r *Ratchet) ObservedSys() isa.SysMask { return 0 }
+
 // FinalPayload commits the registers at halt.
 func (r *Ratchet) FinalPayload(*device.Device) device.Payload {
 	return r.payload()
 }
 
-var _ device.Strategy = (*Ratchet)(nil)
+var (
+	_ device.Strategy      = (*Ratchet)(nil)
+	_ device.PreStepFilter = (*Ratchet)(nil)
+	_ device.SysObserver   = (*Ratchet)(nil)
+)

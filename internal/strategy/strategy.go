@@ -112,6 +112,23 @@ func (base) Reset()                                                             
 // PreStep/PostStep protocol unless they override it with a real bound.
 func (base) Horizon(*device.Device) uint64 { return 1 }
 
+// trackStore adds the word a store writes to set: the write sets Chain,
+// Alpaca and MixedVolatility commit.
+func trackStore(set map[uint32]struct{}, acc device.AccessPreview) {
+	if acc.Valid && acc.Store {
+		set[acc.Addr&^3] = struct{}{}
+	}
+}
+
+// clearSet empties *set in place, making it on first use: the tracking
+// sets reset at every boot and commit, and keep their storage.
+func clearSet(set *map[uint32]struct{}) {
+	if *set == nil {
+		*set = make(map[uint32]struct{})
+	}
+	clear(*set)
+}
+
 // fullPayload is the checkpoint of SRAM-resident systems: architectural
 // state plus the program's volatile data footprint.
 func fullPayload(d *device.Device) device.Payload {

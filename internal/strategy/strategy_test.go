@@ -1,6 +1,9 @@
 package strategy
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ehmodel/internal/asm"
@@ -233,6 +236,137 @@ func TestChainResetAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, task); allocs != 0 {
 		t.Fatalf("Chain reset and re-tracking allocates %.1f per task, want 0", allocs)
+	}
+}
+
+// TestRatchetResetAllocs: every boot and checkpoint resets Ratchet's
+// section sets, and tracking as many loads and stores again must reuse
+// their storage.
+func TestRatchetResetAllocs(t *testing.T) {
+	r := NewRatchet()
+	section := func() {
+		r.Reset()
+		for i := 0; i < 64; i++ {
+			if r.PreStep(nil, isa.Instr{}, device.AccessPreview{Valid: true, Addr: uint32(4 * i)}) != nil {
+				t.Fatal("load checkpointed")
+			}
+			if r.PreStep(nil, isa.Instr{}, device.AccessPreview{Valid: true, Addr: 0x1000 + uint32(4*i), Store: true}) != nil {
+				t.Fatal("store to a fresh word checkpointed")
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, section); allocs != 0 {
+		t.Fatalf("Ratchet reset and re-tracking allocates %.1f per section, want 0", allocs)
+	}
+}
+
+// TestMixedVolatilityResetAllocs: every boot and backup resets the
+// store queue, and queueing as many words again must reuse its storage.
+func TestMixedVolatilityResetAllocs(t *testing.T) {
+	m := NewMixedVolatility(1000)
+	interval := func() {
+		m.Reset()
+		for i := 0; i < 64; i++ {
+			if m.PreStep(nil, isa.Instr{}, device.AccessPreview{Valid: true, Addr: uint32(4 * i), Store: true}) != nil {
+				t.Fatal("store tracking backed up")
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, interval); allocs != 0 {
+		t.Fatalf("MixedVolatility reset and re-tracking allocates %.1f per interval, want 0", allocs)
+	}
+}
+
+// TestPreStepFilterContract drives twin instances of each runtime whose
+// PreStep reads only the access through one random access stream: the
+// reference twin through PreStep alone, as the reference engine does,
+// the batched twin through AdmitStep with PreStep on a refusal, as the
+// batched engine does. AdmitStep must refuse exactly where PreStep
+// fires, change nothing when it refuses, and leave the twins equal
+// after every access. A small address pool makes write-after-reads and
+// full buffers common; a Reset now and then stands in for power loss.
+func TestPreStepFilterContract(t *testing.T) {
+	smallClank := func() device.Strategy {
+		c := NewClank()
+		c.ReadFirstEntries, c.WriteFirstEntries = 3, 2
+		return c
+	}
+	for _, tc := range []struct {
+		name  string
+		new   func() device.Strategy
+		fires bool
+	}{
+		{"clank", func() device.Strategy { return NewClank() }, true},
+		{"clank-small-buffers", smallClank, true},
+		{"ratchet", func() device.Strategy { return NewRatchet() }, true},
+		{"chain", func() device.Strategy { return NewChain() }, false},
+		{"mixvol", func() device.Strategy { return NewMixedVolatility(1000) }, false},
+		{"alpaca-without-table", func() device.Strategy { return NewAlpaca() }, false},
+	} {
+		ref, bat := tc.new(), tc.new()
+		filter := bat.(device.PreStepFilter)
+		rng := rand.New(rand.NewSource(1))
+		fired := 0
+		for i := 0; i < 20000; i++ {
+			if rng.Intn(200) == 0 {
+				ref.Reset()
+				bat.Reset()
+			}
+			acc := device.AccessPreview{
+				Valid: rng.Intn(4) != 0,
+				Addr:  uint32(rng.Intn(24)*4 + rng.Intn(4)),
+				Size:  4,
+				Store: rng.Intn(2) == 0,
+			}
+			admitted := filter.AdmitStep(0, acc, 0)
+			if !admitted && !reflect.DeepEqual(ref, bat) {
+				t.Fatalf("%s: access %d %+v: refusing changed the runtime's state", tc.name, i, acc)
+			}
+			p := ref.PreStep(nil, isa.Instr{}, acc)
+			if admitted != (p == nil) {
+				t.Fatalf("%s: access %d %+v: AdmitStep %v, PreStep fired %v", tc.name, i, acc, admitted, p != nil)
+			}
+			if !admitted {
+				fired++
+				if bat.PreStep(nil, isa.Instr{}, acc) == nil {
+					t.Fatalf("%s: access %d %+v: PreStep after a refusal did not fire", tc.name, i, acc)
+				}
+			}
+			if !reflect.DeepEqual(ref, bat) {
+				t.Fatalf("%s: access %d %+v: twins differ:\nPreStep:   %+v\nAdmitStep: %+v", tc.name, i, acc, ref, bat)
+			}
+		}
+		if tc.fires != (fired > 0) {
+			t.Errorf("%s: PreStep fired %d times in the stream", tc.name, fired)
+		}
+	}
+}
+
+// TestAlpacaAdmitStep: Alpaca's filter ignores boundaries right after a
+// backup and past its table, records a boundary below the coalescing
+// threshold as skipped, and refuses one at or past it — where PreStep
+// commits — without privatizing the write or recording the boundary.
+func TestAlpacaAdmitStep(t *testing.T) {
+	a := NewAlpaca()
+	a.Coalesce = 8
+	a.bounds = []bool{false, true}
+	store := func(addr uint32) device.AccessPreview {
+		return device.AccessPreview{Valid: true, Addr: addr, Size: 4, Store: true}
+	}
+	if !a.AdmitStep(1, store(0x10), 0) || len(a.span) != 0 {
+		t.Fatalf("boundary right after a backup: span %v, want it ignored", a.span)
+	}
+	if !a.AdmitStep(1, store(0x14), 7) || !slices.Equal(a.span, []uint32{1}) {
+		t.Fatalf("boundary below the threshold: span %v, want [1]", a.span)
+	}
+	if !a.AdmitStep(5, store(0x18), 100) {
+		t.Fatal("PC past the table refused")
+	}
+	if a.AdmitStep(1, store(0x20), 8) {
+		t.Fatal("boundary at the threshold admitted")
+	}
+	if _, ok := a.dirty[0x20]; ok || len(a.dirty) != 3 || len(a.span) != 1 {
+		t.Fatalf("refusal changed the task: dirty %v span %v", a.dirty, a.span)
 	}
 }
 

@@ -55,14 +55,21 @@ func (t *Timer) PostStep(d *device.Device, _ cpu.Step) *device.Payload {
 // counter crosses TauB, which is the same instruction the per-step
 // engine fires on.
 func (t *Timer) Horizon(d *device.Device) uint64 {
-	if t.TauB == 0 {
+	return watchdogHorizon(t.TauB, d.ExecSinceBackup())
+}
+
+// watchdogHorizon is the Horizon of a PostStep that fires once exec, the
+// executed cycles since the last backup, reaches period: the cycles
+// left, 1 (per-step) once they are due, and infinite with the watchdog
+// off (period 0).
+func watchdogHorizon(period, exec uint64) uint64 {
+	switch {
+	case period == 0:
 		return device.HorizonInfinite
-	}
-	exec := d.ExecSinceBackup()
-	if exec >= t.TauB {
+	case exec >= period:
 		return 1
 	}
-	return t.TauB - exec
+	return period - exec
 }
 
 // ObservedSys reports that the watchdog ignores SYS codes entirely, so
