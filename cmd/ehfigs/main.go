@@ -83,7 +83,7 @@ func cliMain() int {
 	}
 	device.SetDefaultEngine(engine)
 
-	exec, err := buildExecutor(*cacheMode, *cacheDir)
+	exec, err := sweep.OpenExecutor(*cacheMode, *cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ehfigs:", err)
 		return 2
@@ -173,11 +173,6 @@ func cliMain() int {
 		return finish(1)
 	}
 	return finish(0)
-}
-
-// buildExecutor wires the -cache flags into a sweep executor.
-func buildExecutor(mode, dir string) (*sweep.Executor, error) {
-	return sweep.OpenExecutor(mode, dir)
 }
 
 // run generates, renders and dumps the requested figures. Every figure

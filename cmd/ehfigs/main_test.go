@@ -80,25 +80,3 @@ func TestRunWritesCSV(t *testing.T) {
 		t.Fatalf("bad csv: %.40q", string(data))
 	}
 }
-
-// TestBuildExecutor covers the -cache flag wiring: every mode yields an
-// executor, disk persists under the given directory, junk is rejected.
-func TestBuildExecutor(t *testing.T) {
-	if e, err := buildExecutor("off", ""); err != nil || e.Store() != nil {
-		t.Fatalf("off: exec %v err %v", e, err)
-	}
-	if e, err := buildExecutor("mem", ""); err != nil || e.Store() == nil {
-		t.Fatalf("mem: exec %v err %v", e, err)
-	}
-	dir := filepath.Join(t.TempDir(), "cas")
-	e, err := buildExecutor("disk", dir)
-	if err != nil || e.Store() == nil {
-		t.Fatalf("disk: exec %v err %v", e, err)
-	}
-	if _, err := os.Stat(dir); err != nil {
-		t.Fatalf("disk mode did not create %s: %v", dir, err)
-	}
-	if _, err := buildExecutor("bogus", ""); err == nil {
-		t.Fatal("bogus cache mode accepted")
-	}
-}

@@ -52,7 +52,8 @@ type server struct {
 	mu      sync.Mutex
 	metrics obsv.Metrics
 	resp    map[string][]byte
-	flights map[string]*respFlight
+	// flights coalesces concurrent generations of one figure request.
+	flights sweep.Group[string, []byte]
 
 	// Sampler state: the previous snapshot each interval's deltas are
 	// computed against. Guarded by smu (not mu: sampling must not
@@ -65,15 +66,6 @@ type server struct {
 	lastAt     time.Time
 }
 
-// respFlight is one in-progress figure generation; followers for the
-// same request key wait on done and share the rendered bytes.
-type respFlight struct {
-	done   chan struct{}
-	body   []byte
-	status int
-	err    error
-}
-
 func newServer(exec *sweep.Executor, run runner.Options, timeout time.Duration) *server {
 	return &server{
 		exec:     exec,
@@ -84,7 +76,6 @@ func newServer(exec *sweep.Executor, run runner.Options, timeout time.Duration) 
 		hub:      newEventHub(),
 		series:   obsv.NewSeries(0),
 		resp:     map[string][]byte{},
-		flights:  map[string]*respFlight{},
 	}
 }
 
@@ -406,37 +397,55 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	}
 
 	lookupStart := time.Now()
-	s.mu.Lock()
-	if body, ok := s.resp[key]; ok {
-		s.mu.Unlock()
+	if body, ok := s.cachedFigure(key); ok {
 		obsv.AddSpan(ctx, "cache.lookup", lookupStart, time.Now(), obsv.Attr{Key: "outcome", Val: "hit"})
 		s.serveFigure(ctx, w, body, "hit", wantProv, pl)
 		return
 	}
-	if fl, ok := s.flights[key]; ok {
-		// Coalesce onto the in-flight generation.
-		s.mu.Unlock()
-		obsv.AddSpan(ctx, "cache.lookup", lookupStart, time.Now(), obsv.Attr{Key: "outcome", Val: "inflight"})
-		waitStart := time.Now()
-		select {
-		case <-fl.done:
-		case <-ctx.Done():
-			http.Error(w, ctx.Err().Error(), http.StatusGatewayTimeout)
+	how := "coalesced"
+	waitStart := time.Now()
+	body, shared, err := s.flights.Do(ctx, key, func() ([]byte, error) {
+		// A previous leader may have cached these bytes between the
+		// lookup above and this flight: look again, so no figure is
+		// generated twice.
+		body, ok := s.cachedFigure(key)
+		how = "miss"
+		if ok {
+			how = "hit"
+		}
+		obsv.AddSpan(ctx, "cache.lookup", lookupStart, time.Now(), obsv.Attr{Key: "outcome", Val: how})
+		if ok {
+			return body, nil
+		}
+		return s.renderFigure(ctx, key, id, quick)
+	})
+	if shared {
+		obsv.AddSpan(ctx, "cache.lookup", lookupStart, waitStart, obsv.Attr{Key: "outcome", Val: "inflight"})
+		if err != nil && ctx.Err() != nil {
+			// The follower's own deadline ended its wait.
+			http.Error(w, err.Error(), http.StatusGatewayTimeout)
 			return
 		}
 		obsv.AddSpan(ctx, "singleflight.wait", waitStart, time.Now())
-		if fl.err != nil {
-			http.Error(w, fl.err.Error(), fl.status)
-			return
-		}
-		s.serveFigure(ctx, w, fl.body, "coalesced", wantProv, pl)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	fl := &respFlight{done: make(chan struct{})}
-	s.flights[key] = fl
-	s.mu.Unlock()
-	obsv.AddSpan(ctx, "cache.lookup", lookupStart, time.Now(), obsv.Attr{Key: "outcome", Val: "miss"})
+	s.serveFigure(ctx, w, body, how, wantProv, pl)
+}
 
+// cachedFigure looks a figure request up in the response byte cache.
+func (s *server) cachedFigure(key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	body, ok := s.resp[key]
+	return body, ok
+}
+
+// renderFigure generates and renders one figure request, caching the
+// bytes before its flight ends.
+func (s *server) renderFigure(ctx context.Context, key, id string, quick bool) ([]byte, error) {
 	genCtx, gsp := obsv.StartSpan(ctx, "generate")
 	gsp.SetAttr("figure", id)
 	figs, failures := s.generate(genCtx, id, quick, s.run)
@@ -448,27 +457,14 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := json.MarshalIndent(&resp, "", "  ")
 	obsv.AddSpan(ctx, "render", renderStart, time.Now())
-
-	s.mu.Lock()
-	delete(s.flights, key)
-	if err != nil {
-		fl.err, fl.status = err, http.StatusInternalServerError
-	} else {
-		fl.body = body
-		// Cache only fully successful responses: a sweep clipped by a
-		// deadline or a canceled client must not be replayed as truth.
-		if len(failures) == 0 {
-			s.resp[key] = body
-		}
+	// Cache only fully successful responses: a sweep clipped by a
+	// deadline or a canceled client must not be replayed as truth.
+	if err == nil && len(failures) == 0 {
+		s.mu.Lock()
+		s.resp[key] = body
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
-	close(fl.done)
-
-	if fl.err != nil {
-		http.Error(w, fl.err.Error(), fl.status)
-		return
-	}
-	s.serveFigure(ctx, w, body, "miss", wantProv, pl)
+	return body, err
 }
 
 // provEnvelope is the ?provenance=1 response shape: the figure payload

@@ -83,12 +83,10 @@ func TestFigureSingleflight(t *testing.T) {
 			recs[i] = get(t, h, "/v1/figure?id=2")
 		}(i)
 	}
-	// Let every request reach the flight table before the leader runs.
+	// Let every request reach the flight before the leader runs: one
+	// generation has started, so the flight has formed.
 	for deadline := time.Now().Add(5 * time.Second); ; {
-		s.mu.Lock()
-		inFlight := len(s.flights)
-		s.mu.Unlock()
-		if inFlight == 1 && calls.Load() == 1 {
+		if calls.Load() == 1 {
 			break
 		}
 		if time.Now().After(deadline) {

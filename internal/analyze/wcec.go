@@ -112,14 +112,7 @@ type WCECRegion struct {
 	BCEnergy    float64 // best-case joules (+Inf when BCUnbounded)
 
 	Verdict WCECVerdict
-
-	pcs []int // member PCs (nil on tables from ParseWCEC)
 }
-
-// Members returns the PCs the region can execute, sorted. It is nil on
-// parsed tables: membership is an analysis artifact, not part of the
-// serialized certificate.
-func (r *WCECRegion) Members() []int { return r.pcs }
 
 // WCECTable is the per-program certificate table.
 type WCECTable struct {
@@ -295,7 +288,7 @@ func (w *wcecCalc) compute(extraCuts []int) *WCECTable {
 		}
 		seen[e.pc] = true
 		rg := w.buildRegion(e.pc, cuts)
-		r := WCECRegion{ID: len(regs), Entry: e.pc, Kind: e.kind, pcs: rg.memberPCs()}
+		r := WCECRegion{ID: len(regs), Entry: e.pc, Kind: e.kind}
 
 		bcCyc, okC := rg.shortest(func(cyc uint64, _ float64) float64 { return float64(cyc) })
 		bcE, okE := rg.shortest(func(_ uint64, en float64) float64 { return en })
@@ -356,15 +349,6 @@ type rgNode struct {
 type regionGraph struct {
 	entry int
 	nodes map[int]*rgNode
-}
-
-func (rg *regionGraph) memberPCs() []int {
-	out := make([]int, 0, len(rg.nodes))
-	for pc := range rg.nodes {
-		out = append(out, pc)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // buildRegion explores the instructions reachable from entry without
@@ -1303,8 +1287,7 @@ func (t *WCECTable) JSON() ([]byte, error) {
 
 // ParseWCEC parses the String serialization back into a table. Blank
 // lines and #-comments are ignored; the region count is cross-checked
-// against the header. Parsed tables have no Members (membership is not
-// serialized).
+// against the header.
 func ParseWCEC(s string) (*WCECTable, error) {
 	t := &WCECTable{}
 	sawHeader := false

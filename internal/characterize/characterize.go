@@ -3,8 +3,8 @@
 // architecture fed by RF voltage traces to profile the time between
 // backups τ_B (Fig. 8) and dead cycles τ_D (Fig. 9), and running the
 // hypothetical mixed-volatility store-queue processor across watchdog
-// settings to profile application state α_B (Fig. 10). All sweeps build
-// sweep plans and run through the memoizing executor; Clank's post-run
+// settings to profile application state α_B (Fig. 10). Every sweep is a
+// list of cells run through the memoizing executor; Clank's post-run
 // counters travel through the result store as cell extras.
 package characterize
 
@@ -157,7 +157,8 @@ func RunClank(ctx context.Context, bench string, kind trace.Kind, cfg ClankConfi
 }
 
 // TauBProfile runs every benchmark across every trace kind in parallel
-// — the data behind Figs. 8 and 9 — as a plan grouped per benchmark.
+// — the data behind Figs. 8 and 9 — as one cell per benchmark and trace
+// kind.
 // Surviving rows are returned ordered benchmark-major, trace-minor
 // regardless of completion order; failed runs are dropped and reported
 // in errs.
@@ -178,15 +179,14 @@ func TauBProfile(ctx context.Context, benches []string, cfg ClankConfig) (out []
 		kind  trace.Kind
 	}
 	var jobs []job
-	plan := sweep.NewPlan("characterize-taub")
+	var cells []sweep.Cell
 	for _, bench := range benches {
-		g := plan.Group(bench)
 		for i, kind := range kinds {
 			jobs = append(jobs, job{bench: bench, kind: kind})
-			g.Add(clankCell(bench, kind, traces[i], cfg))
+			cells = append(cells, clankCell(bench, kind, traces[i], cfg))
 		}
 	}
-	all, errs := sweep.RunPlan(ctx, plan, cfg.Run)
+	all, errs := sweep.Run(ctx, cells, cfg.Run)
 	failed := errs.FailedSet()
 	var evalErrs runner.Errors
 	for i, j := range jobs {
@@ -245,7 +245,7 @@ func DefaultWatchdogs() []uint64 {
 
 // AlphaBProfile characterizes application state per cycle on the
 // mixed-volatility store-queue processor across watchdog periods. The
-// plan holds one group per benchmark with a cell per watchdog setting —
+// sweep holds one cell per benchmark and watchdog setting —
 // historically the watchdog sweep ran serially inside one point, but as
 // individual cells every setting parallelizes and memoizes. The bar is
 // still the per-benchmark mean over watchdogs, and errs still reports
@@ -258,13 +258,12 @@ func AlphaBProfile(ctx context.Context, benches []string, watchdogs []uint64, sc
 	if err := knownBenches(benches); err != nil {
 		return nil, nil, err
 	}
-	plan := sweep.NewPlan("characterize-alphab")
+	var cells []sweep.Cell
 	for _, bench := range benches {
 		bench := bench
-		g := plan.Group(bench)
 		for _, wd := range watchdogs {
 			wd := wd
-			g.Add(sweep.Cell{
+			cells = append(cells, sweep.Cell{
 				Label: fmt.Sprintf("mixed-volatility α_B profile of %s wd=%d", bench, wd),
 				Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
 					w, ok := workload.Get(bench)
@@ -297,7 +296,7 @@ func AlphaBProfile(ctx context.Context, benches []string, watchdogs []uint64, sc
 			})
 		}
 	}
-	all, cellErrs := sweep.RunPlan(ctx, plan, run)
+	all, cellErrs := sweep.Run(ctx, cells, run)
 	failed := cellErrs.FailedSet()
 	for bi, bench := range benches {
 		ar := &AlphaBRun{Bench: bench}

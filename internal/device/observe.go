@@ -82,7 +82,3 @@ func (d *Device) Trace(t obsv.EventType, arg, arg2 uint64) {
 	}
 	d.emit(t, arg, arg2, 0)
 }
-
-// Observing reports whether a tracer is attached, so strategies can
-// skip any work needed only to build event arguments.
-func (d *Device) Observing() bool { return d.obs != nil }

@@ -83,36 +83,3 @@ func (c *Capacitor) Draw(j float64) bool {
 func (c *Capacitor) UsableEnergy(vHi, vLo float64) float64 {
 	return 0.5 * c.C * (vHi*vHi - vLo*vLo)
 }
-
-// Usable returns the energy a capacitance c farads holds between two
-// voltage thresholds, ½·c·(vHi² − vLo²). It is the free-function twin
-// of Capacitor.UsableEnergy for callers — the static WCEC verifier,
-// CLI preflights — that need the E_max budget of a device configuration
-// without instantiating a Capacitor.
-func Usable(c, vHi, vLo float64) float64 {
-	return 0.5 * c * (vHi*vHi - vLo*vLo)
-}
-
-// CyclesUntil returns how many cycles drawing ePerCycle joules each the
-// capacitor can supply from its current voltage before dropping below
-// vOff — the closed form ⌊½·C·(v² − vOff²) / ePerCycle⌋ instead of
-// integrating the draw per instruction. The caller resolves an
-// instruction class to its per-cycle energy (PowerModel.EnergyPerCycle)
-// and passes the worst class it might execute for a conservative bound.
-// A non-positive ePerCycle (an idle class priced at zero) never drains
-// the store, so the count saturates at MaxUint64.
-func (c *Capacitor) CyclesUntil(vOff, ePerCycle float64) uint64 {
-	if ePerCycle <= 0 {
-		return math.MaxUint64
-	}
-	avail := c.UsableEnergy(c.v, vOff)
-	if avail <= 0 {
-		return 0
-	}
-	n := avail / ePerCycle
-	// Saturate well below the float64 integer-precision cliff.
-	if n >= 1<<62 {
-		return math.MaxUint64
-	}
-	return uint64(n)
-}

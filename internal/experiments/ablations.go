@@ -18,10 +18,10 @@ import (
 // tracking-buffer capacity and watchdog period, Hibernus's threshold
 // margin, and Mementos's checkpoint-site gating. Each returns a Figure
 // so ehfigs and the bench suite can regenerate them. Every sweep builds
-// a plan and runs through the memoizing executor: failed points are
-// dropped from the figure with a note, survivors still render, and the
-// merged order is the input order so output is identical at any worker
-// count and any cache temperature.
+// a list of cells and runs it through the memoizing executor: failed
+// points are dropped from the figure with a note, survivors still
+// render, and the merged order is the input order so output is
+// identical at any worker count and any cache temperature.
 
 // ablationCell wraps one ablation run as a sweep cell with a bounded
 // period budget. requireComplete preserves the two historical flavours:
@@ -75,12 +75,11 @@ func AblationClankBuffers(ctx context.Context, run runner.Options) (*Figure, err
 		}
 		progs[bi] = prog
 	}
-	plan := sweep.NewPlan("ablation-clank-buffers")
+	var cells []sweep.Cell
 	for bi := range benches {
-		g := plan.Group(benches[bi])
 		for ci := range capacities {
 			prog, entries := progs[bi], capacities[ci]
-			g.Add(ablationCell(
+			cells = append(cells, ablationCell(
 				fmt.Sprintf("clank-buffers %s entries=%d", benches[bi], entries),
 				pm, 30000, 100000, true,
 				func() (*asm.Program, device.Strategy, error) {
@@ -91,7 +90,7 @@ func AblationClankBuffers(ctx context.Context, run runner.Options) (*Figure, err
 				}))
 		}
 	}
-	all, errs := sweep.RunPlan(ctx, plan, run)
+	all, errs := sweep.Run(ctx, cells, run)
 	failed := errs.FailedSet()
 
 	for bi, bench := range benches {
@@ -138,10 +137,10 @@ func AblationClankWatchdog(ctx context.Context, run runner.Options) (*Figure, er
 		return nil, err
 	}
 	watchdogs := []uint64{500, 1000, 2000, 4000, 8000, 16000}
-	plan := sweep.NewPlan("ablation-clank-watchdog")
+	var cells []sweep.Cell
 	for _, wd := range watchdogs {
 		wd := wd
-		plan.Add(ablationCell(
+		cells = append(cells, ablationCell(
 			fmt.Sprintf("clank-watchdog sha wd=%d cycles", wd),
 			pm, 20000, 100000, true,
 			func() (*asm.Program, device.Strategy, error) {
@@ -152,7 +151,7 @@ func AblationClankWatchdog(ctx context.Context, run runner.Options) (*Figure, er
 				return prog, cl, nil
 			}))
 	}
-	all, errs := sweep.RunPlan(ctx, plan, run)
+	all, errs := sweep.Run(ctx, cells, run)
 	failed := errs.FailedSet()
 
 	meas := Series{Label: "measured"}
@@ -197,12 +196,12 @@ func AblationHibernusMargin(ctx context.Context, run runner.Options) (*Figure, e
 		return nil, err
 	}
 	margins := []float64{1.02, 1.1, 1.5, 2, 3, 5, 8}
-	plan := sweep.NewPlan("ablation-hibernus-margin")
+	var cells []sweep.Cell
 	for _, margin := range margins {
 		margin := margin
 		// tight margins may never complete — dying mid-backup every
 		// period is §IV-B's hazard and exactly what this ablation shows
-		plan.Add(ablationCell(
+		cells = append(cells, ablationCell(
 			fmt.Sprintf("hibernus-margin crc margin=%g", margin),
 			pm, 15000, 500, false,
 			func() (*asm.Program, device.Strategy, error) {
@@ -211,7 +210,7 @@ func AblationHibernusMargin(ctx context.Context, run runner.Options) (*Figure, e
 				return prog, h, nil
 			}))
 	}
-	all, errs := sweep.RunPlan(ctx, plan, run)
+	all, errs := sweep.Run(ctx, cells, run)
 	failed := errs.FailedSet()
 
 	prg := Series{Label: "measured p"}
@@ -261,10 +260,10 @@ func AblationMementosGap(ctx context.Context, run runner.Options) (*Figure, erro
 		return nil, err
 	}
 	gaps := []uint64{32, 128, 512, 2048, 8192}
-	plan := sweep.NewPlan("ablation-mementos-gap")
+	var cells []sweep.Cell
 	for _, gap := range gaps {
 		gap := gap
-		plan.Add(ablationCell(
+		cells = append(cells, ablationCell(
 			fmt.Sprintf("mementos-gap ds gap=%d cycles", gap),
 			pm, 15000, 100000, true,
 			func() (*asm.Program, device.Strategy, error) {
@@ -273,7 +272,7 @@ func AblationMementosGap(ctx context.Context, run runner.Options) (*Figure, erro
 				return prog, m, nil
 			}))
 	}
-	all, errs := sweep.RunPlan(ctx, plan, run)
+	all, errs := sweep.Run(ctx, cells, run)
 	failed := errs.FailedSet()
 
 	s := Series{Label: "measured p"}

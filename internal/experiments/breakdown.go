@@ -59,10 +59,10 @@ func BreakdownComparison(ctx context.Context, bench string, periodCycles float64
 		XLabel: "runtime index",
 		YLabel: "fraction of supplied energy",
 	}
-	plan := sweep.NewPlan("breakdown")
+	var cells []sweep.Cell
 	for _, en := range entries {
 		en := en
-		plan.Add(fixedCell(
+		cells = append(cells, fixedCell(
 			"breakdown "+en.name+"/"+bench,
 			periodCycles,
 			func(ctx context.Context) (*asm.Program, device.Strategy, error) {
@@ -73,7 +73,7 @@ func BreakdownComparison(ctx context.Context, bench string, periodCycles float64
 				return prog, en.make(), nil
 			}))
 	}
-	all, errs := sweep.RunPlan(ctx, plan, run)
+	all, errs := sweep.Run(ctx, cells, run)
 	failed := errs.FailedSet()
 
 	cats := []string{"progress", "dead", "backup", "restore", "idle"}

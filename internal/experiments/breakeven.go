@@ -43,10 +43,10 @@ func BreakEvenStudy(ctx context.Context, run runner.Options) (*Figure, []BreakEv
 	prg := Series{Label: "progress p"}
 
 	tauBs := []uint64{1000, 2000, 4000, 8000, 12000, 16000, 24000, 32000}
-	plan := sweep.NewPlan("breakeven")
+	var cells []sweep.Cell
 	for _, tauB := range tauBs {
 		tauB := tauB
-		plan.Add(sweep.Cell{
+		cells = append(cells, sweep.Cell{
 			Label: fmt.Sprintf("breakeven τ_B=%d cycles", tauB),
 			Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
 				w, _ := workload.Get("counter")
@@ -59,7 +59,7 @@ func BreakEvenStudy(ctx context.Context, run runner.Options) (*Figure, []BreakEv
 			},
 		})
 	}
-	all, errs := sweep.RunPlan(ctx, plan, run)
+	all, errs := sweep.Run(ctx, cells, run)
 	if len(errs) > 0 {
 		return nil, nil, 0, errs[0].Err
 	}

@@ -211,10 +211,10 @@ func CaseCircularBuffer(ctx context.Context, cfg CircularConfig) (*Figure, []Cir
 	tauPred := Series{Label: "τ_B predicted (N−n+1)·τ_store"}
 	tauMeas := Series{Label: "τ_B measured"}
 	prog := Series{Label: "measured progress"}
-	splan := sweep.NewPlan("case-circular")
+	var cells []sweep.Cell
 	for _, bufN := range cfg.BufNs {
 		bufN := bufN
-		splan.Add(sweep.Cell{
+		cells = append(cells, sweep.Cell{
 			Label: fmt.Sprintf("circular N=%d", bufN),
 			Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
 				p, err := workload.CircularBuffer(cfg.ArrayN, bufN, cfg.Iters, asm.FRAM)
@@ -240,7 +240,7 @@ func CaseCircularBuffer(ctx context.Context, cfg CircularConfig) (*Figure, []Cir
 			},
 		})
 	}
-	all, errs := sweep.RunPlan(ctx, splan, cfg.Run)
+	all, errs := sweep.Run(ctx, cells, cfg.Run)
 	if len(errs) > 0 {
 		return nil, nil, plan, errs[0].Err
 	}

@@ -12,10 +12,10 @@ import (
 	"ehmodel/internal/sweep"
 )
 
-// Every sweep driver in this package builds a sweep.Plan of cells and
-// executes it through the memoizing executor (sweep.RunPlan). A cell's
-// Build closure holds only the simulation's content — workload, strategy,
-// supply — so identical configurations dedupe across figures and recall
+// Every sweep driver in this package builds a []sweep.Cell and executes
+// it through the memoizing executor (sweep.Run). A cell's Build closure
+// holds only the simulation's content — workload, strategy, supply — so
+// identical configurations dedupe across figures and recall
 // from the result store; model evaluation happens afterwards on the
 // returned CellResults, with evaluation failures merged back into the
 // sweep's error list so figures are assembled exactly as before.

@@ -47,10 +47,10 @@ func ChargingStudy(ctx context.Context, run runner.Options) (*Figure, []Charging
 	}
 	// resistance sweep: ∞ (no harvester) down to near the sustain point
 	rs := []float64{0, 400e3, 150e3, 80e3, 50e3, 35e3}
-	plan := sweep.NewPlan("charging")
+	var cells []sweep.Cell
 	for _, r := range rs {
 		r := r
-		plan.Add(sweep.Cell{
+		cells = append(cells, sweep.Cell{
 			Label: fmt.Sprintf("charging r=%g Ω", r),
 			Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
 				w, _ := workload.Get("counter")
@@ -75,7 +75,7 @@ func ChargingStudy(ctx context.Context, run runner.Options) (*Figure, []Charging
 			},
 		})
 	}
-	all, errs := sweep.RunPlan(ctx, plan, run)
+	all, errs := sweep.Run(ctx, cells, run)
 	failed := errs.FailedSet()
 
 	meas := Series{Label: "measured"}

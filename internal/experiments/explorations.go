@@ -40,9 +40,9 @@ func CapacitorSweep(ctx context.Context, bench string, periodCycles []float64, r
 	}
 	meas := Series{Label: "measured"}
 	model := Series{Label: "EH model"}
-	plan := sweep.NewPlan("exploration-capacitor")
+	var cells []sweep.Cell
 	for _, pc := range periodCycles {
-		plan.Add(fixedCell(
+		cells = append(cells, fixedCell(
 			fmt.Sprintf("capacitor %s E=%g cycles", bench, pc),
 			pc,
 			func(ctx context.Context) (*asm.Program, device.Strategy, error) {
@@ -53,7 +53,7 @@ func CapacitorSweep(ctx context.Context, bench string, periodCycles []float64, r
 				return prog, strategy.NewDINO(), nil
 			}))
 	}
-	all, errs := sweep.RunPlan(ctx, plan, run)
+	all, errs := sweep.Run(ctx, cells, run)
 	failed := errs.FailedSet()
 	for i, pc := range periodCycles {
 		if failed[i] {
@@ -102,10 +102,10 @@ func NVMComparison(ctx context.Context, bench string, tauB uint64, run runner.Op
 	model := Series{Label: "EH model"}
 	pm := energy.MSP430Power()
 	nvms := energy.NVMProfiles()
-	plan := sweep.NewPlan("exploration-nvm")
+	var cells []sweep.Cell
 	for i := range nvms {
 		nvm := nvms[i]
-		plan.Add(sweep.Cell{
+		cells = append(cells, sweep.Cell{
 			Label: "nvm " + nvm.Name + "/" + bench,
 			Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
 				prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: 8})
@@ -130,7 +130,7 @@ func NVMComparison(ctx context.Context, bench string, tauB uint64, run runner.Op
 			},
 		})
 	}
-	all, errs := sweep.RunPlan(ctx, plan, run)
+	all, errs := sweep.Run(ctx, cells, run)
 	failed := errs.FailedSet()
 	var pts []NVMComparisonPoint
 	for i := range nvms {

@@ -71,8 +71,8 @@ type Fig5Point struct {
 	Within     bool
 }
 
-// Fig5 runs the sweep on the device simulator — a plan of one group per
-// active-period duration, one cell per τ_B, executed through the
+// Fig5 runs the sweep on the device simulator — one cell per
+// active-period duration and τ_B, duration-major, executed through the
 // memoizing sweep layer — and evaluates the model bounds for each point.
 // Failed points (deadline, panic, cancellation, invalid model
 // parameters) are dropped from the figure with a note and reported
@@ -90,20 +90,19 @@ func Fig5(ctx context.Context, cfg Fig5Config) (*Figure, []Fig5Point, error) {
 	}
 	type job struct{ dur, tauB float64 }
 	var jobs []job
-	plan := sweep.NewPlan("fig5")
+	var cells []sweep.Cell
 	for _, dur := range cfg.DurationsS {
 		eSupply := dur * pm.PowerW[energy.ClassALU] // period energy at ~1.05 mW
-		g := plan.Group(fmt.Sprintf("duration=%gs", dur))
 		for _, ms := range cfg.TauBsMS {
 			j := job{dur: dur, tauB: ms * 1e-3 * pm.FreqHz}
 			jobs = append(jobs, j)
-			g.Add(sweep.Cell{
+			cells = append(cells, sweep.Cell{
 				Label: fmt.Sprintf("fig5 duration=%gs τ_B=%g cycles", j.dur, j.tauB),
 				Build: fig5Build(cfg, pm, eSupply, j.tauB),
 			})
 		}
 	}
-	all, errs := sweep.RunPlan(ctx, plan, cfg.Run)
+	all, errs := sweep.Run(ctx, cells, cfg.Run)
 	failed := errs.FailedSet()
 
 	var pts []Fig5Point

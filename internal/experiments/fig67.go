@@ -99,8 +99,8 @@ func PredictFromRun(res *device.Result, cfg device.Config, single bool) (core.Pa
 }
 
 // Fig6 measures forward progress for Hibernus, Mementos and DINO across
-// the Table II benchmarks — a plan of one group per system, one cell
-// per benchmark — and compares against the EH model's prediction,
+// the Table II benchmarks — one cell per system and benchmark,
+// system-major — and compares against the EH model's prediction,
 // reporting per-system geometric-mean error as the paper does.
 func Fig6(ctx context.Context, cfg Fig6Config) (*Figure, []Fig6Point, error) {
 	cfg.setDefaults()
@@ -114,14 +114,13 @@ func Fig6(ctx context.Context, cfg Fig6Config) (*Figure, []Fig6Point, error) {
 	benches := workload.TableII()
 	type job struct{ sys, bench int }
 	var jobs []job
-	plan := sweep.NewPlan("fig6")
+	var cells []sweep.Cell
 	for si := range systems {
 		sys := systems[si]
-		g := plan.Group(sys.name)
 		for bi := range benches {
 			w := benches[bi]
 			jobs = append(jobs, job{sys: si, bench: bi})
-			g.Add(fixedCell(
+			cells = append(cells, fixedCell(
 				fmt.Sprintf("fig6 %s/%s", sys.name, w.Name),
 				cfg.PeriodCycles,
 				func(ctx context.Context) (*asm.Program, device.Strategy, error) {
@@ -133,7 +132,7 @@ func Fig6(ctx context.Context, cfg Fig6Config) (*Figure, []Fig6Point, error) {
 				}))
 		}
 	}
-	all, errs := sweep.RunPlan(ctx, plan, cfg.Run)
+	all, errs := sweep.Run(ctx, cells, cfg.Run)
 	failed := errs.FailedSet()
 
 	var pts []Fig6Point
@@ -202,10 +201,10 @@ func Fig7(ctx context.Context, cfg Fig6Config) (*Figure, []Fig7Point, error) {
 		YLabel: "measured p",
 	}
 	benches := workload.TableII()
-	plan := sweep.NewPlan("fig7")
+	var cells []sweep.Cell
 	for bi := range benches {
 		w := benches[bi]
-		plan.Add(fixedCell(
+		cells = append(cells, fixedCell(
 			"fig7 dino/"+w.Name,
 			cfg.PeriodCycles,
 			func(ctx context.Context) (*asm.Program, device.Strategy, error) {
@@ -216,7 +215,7 @@ func Fig7(ctx context.Context, cfg Fig6Config) (*Figure, []Fig7Point, error) {
 				return prog, strategy.NewDINO(), nil
 			}))
 	}
-	all, errs := sweep.RunPlan(ctx, plan, cfg.Run)
+	all, errs := sweep.Run(ctx, cells, cfg.Run)
 	failed := errs.FailedSet()
 
 	var pts []Fig7Point

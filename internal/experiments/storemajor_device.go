@@ -53,13 +53,12 @@ func CaseStoreMajorDevice(ctx context.Context, run runner.Options) (*Figure, []S
 		order workload.TransposeOrder
 	}
 	var jobs []job
-	plan := sweep.NewPlan("case-storemajor-device")
+	var cells []sweep.Cell
 	for _, ratio := range ratios {
-		g := plan.Group(fmt.Sprintf("σ-ratio=%g", ratio))
 		for _, order := range orders {
 			ratio, order := ratio, order
 			jobs = append(jobs, job{ratio: ratio, order: order})
-			g.Add(sweep.Cell{
+			cells = append(cells, sweep.Cell{
 				Label: fmt.Sprintf("transpose %v σ-ratio=%g", order, ratio),
 				Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
 					prog, err := workload.Transpose(order, n, reps)
@@ -88,7 +87,7 @@ func CaseStoreMajorDevice(ctx context.Context, run runner.Options) (*Figure, []S
 			})
 		}
 	}
-	all, errs := sweep.RunPlan(ctx, plan, run)
+	all, errs := sweep.Run(ctx, cells, run)
 	if len(errs) > 0 {
 		return nil, nil, errs[0].Err
 	}

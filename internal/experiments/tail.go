@@ -50,10 +50,10 @@ func TailLatencyStudy(ctx context.Context, periods int, run runner.Options) (*Fi
 	// Every cell harvests the same trace; a run and a cell key only
 	// read it, so the cells share one instance.
 	tr := trace.Generate(trace.MultiPeak, 10, 1e-3, 77)
-	plan := sweep.NewPlan("tail")
+	var cells []sweep.Cell
 	for _, tauB := range tauBs {
 		tauB := tauB
-		plan.Add(sweep.Cell{
+		cells = append(cells, sweep.Cell{
 			Label: fmt.Sprintf("tail τ_B=%d cycles", tauB),
 			Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
 				w, _ := workload.Get("counter")
@@ -75,7 +75,7 @@ func TailLatencyStudy(ctx context.Context, periods int, run runner.Options) (*Fi
 			},
 		})
 	}
-	all, errs := sweep.RunPlan(ctx, plan, run)
+	all, errs := sweep.Run(ctx, cells, run)
 	if len(errs) > 0 {
 		return nil, nil, errs[0].Err
 	}

@@ -232,16 +232,6 @@ func (c VerdictClass) String() string {
 	return "class-" + itoa(uint64(c))
 }
 
-// ParseVerdictClass maps a class name back to its enum value.
-func ParseVerdictClass(s string) (VerdictClass, bool) {
-	for c := VerdictClass(0); c < NumVerdictClasses; c++ {
-		if verdictNames[c] == s {
-			return c, true
-		}
-	}
-	return 0, false
-}
-
 // TriggerReason classifies why a strategy requested a backup (EvTrigger
 // Arg) or flushed its tracking buffers (EvWARFlush Arg2).
 type TriggerReason uint64

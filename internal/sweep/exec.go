@@ -33,8 +33,6 @@ type Cell struct {
 	// results are still stored: a cell that fails policy cold must fail
 	// identically warm.
 	Verify func(res *device.Result) error
-	// NoCache forces a bypass even when the cell is hashable.
-	NoCache bool
 }
 
 // CellResult is one executed (or recalled) cell.
@@ -44,12 +42,6 @@ type CellResult struct {
 	// Cfg is the defaulted config exactly as device.Cfg() would report
 	// it, available on cache hits without a device.
 	Cfg device.Config
-	// Key is the cell's content hash; HasKey is false for bypassed cells.
-	Key    Key
-	HasKey bool
-	// Cached reports whether Result came from the store (a singleflight
-	// follower's shared result counts as cached).
-	Cached bool
 	// Extras is the stored extras payload (nil when the cell has none).
 	Extras json.RawMessage
 }
@@ -69,7 +61,7 @@ func (r *CellResult) DecodeExtras(v any) (bool, error) {
 // Stats is a snapshot of an executor's cache accounting.
 type Stats struct {
 	// Hits answered a cell from the store; Misses simulated and stored;
-	// Bypass ran uncached (unhashable cell, NoCache, or no store);
+	// Bypass ran uncached (unhashable cell or no store);
 	// Dedup collapsed onto an identical in-flight cell (singleflight
 	// followers); StoreErrors counts failed store writes (the sweep
 	// continues — a broken store degrades to slower, never to wrong).
@@ -80,13 +72,13 @@ type Stats struct {
 func (s Stats) Total() uint64 { return s.Hits + s.Misses + s.Bypass + s.Dedup }
 
 // Executor runs cells through the store with singleflight dedup,
-// layered on runner.Map for bounded workers, panic isolation and ordered
-// merge. A nil-store executor degrades to plain runner semantics (every
+// layered on runner.MapCtx for bounded workers, panic isolation and
+// ordered merge. A nil-store executor degrades to plain runner semantics (every
 // cell a bypass), which is the library default — caching is opt-in at
 // the CLI/service layer via SetDefault.
 type Executor struct {
 	store   Store
-	flights flightGroup
+	flights Group[Key, *Entry]
 
 	hits, misses, bypass, dedup, storeErrs atomic.Uint64
 }
@@ -173,7 +165,7 @@ func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (Cell
 	}
 
 	key, keyed := Key{}, false
-	if e.store != nil && !c.NoCache {
+	if e.store != nil {
 		key, keyed = CellKey(cfg, strat)
 	}
 	if !keyed {
@@ -191,7 +183,7 @@ func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (Cell
 		if ent, err := decodeEntry(enc); err == nil {
 			e.hits.Add(1)
 			e.noteCell(ctx, sp, c, "hit", key, true, ent.Result, start, storedComputeUS(ent))
-			return e.finish(c, cfg, strat, key, ent, true)
+			return finish(c, cfg, strat, ent)
 		}
 		// An undecodable entry (one written in an older format, or
 		// garbage from a foreign writer) is a miss; the rewrite below
@@ -199,7 +191,7 @@ func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (Cell
 	}
 
 	waitStart := time.Now()
-	ent, shared, err := e.flights.do(ctx, key, func() (*Entry, error) {
+	ent, shared, err := e.flights.Do(ctx, key, func() (*Entry, error) {
 		live := time.Now()
 		res, _, extras, err := runLive(ctx, cfg, strat, c)
 		if err != nil {
@@ -230,7 +222,7 @@ func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (Cell
 		e.misses.Add(1)
 	}
 	e.noteCell(ctx, sp, c, outcome, key, true, ent.Result, start, storedComputeUS(ent))
-	return e.finish(c, cfg, strat, key, ent, shared)
+	return finish(c, cfg, strat, ent)
 }
 
 // failSpan closes sp recording err; nil-safe, returns err unchanged.
@@ -282,13 +274,10 @@ func (e *Executor) noteCell(ctx context.Context, sp *obsv.Span, c *Cell, outcome
 }
 
 // finish assembles a CellResult from a store or singleflight entry.
-func (e *Executor) finish(c *Cell, cfg device.Config, strat device.Strategy, key Key, ent *Entry, cached bool) (CellResult, error) {
+func finish(c *Cell, cfg device.Config, strat device.Strategy, ent *Entry) (CellResult, error) {
 	out := CellResult{
 		Result: ent.Result,
 		Cfg:    cfg.WithDefaults(strat),
-		Key:    key,
-		HasKey: true,
-		Cached: cached,
 		Extras: ent.Extras,
 	}
 	return out, verify(c, ent.Result)

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"ehmodel/internal/device"
 	"ehmodel/internal/runner"
@@ -41,8 +39,9 @@ func run1(t *testing.T, e *Executor, cells []Cell, workers int) []CellResult {
 	return res
 }
 
-// TestExecutorColdWarm: a second run of the same cells is answered
-// entirely from the store with bit-identical results.
+// TestExecutorColdWarm: results merge in cell order, and a second run of
+// the same cells is answered entirely from the store with bit-identical
+// results.
 func TestExecutorColdWarm(t *testing.T) {
 	e := NewExecutor(NewMemStore(0))
 	cells := []Cell{testCell(t, 1, 2000), testCell(t, 1, 3000), testCell(t, 2, 2000)}
@@ -52,12 +51,20 @@ func TestExecutorColdWarm(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 3 || st.Bypass != 0 {
 		t.Fatalf("cold stats %+v", st)
 	}
-	for i, r := range cold {
-		if r.Cached {
-			t.Fatalf("cell %d: cold run reported cached", i)
+	// Result i belongs to cell i whichever worker finishes first. Cells 0
+	// and 1 share a config (they differ only in the strategy's τ_B), so
+	// each result is also checked against a solo uncached run.
+	for i := range cells {
+		cfg, strat, err := cells[i].Build(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !r.HasKey {
-			t.Fatalf("cell %d: hashable cell has no key", i)
+		if !reflect.DeepEqual(scrubEnv(cold[i].Cfg), scrubEnv(cfg.WithDefaults(strat))) {
+			t.Fatalf("result %d carries another cell's config", i)
+		}
+		solo := run1(t, NewExecutor(nil), cells[i:i+1], 1)[0]
+		if !reflect.DeepEqual(cold[i].Result, solo.Result) {
+			t.Fatalf("result %d is not cell %d's", i, i)
 		}
 	}
 
@@ -67,9 +74,6 @@ func TestExecutorColdWarm(t *testing.T) {
 		t.Fatalf("warm stats %+v", st)
 	}
 	for i := range warm {
-		if !warm[i].Cached {
-			t.Fatalf("cell %d: warm run not cached", i)
-		}
 		if !reflect.DeepEqual(cold[i].Result, warm[i].Result) {
 			t.Fatalf("cell %d: cached result differs from live result", i)
 		}
@@ -103,29 +107,18 @@ func TestExecutorDedupWithinRun(t *testing.T) {
 	}
 }
 
-// TestExecutorBypass: nil store, NoCache, and unhashable cells all run
-// live and are counted as bypasses.
+// TestExecutorBypass: a nil store and an unhashable cell both run live
+// and are counted as bypasses.
 func TestExecutorBypass(t *testing.T) {
 	// Nil store: everything bypasses (the library-default executor).
 	e := NewExecutor(nil)
-	res := run1(t, e, []Cell{testCell(t, 1, 2000)}, 1)
+	run1(t, e, []Cell{testCell(t, 1, 2000)}, 1)
 	if st := e.Stats(); st.Bypass != 1 || st.Total() != 1 {
 		t.Fatalf("nil-store stats %+v", st)
 	}
-	if res[0].HasKey || res[0].Cached {
-		t.Fatalf("bypass cell carries cache state: %+v", res[0])
-	}
 
-	// NoCache forces a bypass even with a store attached.
+	// An unhashable strategy bypasses even with a store attached.
 	e = NewExecutor(NewMemStore(0))
-	c := testCell(t, 1, 2000)
-	c.NoCache = true
-	run1(t, e, []Cell{c, c}, 1)
-	if st := e.Stats(); st.Bypass != 2 || st.Misses != 0 {
-		t.Fatalf("NoCache stats %+v", st)
-	}
-
-	// An unhashable strategy bypasses too.
 	u := Cell{
 		Label: "unkeyed",
 		Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
@@ -140,7 +133,7 @@ func TestExecutorBypass(t *testing.T) {
 	// accept either a clean bypass or a strategy error — the point is it
 	// was counted as bypass, not stored.
 	_ = errs
-	if st := e.Stats(); st.Bypass < 3 {
+	if st := e.Stats(); st.Bypass != 1 || st.Misses != 0 {
 		t.Fatalf("unhashable cell not bypassed: %+v", st)
 	}
 }
@@ -192,8 +185,8 @@ func TestExecutorExtrasRoundTrip(t *testing.T) {
 	if a != b || a.Periods == 0 {
 		t.Fatalf("extras mismatch: %+v vs %+v", a, b)
 	}
-	if !warm[0].Cached {
-		t.Fatal("second run not cached")
+	if st := e.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("second run not cached: %+v", st)
 	}
 }
 
@@ -213,204 +206,6 @@ func TestExecutorBuildError(t *testing.T) {
 	}
 	if res[0].Result == nil {
 		t.Fatal("healthy cell lost")
-	}
-}
-
-// TestFlightGroupCollapse exercises the singleflight directly: N
-// concurrent calls for one key yield one leader and N−1 followers
-// sharing the leader's entry.
-func TestFlightGroupCollapse(t *testing.T) {
-	var g flightGroup
-	var calls atomic.Int32
-	started := make(chan struct{})
-	release := make(chan struct{})
-	ent := &Entry{Result: nil}
-
-	// The leader enters fn and blocks; every follower spawned after
-	// `started` finds the in-flight call and waits on it.
-	leaderOut := make(chan error, 1)
-	go func() {
-		e, shared, err := g.do(context.Background(), key(1), func() (*Entry, error) {
-			calls.Add(1)
-			close(started)
-			<-release
-			return ent, nil
-		})
-		if e != ent || shared {
-			err = fmt.Errorf("leader: ent=%p shared=%v", e, shared)
-		}
-		leaderOut <- err
-	}()
-	<-started
-
-	const followers = 7
-	type out struct {
-		ent    *Entry
-		shared bool
-		err    error
-	}
-	outs := make(chan out, followers)
-	for i := 0; i < followers; i++ {
-		go func() {
-			e, shared, err := g.do(context.Background(), key(1), func() (*Entry, error) {
-				calls.Add(1)
-				return ent, nil
-			})
-			outs <- out{e, shared, err}
-		}()
-	}
-	// Give the followers time to park on the flight, then release.
-	waitForFlightWaiters(t, &g)
-	close(release)
-
-	if err := <-leaderOut; err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < followers; i++ {
-		o := <-outs
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		if o.ent != ent {
-			t.Fatal("follower got a different entry")
-		}
-		if !o.shared {
-			t.Fatal("a follower became a leader despite the in-flight call")
-		}
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("%d executions for 8 concurrent calls", got)
-	}
-}
-
-// waitForFlightWaiters gives follower goroutines a moment to enter do()
-// and park. The flight's presence is checkable; the parked waiters are
-// not, so a short grace period follows.
-func waitForFlightWaiters(t *testing.T, g *flightGroup) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		g.mu.Lock()
-		inFlight := len(g.m)
-		g.mu.Unlock()
-		if inFlight == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("flight never formed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-}
-
-// TestFlightGroupFollowerCancellation: a follower whose context dies
-// stops waiting without killing the leader.
-func TestFlightGroupFollowerCancellation(t *testing.T) {
-	var g flightGroup
-	started := make(chan struct{})
-	release := make(chan struct{})
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, _, err := g.do(context.Background(), key(2), func() (*Entry, error) {
-			close(started)
-			<-release
-			return &Entry{}, nil
-		})
-		leaderDone <- err
-	}()
-	<-started
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, shared, err := g.do(ctx, key(2), func() (*Entry, error) {
-		t.Error("canceled follower became a leader")
-		return nil, nil
-	})
-	if !shared || err == nil {
-		t.Fatalf("shared=%v err=%v, want canceled follower", shared, err)
-	}
-	close(release)
-	if err := <-leaderDone; err != nil {
-		t.Fatalf("leader failed: %v", err)
-	}
-}
-
-// TestPlanTree: depth-first leaf order, Len, and fingerprint
-// sensitivity to content and structure.
-func TestPlanTree(t *testing.T) {
-	build := func() *Plan {
-		p := NewPlan("root")
-		p.Add(testCell(t, 1, 1000))
-		g1 := p.Group("g1")
-		g1.Add(testCell(t, 1, 2000))
-		g1.Add(testCell(t, 1, 3000))
-		g2 := p.Group("g2")
-		g2.Add(testCell(t, 2, 2000))
-		return p
-	}
-	p := build()
-	if p.Len() != 4 {
-		t.Fatalf("len %d", p.Len())
-	}
-	cells := p.Cells()
-	want := []string{
-		"counter scale=1 τB=1000",
-		"counter scale=1 τB=2000",
-		"counter scale=1 τB=3000",
-		"counter scale=2 τB=2000",
-	}
-	for i, c := range cells {
-		if c.Label != want[i] {
-			t.Fatalf("leaf %d = %q, want %q", i, c.Label, want[i])
-		}
-	}
-
-	ctx := context.Background()
-	f1, err := p.Fingerprint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := build().Fingerprint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1 != f2 {
-		t.Fatal("identical plans fingerprint differently")
-	}
-	// Changing one cell's content changes the root fingerprint.
-	p3 := build()
-	p3.Add(testCell(t, 3, 1000))
-	f3, err := p3.Fingerprint(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f3 == f1 {
-		t.Fatal("content change invisible to fingerprint")
-	}
-	// Bypass leaves are salted by position+label, not aliased.
-	p4 := build()
-	c := testCell(t, 1, 1000)
-	c.NoCache = true
-	p4.Add(c)
-	p5 := build()
-	c2 := testCell(t, 1, 1000)
-	c2.NoCache = true
-	c2.Label = "other"
-	p5.Add(c2)
-	f4, _ := p4.Fingerprint(ctx)
-	f5, _ := p5.Fingerprint(ctx)
-	if f4 == f5 {
-		t.Fatal("bypass leaves aliased")
-	}
-
-	// RunPlan returns results in leaf order through the default executor.
-	res, errs := RunPlan(ctx, p, runner.Options{Workers: 2})
-	if len(errs) != 0 {
-		t.Fatal(errs[0])
-	}
-	if len(res) != 4 {
-		t.Fatalf("%d results", len(res))
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package sweep is the memoizing execution layer between the experiment
-// drivers and internal/runner: sweeps are declarative plans whose leaf
-// nodes are single device.Run cells, each keyed by a canonical content
-// hash of everything that determines its Result — workload image,
-// strategy parameters, supply, device configuration, engine, and a
-// code-version stamp. A store-aware executor answers keyed cells from a
-// two-tier result store (in-memory LRU over an on-disk CAS) and
-// collapses identical in-flight cells with singleflight, so repeated and
-// overlapping sweeps only simulate what has never been simulated before.
+// drivers and internal/runner: a sweep is a flat list of cells, each
+// one device.Run keyed by a canonical content hash of everything that
+// determines its Result — workload image, strategy parameters, supply,
+// device configuration, engine, and a code-version stamp. A store-aware
+// executor answers keyed cells from a two-tier result store (in-memory
+// LRU over an on-disk CAS) and collapses identical in-flight cells with
+// singleflight, so repeated and overlapping sweeps only simulate what
+// has never been simulated before.
 //
 // The layer inherits runner's determinism invariant and extends it with
 // a second axis: figures are byte-identical at any worker count and any

@@ -5,53 +5,57 @@ import (
 	"sync"
 )
 
-// flightGroup collapses concurrent executions of the same cell key: the
-// first arrival (the leader) runs the simulation, later arrivals
-// (followers) block until it finishes and share its entry. A
-// hand-rolled singleflight — the repo carries no external dependencies.
+// Group collapses concurrent calls that share a key: the first arrival
+// (the leader) runs fn, later arrivals (followers) block until it
+// finishes and share its result. A hand-rolled singleflight — the repo
+// carries no external dependencies. The executor keys it by cell
+// content, ehserve by figure request.
 //
 // No deadlock is possible under runner's bounded workers: a follower
 // only ever waits on a leader that is already running in another worker
 // slot, so the leader's completion is never queued behind its
 // followers.
-type flightGroup struct {
+type Group[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[Key]*flightCall
+	m  map[K]*call[V]
 }
 
-type flightCall struct {
+type call[V any] struct {
 	done chan struct{}
-	ent  *Entry
+	v    V
 	err  error
 }
 
-// do runs fn for key unless an identical call is already in flight, in
+// Do runs fn for key unless an identical call is already in flight, in
 // which case it waits for that call's result. shared reports whether
 // this caller was a follower. A follower whose context dies stops
 // waiting and returns the context's cause; the leader's run is
-// unaffected (its own interrupt wiring handles cancellation).
-func (g *flightGroup) do(ctx context.Context, key Key, fn func() (*Entry, error)) (ent *Entry, shared bool, err error) {
+// unaffected (its own interrupt wiring handles cancellation). The key
+// is forgotten before the followers are released, so a failed flight's
+// error reaches only the callers that waited on it: the next Do runs fn
+// again.
+func (g *Group[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (v V, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[Key]*flightCall)
+		g.m = make(map[K]*call[V])
 	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
 		select {
 		case <-c.done:
-			return c.ent, true, c.err
+			return c.v, true, c.err
 		case <-ctx.Done():
-			return nil, true, context.Cause(ctx)
+			return v, true, context.Cause(ctx)
 		}
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &call[V]{done: make(chan struct{})}
 	g.m[key] = c
 	g.mu.Unlock()
 
-	c.ent, c.err = fn()
+	c.v, c.err = fn()
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
 	close(c.done)
-	return c.ent, false, c.err
+	return c.v, false, c.err
 }

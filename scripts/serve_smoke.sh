@@ -5,7 +5,9 @@
 # as an X-EH-Cache hit with byte-identical body, and its request trace
 # (fetched from /v1/trace/{id} by the X-EH-Trace ID we name) MUST show
 # a cache-hit lookup span and no simulation cell spans — plus a
-# provenance query (0 computed cells when warm), the sampled metrics
+# provenance query (0 computed cells when warm), six concurrent
+# identical queries for a new figure (exactly one generates it, the
+# rest coalesce or hit, all bodies identical), the sampled metrics
 # series, one sweep and one model query. The store's counters land in
 # serve_smoke_stats.json and the warm request's span tree in
 # serve_smoke_trace.json (CI uploads both as artifacts) before a
@@ -83,6 +85,30 @@ echo "== provenance (warm: 0 computed cells) =="
 curl -fsS "$FIG&provenance=1" -o "$WORK/prov.json"
 grep -q '"computed_cells": 0' "$WORK/prov.json" || fail "warm provenance reports computed cells"
 grep -q '"cache": "hit"' "$WORK/prov.json" || fail "warm provenance does not report the response-cache hit"
+
+echo "== figure (6 concurrent identical requests) =="
+# Only the request singleflight and the byte cache stand between these
+# and six generations: exactly one request leads (miss), the others
+# coalesce onto its flight or hit the bytes it cached.
+CFIG="$BASE/v1/figure?id=10&quick=true"
+pids=""
+for n in 1 2 3 4 5 6; do
+	curl -fsS -D "$WORK/ch$n" -o "$WORK/cb$n" "$CFIG" &
+	pids="$pids $!"
+done
+for p in $pids; do
+	wait "$p" || fail "a concurrent figure request failed"
+done
+leaders=0
+for n in 1 2 3 4 5 6; do
+	cmp -s "$WORK/cb1" "$WORK/cb$n" || fail "concurrent reply $n differs from reply 1"
+	if header_is "$WORK/ch$n" x-eh-cache miss; then
+		leaders=$((leaders + 1))
+	elif ! header_is "$WORK/ch$n" x-eh-cache coalesced && ! header_is "$WORK/ch$n" x-eh-cache hit; then
+		fail "concurrent reply $n is neither miss, coalesced nor hit"
+	fi
+done
+[ "$leaders" -eq 1 ] || fail "$leaders of 6 concurrent replies were misses, want exactly 1"
 
 echo "== metrics series =="
 sleep 1.2 # let at least two sampling intervals elapse
