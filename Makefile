@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test test-race test-short fuzz-equiv audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard bench-smoke bench-ledger serve-smoke clean
+.PHONY: check fmt vet staticcheck build test test-race test-short fuzz-equiv audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard bench-smoke bench-ledger bench-ab serve-smoke clean
 
 # `test` runs the full suite race-free — including the complete engine
 # equivalence matrix, which self-trims to a representative slice under
@@ -144,6 +144,18 @@ bench-smoke:
 # numbers are informational, not a gate.
 bench-ledger:
 	bash bench/run.sh --workload all --seed 1 --trace 1 --out .bench_build/ledger
+
+# alternating parent/change pairs of the benchmark: the commit REF
+# (default HEAD) against the working tree, one pair per seed in SEEDS on
+# WORKLOAD, then `ehbench compare`'s verdict per workload and metric
+# (scripts/bench_ab.sh; on 2 vCPUs a pair takes about 3 min for all
+# workloads, 25 s for sim-harvest). Writes only under .bench_build/ab/.
+# Example:
+#   make bench-ab REF=HEAD~1 WORKLOAD=sim-harvest SEEDS="21 22 23 24 25 26 27 28 29 30"
+WORKLOAD ?= all
+SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+bench-ab:
+	REF="$(REF)" bash scripts/bench_ab.sh $(WORKLOAD) $(SEEDS)
 
 # end-to-end smoke of cmd/ehserve: build it, start it against a
 # throwaway disk store, ask the same figure twice (the second reply must

@@ -581,6 +581,8 @@ type Device struct {
 	stopSys isa.SysMask
 	filter  PreStepFilter
 	maxEPC  float64
+	// sleep counts the fused sleep's chunks by path (sleep.go).
+	sleep sleepChunks
 
 	// The power model evaluated once by New: the cycle period and each
 	// class's energy per cycle. consume, BackupCost, the restore charge

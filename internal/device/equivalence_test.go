@@ -203,8 +203,11 @@ func TestEngineEquivalenceBench(t *testing.T) {
 // mid-run death execute under both engines at every window size. The
 // fixed-point rows pin the replay: a run that freezes after committing,
 // zero-commit periods that store to FRAM (which must never replay), and
-// a run limit that lands mid-period. Every row also seeds
-// FuzzEngineEquivalence.
+// a run limit that lands mid-period. The sleep rows aim at Hibernus's
+// post-backup sleep, which the batched engine settles in its fused
+// sleep and the reference engine through consume, on a harvested supply
+// whose sleeps clamp at VMax and on one whose sleeps never do. Every row
+// also seeds FuzzEngineEquivalence.
 func TestEngineEquivalenceWideWindow(t *testing.T) {
 	for _, r := range wideWindowRows() {
 		for _, wl := range r.workloads(t) {
@@ -213,6 +216,14 @@ func TestEngineEquivalenceWideWindow(t *testing.T) {
 			t.Run(r.name+"/"+wl, func(t *testing.T) {
 				t.Parallel()
 				c.run(t)
+				if r.clamps || r.noClamp {
+					// The sleep must really take the path the row aims at.
+					clamped, general := c.sleepChunks(t)
+					if r.clamps && (clamped == 0 || general == 0) || r.noClamp && (clamped != 0 || general == 0) {
+						t.Fatalf("fused sleep settled %d clamped and %d general chunks", clamped, general)
+					}
+					t.Logf("fused sleep settled %d clamped and %d general chunks", clamped, general)
+				}
 				if !r.checksFF(wl) {
 					return
 				}
@@ -240,6 +251,10 @@ type wideWindowRow struct {
 	// counter and crc (or on the row's own workload); noFF forbids any.
 	minFF uint64
 	noFF  bool
+	// clamps requires the batched engine's fused sleep to settle chunks
+	// on both its clamped and general paths; noClamp requires general
+	// chunks only.
+	clamps, noClamp bool
 }
 
 func (r wideWindowRow) workloads(t *testing.T) []string {
@@ -286,6 +301,14 @@ func wideWindowRows() []wideWindowRow {
 	senseBrownouts.sense, senseBrownouts.workload = true, "sense"
 	meter := hibernus(16, 2000, 3_000)
 	meter.meter = true
+	// Hibernus at its defaults on the sim-harvest benchmark's supply: crc
+	// at Scale 10, a trace of the given kind into R 3000 Ω at η 0.7, a
+	// 6k-cycle capacitor.
+	harvested := func(supply uint8) equivCase {
+		c := hibernus(16, 2000, 6_000)
+		c.workload, c.scale, c.supply, c.seed = "crc", 10, supply, 1
+		return c
+	}
 	return []wideWindowRow{
 		{name: "wide-window/one-period", equivCase: timer(50_000, 600_000)},
 		{name: "wide-window/brownouts", equivCase: timer(20_000, 60_000)},
@@ -350,6 +373,11 @@ func wideWindowRows() []wideWindowRow {
 		// the last whole period, then simulate the cut-short one.
 		{name: "fixed-point/odd-max-cycles",
 			equivCase: limits(hibernus(16, 1020, 3_000), 0, 123_457), minFF: 30},
+		// On multipeak each sleep clamps at VMax for hundreds of thousands
+		// of chunks, drains in a trough and dies.
+		{name: "sleep/hibernus-multipeak", equivCase: harvested(3), clamps: true},
+		// On spikes the harvest never lifts a sleep to VMax.
+		{name: "sleep/hibernus-spikes", equivCase: harvested(1), noClamp: true},
 	}
 }
 

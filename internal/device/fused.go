@@ -5,8 +5,10 @@ import (
 	"math"
 
 	"ehmodel/internal/cpu"
+	"ehmodel/internal/energy"
 	"ehmodel/internal/isa"
 	"ehmodel/internal/mem"
+	"ehmodel/internal/trace"
 )
 
 // Fused settle path.
@@ -43,7 +45,10 @@ import (
 //
 // Every batched run settles here: bench and harvested supplies, fault
 // injection and observation recording alike. The harvest credit is
-// Capacitor.Store inlined (same operands, same order, same clamp), and
+// Harvester.EnergyOver with its trace lookup and transducer law inlined
+// (trace.Interp and energy.TransducerPower; only a wrap past the first
+// recording calls Trace.VoltageAt), then Capacitor.Store inlined (same
+// operands, same order, same clamp), and
 // pendingE keeps the reference's eBefore + (H − hBefore) − eAfter
 // association — the harvested delta is not always bit-equal to the
 // amount absorbed, and on a bench supply the term is +0, which leaves
@@ -116,7 +121,13 @@ func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) 
 		dt := n * cp
 		eBefore, hBefore := eb, hv
 		if harv != nil {
-			if h := harv.EnergyOver(timeS, dt); h > 0 {
+			// Harvester.EnergyOver(timeS, dt), its lookup inlined.
+			src, ts := harv.Source, timeS+dt/2
+			vs, ok := trace.Interp(src.SamplesV, ts/src.PeriodS)
+			if !ok {
+				vs = src.VoltageAt(ts)
+			}
+			if h := energy.TransducerPower(vs, harv.Eta, harv.R) * dt; h > 0 {
 				if v = math.Sqrt((eb + h) / hc); v > vmax {
 					v = vmax
 					hv += math.Max(0, eMax-eb)

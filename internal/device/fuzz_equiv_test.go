@@ -20,12 +20,12 @@ import (
 
 // FuzzEngineEquivalence searches the configuration space for a batched
 // run that differs from the reference engine: any workload (unknown
-// names favour the SENSE-heavy and FRAM-storing ones), catalog strategy
-// and knob setting, optional SenseCommit and RegionMeter, any period
-// energy — including budgets no region fits, where runs freeze into
-// fixed points the batched engine fast-forwards — on a bench, harvested
-// or fault-injected supply, with run limits small enough that one case
-// takes milliseconds. Cases that record an observation log or trace
+// names favour the SENSE-heavy and FRAM-storing ones) at any scale up
+// to fuzzMaxScale, catalog strategy and knob setting, optional
+// SenseCommit and RegionMeter, any period energy — including budgets no
+// region fits, where runs freeze into fixed points the batched engine
+// fast-forwards — on a bench, harvested or fault-injected supply, with
+// run limits small enough that one case takes milliseconds. Cases that record an observation log or trace
 // events compare those too. Every TestEngineEquivalenceWideWindow row,
 // on the workloads it pins the replay on, seeds the search, so plain
 // `go test` runs them and `make fuzz-equiv` starts from them.
@@ -33,11 +33,11 @@ func FuzzEngineEquivalence(f *testing.F) {
 	for _, r := range wideWindowRows() {
 		for _, wl := range r.pinned() {
 			c := r.equivCase
-			f.Add(wl, c.strategy, c.sense, c.meter, c.fram, c.window, c.check, c.margin, c.buf,
+			f.Add(wl, c.scale, c.strategy, c.sense, c.meter, c.fram, c.window, c.check, c.margin, c.buf,
 				c.energy, c.supply, c.seed, c.maxPeriods, c.maxCycles, c.record, c.events, c.commits)
 		}
 	}
-	f.Fuzz(func(t *testing.T, wl, strat string, sense, meter, fram bool, window uint32, check, margin uint16,
+	f.Fuzz(func(t *testing.T, wl string, scale uint8, strat string, sense, meter, fram bool, window uint32, check, margin uint16,
 		buf uint8, energy uint32, supply uint8, seed int64, maxPeriods uint16, maxCycles uint32, record, events, commits bool) {
 		// A zero or oversized run limit selects the cap.
 		if maxPeriods == 0 || maxPeriods > fuzzMaxPeriods {
@@ -47,7 +47,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			maxCycles = fuzzMaxCycles
 		}
 		c := equivCase{
-			workload: wl, strategy: strat, sense: sense, meter: meter, fram: fram,
+			workload: wl, scale: scale, strategy: strat, sense: sense, meter: meter, fram: fram,
 			window: window, check: check, margin: margin, buf: buf, energy: energy,
 			supply: supply, seed: seed, maxPeriods: maxPeriods, maxCycles: maxCycles,
 			record: record, events: events, commits: commits,
@@ -61,6 +61,9 @@ const (
 	// fuzzMaxPeriods and fuzzMaxCycles cap a fuzz case's run limits.
 	fuzzMaxPeriods = 20_000
 	fuzzMaxCycles  = 1 << 21
+	// fuzzMaxScale is the largest workload scale a case builds (modulo
+	// one more); every workload's data fits SRAM up to it.
+	fuzzMaxScale = 16
 	// Period energies up to fuzzLiteralEnergy ALU cycles are taken
 	// literally, so table rows replay exactly; larger inputs spread
 	// log-uniformly over [fuzzMinEnergy, fuzzLiteralEnergy], a range
@@ -74,6 +77,8 @@ const (
 // it too. Unknown workload and strategy names pick one by hash.
 type equivCase struct {
 	workload, strategy string
+	// scale is the workload's Scale, modulo fuzzMaxScale+1 (0 means 1).
+	scale uint8
 	// sense wraps the strategy in SenseCommit, and meter wraps the result
 	// in RegionMeter, whose Horizon of 1 sends every instruction through
 	// the per-step protocol whatever the strategy inside; fram places the
@@ -161,7 +166,7 @@ func (c equivCase) program(t *testing.T, seg asm.Segment) *asm.Program {
 			return framCounter(t)
 		}
 	}
-	prog, err := w.Build(workload.Options{Seg: seg})
+	prog, err := w.Build(workload.Options{Seg: seg, Scale: int(c.scale % (fuzzMaxScale + 1))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,6 +338,18 @@ func (c equivCase) run(t *testing.T) {
 	if c.events {
 		sameEvents(t, filterDiagnostics(ref.events.Events), filterDiagnostics(bat.events.Events))
 	}
+}
+
+// sleepChunks runs the case on the batched engine alone and returns how
+// many chunks its fused sleep settled on the clamped and general paths.
+func (c equivCase) sleepChunks(t *testing.T) (clamped, general uint64) {
+	t.Helper()
+	spec := c.spec()
+	r := c.newRun(t, c.program(t, spec.Seg), spec, device.EngineBatched)
+	if _, err := r.d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return r.d.SleepChunks()
 }
 
 // fastForwarded runs the case on the batched engine alone, traced, and

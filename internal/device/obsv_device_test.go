@@ -7,9 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"ehmodel/internal/asm"
 	"ehmodel/internal/device"
+	"ehmodel/internal/energy"
 	"ehmodel/internal/obsv"
 	"ehmodel/internal/strategy"
+	"ehmodel/internal/trace"
 	"ehmodel/internal/workload"
 )
 
@@ -157,24 +160,41 @@ func TestGoldenTraceHibernusCounter(t *testing.T) {
 // counter crossed pollBatchCycles, not wherever the engine's batching
 // happened to leave d.cycles.
 func TestDeadlineBoundaryParity(t *testing.T) {
-	w, ok := workload.Get("counter")
-	if !ok {
-		t.Fatal("counter workload missing")
-	}
-	// deadline runs the counter at the given scale and period energy to
-	// its first real poll on both engines, which must report it alike.
-	deadline := func(scale int, energy float64, maxPeriods int, strat func() device.Strategy) *device.DeadlineError {
+	build := func(name string, opts workload.Options) *asm.Program {
 		t.Helper()
-		prog, err := w.Build(workload.Options{Scale: scale})
+		w, ok := workload.Get(name)
+		if !ok {
+			t.Fatalf("%s workload missing", name)
+		}
+		prog, err := w.Build(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return prog
+	}
+	// deadline runs prog at the given period budget — on the bench
+	// supply, or harvesting tr when it is not nil — to its first real
+	// poll on both engines, which must report it alike, and returns the
+	// batched engine's error and events.
+	deadline := func(prog *asm.Program, budget float64, maxPeriods int, tr *trace.Trace, strat func() device.Strategy) (*device.DeadlineError, []obsv.Event) {
+		t.Helper()
 		var des [2]*device.DeadlineError
+		sink := &obsv.SliceSink{}
 		for i, eng := range []device.Engine{device.EngineReference, device.EngineBatched} {
-			cfg := benchEquivCfg(prog, energy)
+			cfg := benchEquivCfg(prog, budget)
 			cfg.Engine = eng
 			cfg.MaxPeriods = maxPeriods
 			cfg.RunTimeout = time.Nanosecond
+			if tr != nil {
+				h, err := energy.NewHarvester(tr, 3000, 0.7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Harvester = h
+			}
+			if eng == device.EngineBatched {
+				cfg.Observe = sink
+			}
 			d, err := device.New(cfg, strat())
 			if err != nil {
 				t.Fatal(err)
@@ -187,14 +207,15 @@ func TestDeadlineBoundaryParity(t *testing.T) {
 			t.Fatalf("deadline position differs:\nreference: cycles=%d periods=%d\nbatched:   cycles=%d periods=%d",
 				ref.Cycles, ref.Periods, bat.Cycles, bat.Periods)
 		}
-		return des[1]
+		return des[1], sink.Events
 	}
-	deadline(20, 600_000, 20000, func() device.Strategy { return strategy.NewTimer(50_000, 0.1) })
+	deadline(build("counter", workload.Options{Scale: 20}), 600_000, 20000, nil,
+		func() device.Strategy { return strategy.NewTimer(50_000, 0.1) })
 
 	// On the margin-1.02 fixed point the first real check falls in a
 	// period the batched engine replays: periods 0 and 1 are simulated
 	// (the fixed point and its recorded repeat), replay starts at 2.
-	de := deadline(1, 3_000, 200, func() device.Strategy {
+	de, _ := deadline(build("counter", workload.Options{Scale: 1}), 3_000, 200, nil, func() device.Strategy {
 		h := strategy.NewHibernus()
 		h.Margin = 1.02
 		return h
@@ -203,4 +224,15 @@ func TestDeadlineBoundaryParity(t *testing.T) {
 		t.Fatalf("deadline fired in period %d, before any replay", de.Periods)
 	}
 	t.Logf("deadline fired in period %d at cycle %d", de.Periods, de.Cycles)
+
+	// On the sim-harvest supply the first real check falls inside the
+	// first period's post-backup sleep, which the batched engine settles
+	// in its fused sleep: the last event before the deadline is the sleep.
+	hib, _ := strategy.Lookup("hibernus")
+	de, evs := deadline(build("crc", workload.Options{Seg: hib.Seg, Scale: 10}), 6_000, 20000,
+		trace.Generate(trace.MultiPeak, 20, 1e-3, 1), hib.New)
+	if n := len(evs); n < 2 || evs[n-1].Type != obsv.EvDeadline || evs[n-2].Type != obsv.EvSleep {
+		t.Fatalf("deadline did not fire inside a sleep: last events %v", evs[max(0, n-3):])
+	}
+	t.Logf("deadline fired in a sleep of period %d at cycle %d", de.Periods, de.Cycles)
 }

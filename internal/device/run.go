@@ -721,10 +721,15 @@ func (d *Device) backup(p Payload) bool {
 // idleToDeath burns idle cycles until the supply dies — the
 // single-backup sleep after a Hibernus-style checkpoint. A harvester
 // that sustains the idle draw would otherwise spin to MaxCycles, so
-// the sleep polls the interrupt/deadline check too.
+// the sleep polls the interrupt/deadline check too. The batched engine
+// settles the chunks in fusedSleep (sleep.go), except under a fault
+// injector or while recording a fixed point, which see every chunk.
 func (d *Device) idleToDeath() error {
 	if d.obs != nil {
 		d.emit(obsv.EvSleep, 0, 0, 0)
+	}
+	if d.engine != EngineReference && d.inj == nil && d.tape == nil {
+		return d.fusedSleep()
 	}
 	const chunk = pollCreditIdle
 	for d.cycles < d.cfg.MaxCycles {

@@ -1,26 +1,24 @@
 package energy
 
-import "fmt"
+import (
+	"fmt"
 
-// VoltageSource supplies the ambient open-circuit voltage over time;
-// *trace.Trace satisfies it.
-type VoltageSource interface {
-	VoltageAt(ts float64) float64
-}
+	"ehmodel/internal/trace"
+)
 
-// Harvester converts an ambient voltage source into charging power using
+// Harvester converts an ambient voltage trace into charging power using
 // a simple resistive transducer model: the source can deliver
 // P = η·V_s²/R. This preserves the property the paper relies on —
 // charging power tracks the trace shape — without modelling impedance
 // matching.
 type Harvester struct {
-	Source VoltageSource
+	Source *trace.Trace
 	R      float64 // transducer series resistance (Ω), > 0
 	Eta    float64 // conversion efficiency in (0, 1]
 }
 
 // NewHarvester validates and builds a harvester.
-func NewHarvester(src VoltageSource, r, eta float64) (*Harvester, error) {
+func NewHarvester(src *trace.Trace, r, eta float64) (*Harvester, error) {
 	if src == nil {
 		return nil, fmt.Errorf("energy: harvester needs a voltage source")
 	}
@@ -35,11 +33,17 @@ func NewHarvester(src VoltageSource, r, eta float64) (*Harvester, error) {
 
 // PowerAt returns the harvested power (W) at time ts seconds.
 func (h *Harvester) PowerAt(ts float64) float64 {
-	v := h.Source.VoltageAt(ts)
+	return TransducerPower(h.Source.VoltageAt(ts), h.Eta, h.R)
+}
+
+// TransducerPower is the transducer law PowerAt applies: a source at v
+// volts delivers η·v²/R, and nothing at or below 0 V. It is small
+// enough to inline into a loop that looks the supply up at every step.
+func TransducerPower(v, eta, r float64) float64 {
 	if v <= 0 {
 		return 0
 	}
-	return h.Eta * v * v / h.R
+	return eta * v * v / r
 }
 
 // EnergyOver integrates harvested energy over [t0, t0+dt] with a single

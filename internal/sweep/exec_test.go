@@ -2,9 +2,11 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"ehmodel/internal/device"
 	"ehmodel/internal/runner"
@@ -206,6 +208,25 @@ func TestExecutorBuildError(t *testing.T) {
 	}
 	if res[0].Result == nil {
 		t.Fatal("healthy cell lost")
+	}
+}
+
+// TestExecutorPanicRerun: a cell whose Extras panics fails as a
+// *runner.PanicError, and so does the same cell run again on the same
+// executor. Its first flight must end with the panic, or the second run
+// would wait on it until its deadline.
+func TestExecutorPanicRerun(t *testing.T) {
+	e := NewExecutor(NewMemStore(0))
+	c := testCell(t, 1, 2000)
+	c.Extras = func(device.Strategy, *device.Result) (any, error) { panic("extras boom") }
+	for run := 1; run <= 2; run++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_, errs := e.Run(ctx, []Cell{c}, runner.Options{})
+		cancel()
+		var pe *runner.PanicError
+		if len(errs) != 1 || !errors.As(errs[0], &pe) || pe.Value != "extras boom" {
+			t.Fatalf("run %d: errs %v, want the cell's panic", run, errs)
+		}
 	}
 }
 

@@ -60,20 +60,12 @@ func ParseKey(s string) (Key, error) {
 	return k, nil
 }
 
-// SourceFingerprinter is the optional identity a harvester's voltage
-// source exposes for cache keying: a stable string covering every sample
-// the source will ever return. *trace.Trace implements it. A harvester
-// whose source does not is unhashable, and its cells bypass the store.
-type SourceFingerprinter interface {
-	CacheFingerprint() string
-}
-
 // CellKey computes the canonical content hash of one simulation cell, or
 // ok=false when the cell must bypass the store: a fault injector or
 // observation recorder is attached (their outputs are not part of the
-// key), the strategy does not expose its parameters via
-// device.CacheKeyer (or returns an empty key to opt out), or the
-// harvester's source cannot be fingerprinted.
+// key), or the strategy does not expose its parameters via
+// device.CacheKeyer (or returns an empty key to opt out). A harvester's
+// trace enters the key as its CacheFingerprint.
 //
 // The key covers the defaulted config exactly as device.New resolves it
 // (defaults applied, the strategy's CacheSizer block size, the resolved
@@ -101,15 +93,6 @@ func cellKey(cfg device.Config, strat device.Strategy, version string) (Key, boo
 	if stratKey == "" {
 		return Key{}, false
 	}
-	var sourceFP string
-	if cfg.Harvester != nil {
-		fp, ok := cfg.Harvester.Source.(SourceFingerprinter)
-		if !ok {
-			return Key{}, false
-		}
-		sourceFP = fp.CacheFingerprint()
-	}
-
 	cfg = cfg.WithDefaults(strat)
 
 	w := newKeyWriter()
@@ -133,7 +116,7 @@ func cellKey(cfg device.Config, strat device.Strategy, version string) (Key, boo
 	w.f64("vOff", cfg.VOff)
 
 	if cfg.Harvester != nil {
-		w.str("harvester", sourceFP)
+		w.str("harvester", cfg.Harvester.Source.CacheFingerprint())
 		w.f64("harvesterR", cfg.Harvester.R)
 		w.f64("harvesterEta", cfg.Harvester.Eta)
 	}

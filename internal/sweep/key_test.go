@@ -194,15 +194,9 @@ func TestCellKeyBypass(t *testing.T) {
 	// An empty CacheKey is an explicit opt-out (Alpaca with commit
 	// recording uses it).
 	check("opted-out strategy", base, optedOutStrategy{})
-	{
-		// A harvester whose source has no fingerprint is unhashable.
-		cfg := base
-		cfg.Harvester = mustHarvester(t, constSource(2.5), 40000, 0.7)
-		check("unfingerprintable source", cfg, baseStrat)
-	}
 }
 
-func mustHarvester(t testing.TB, src energy.VoltageSource, r, eta float64) *energy.Harvester {
+func mustHarvester(t testing.TB, src *trace.Trace, r, eta float64) *energy.Harvester {
 	t.Helper()
 	h, err := energy.NewHarvester(src, r, eta)
 	if err != nil {
@@ -218,11 +212,6 @@ type unkeyedStrategy struct{ device.Strategy }
 type optedOutStrategy struct{ device.Strategy }
 
 func (optedOutStrategy) CacheKey() string { return "" }
-
-// constSource is a VoltageSource without a CacheFingerprint.
-type constSource float64
-
-func (c constSource) VoltageAt(tSeconds float64) float64 { return float64(c) }
 
 // FuzzCellKey fuzzes the canonicalizer's numeric surface: for any valid
 // parameter tuple the key must be deterministic, and any single-field

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	"sync"
 )
 
@@ -33,7 +34,8 @@ type call[V any] struct {
 // unaffected (its own interrupt wiring handles cancellation). The key
 // is forgotten before the followers are released, so a failed flight's
 // error reaches only the callers that waited on it: the next Do runs fn
-// again.
+// again. A panicking fn fails the flight too: its followers get an error
+// naming the panic, and the panic continues in the leader's goroutine.
 func (g *Group[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (v V, shared bool, err error) {
 	g.mu.Lock()
 	if g.m == nil {
@@ -52,10 +54,23 @@ func (g *Group[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (v V,
 	g.m[key] = c
 	g.mu.Unlock()
 
+	returned := false
+	defer func() {
+		var p any
+		if !returned {
+			// fn panicked, or called runtime.Goexit (p is then nil).
+			p = recover()
+			c.err = fmt.Errorf("sweep: the call this one waited on panicked: %v", p)
+		}
+		g.mu.Lock()
+		delete(g.m, key)
+		g.mu.Unlock()
+		close(c.done)
+		if p != nil {
+			panic(p)
+		}
+	}()
 	c.v, c.err = fn()
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	close(c.done)
+	returned = true
 	return c.v, false, c.err
 }

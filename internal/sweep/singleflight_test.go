@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -190,6 +191,74 @@ func TestFlightGroupLeaderError(t *testing.T) {
 	})
 	if got != ent || shared || err != nil || calls.Load() != 2 {
 		t.Fatalf("after a failed flight: ent=%p shared=%v err=%v calls=%d, want a new leader",
+			got, shared, err, calls.Load())
+	}
+}
+
+// TestFlightGroupLeaderPanic: a leader whose fn panics still ends its
+// flight. Its followers get an error naming the panic at once instead
+// of waiting for their contexts to end, the panic continues in the
+// leader's goroutine, the key is forgotten, and the next call for it
+// leads a new flight and runs fn.
+func TestFlightGroupLeaderPanic(t *testing.T) {
+	var g Group[Key, *Entry]
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leaderOut := make(chan any, 1)
+	go func() {
+		defer func() { leaderOut <- recover() }()
+		g.Do(context.Background(), key(4), func() (*Entry, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+
+	// A follower still waiting at the deadline would report its
+	// context's error, not the panic.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	const followers = 4
+	type out struct {
+		shared bool
+		err    error
+	}
+	outs := make(chan out, followers)
+	for i := 0; i < followers; i++ {
+		go func() {
+			_, shared, err := g.Do(ctx, key(4), func() (*Entry, error) {
+				return &Entry{}, nil
+			})
+			outs <- out{shared, err}
+		}()
+	}
+	waitForFlightWaiters(t, &g)
+	close(release)
+
+	if p := <-leaderOut; p != "boom" {
+		t.Fatalf("leader recovered %v, want the panic boom", p)
+	}
+	for i := 0; i < followers; i++ {
+		if o := <-outs; !o.shared || o.err == nil || !strings.Contains(o.err.Error(), "panicked: boom") {
+			t.Fatalf("follower shared=%v err=%v, want an error naming the leader's panic", o.shared, o.err)
+		}
+	}
+	g.mu.Lock()
+	inFlight := len(g.m)
+	g.mu.Unlock()
+	if inFlight != 0 {
+		t.Fatalf("%d flights left after the leader panicked", inFlight)
+	}
+
+	var calls atomic.Int32
+	ent := &Entry{}
+	got, shared, err := g.Do(context.Background(), key(4), func() (*Entry, error) {
+		calls.Add(1)
+		return ent, nil
+	})
+	if got != ent || shared || err != nil || calls.Load() != 1 {
+		t.Fatalf("after a panicked flight: ent=%p shared=%v err=%v calls=%d, want a new leader",
 			got, shared, err, calls.Load())
 	}
 }

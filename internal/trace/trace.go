@@ -40,6 +40,9 @@ func (t *Trace) Duration() float64 {
 // recording. A trace of two or more samples has no voltage at a
 // non-finite time and returns NaN.
 func (t *Trace) VoltageAt(ts float64) float64 {
+	if v, ok := Interp(t.SamplesV, ts/t.PeriodS); ok {
+		return v
+	}
 	n := len(t.SamplesV)
 	if n == 0 {
 		return 0
@@ -51,33 +54,46 @@ func (t *Trace) VoltageAt(ts float64) float64 {
 	if math.IsNaN(pos) {
 		return pos
 	}
+	return lerp(t.SamplesV, pos)
+}
+
+// Interp is VoltageAt's common case, small enough to inline: for a
+// sample position x = ts/PeriodS inside the first recording of a trace
+// of two or more samples it returns VoltageAt(ts) and true; for any
+// other x, and for fewer samples, it returns false and the caller asks
+// VoltageAt. A loop that looks the supply up at every step calls it
+// instead of VoltageAt, so only a wrap costs a call.
+func Interp(s []float64, x float64) (float64, bool) {
+	if len(s) < 2 || !(0 <= x && x < float64(len(s))) {
+		return 0, false
+	}
+	return lerp(s, x), true
+}
+
+// lerp interpolates s at position pos in [0, len(s)); the last sample
+// blends into the first.
+func lerp(s []float64, pos float64) float64 {
 	i := int(pos)
 	frac := pos - float64(i)
 	// pos < n, so i+1 ≤ n and only the last sample wraps: the compare is
 	// (i+1) % n without the integer division.
 	j := i + 1
-	if j == n {
+	if j == len(s) {
 		j = 0
 	}
-	return t.SamplesV[i]*(1-frac) + t.SamplesV[j]*frac
+	return s[i]*(1-frac) + s[j]*frac
 }
 
 // cyclePos maps ts onto the sample axis, wrapped into one recording: a
-// position in [0, n), or NaN when ts/PeriodS is not finite. math.Mod
-// returns its argument exactly when 0 ≤ x < n, so positions inside the
-// first recording — where most runs spend their time — skip it; NaN
-// fails both comparisons and, like ±Inf and negative times, keeps the
-// Mod path, where Mod(±Inf, n) is NaN too. Wrapping a negative x adds
-// n, which rounds to n itself when |x| is at most half an ulp of n
-// (ts = −1e-20 s on a 1 ms trace); that position is the start of the
-// next recording, so it folds to 0.
+// position in [0, n), or NaN when ts/PeriodS is not finite. VoltageAt
+// calls it only for the positions Interp refuses — later recordings,
+// negative and non-finite times — where Mod(±Inf, n) is NaN. Wrapping a
+// negative x adds n, which rounds to n itself when |x| is at most half
+// an ulp of n (ts = −1e-20 s on a 1 ms trace); that position is the
+// start of the next recording, so it folds to 0.
 func (t *Trace) cyclePos(ts float64) float64 {
 	n := float64(len(t.SamplesV))
-	x := ts / t.PeriodS
-	if 0 <= x && x < n {
-		return x
-	}
-	pos := math.Mod(x, n)
+	pos := math.Mod(ts/t.PeriodS, n)
 	if pos < 0 {
 		if pos += n; pos == n {
 			pos = 0

@@ -109,12 +109,12 @@ func TestVoltageAtInterpolation(t *testing.T) {
 	}
 }
 
-// TestCyclePosMatchesMod pins the first-recording fast path to the
-// math.Mod expression it replaces, bit for bit, inside the first
-// recording, on its boundary, several recordings in, before zero, just
+// TestCyclePosMatchesMod pins VoltageAt to the math.Mod expression, bit
+// for bit, inside the first recording (where Interp answers without the
+// modulo), on its boundary, several recordings in, before zero, just
 // before zero where the wrap rounds up to n and folds to 0, and at NaN
-// and ±Inf, where VoltageAt returns NaN; and VoltageAt's wrap to the
-// modulo it replaces at each of those positions.
+// and ±Inf, where VoltageAt returns NaN; and cyclePos, which wraps the
+// positions Interp refuses, to the same expression at each of them.
 func TestCyclePosMatchesMod(t *testing.T) {
 	tr := Generate(MultiPeak, 20, 1e-3, 7)
 	n := float64(len(tr.SamplesV))
