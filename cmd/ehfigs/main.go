@@ -43,7 +43,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -81,7 +80,6 @@ func cliMain() int {
 		fmt.Fprintln(os.Stderr, "ehfigs:", err)
 		return 2
 	}
-	device.SetDefaultEngine(engine)
 
 	exec, err := sweep.OpenExecutor(*cacheMode, *cacheDir)
 	if err != nil {
@@ -105,40 +103,16 @@ func cliMain() int {
 		return code
 	}
 
-	// Every device any sweep driver builds — many call layers down —
-	// picks up its tracer here: a fresh per-worker Metrics sink from the
-	// collector (merged loss-free at export) and its own thread of the
-	// shared Chrome timeline.
-	var coll *obsv.Collector
-	var chrome *obsv.ChromeSink
-	if *metricsFile != "" {
-		coll = obsv.NewCollector()
+	sinks, err := profiling.OpenSinks(*traceFile, *metricsFile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ehfigs:", err)
+		return finish(1)
 	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ehfigs:", err)
-			return finish(1)
-		}
-		chrome = obsv.NewChromeSink(f)
-	}
-	if coll != nil || chrome != nil {
-		var tid atomic.Int32
-		device.SetDefaultObserver(func() obsv.Tracer {
-			var ts []obsv.Tracer
-			if chrome != nil {
-				ts = append(ts, obsv.WithTid(chrome, tid.Add(1)))
-			}
-			if coll != nil {
-				ts = append(ts, coll.Tracer())
-			}
-			return obsv.Combine(ts...)
-		})
-		defer device.SetDefaultObserver(nil)
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// Every device any sweep driver builds — many call layers down —
+	// runs on the chosen engine and reports into the sinks.
+	ctx = sinks.WithEnv(ctx, engine)
 
 	// -trace-spans runs the whole generation as one trace: the same
 	// span vocabulary a traced ehserve request records (cells with
@@ -150,7 +124,7 @@ func cliMain() int {
 	}
 
 	ropts := runner.Options{Workers: *workers, RunTimeout: *runTimeout}
-	runErr := run(ctx, *fig, *quick, *csvDir, ropts, exec, coll, *metricsFile)
+	runErr := run(ctx, *fig, *quick, *csvDir, ropts, exec, sinks)
 	if spanTrace != nil {
 		if err := writeSpanTree(*traceSpans, spanTrace); err != nil {
 			fmt.Fprintln(os.Stderr, "ehfigs: trace-spans:", err)
@@ -159,13 +133,6 @@ func cliMain() int {
 			}
 		} else {
 			fmt.Printf("wrote span tree to %s\n", *traceSpans)
-		}
-	}
-	if chrome != nil {
-		if err := chrome.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "ehfigs: trace:", err)
-		} else {
-			fmt.Printf("wrote Chrome trace to %s\n", *traceFile)
 		}
 	}
 	if runErr != nil {
@@ -178,11 +145,10 @@ func cliMain() int {
 // run generates, renders and dumps the requested figures. Every figure
 // that produced data — including partial sweeps interrupted by a
 // signal or a deadline — is rendered and written to CSV before the
-// failure summary decides the exit status. When a collector is
-// attached, the aggregated metrics (plus the sweep engine's per-class
-// failure counts and the result store's counters) are exported to
-// metricsFile.
-func run(ctx context.Context, which string, quick bool, csvDir string, ropts runner.Options, exec *sweep.Executor, coll *obsv.Collector, metricsFile string) error {
+// failure summary decides the exit status. The sinks close once the
+// sweeps are done; the metrics export adds the sweep engine's
+// per-class failure counts and the result store's counters.
+func run(ctx context.Context, which string, quick bool, csvDir string, ropts runner.Options, exec *sweep.Executor, sinks *profiling.Sinks) error {
 	genCtx, gsp := obsv.StartSpan(ctx, "generate")
 	gsp.SetAttr("figure", which)
 	figs, failures := experiments.GenerateFigures(genCtx, which, quick, ropts)
@@ -202,21 +168,20 @@ func run(ctx context.Context, which string, quick bool, csvDir string, ropts run
 		fmt.Printf("result store: %d hits, %d misses, %d deduplicated, %d bypassed\n",
 			st.Hits, st.Misses, st.Dedup, st.Bypass)
 	}
-	if coll != nil {
-		agg := coll.Aggregate()
+	err := sinks.Close(func(m *obsv.Metrics) {
 		st := exec.Stats()
-		agg.AddCache(st.Hits, st.Misses, st.Bypass, st.Dedup, st.StoreErrors)
+		m.AddCache(st.Hits, st.Misses, st.Bypass, st.Dedup, st.StoreErrors)
 		for _, fl := range failures {
 			var rerrs runner.Errors
 			if errors.As(fl.Err, &rerrs) {
 				for class, n := range rerrs.ClassCounts() {
-					agg.AddErrorClass(class, n)
+					m.AddErrorClass(class, n)
 				}
 			}
 		}
-		if err := writeMetrics(metricsFile, agg); err != nil {
-			failures = append(failures, experiments.Failure{ID: "metrics", Err: err})
-		}
+	})
+	if err != nil {
+		failures = append(failures, experiments.Failure{ID: "trace/metrics", Err: err})
 	}
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "ehfigs: %d figure(s) failed:\n", len(failures))
@@ -260,27 +225,6 @@ func writeSpanTree(path string, tr *obsv.Trace) error {
 	err = tr.Snapshot().WriteTree(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
-	}
-	return err
-}
-
-// writeMetrics exports the aggregated metrics as CSV, or JSON when the
-// file name says so.
-func writeMetrics(path string, m *obsv.Metrics) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".json") {
-		err = m.WriteJSON(f)
-	} else {
-		err = m.WriteCSV(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		fmt.Printf("wrote sweep metrics to %s\n", path)
 	}
 	return err
 }

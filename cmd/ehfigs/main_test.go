@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ehmodel/internal/experiments"
+	"ehmodel/internal/profiling"
 	"ehmodel/internal/runner"
 	"ehmodel/internal/sweep"
 )
@@ -69,7 +70,11 @@ func TestGenerateCanceledStillDegrades(t *testing.T) {
 
 func TestRunWritesCSV(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(context.Background(), "3", true, dir, runner.Options{}, sweep.NewExecutor(nil), nil, ""); err != nil {
+	sinks, err := profiling.OpenSinks("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), "3", true, dir, runner.Options{}, sweep.NewExecutor(nil), sinks); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "fig3.csv"))

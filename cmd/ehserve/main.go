@@ -23,7 +23,9 @@
 // response bytes are cached (the X-EH-Cache header reports hit, miss or
 // coalesced), and underneath, every simulation cell goes through the
 // same content-addressed result store the ehfigs -cache flag uses — so
-// with -cache disk, a restarted server still answers warm.
+// with -cache disk, a restarted server still answers warm. Simulations
+// always run on the batched engine; the reference engine, which the
+// equivalence oracle proves byte-identical, is an ehsim and ehfigs flag.
 //
 // Every request is traced: the X-EH-Trace response header names a span
 // tree (request parse, cache lookup, singleflight wait, each simulation
@@ -48,7 +50,6 @@ import (
 	"syscall"
 	"time"
 
-	"ehmodel/internal/device"
 	"ehmodel/internal/obsv"
 	"ehmodel/internal/runner"
 	"ehmodel/internal/sweep"
@@ -87,18 +88,10 @@ func cliMain() int {
 	workers := flag.Int("workers", 0, "simulations run at once across all figures, per request (0 = GOMAXPROCS)")
 	runTimeout := flag.Duration("run-timeout", 0, "wall-clock deadline per simulation run (0 = none)")
 	reqTimeout := flag.Duration("request-timeout", 10*time.Minute, "deadline per HTTP request (0 = none)")
-	engineName := flag.String("engine", "batched", "execution engine: batched (event-horizon) or reference (per-instruction)")
 	traceCap := flag.Int("trace-store", obsv.DefaultTraceCapacity, "request traces retained for /v1/trace/{id} (0 disables tracing)")
 	seriesEvery := flag.Duration("series-interval", 10*time.Second, "metrics sampling interval for /v1/metrics/series")
 	seriesWindow := flag.Int("series-window", obsv.DefaultSeriesWindow, "samples retained for /v1/metrics/series")
 	flag.Parse()
-
-	engine, err := device.ParseEngine(*engineName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ehserve:", err)
-		return 2
-	}
-	device.SetDefaultEngine(engine)
 
 	exec, err := sweep.OpenExecutor(*cacheMode, *cacheDir)
 	if err != nil {
@@ -124,7 +117,7 @@ func cliMain() int {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("ehserve: listening on %s (cache %s, engine %s)", *addr, *cacheMode, engine)
+	log.Printf("ehserve: listening on %s (cache %s)", *addr, *cacheMode)
 
 	select {
 	case <-ctx.Done():

@@ -11,8 +11,10 @@
 // (open in chrome://tracing or https://ui.perfetto.dev), -metrics FILE
 // exports aggregated run counters and histograms (CSV, or JSON with a
 // .json suffix), and -cpuprofile/-memprofile/-pprof expose the Go
-// profiling hooks. A bounded flight recorder is always on; its last
-// events are dumped when a run fails:
+// profiling hooks. Under -audit, -adversarial and -repro every
+// simulated device reports into both files, on its own trace thread. A
+// bounded flight recorder is always on; its last events are dumped
+// when a run fails:
 //
 //	ehsim -workload counter -strategy hibernus -trace run.json -metrics run.csv
 //
@@ -38,7 +40,6 @@ import (
 	"os/signal"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -122,27 +123,6 @@ type runOpts struct {
 // events dumped when a run fails.
 const flightRecorderDepth = 512
 
-// writeMetrics exports aggregated metrics as CSV, or JSON when the
-// file name says so.
-func writeMetrics(path string, m *obsv.Metrics) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".json") {
-		err = m.WriteJSON(f)
-	} else {
-		err = m.WriteCSV(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		fmt.Printf("wrote run metrics to %s\n", path)
-	}
-	return err
-}
-
 func main() {
 	os.Exit(cliMain())
 }
@@ -189,7 +169,6 @@ func cliMain() int {
 		fmt.Fprintln(os.Stderr, "ehsim:", err)
 		return 2
 	}
-	device.SetDefaultEngine(engine)
 
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -223,64 +202,70 @@ func cliMain() int {
 		return finish(1)
 	}
 
-	// verdicts routes the audit-family subcommands: operational errors
-	// exit 1, correctness violations exit 3, clean runs exit 0.
-	verdicts := func(violations int, err error) int {
+	// The audit family builds its devices many layers down
+	// (faults.runCase); the context carries their engine and the
+	// -trace/-metrics sinks every one of them reports into.
+	if *repro != "" || *adversarial || *audit {
+		var strats []strategy.Spec
+		if *repro == "" {
+			if strats, err = specsFor(*auditStrategies); err != nil {
+				fmt.Fprintln(os.Stderr, "ehsim:", err)
+				return finish(1)
+			}
+		}
+		sinks, err := profiling.OpenSinks(*traceFile, *metricsFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ehsim:", err)
 			return finish(1)
 		}
-		if violations > 0 {
-			fmt.Fprintf(os.Stderr, "ehsim: %d correctness violation(s)\n", violations)
+		ctx = sinks.WithEnv(ctx, engine)
+		var n int
+		var annotate func(*obsv.Metrics)
+		switch {
+		case *repro != "":
+			n, err = runRepro(ctx, *repro, *oracle, *freshness, *runTimeout)
+		case *adversarial:
+			n, err = runAdversarial(ctx, adversarialOpts{
+				strategies: strats,
+				workloads:  splitList(*auditWorkloads),
+				plan:       plan,
+				budget:     *campaignBudget,
+				seed:       *faultSeed,
+				oracle:     *oracle,
+				freshness:  *freshness,
+				outFile:    *counterexamples,
+			})
+		default:
+			o := faults.Options{
+				Strategies:     strats,
+				Workloads:      splitList(*auditWorkloads),
+				Schedules:      *auditSchedules,
+				BaseSeed:       *faultSeed,
+				Oracle:         *oracle,
+				FreshnessBound: *freshness,
+				Run:            runner.Options{Workers: *workers, RunTimeout: *runTimeout},
+			}
+			if *naive {
+				p := faults.DefaultPlan()
+				p.NaiveCommit = true
+				o.Plan = p
+			}
+			n, annotate, err = runAudit(ctx, o)
+		}
+		if cerr := sinks.Close(annotate); err == nil {
+			err = cerr
+		}
+		// Operational errors exit 1, correctness violations exit 3,
+		// clean runs exit 0.
+		switch {
+		case err != nil:
+			fmt.Fprintln(os.Stderr, "ehsim:", err)
+			return finish(1)
+		case n > 0:
+			fmt.Fprintf(os.Stderr, "ehsim: %d correctness violation(s)\n", n)
 			return finish(3)
 		}
 		return finish(0)
-	}
-
-	if *repro != "" {
-		return verdicts(runRepro(ctx, *repro, *oracle, *freshness, *runTimeout))
-	}
-
-	if *adversarial {
-		strats, err := specsFor(*auditStrategies)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ehsim:", err)
-			return finish(1)
-		}
-		return verdicts(runAdversarial(ctx, adversarialOpts{
-			strategies: strats,
-			workloads:  splitList(*auditWorkloads),
-			plan:       plan,
-			budget:     *campaignBudget,
-			seed:       *faultSeed,
-			oracle:     *oracle,
-			freshness:  *freshness,
-			outFile:    *counterexamples,
-			metrics:    *metricsFile,
-		}))
-	}
-
-	if *audit {
-		strats, err := specsFor(*auditStrategies)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ehsim:", err)
-			return finish(1)
-		}
-		o := faults.Options{
-			Strategies:     strats,
-			Workloads:      splitList(*auditWorkloads),
-			Schedules:      *auditSchedules,
-			BaseSeed:       *faultSeed,
-			Oracle:         *oracle,
-			FreshnessBound: *freshness,
-			Run:            runner.Options{Workers: *workers, RunTimeout: *runTimeout},
-		}
-		if *naive {
-			p := faults.DefaultPlan()
-			p.NaiveCommit = true
-			o.Plan = p
-		}
-		return verdicts(runAudit(ctx, o, *traceFile, *metricsFile))
 	}
 
 	opts := runOpts{
@@ -303,7 +288,7 @@ func cliMain() int {
 		}
 		return finish(0)
 	}
-	if err := run(ctx, opts); err != nil {
+	if err := run(device.WithEnv(ctx, device.Env{Engine: engine}), opts); err != nil {
 		fmt.Fprintln(os.Stderr, "ehsim:", err)
 		return finish(1)
 	}
@@ -338,50 +323,15 @@ func splitList(s string) []string {
 // runAudit executes the parallel crash-consistency audit and prints its
 // report: summary tables for humans, then one logfmt verdict line per
 // schedule for machines, then a one-line summary per verdict class. It
-// returns the violation count (the caller maps it to exit code 3) and
-// any operational error. An interrupted or partially failed sweep still
-// prints what completed before returning the error. When traceFile or
-// metricsFile is set, every audited device reports into a shared Chrome
-// sink (one trace thread per device) and a loss-free metrics collector
-// via the process-wide default observer.
-func runAudit(ctx context.Context, o faults.Options, traceFile, metricsFile string) (int, error) {
-	var coll *obsv.Collector
-	var chrome *obsv.ChromeSink
-	if metricsFile != "" {
-		coll = obsv.NewCollector()
-	}
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return 0, err
-		}
-		chrome = obsv.NewChromeSink(f)
-	}
-	if coll != nil || chrome != nil {
-		var tid atomic.Int32
-		device.SetDefaultObserver(func() obsv.Tracer {
-			var ts []obsv.Tracer
-			if chrome != nil {
-				ts = append(ts, obsv.WithTid(chrome, tid.Add(1)))
-			}
-			if coll != nil {
-				ts = append(ts, coll.Tracer())
-			}
-			return obsv.Combine(ts...)
-		})
-		defer device.SetDefaultObserver(nil)
-	}
-
+// returns the violation count (the caller maps it to exit code 3), an
+// annotation adding the verdicts and the sweep engine's per-class
+// failure counts to the metrics export, and any operational error. An
+// interrupted or partially failed sweep still prints what completed
+// before returning the error.
+func runAudit(ctx context.Context, o faults.Options) (int, func(*obsv.Metrics), error) {
 	rep, err := faults.Audit(ctx, o)
-	if chrome != nil {
-		if cerr := chrome.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "ehsim: trace:", cerr)
-		} else {
-			fmt.Printf("wrote Chrome trace to %s\n", traceFile)
-		}
-	}
 	if rep == nil {
-		return 0, err
+		return 0, nil, err
 	}
 	fmt.Printf("crash-consistency audit: %d run(s)\n\n", rep.Runs)
 	f := rep.Faults
@@ -449,23 +399,18 @@ func runAudit(ctx context.Context, o faults.Options, traceFile, metricsFile stri
 	if errors.As(err, &rerrs) {
 		fmt.Printf("\n%s\n", rerrs.Summary(rep.Runs+len(rerrs)))
 	}
-	if coll != nil {
-		mt := coll.Tracer()
+	annotate := func(m *obsv.Metrics) {
 		for _, v := range rep.Violations {
-			mt.Event(obsv.Event{Type: obsv.EvVerdict, Arg: uint64(v.Class)})
+			m.Event(obsv.Event{Type: obsv.EvVerdict, Arg: uint64(v.Class)})
 		}
-		agg := coll.Aggregate()
 		for class, n := range rerrs.ClassCounts() {
-			agg.AddErrorClass(class, n)
-		}
-		if werr := writeMetrics(metricsFile, agg); werr != nil {
-			return 0, werr
+			m.AddErrorClass(class, n)
 		}
 	}
 	if err != nil {
-		return 0, err
+		return 0, annotate, err
 	}
-	return len(rep.Violations), nil
+	return len(rep.Violations), annotate, nil
 }
 
 // runRepro replays one printed counterexample case verbatim and reports
@@ -511,7 +456,6 @@ type adversarialOpts struct {
 	oracle     bool
 	freshness  uint64
 	outFile    string
-	metrics    string
 }
 
 // runAdversarial runs the frontier-biased fault-search campaign over
@@ -531,13 +475,6 @@ func runAdversarial(ctx context.Context, o adversarialOpts) (int, error) {
 	base.CutCycles = nil
 	base.RandomCutMeanCycles = 0
 
-	var coll *obsv.Collector
-	var tracer obsv.Tracer
-	if o.metrics != "" {
-		coll = obsv.NewCollector()
-		tracer = coll.Tracer()
-	}
-
 	var all []faults.Violation
 	for _, spec := range o.strategies {
 		for _, wl := range o.workloads {
@@ -552,7 +489,6 @@ func runAdversarial(ctx context.Context, o adversarialOpts) (int, error) {
 				Seed:           o.seed,
 				Oracle:         o.oracle,
 				FreshnessBound: o.freshness,
-				Observe:        tracer,
 			})
 			if err != nil {
 				return 0, fmt.Errorf("campaign %s/%s: %w", spec.Name, wl, err)
@@ -590,11 +526,6 @@ func runAdversarial(ctx context.Context, o adversarialOpts) (int, error) {
 		}
 	} else {
 		fmt.Println("adversarial campaign found no violations ✓")
-	}
-	if coll != nil {
-		if err := writeMetrics(o.metrics, coll.Aggregate()); err != nil {
-			return 0, err
-		}
 	}
 	return len(all), nil
 }
@@ -729,6 +660,7 @@ func run(ctx context.Context, o runOpts) error {
 		Prog: prog, Power: pm,
 		CapC: capC, CapVMax: vmax, VOn: von, VOff: voff,
 		MaxPeriods: 200000, MaxCycles: 1 << 62,
+		Engine:     device.EnvFrom(ctx).Engine,
 		RunTimeout: o.runTimeout,
 		Interrupt:  runner.Interrupt(ctx),
 		// On a fixed supply every charge is identical, so an exactly
@@ -821,7 +753,7 @@ func run(ctx context.Context, o runOpts) error {
 	}
 	closeTrace()
 	if met != nil {
-		if err := writeMetrics(o.metricsFile, met); err != nil {
+		if err := profiling.WriteMetrics(o.metricsFile, met); err != nil {
 			return err
 		}
 	}

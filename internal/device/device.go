@@ -12,7 +12,6 @@ package device
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"ehmodel/internal/asm"
@@ -270,22 +269,19 @@ type Memoryless interface {
 	Memoryless() bool
 }
 
-// Engine selects the active-phase execution loop.
+// Engine selects the active-phase execution loop. The zero value is
+// the batched engine; a CLI picks the reference engine for a whole run
+// through the context's Env (env.go).
 type Engine int
 
 const (
-	// EngineDefault (the zero value) resolves to the process-wide
-	// default — batched, unless a CLI overrode it with
-	// SetDefaultEngine. Sweep drivers that build Configs internally
-	// inherit the flag without threading it through every layer.
-	EngineDefault Engine = iota
 	// EngineBatched runs the event-horizon engine: instructions execute
 	// in batches bounded by the next event (power death, strategy
 	// trigger, scheduled fault, poll chunk), and one fused loop settles
 	// the per-step energy sequence bit for bit as it interprets — the
 	// same loop for bench, harvested, fault-injected and recorded runs.
 	// Cache configs fall back to the reference loop.
-	EngineBatched
+	EngineBatched Engine = iota
 	// EngineReference runs the original per-instruction loop. Results
 	// are byte-identical to EngineBatched (the equivalence oracle test
 	// proves it); keep it as the trust anchor and for A/B timing.
@@ -294,8 +290,6 @@ const (
 
 func (e Engine) String() string {
 	switch e {
-	case EngineDefault:
-		return "default"
 	case EngineBatched:
 		return "batched"
 	case EngineReference:
@@ -304,53 +298,23 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine maps a CLI flag value to an Engine.
+// ParseEngine maps a CLI flag value to an Engine; empty means batched.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "", "default":
-		return EngineDefault, nil
-	case "batched":
+	case "", "batched":
 		return EngineBatched, nil
 	case "reference":
 		return EngineReference, nil
 	}
-	return EngineDefault, fmt.Errorf("device: unknown engine %q (want batched or reference)", s)
-}
-
-// defaultEngine is what EngineDefault resolves to; batched unless a CLI
-// overrides it once at startup.
-var defaultEngine atomic.Int32
-
-// SetDefaultEngine sets the engine EngineDefault resolves to. Call it
-// once, before any devices run — it exists so a single -engine flag can
-// steer sweep drivers that assemble their Configs many layers down.
-func SetDefaultEngine(e Engine) {
-	defaultEngine.Store(int32(e))
-}
-
-// Resolved returns the engine a run with this value would actually use:
-// EngineDefault follows the process-wide default (batched unless
-// SetDefaultEngine overrode it). The memoization layer keys cells on the
-// resolved engine so "default" never aliases two different engines in
-// the store.
-func (e Engine) Resolved() Engine { return e.resolve() }
-
-func (e Engine) resolve() Engine {
-	if e != EngineDefault {
-		return e
-	}
-	if d := Engine(defaultEngine.Load()); d != EngineDefault {
-		return d
-	}
-	return EngineBatched
+	return EngineBatched, fmt.Errorf("device: unknown engine %q (want batched or reference)", s)
 }
 
 // Config assembles a device.
 type Config struct {
 	Prog *asm.Program
 
-	// Engine picks the active-phase loop; the zero value follows the
-	// process default (batched). See EngineBatched/EngineReference.
+	// Engine picks the active-phase loop; the zero value is batched.
+	// See EngineBatched/EngineReference.
 	Engine Engine
 
 	SRAMSize int // bytes; default 8 KiB
@@ -415,11 +379,10 @@ type Config struct {
 	Interrupt func() error
 
 	// Observe receives the run's lifecycle events (internal/obsv). Nil
-	// falls back to the process-wide SetDefaultObserver provider, and
-	// when that is unset too, observability is disabled at the cost of
-	// a nil check per emission site — the engine benchmark guard pins
-	// that path at zero overhead. A device-private tracer may assume
-	// single-goroutine delivery.
+	// disables observability at the cost of a nil check per emission
+	// site — the engine benchmark guard pins that path at zero
+	// overhead. A device-private tracer may assume single-goroutine
+	// delivery.
 	Observe obsv.Tracer
 
 	// DetectLivelock turns the fixed-point test into a diagnosis: on a
@@ -505,7 +468,7 @@ func (c *Config) Validate() error {
 	if c.RunTimeout < 0 {
 		return fmt.Errorf("device: RunTimeout %v must be ≥ 0", c.RunTimeout)
 	}
-	if c.Engine < EngineDefault || c.Engine > EngineReference {
+	if c.Engine < EngineBatched || c.Engine > EngineReference {
 		return fmt.Errorf("device: unknown engine %d", int(c.Engine))
 	}
 	return nil
@@ -573,11 +536,9 @@ type Device struct {
 	runStart  time.Time
 	sincePoll uint64
 
-	// Batched-engine state (run.go): the resolved engine, the SYS codes
-	// that end a batch, the strategy's PreStep filter (nil without one),
-	// and the worst-case active energy per cycle the event-horizon math
-	// uses.
-	engine  Engine
+	// Batched-engine state (run.go): the SYS codes that end a batch, the
+	// strategy's PreStep filter (nil without one), and the worst-case
+	// active energy per cycle the event-horizon math uses.
 	stopSys isa.SysMask
 	filter  PreStepFilter
 	maxEPC  float64
@@ -673,8 +634,7 @@ func New(cfg Config, s Strategy) (*Device, error) {
 		}
 		d.cache = cache
 	}
-	d.engine = cfg.Engine.resolve()
-	d.obs = resolveObserver(cfg.Observe)
+	d.obs = cfg.Observe
 	d.cyclePeriod = cfg.Power.CyclePeriod()
 	for c := range d.epc {
 		d.epc[c] = cfg.Power.EnergyPerCycle(energy.InstrClass(c))

@@ -119,7 +119,7 @@ func (d *Device) resetFixedPoint() {
 	}
 	m, ok := d.strat.(Memoryless)
 	d.ff.replay = ok && m.Memoryless() && !d.cfg.DetectLivelock &&
-		d.engine != EngineReference && d.cache == nil && d.rec == nil
+		d.cfg.Engine != EngineReference && d.cache == nil && d.rec == nil
 	d.ff.eligible = d.cfg.DetectLivelock || d.ff.replay
 }
 

@@ -223,7 +223,7 @@ func (d *Device) Run() (*Result, error) {
 	}
 	if d.obs != nil {
 		var eng uint64
-		if d.engine != EngineReference && d.cache == nil {
+		if d.cfg.Engine != EngineReference && d.cache == nil {
 			eng = 1
 		}
 		d.emit(obsv.EvRunBegin, eng, 0, 0)
@@ -448,7 +448,7 @@ const (
 // the reference loop, as does a period the batched engine records for
 // fast-forward (fastforward.go).
 func (d *Device) activePhase() error {
-	if d.engine == EngineReference || d.cache != nil || d.tape != nil {
+	if d.cfg.Engine == EngineReference || d.cache != nil || d.tape != nil {
 		return d.activePhaseReference()
 	}
 	return d.activePhaseBatched()
@@ -728,7 +728,7 @@ func (d *Device) idleToDeath() error {
 	if d.obs != nil {
 		d.emit(obsv.EvSleep, 0, 0, 0)
 	}
-	if d.engine != EngineReference && d.inj == nil && d.tape == nil {
+	if d.cfg.Engine != EngineReference && d.inj == nil && d.tape == nil {
 		return d.fusedSleep()
 	}
 	const chunk = pollCreditIdle

@@ -131,6 +131,44 @@ func TestHarvesterValidation(t *testing.T) {
 	}
 }
 
+// TestHarvesterRejectsUnusableTrace: a trace with no voltage at some
+// instant fails at construction, before any engine can settle its NaN
+// harvest. Each row breaks one requirement of an otherwise valid trace.
+func TestHarvesterRejectsUnusableTrace(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name    string
+		samples []float64
+		period  float64
+		r, eta  float64
+	}{
+		{"no samples", nil, 1e-3, 1000, 0.7},
+		{"NaN samples", []float64{nan, nan}, 1e-3, 1000, 0.7},
+		{"one NaN sample", []float64{2, nan, 3}, 1e-3, 1000, 0.7},
+		{"+Inf sample", []float64{2, inf}, 1e-3, 1000, 0.7},
+		{"-Inf sample", []float64{-inf, 2}, 1e-3, 1000, 0.7},
+		{"zero period", []float64{2, 3}, 0, 1000, 0.7},
+		{"negative period", []float64{2, 3}, -1e-3, 1000, 0.7},
+		{"NaN period", []float64{2, 3}, nan, 1000, 0.7},
+		{"+Inf period", []float64{2, 3}, inf, 1000, 0.7},
+		{"NaN resistance", []float64{2, 3}, 1e-3, nan, 0.7},
+		{"NaN efficiency", []float64{2, 3}, 1e-3, 1000, nan},
+	} {
+		src := &trace.Trace{Name: tc.name, SamplesV: tc.samples, PeriodS: tc.period}
+		if _, err := NewHarvester(src, tc.r, tc.eta); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// The boundaries stay open: one sample, a 0 V or negative sample
+	// (the transducer delivers nothing) and the largest finite values.
+	for _, samples := range [][]float64{{2}, {0, -1, 3}, {math.MaxFloat64, -math.MaxFloat64}} {
+		src := &trace.Trace{Name: "edge", SamplesV: samples, PeriodS: math.MaxFloat64}
+		if _, err := NewHarvester(src, 1000, 0.7); err != nil {
+			t.Errorf("samples %v: %v", samples, err)
+		}
+	}
+}
+
 func TestHarvesterPower(t *testing.T) {
 	src := trace.Constant(2, 1, 0.01)
 	h, err := NewHarvester(src, 100, 0.5)

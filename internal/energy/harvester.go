@@ -2,6 +2,7 @@ package energy
 
 import (
 	"fmt"
+	"math"
 
 	"ehmodel/internal/trace"
 )
@@ -17,15 +18,30 @@ type Harvester struct {
 	Eta    float64 // conversion efficiency in (0, 1]
 }
 
-// NewHarvester validates and builds a harvester.
+// NewHarvester validates and builds a harvester. The trace needs at
+// least one sample, every sample a finite voltage, and a finite
+// positive sample period: a supply with no voltage at some instant
+// would store a NaN harvest, which the two engines settle differently.
+// The samples are checked once, here, so no run pays for it.
 func NewHarvester(src *trace.Trace, r, eta float64) (*Harvester, error) {
 	if src == nil {
 		return nil, fmt.Errorf("energy: harvester needs a voltage source")
 	}
-	if r <= 0 {
+	if len(src.SamplesV) == 0 {
+		return nil, fmt.Errorf("energy: harvester trace %q has no samples", src.Name)
+	}
+	for i, v := range src.SamplesV {
+		if !(math.Abs(v) <= math.MaxFloat64) {
+			return nil, fmt.Errorf("energy: harvester trace %q sample %d is %g, want a finite voltage", src.Name, i, v)
+		}
+	}
+	if !(src.PeriodS > 0 && src.PeriodS <= math.MaxFloat64) {
+		return nil, fmt.Errorf("energy: harvester trace %q sample period must be finite and > 0, got %g", src.Name, src.PeriodS)
+	}
+	if !(r > 0) {
 		return nil, fmt.Errorf("energy: transducer resistance must be > 0, got %g", r)
 	}
-	if eta <= 0 || eta > 1 {
+	if !(eta > 0 && eta <= 1) {
 		return nil, fmt.Errorf("energy: efficiency must be in (0,1], got %g", eta)
 	}
 	return &Harvester{Source: src, R: r, Eta: eta}, nil

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"ehmodel/internal/device"
+	"ehmodel/internal/obsv"
 	"ehmodel/internal/runner"
 	"ehmodel/internal/sweep"
 )
@@ -92,7 +94,7 @@ func TestAllFiguresIdenticalThroughDiskTier(t *testing.T) {
 	allCSV := func(exec *sweep.Executor, workers int) []byte {
 		t.Helper()
 		sweep.SetDefault(exec)
-		return quickCatalogBytes(t, workers)
+		return quickCatalogBytes(context.Background(), t, workers)
 	}
 	tiered := func(dir string) *sweep.Executor {
 		t.Helper()
@@ -125,9 +127,9 @@ func TestAllFiguresIdenticalThroughDiskTier(t *testing.T) {
 
 // quickCatalogBytes generates the quick `-fig all` catalog through the
 // default executor and returns every figure's CSV and notes.
-func quickCatalogBytes(t *testing.T, workers int) []byte {
+func quickCatalogBytes(ctx context.Context, t *testing.T, workers int) []byte {
 	t.Helper()
-	figs, failures := GenerateFigures(context.Background(), "all", true, runner.Options{Workers: workers})
+	figs, failures := GenerateFigures(ctx, "all", true, runner.Options{Workers: workers})
 	if len(failures) != 0 {
 		t.Fatalf("%s: %v", failures[0].ID, failures[0].Err)
 	}
@@ -150,24 +152,48 @@ func quickCatalogBytes(t *testing.T, workers int) []byte {
 // batched engine. The drivers run the runtimes with parameters the
 // oracle's own table never uses — Figs. 8–10's Clank and store-queue
 // characterization, the breakdown figure and the Clank ablations among
-// them.
+// them. Identical bytes cannot show which engine ran, so the engine
+// rides the context's device.Env and every device's run-begin event is
+// counted: under reference, each simulated cell (every cell is a
+// bypass on an uncached executor) must report reference.
 func TestAllFiguresIdenticalAcrossEngines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated sweep is slow")
 	}
-	prevExec, prevEngine := sweep.Default(), device.EngineDefault.Resolved()
-	defer func() {
-		sweep.SetDefault(prevExec)
-		device.SetDefaultEngine(prevEngine)
-	}()
-	sweep.SetDefault(sweep.NewExecutor(nil))
+	prev := sweep.Default()
+	defer sweep.SetDefault(prev)
 
-	device.SetDefaultEngine(device.EngineReference)
-	ref := quickCatalogBytes(t, 0)
-	device.SetDefaultEngine(device.EngineBatched)
-	bat := quickCatalogBytes(t, 0)
+	var runs engineRuns
+	exec := sweep.NewExecutor(nil)
+	sweep.SetDefault(exec)
+	ctx := device.WithEnv(context.Background(), device.Env{
+		Engine:  device.EngineReference,
+		Observe: func() obsv.Tracer { return &runs },
+	})
+	ref := quickCatalogBytes(ctx, t, 0)
+	cells := exec.Stats().Bypass
+	if n := runs.reference.Load(); cells == 0 || n != cells || runs.batched.Load() != 0 {
+		t.Errorf("reference pass: %d runs named reference and %d batched, want all %d simulated cells on reference",
+			n, runs.batched.Load(), cells)
+	}
+	bat := quickCatalogBytes(context.Background(), t, 0)
 	if !bytes.Equal(ref, bat) {
 		t.Errorf("quick catalog differs between engines:\n%s", firstDiffLine(ref, bat))
+	}
+}
+
+// engineRuns counts device runs by the engine their run-begin event
+// names; devices on every worker share one.
+type engineRuns struct{ batched, reference atomic.Uint64 }
+
+func (r *engineRuns) Event(e obsv.Event) {
+	if e.Type != obsv.EvRunBegin {
+		return
+	}
+	if e.Arg == 1 {
+		r.batched.Add(1)
+	} else {
+		r.reference.Add(1)
 	}
 }
 

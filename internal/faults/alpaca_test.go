@@ -118,15 +118,14 @@ func TestCampaignCleanAlpaca(t *testing.T) {
 // re-executions and privatization-buffer bytes through the standard
 // metrics aggregation.
 func TestAlpacaTaskMetricsExported(t *testing.T) {
-	ctx := context.Background()
 	spec, wl := alpacaCell(t, false)
 	coll := obsv.NewCollector()
+	ctx := collectorEnv(coll)
 	rep, err := Campaign(ctx, CampaignOptions{
 		Strategy: spec,
 		Workload: wl,
 		Budget:   4,
 		Seed:     3,
-		Observe:  coll.Tracer(),
 	})
 	if err != nil {
 		t.Fatalf("Campaign: %v", err)

@@ -399,10 +399,12 @@ func enrich(c Case, o *Options, plan Plan) Case {
 
 // runCase executes one faulted device run: injector from plan, fixed
 // supply sized for o.PeriodCycles, optional observation recorder and
-// tracer. It is shared by the sweep auditor and the adversarial
-// campaign so a shrunk counterexample replays in exactly the
-// environment that found it.
+// tracer, and the engine and a tracer of the context's device.Env. It
+// is shared by the sweep auditor and the adversarial campaign so a
+// shrunk counterexample replays in exactly the environment that found
+// it.
 func runCase(ctx context.Context, o *Options, strat device.Strategy, prog *asm.Program, plan Plan, rec *device.ObsLog, obs obsv.Tracer) (*device.Result, error) {
+	env := device.EnvFrom(ctx)
 	inj, err := New(plan)
 	if err != nil {
 		return nil, err
@@ -414,9 +416,10 @@ func runCase(ctx context.Context, o *Options, strat device.Strategy, prog *asm.P
 		Prog: prog, Power: pm,
 		CapC: capC, CapVMax: vmax, VOn: von, VOff: voff,
 		MaxPeriods: o.MaxPeriods, MaxCycles: 2_000_000_000,
+		Engine:     env.Engine,
 		Faults:     inj,
 		Record:     rec,
-		Observe:    obs,
+		Observe:    obsv.Combine(obs, env.Tracer()),
 		RunTimeout: o.Run.RunTimeout,
 		Interrupt:  runner.Interrupt(ctx),
 	}

@@ -3,8 +3,11 @@ package faults
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"ehmodel/internal/device"
+	"ehmodel/internal/obsv"
 	"ehmodel/internal/runner"
 	"ehmodel/internal/strategy"
 )
@@ -127,6 +130,54 @@ func TestAuditDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(r1, r) {
 			t.Fatalf("workers=%d changed the report:\n%+v\n%+v", workers, r1, r)
 		}
+	}
+}
+
+// engineRuns counts device runs by the engine their run-begin event
+// names; devices on several workers share one.
+type engineRuns struct{ batched, reference atomic.Uint64 }
+
+func (r *engineRuns) Event(e obsv.Event) {
+	if e.Type != obsv.EvRunBegin {
+		return
+	}
+	if e.Arg == 1 {
+		r.batched.Add(1)
+	} else {
+		r.reference.Add(1)
+	}
+}
+
+// TestAuditRunsEnvEngine: the context's device.Env picks the engine of
+// every audited device. The report cannot show which engine ran (the
+// engines are byte-identical, which the comparison with a batched
+// sweep checks), so each device's run-begin event must name it.
+func TestAuditRunsEnvEngine(t *testing.T) {
+	opts := Options{
+		Strategies: pick(t, "hibernus", "dino"),
+		Workloads:  []string{"crc"},
+		Schedules:  2,
+		BaseSeed:   5,
+	}
+	var runs engineRuns
+	ctx := device.WithEnv(context.Background(), device.Env{
+		Engine:  device.EngineReference,
+		Observe: func() obsv.Tracer { return &runs },
+	})
+	ref, err := Audit(ctx, opts)
+	if err != nil {
+		t.Fatalf("Audit: %v", err)
+	}
+	if n := runs.reference.Load(); ref.Runs == 0 || n != uint64(ref.Runs) || runs.batched.Load() != 0 {
+		t.Fatalf("%d runs named reference and %d batched, want all %d audited runs on reference",
+			n, runs.batched.Load(), ref.Runs)
+	}
+	bat, err := Audit(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("Audit: %v", err)
+	}
+	if !reflect.DeepEqual(ref, bat) {
+		t.Fatalf("reference and batched audits differ:\n%+v\n%+v", ref, bat)
 	}
 }
 

@@ -57,9 +57,6 @@ type CampaignOptions struct {
 	// PeriodCycles / MaxPeriods shape each run (defaults 20000/20000).
 	PeriodCycles float64
 	MaxPeriods   int
-	// Observe receives the campaign's progress events (EvCampaign*) and
-	// every attack run's device events. Optional.
-	Observe obsv.Tracer
 }
 
 // Window is one coverage-frontier interval of consumed-cycle positions
@@ -133,10 +130,8 @@ func splitmix(x uint64) uint64 {
 }
 
 // tap collects the probe-run events frontier mining needs (buffer-full
-// flush and task-commit positions) while forwarding to an optional
-// downstream tracer.
+// flush and task-commit positions).
 type tap struct {
-	next        obsv.Tracer
 	bufferFull  []uint64
 	taskCommits []uint64
 }
@@ -149,15 +144,15 @@ func (t *tap) Event(e obsv.Event) {
 	case e.Type == obsv.EvTaskCommit:
 		t.taskCommits = append(t.taskCommits, e.Cycles)
 	}
-	if t.next != nil {
-		t.next.Event(e)
-	}
 }
 
 // Campaign runs one adversarial fault-search campaign and returns its
 // report. Runs are sequential (the search is adaptive in principle and
 // each run is short); cancel ctx to stop early — the report covers the
-// schedules completed so far.
+// schedules completed so far. The context's device.Env observes the
+// campaign: its provider's first tracer takes the progress events
+// (EvCampaign*), and every probe, attack and shrink run gets a tracer
+// of its own, as every audited run does.
 func Campaign(ctx context.Context, o CampaignOptions) (*CampaignReport, error) {
 	o.setDefaults()
 	if o.Strategy.New == nil {
@@ -174,9 +169,10 @@ func Campaign(ctx context.Context, o CampaignOptions) (*CampaignReport, error) {
 	}
 	want := w.Ref(wopts)
 
+	progress := device.EnvFrom(ctx).Tracer()
 	emit := func(t obsv.EventType, arg, arg2 uint64) {
-		if o.Observe != nil {
-			o.Observe.Event(obsv.Event{Type: t, Arg: arg, Arg2: arg2})
+		if progress != nil {
+			progress.Event(obsv.Event{Type: t, Arg: arg, Arg2: arg2})
 		}
 	}
 
@@ -210,7 +206,7 @@ func Campaign(ctx context.Context, o CampaignOptions) (*CampaignReport, error) {
 			}
 		}
 	}
-	probeTap := &tap{next: o.Observe}
+	probeTap := &tap{}
 	res, err := runCase(ctx, &ro, o.Strategy.New(), prog, probePlan, rec, probeTap)
 	if err != nil {
 		return nil, fmt.Errorf("faults: campaign probe: %w", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"ehmodel/internal/device"
 	"ehmodel/internal/obsv"
 	"ehmodel/internal/runner"
 	"ehmodel/internal/strategy"
@@ -170,20 +171,29 @@ func TestCampaignCleanCell(t *testing.T) {
 	}
 }
 
+// collectorEnv returns a context whose device.Env hands every device,
+// and the campaign's progress events, a fresh sink of coll.
+func collectorEnv(coll *obsv.Collector) context.Context {
+	return device.WithEnv(context.Background(), device.Env{
+		Observe: func() obsv.Tracer { return coll.Tracer() },
+	})
+}
+
 // TestCampaignMetricsExported checks the obsv wiring end to end: a
 // finding campaign must surface schedule, coverage, finding and shrink
-// statistics through the standard metrics aggregation.
+// statistics through the standard metrics aggregation, and the device
+// events of every run it launches — the probe, each attack schedule
+// and each shrink candidate.
 func TestCampaignMetricsExported(t *testing.T) {
-	ctx := context.Background()
 	spec, wl := campaignCell(t)
 	coll := obsv.NewCollector()
+	ctx := collectorEnv(coll)
 	rep, err := Campaign(ctx, CampaignOptions{
 		Strategy: spec,
 		Workload: wl,
 		Plan:     Plan{NaiveCommit: true},
 		Budget:   64,
 		Seed:     7,
-		Observe:  coll.Tracer(),
 	})
 	if err != nil {
 		t.Fatalf("Campaign: %v", err)
@@ -212,5 +222,12 @@ func TestCampaignMetricsExported(t *testing.T) {
 	}
 	if m.CaseCuts.Count != uint64(len(rep.Violations)) {
 		t.Errorf("CaseCuts.Count = %d, want one observation per finding (%d)", m.CaseCuts.Count, len(rep.Violations))
+	}
+	if want := uint64(1 + rep.Schedules + rep.ShrinkRuns); m.Runs != want {
+		t.Errorf("Runs = %d, want the probe plus %d schedules plus %d shrink runs (%d)",
+			m.Runs, rep.Schedules, rep.ShrinkRuns, want)
+	}
+	if m.FaultPowerCuts == 0 {
+		t.Error("FaultPowerCuts = 0, want the attack runs' scheduled cuts")
 	}
 }

@@ -80,37 +80,6 @@ func TestRingWrapAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestRingBinaryRoundTrip(t *testing.T) {
-	r := NewRing(8)
-	want := []Event{
-		{Type: EvRunBegin, Arg: 1},
-		{Type: EvPowerOn, Tid: 3, Period: 9, Cycles: 12345, TimeS: 1.5, F: 0.25},
-		{Type: EvUnrecoverable, Arg: 42, Arg2: 7, TimeS: math.Pi},
-	}
-	for _, e := range want {
-		r.Event(e)
-	}
-	var buf bytes.Buffer
-	if _, err := r.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRing(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: got %+v want %+v", i, got[i], want[i])
-		}
-	}
-	if _, err := ReadRing(bytes.NewReader([]byte("XXXX00000000"))); err == nil {
-		t.Fatal("bad magic must be rejected")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	var h Histogram
 	for _, v := range []uint64{0, 1, 2, 3, 100, 1000} {

@@ -1,11 +1,6 @@
 package obsv
 
-import (
-	"encoding/binary"
-	"fmt"
-	"io"
-	"math"
-)
+import "io"
 
 // Ring is a fixed-capacity flight recorder: it keeps the most recent
 // events and overwrites the oldest once full, so an always-on recorder
@@ -66,81 +61,6 @@ func (r *Ring) Reset() {
 	r.next = 0
 	r.wrapped = false
 	r.dropped = 0
-}
-
-// Binary flight-recorder format: an 8-byte header ("EHTR", a version
-// byte, 3 reserved bytes), a little-endian uint32 event count, then
-// count fixed-width records of eventWireSize bytes each.
-const (
-	ringMagic     = "EHTR"
-	ringVersion   = 1
-	eventWireSize = 1 + 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 // type,pad,tid,period,cycles,timeS,arg,arg2,f
-)
-
-// WriteTo dumps the snapshot in the binary flight-recorder format.
-func (r *Ring) WriteTo(w io.Writer) (int64, error) {
-	events := r.Snapshot()
-	var n int64
-	hdr := make([]byte, 12)
-	copy(hdr, ringMagic)
-	hdr[4] = ringVersion
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(events)))
-	m, err := w.Write(hdr)
-	n += int64(m)
-	if err != nil {
-		return n, err
-	}
-	rec := make([]byte, eventWireSize)
-	for _, e := range events {
-		rec[0] = byte(e.Type)
-		rec[1] = 0
-		binary.LittleEndian.PutUint32(rec[2:], uint32(e.Tid))
-		binary.LittleEndian.PutUint32(rec[6:], uint32(e.Period))
-		binary.LittleEndian.PutUint64(rec[10:], e.Cycles)
-		binary.LittleEndian.PutUint64(rec[18:], math.Float64bits(e.TimeS))
-		binary.LittleEndian.PutUint64(rec[26:], e.Arg)
-		binary.LittleEndian.PutUint64(rec[34:], e.Arg2)
-		binary.LittleEndian.PutUint64(rec[42:], math.Float64bits(e.F))
-		m, err = w.Write(rec)
-		n += int64(m)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// ReadRing decodes a binary flight-recorder dump back into events.
-func ReadRing(r io.Reader) ([]Event, error) {
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("obsv: ring header: %w", err)
-	}
-	if string(hdr[:4]) != ringMagic {
-		return nil, fmt.Errorf("obsv: ring dump: bad magic %q", hdr[:4])
-	}
-	if hdr[4] != ringVersion {
-		return nil, fmt.Errorf("obsv: ring dump: unsupported version %d", hdr[4])
-	}
-	count := binary.LittleEndian.Uint32(hdr[8:])
-	events := make([]Event, 0, count)
-	rec := make([]byte, eventWireSize)
-	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(r, rec); err != nil {
-			return nil, fmt.Errorf("obsv: ring record %d: %w", i, err)
-		}
-		events = append(events, Event{
-			Type:   EventType(rec[0]),
-			Tid:    int32(binary.LittleEndian.Uint32(rec[2:])),
-			Period: int32(binary.LittleEndian.Uint32(rec[6:])),
-			Cycles: binary.LittleEndian.Uint64(rec[10:]),
-			TimeS:  math.Float64frombits(binary.LittleEndian.Uint64(rec[18:])),
-			Arg:    binary.LittleEndian.Uint64(rec[26:]),
-			Arg2:   binary.LittleEndian.Uint64(rec[34:]),
-			F:      math.Float64frombits(binary.LittleEndian.Uint64(rec[42:])),
-		})
-	}
-	return events, nil
 }
 
 // DumpText renders the snapshot through a TextSink — the human-facing

@@ -1,8 +1,8 @@
 // Package profiling wires the standard performance-inspection hooks
-// into the CLIs: CPU and heap profiles written on exit, and an opt-in
-// HTTP endpoint serving expvar counters and net/http/pprof handlers.
-// Everything is off unless its flag is set, so the simulators pay
-// nothing by default.
+// into the CLIs: CPU and heap profiles written on exit, an opt-in HTTP
+// endpoint serving expvar counters and net/http/pprof handlers, and
+// the run-wide trace and metrics sinks (sinks.go). Everything is off
+// unless its flag is set, so the simulators pay nothing by default.
 package profiling
 
 import (

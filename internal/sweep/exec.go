@@ -101,8 +101,8 @@ func (e *Executor) Stats() Stats {
 }
 
 // defaultExec is the process-wide executor sweep.Run resolves to; a CLI
-// or service configures it once at startup (mirroring
-// device.SetDefaultEngine), so drivers inherit caching without plumbing.
+// or service configures it once at startup, so drivers inherit caching
+// without plumbing.
 var defaultExec atomic.Pointer[Executor]
 
 // SetDefault installs the process-wide executor. Call once, at startup.
@@ -154,6 +154,12 @@ func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (Cell
 	if err != nil {
 		return CellResult{}, failSpan(sp, err)
 	}
+	// The context's engine runs every cell that leaves Engine at its
+	// zero value. It is set before the key, which names the engine.
+	env := device.EnvFrom(ctx)
+	if cfg.Engine == device.EngineBatched {
+		cfg.Engine = env.Engine
+	}
 	// Environmental wiring is the executor's job, applied uniformly so a
 	// cell's identity never depends on it: neither field is part of the
 	// key, and an aborted run is never stored.
@@ -170,7 +176,7 @@ func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (Cell
 	}
 	if !keyed {
 		e.bypass.Add(1)
-		res, dcfg, extras, err := runLive(ctx, cfg, strat, c)
+		res, dcfg, extras, err := runLive(ctx, env, cfg, strat, c)
 		if err != nil {
 			return CellResult{}, failSpan(sp, err)
 		}
@@ -193,7 +199,7 @@ func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (Cell
 	waitStart := time.Now()
 	ent, shared, err := e.flights.Do(ctx, key, func() (*Entry, error) {
 		live := time.Now()
-		res, _, extras, err := runLive(ctx, cfg, strat, c)
+		res, _, extras, err := runLive(ctx, env, cfg, strat, c)
 		if err != nil {
 			return nil, err
 		}
@@ -283,22 +289,23 @@ func finish(c *Cell, cfg device.Config, strat device.Strategy, ent *Entry) (Cell
 	return out, verify(c, ent.Result)
 }
 
-// runLive simulates the cell and captures its extras. When the context
-// carries a trace, the simulation gets its own "device.run" span whose
-// attributes (periods, backups, brown-outs, simcycles) are counted from
-// the device's own lifecycle events: a SpanCounter is combined with
-// whatever tracer the config or process default would have used, so
-// tracing a request never displaces the metrics sink.
-func runLive(ctx context.Context, cfg device.Config, strat device.Strategy, c *Cell) (*device.Result, device.Config, json.RawMessage, error) {
+// runLive simulates the cell and captures its extras. The device gets
+// the config's own tracer or, without one, the environment's provider's
+// (called here, once per simulated device). When the context carries a
+// trace, the simulation also gets its own "device.run" span whose
+// attributes (engine, periods, backups, brown-outs, simcycles) are
+// counted from the device's lifecycle events by a SpanCounter combined
+// with that tracer, so tracing a request never displaces the metrics
+// sink.
+func runLive(ctx context.Context, env device.Env, cfg device.Config, strat device.Strategy, c *Cell) (*device.Result, device.Config, json.RawMessage, error) {
+	if cfg.Observe == nil {
+		cfg.Observe = env.Tracer()
+	}
 	_, sp := obsv.StartSpan(ctx, "device.run")
 	var sc *obsv.SpanCounter
 	if sp != nil {
 		sc = obsv.NewSpanCounter(sp)
-		obs := cfg.Observe
-		if obs == nil {
-			obs = device.DefaultObserver()
-		}
-		cfg.Observe = obsv.Combine(obs, sc)
+		cfg.Observe = obsv.Combine(cfg.Observe, sc)
 	}
 	d, err := device.New(cfg, strat)
 	if err != nil {
