@@ -73,8 +73,9 @@ audit-quick:
 # for protocol changes. A second campaign then aims at the known-bad
 # alpaca-naive variant (non-atomic in-place task commits) and MUST find
 # a counterexample — its exit 3 is inverted — so the auditor's teeth are
-# checked in the same job. The task tables the alpaca family executes
-# are emitted alongside for the artifact upload.
+# checked in the same job. The task and WCEC tables are not rendered
+# here: results/ehlint_{tasks,wcec}.golden are those bytes, and `make
+# check`'s golden tests compare against them.
 audit-adversarial:
 	$(GO) run ./cmd/ehsim -audit -adversarial -oracle \
 		-campaign-budget 24 -fault-seed 1 \
@@ -90,8 +91,6 @@ audit-adversarial:
 		echo "audit-adversarial: alpaca-naive campaign exited $$status, want 3 (known-bad target must be caught)"; \
 		exit 1; \
 	fi
-	$(GO) run ./cmd/ehlint -tasks -golden > task_tables.txt
-	$(GO) run ./cmd/ehlint -wcec -golden > wcec_tables.txt
 
 # regenerate the golden static-analysis findings for every built-in
 # workload (both data placements). cmd/ehlint's golden test fails on any

@@ -233,7 +233,7 @@ func BenchmarkCaseCircularBuffer(b *testing.B) {
 	var plan core.CircularBufferPlan
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, pts, plan, err = experiments.CaseCircularBuffer(context.Background(), experiments.CircularConfig{})
+		_, pts, plan, err = experiments.CaseCircularBuffer(context.Background(), runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

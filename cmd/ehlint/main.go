@@ -330,8 +330,7 @@ func lintAllText(w io.Writer) error {
 // wcecAllText renders the canonical all-workloads WCEC certificate
 // tables used by the golden-output regression test and
 // `make lint-wcec`: every workload under both data placements, each
-// with both region semantics, in the serialization analyze.ParseWCEC
-// round-trips.
+// with both region semantics, as WCECTable.String renders them.
 func wcecAllText(w io.Writer, budgetJ float64) error {
 	segs := []struct {
 		name string
@@ -356,8 +355,8 @@ func wcecAllText(w io.Writer, budgetJ float64) error {
 
 // tasksAllText renders the canonical all-workloads task tables used by
 // the golden-output regression test and `make lint-tasks`: every
-// workload's decomposition under both data placements, in the
-// serialization analyze.ParseTaskTable round-trips.
+// workload's decomposition under both data placements, as
+// TaskTable.String renders them.
 func tasksAllText(w io.Writer) error {
 	segs := []struct {
 		name string

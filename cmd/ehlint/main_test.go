@@ -126,42 +126,29 @@ func TestGoldenWCECTables(t *testing.T) {
 	}
 }
 
-// TestGoldenWCECParses asserts every certificate table in the golden
-// output round-trips through analyze.ParseWCEC, and that no workload
-// is statically infeasible (livelock) at the default budget — the
-// catalog must stay runnable.
+// TestGoldenWCECParses asserts that no workload the golden tables
+// cover is statically infeasible (livelock) at the default budget,
+// under either placement or region semantics — the catalog must stay
+// runnable.
 func TestGoldenWCECParses(t *testing.T) {
-	var got bytes.Buffer
-	if err := wcecAllText(&got, defaultBudgetJ()); err != nil {
-		t.Fatal(err)
-	}
 	tables := 0
-	for _, block := range strings.Split(got.String(), "== ") {
-		i := strings.Index(block, "\n")
-		if i < 0 || !strings.Contains(block[:i], "/") {
-			continue
-		}
-		// Each section holds two concatenated tables; split on the
-		// second header keyword.
-		body := block[i+1:]
-		idx := strings.Index(body[1:], "wcectable ")
-		if idx < 0 {
-			t.Fatalf("section %q lacks a second table", block[:i])
-		}
-		for _, text := range []string{body[:idx+1], body[idx+1:]} {
-			tbl, err := analyze.ParseWCEC(text)
-			if err != nil {
-				t.Fatalf("section %q: %v", block[:i], err)
-			}
-			tables++
-			if fl := tbl.FirstLivelock(); fl != nil {
-				t.Errorf("%s %s: livelock at region entry=%d under the default budget",
-					tbl.Prog, tbl.Mode, fl.Entry)
+	for _, name := range workload.Names() {
+		for _, seg := range []asm.Segment{asm.SRAM, asm.FRAM} {
+			for _, mode := range []analyze.WCECMode{analyze.WCECCheckpoint, analyze.WCECTask} {
+				tbl, err := wcecOne(name, seg, 1, mode, defaultBudgetJ())
+				if err != nil {
+					t.Fatalf("%s/%v %s: %v", name, seg, mode, err)
+				}
+				tables++
+				if fl := tbl.FirstLivelock(); fl != nil {
+					t.Errorf("%s/%v %s: livelock at region entry=%d under the default budget",
+						name, seg, mode, fl.Entry)
+				}
 			}
 		}
 	}
 	if tables == 0 {
-		t.Fatal("no certificate tables parsed")
+		t.Fatal("no certificate tables computed")
 	}
 }
 

@@ -378,11 +378,12 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	key := fmt.Sprintf("figure|id=%s|quick=%t", id, quick)
 	obsv.AddSpan(ctx, "request.parse", parseStart, time.Now())
 
-	// Collect cell provenance when anyone will see it: the response
-	// (?provenance=1), the trace, or a live /v1/events subscriber. The
-	// records double as the event stream's cell feed.
+	// Collect cell provenance only when something reads it: the
+	// response (?provenance=1) or a live /v1/events subscriber, whose
+	// cell feed the records are. The trace needs no log: it takes its
+	// cell data from the executor's cell spans.
 	var pl *sweep.ProvLog
-	if wantProv || obsv.TraceFrom(ctx) != nil || s.hub.active() {
+	if wantProv || s.hub.active() {
 		pl = sweep.NewProvLog(0)
 		if s.hub.active() {
 			tid := ""

@@ -206,6 +206,36 @@ func TestProvenanceEnvelope(t *testing.T) {
 	}
 }
 
+// TestProvLogOnlyWhenRead: a figure request collects cell provenance
+// only for a reader — ?provenance=1 or a live /v1/events subscriber.
+// Tracing alone collects none: the trace takes its cell data from the
+// executor's cell spans.
+func TestProvLogOnlyWhenRead(t *testing.T) {
+	s := testServer()
+	sawLog := false
+	s.generate = func(ctx context.Context, which string, quick bool, run runner.Options) ([]*experiments.Figure, []experiments.Failure) {
+		sawLog = sweep.ProvFrom(ctx) != nil
+		return []*experiments.Figure{{ID: "fig" + which, Title: "stub"}}, nil
+	}
+	h := s.handler()
+
+	traced := get(t, h, "/v1/figure?id=3")
+	if traced.Code != http.StatusOK || traced.Header().Get(traceHeader) == "" {
+		t.Fatalf("traced figure: %d, trace %q", traced.Code, traced.Header().Get(traceHeader))
+	}
+	if sawLog {
+		t.Error("a traced request with no provenance reader collected a provenance log")
+	}
+
+	// A different figure, so the request misses the byte cache.
+	if rec := get(t, h, "/v1/figure?id=4&provenance=1"); rec.Code != http.StatusOK {
+		t.Fatalf("provenance figure: %d", rec.Code)
+	}
+	if !sawLog {
+		t.Error("?provenance=1 generated without a provenance log")
+	}
+}
+
 // TestSeriesEndpoint: sampled intervals report per-interval deltas.
 func TestSeriesEndpoint(t *testing.T) {
 	s := fastFigureServer()

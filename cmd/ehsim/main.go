@@ -320,6 +320,23 @@ func splitList(s string) []string {
 	return out
 }
 
+// faultTable renders the fault-injection counters of one run or of a
+// whole audit.
+func faultTable(f device.FaultReport) string {
+	return textplot.Table(
+		[]string{"fault", "count"},
+		[][]string{
+			{"scheduled power cuts", fmt.Sprint(f.PowerCuts)},
+			{"injected tears", fmt.Sprint(f.InjectedTears)},
+			{"torn backups (all causes)", fmt.Sprint(f.TornBackups)},
+			{"bit flips in stored state", fmt.Sprint(f.BitFlips)},
+			{"CRC-rejected checkpoints", fmt.Sprint(f.CRCRejections)},
+			{"stale-slot restores", fmt.Sprint(f.StaleRestores)},
+			{"forced stale restores", fmt.Sprint(f.ForcedStale)},
+			{"cold restarts", fmt.Sprint(f.ColdRestarts)},
+		})
+}
+
 // runAudit executes the parallel crash-consistency audit and prints its
 // report: summary tables for humans, then one logfmt verdict line per
 // schedule for machines, then a one-line summary per verdict class. It
@@ -334,19 +351,7 @@ func runAudit(ctx context.Context, o faults.Options) (int, func(*obsv.Metrics), 
 		return 0, nil, err
 	}
 	fmt.Printf("crash-consistency audit: %d run(s)\n\n", rep.Runs)
-	f := rep.Faults
-	fmt.Print(textplot.Table(
-		[]string{"fault", "count"},
-		[][]string{
-			{"scheduled power cuts", fmt.Sprint(f.PowerCuts)},
-			{"injected tears", fmt.Sprint(f.InjectedTears)},
-			{"torn backups (all causes)", fmt.Sprint(f.TornBackups)},
-			{"bit flips in stored state", fmt.Sprint(f.BitFlips)},
-			{"CRC-rejected checkpoints", fmt.Sprint(f.CRCRejections)},
-			{"stale-slot restores", fmt.Sprint(f.StaleRestores)},
-			{"forced stale restores", fmt.Sprint(f.ForcedStale)},
-			{"cold restarts", fmt.Sprint(f.ColdRestarts)},
-		}))
+	fmt.Print(faultTable(rep.Faults))
 	fmt.Printf("\ndetected-unrecoverable fail-stops: %d (honest detections, not violations)\n", rep.Unrecoverable)
 
 	// Per-schedule verdicts, one machine-parseable logfmt line each —
@@ -797,20 +802,8 @@ func run(ctx context.Context, o runOpts) error {
 		}))
 
 	if o.plan != nil {
-		f := res.Faults
 		fmt.Printf("\nfault injection (seed %d):\n", o.plan.Seed)
-		fmt.Print(textplot.Table(
-			[]string{"fault", "count"},
-			[][]string{
-				{"scheduled power cuts", fmt.Sprint(f.PowerCuts)},
-				{"injected tears", fmt.Sprint(f.InjectedTears)},
-				{"torn backups (all causes)", fmt.Sprint(f.TornBackups)},
-				{"bit flips in stored state", fmt.Sprint(f.BitFlips)},
-				{"CRC-rejected checkpoints", fmt.Sprint(f.CRCRejections)},
-				{"stale-slot restores", fmt.Sprint(f.StaleRestores)},
-				{"forced stale restores", fmt.Sprint(f.ForcedStale)},
-				{"cold restarts", fmt.Sprint(f.ColdRestarts)},
-			}))
+		fmt.Print(faultTable(res.Faults))
 	}
 
 	if res.Completed {

@@ -15,11 +15,12 @@ import (
 	"os"
 
 	"ehmodel/internal/experiments"
+	"ehmodel/internal/runner"
 	"ehmodel/internal/textplot"
 )
 
 func main() {
-	fig, pts, plan, err := experiments.CaseCircularBuffer(context.Background(), experiments.CircularConfig{})
+	fig, pts, plan, err := experiments.CaseCircularBuffer(context.Background(), runner.Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -44,11 +44,54 @@ const (
 	defaultFRAMSize = 256 << 10
 )
 
+// program is the front half every pass shares: the CFG, the interval
+// fixpoint over it, and every reachable memory access resolved against
+// the device memory layout.
+type program struct {
+	prog *asm.Program
+	lay  memLayout
+	g    *cfg
+	fr   *flowResult
+	acc  []*accessInfo // by PC; nil off the reachable loads and stores
+}
+
+// prepare validates prog and runs the shared front half. It returns a
+// value, not a pointer, so Tasks — which every Alpaca device.New runs —
+// allocates no more than the front half itself does.
+func prepare(prog *asm.Program, o Options) (program, error) {
+	if prog == nil || len(prog.Code) == 0 {
+		return program{}, fmt.Errorf("analyze: empty program")
+	}
+	p := program{prog: prog, lay: memLayout{sramSize: defaultSRAMSize, framSize: defaultFRAMSize}}
+	if o.SRAMSize > 0 {
+		p.lay.sramSize = uint32(o.SRAMSize)
+	}
+	if o.FRAMSize > 0 {
+		p.lay.framSize = uint32(o.FRAMSize)
+	}
+	p.g = buildCFG(prog.Code)
+	p.fr = runFlow(p.g)
+	p.acc = make([]*accessInfo, len(prog.Code))
+	for id, b := range p.g.blocks {
+		if !p.fr.reach[id] {
+			continue
+		}
+		for pc := b.Start; pc < b.End; pc++ {
+			if in := prog.Code[pc]; in.Op.IsLoad() || in.Op.IsStore() {
+				p.acc[pc] = resolveAccess(pc, in, p.fr.stateAt[pc], p.lay)
+			}
+		}
+	}
+	return p, nil
+}
+
 // Analyze runs the full static analysis over prog.
 func Analyze(prog *asm.Program, o Options) (*Report, error) {
-	if prog == nil || len(prog.Code) == 0 {
-		return nil, fmt.Errorf("analyze: empty program")
+	p, err := prepare(prog, o)
+	if err != nil {
+		return nil, err
 	}
+	g, fr, acc, lay := p.g, p.fr, p.acc, p.lay
 	bounds := o.Boundaries
 	if bounds == nil {
 		bounds = DefaultBoundaries()
@@ -56,30 +99,6 @@ func Analyze(prog *asm.Program, o Options) (*Report, error) {
 	boundarySet := make(map[isa.Sys]bool, len(bounds))
 	for _, s := range bounds {
 		boundarySet[s] = true
-	}
-	lay := memLayout{sramSize: uint32(defaultSRAMSize), framSize: uint32(defaultFRAMSize)}
-	if o.SRAMSize > 0 {
-		lay.sramSize = uint32(o.SRAMSize)
-	}
-	if o.FRAMSize > 0 {
-		lay.framSize = uint32(o.FRAMSize)
-	}
-
-	g := buildCFG(prog.Code)
-	fr := runFlow(g)
-
-	// Resolve every reachable memory access once.
-	acc := make([]*accessInfo, len(prog.Code))
-	for id, b := range g.blocks {
-		if !fr.reach[id] {
-			continue
-		}
-		for pc := b.Start; pc < b.End; pc++ {
-			in := prog.Code[pc]
-			if in.Op.IsLoad() || in.Op.IsStore() {
-				acc[pc] = resolveAccess(pc, in, fr.stateAt[pc], lay)
-			}
-		}
 	}
 
 	r := &Report{

@@ -38,9 +38,6 @@ type cfg struct {
 	// badTargets lists PCs whose branch/jump target lies outside the
 	// program (a guaranteed runtime fault).
 	badTargets []int
-	// indirect lists JALR PCs (resolved via returnSites, or dead ends
-	// when the program has no calls).
-	indirect []int
 }
 
 // buildCFG partitions code into blocks and wires the edges.
@@ -67,7 +64,6 @@ func buildCFG(code []isa.Instr) *cfg {
 			}
 		case in.Op == isa.JALR:
 			mark(pc + 1)
-			g.indirect = append(g.indirect, pc)
 		case in.Op == isa.SYS && isa.Sys(in.Imm) == isa.SysHalt:
 			mark(pc + 1)
 		}
@@ -152,34 +148,23 @@ func (g *cfg) succEdges(id int) []struct {
 	return out
 }
 
-// reachable marks blocks reachable from the entry block.
-func (g *cfg) reachable() []bool {
-	seen := make([]bool, len(g.blocks))
-	if len(g.blocks) == 0 {
-		return seen
+// succ is the block graph's successor function for sccs and cyclic.
+func (g *cfg) succ(v, i int) (int, bool) {
+	if s := g.blocks[v].Succs; i < len(s) {
+		return s[i], true
 	}
-	stack := []int{0}
-	seen[0] = true
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.blocks[id].Succs {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
+	return 0, false
 }
 
-// sccsIn returns the strongly connected components of the block graph
-// restricted to the allowed set (nil = every block), in reverse
-// topological order (Tarjan). Restricting and recursing below a loop
-// header is how nested loops are recovered from maximal SCCs.
-func (g *cfg) sccsIn(allowed map[int]bool) [][]int {
-	n := len(g.blocks)
-	ok := func(id int) bool { return allowed == nil || allowed[id] }
+// sccs returns the strongly connected components of the graph whose
+// nodes are the ids v in [0, n) with in(v), in reverse topological
+// order (Tarjan), each sorted ascending. succ(v, i) is v's i-th
+// successor, ok false past the last; edges to ids outside the graph are
+// skipped. Both the block graph of analyzeLoops and the PC-keyed
+// collapse graph of the WCEC pass run on it. Restricting and recursing
+// below a loop header is how nested loops are recovered from maximal
+// SCCs.
+func sccs(n int, in func(v int) bool, succ func(v, i int) (w int, ok bool)) [][]int {
 	index := make([]int, n)
 	low := make([]int, n)
 	onStack := make([]bool, n)
@@ -196,7 +181,7 @@ func (g *cfg) sccsIn(allowed map[int]bool) [][]int {
 	}
 	var dfs []frame
 	for root := 0; root < n; root++ {
-		if index[root] != -1 || !ok(root) {
+		if index[root] != -1 || !in(root) {
 			continue
 		}
 		dfs = append(dfs[:0], frame{root, 0})
@@ -207,10 +192,9 @@ func (g *cfg) sccsIn(allowed map[int]bool) [][]int {
 		onStack[root] = true
 		for len(dfs) > 0 {
 			f := &dfs[len(dfs)-1]
-			if f.succIdx < len(g.blocks[f.v].Succs) {
-				w := g.blocks[f.v].Succs[f.succIdx]
+			if w, ok := succ(f.v, f.succIdx); ok {
 				f.succIdx++
-				if !ok(w) {
+				if !in(w) {
 					continue
 				}
 				if index[w] == -1 {
@@ -221,7 +205,7 @@ func (g *cfg) sccsIn(allowed map[int]bool) [][]int {
 					onStack[w] = true
 					dfs = append(dfs, frame{w, 0})
 				} else if onStack[w] {
-					low[f.v] = min64i(low[f.v], index[w])
+					low[f.v] = min(low[f.v], index[w])
 				}
 				continue
 			}
@@ -229,7 +213,7 @@ func (g *cfg) sccsIn(allowed map[int]bool) [][]int {
 			dfs = dfs[:len(dfs)-1]
 			if len(dfs) > 0 {
 				p := dfs[len(dfs)-1].v
-				low[p] = min64i(low[p], low[v])
+				low[p] = min(low[p], low[v])
 			}
 			if low[v] == index[v] {
 				var comp []int
@@ -251,23 +235,18 @@ func (g *cfg) sccsIn(allowed map[int]bool) [][]int {
 }
 
 // cyclic reports whether the SCC comp actually contains a cycle (more
-// than one block, or a self edge).
-func (g *cfg) cyclic(comp []int) bool {
+// than one node, or a self edge).
+func cyclic(comp []int, succ func(v, i int) (w int, ok bool)) bool {
 	if len(comp) > 1 {
 		return true
 	}
-	id := comp[0]
-	for _, s := range g.blocks[id].Succs {
-		if s == id {
+	for i := 0; ; i++ {
+		w, ok := succ(comp[0], i)
+		if !ok {
+			return false
+		}
+		if w == comp[0] {
 			return true
 		}
 	}
-	return false
-}
-
-func min64i(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -15,7 +15,6 @@ const (
 
 	maxU32 = int64(1)<<32 - 1
 	maxS32 = int64(1)<<31 - 1
-	minS32 = -int64(1) << 31
 )
 
 // ival is a closed interval [lo, hi]; lo > hi never occurs (the empty
@@ -167,15 +166,6 @@ func (a ival) shr(s uint32) ival {
 		return ival{0, maxU32 >> s}
 	}
 	return ival{a.lo >> s, a.hi >> s}
-}
-
-// andMask bounds a bitwise AND with a constant mask m ≥ 0 (modular
-// indexing with power-of-two buffers relies on this).
-func (a ival) andMask(m uint32) ival {
-	if ca, ok := a.isConst(); ok {
-		return cval(ca & m)
-	}
-	return ival{0, int64(m)}
 }
 
 // orBound over-approximates OR/XOR of two non-negative intervals by the

@@ -95,8 +95,9 @@ func analyzeLoops(g *cfg, boundaries map[isa.Sys]bool) []LoopInfo {
 	var loops []LoopInfo
 	var walk func(allowed map[int]bool, depth int)
 	walk = func(allowed map[int]bool, depth int) {
-		for _, comp := range g.sccsIn(allowed) {
-			if !g.cyclic(comp) {
+		in := func(id int) bool { return allowed == nil || allowed[id] }
+		for _, comp := range sccs(len(g.blocks), in, g.succ) {
+			if !cyclic(comp, g.succ) {
 				continue
 			}
 			loops = append(loops, classifyLoop(g, comp, boundaries, depth))

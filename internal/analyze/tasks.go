@@ -80,32 +80,16 @@ type TaskTable struct {
 // decomposition always anchors on SysTaskEnd, the marker task runtimes
 // commit at.
 func Tasks(prog *asm.Program, o Options) (*TaskTable, error) {
-	if prog == nil || len(prog.Code) == 0 {
-		return nil, fmt.Errorf("analyze: empty program")
+	p, err := prepare(prog, o)
+	if err != nil {
+		return nil, err
 	}
-	lay := memLayout{sramSize: uint32(defaultSRAMSize), framSize: uint32(defaultFRAMSize)}
-	if o.SRAMSize > 0 {
-		lay.sramSize = uint32(o.SRAMSize)
-	}
-	if o.FRAMSize > 0 {
-		lay.framSize = uint32(o.FRAMSize)
-	}
+	return p.tasks(), nil
+}
 
-	g := buildCFG(prog.Code)
-	fr := runFlow(g)
-	acc := make([]*accessInfo, len(prog.Code))
-	for id, b := range g.blocks {
-		if !fr.reach[id] {
-			continue
-		}
-		for pc := b.Start; pc < b.End; pc++ {
-			in := prog.Code[pc]
-			if in.Op.IsLoad() || in.Op.IsStore() {
-				acc[pc] = resolveAccess(pc, in, fr.stateAt[pc], lay)
-			}
-		}
-	}
-
+// tasks runs the decomposition over the prepared program.
+func (p *program) tasks() *TaskTable {
+	prog, g, fr, acc, lay := p.prog, p.g, p.fr, p.acc, p.lay
 	sysBounds := map[isa.Sys]bool{isa.SysTaskEnd: true}
 
 	// Fixed point: every store the WAR pass still flags becomes a
@@ -187,7 +171,7 @@ func Tasks(prog *asm.Program, o Options) (*TaskTable, error) {
 			t.TauStore = l.TauStore
 		}
 	}
-	return t, nil
+	return t
 }
 
 // taskFootprint collects the read and store word sets of the task
@@ -270,8 +254,8 @@ func (t *TaskTable) FootprintAt(entry uint32) (words []uint32, top, ok bool) {
 	return nil, false, false
 }
 
-// String renders the table in the line format ParseTaskTable reads
-// back:
+// String renders the table, the text ehlint -tasks prints and the
+// golden file pins (JSON is the machine-readable form):
 //
 //	tasktable <prog> tasks=<n> bufwords=<n> taustore=<g>
 //	boundaries <pc,pc,...|->
@@ -310,129 +294,4 @@ func (t *TaskTable) String() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// ParseTaskTable reads a table rendered by String. Blank lines and
-// lines starting with '#' are ignored; anything else malformed is an
-// error, never a panic.
-func ParseTaskTable(s string) (*TaskTable, error) {
-	t := &TaskTable{}
-	sawHeader, sawBounds := false, false
-	wantTasks := 0
-	for ln, line := range strings.Split(s, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "tasktable":
-			if sawHeader {
-				return nil, fmt.Errorf("analyze: line %d: duplicate tasktable header", ln+1)
-			}
-			if len(fields) != 5 {
-				return nil, fmt.Errorf("analyze: line %d: tasktable header wants 5 fields, got %d", ln+1, len(fields))
-			}
-			t.Prog = fields[1]
-			n, err := parseKeyInt(fields[2], "tasks")
-			if err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %w", ln+1, err)
-			}
-			if n < 0 || n > 1<<20 {
-				return nil, fmt.Errorf("analyze: line %d: task count %d out of range", ln+1, n)
-			}
-			wantTasks = n
-			if t.BufWords, err = parseKeyInt(fields[3], "bufwords"); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %w", ln+1, err)
-			}
-			ts, ok := strings.CutPrefix(fields[4], "taustore=")
-			if !ok {
-				return nil, fmt.Errorf("analyze: line %d: want taustore=, got %q", ln+1, fields[4])
-			}
-			if t.TauStore, err = strconv.ParseFloat(ts, 64); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: taustore: %w", ln+1, err)
-			}
-			sawHeader = true
-		case "boundaries":
-			if !sawHeader || sawBounds {
-				return nil, fmt.Errorf("analyze: line %d: misplaced boundaries line", ln+1)
-			}
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("analyze: line %d: boundaries wants 1 operand, got %d", ln+1, len(fields)-1)
-			}
-			if fields[1] != "-" {
-				for _, f := range strings.Split(fields[1], ",") {
-					pc, err := strconv.Atoi(f)
-					if err != nil {
-						return nil, fmt.Errorf("analyze: line %d: boundary %q: %w", ln+1, f, err)
-					}
-					t.Boundaries = append(t.Boundaries, pc)
-				}
-			}
-			sawBounds = true
-		case "task":
-			if !sawHeader {
-				return nil, fmt.Errorf("analyze: line %d: task before tasktable header", ln+1)
-			}
-			if len(fields) != 6 {
-				return nil, fmt.Errorf("analyze: line %d: task wants 6 fields, got %d", ln+1, len(fields))
-			}
-			var task Task
-			id, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("analyze: line %d: task id %q: %w", ln+1, fields[1], err)
-			}
-			task.ID = id
-			if task.Entry, err = parseKeyInt(fields[2], "entry"); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %w", ln+1, err)
-			}
-			kind, ok := strings.CutPrefix(fields[3], "kind=")
-			if !ok {
-				return nil, fmt.Errorf("analyze: line %d: want kind=, got %q", ln+1, fields[3])
-			}
-			task.Kind = kind
-			if task.ReadWords, err = parseKeyInt(fields[4], "reads"); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %w", ln+1, err)
-			}
-			words, ok := strings.CutPrefix(fields[5], "words=")
-			if !ok {
-				return nil, fmt.Errorf("analyze: line %d: want words=, got %q", ln+1, fields[5])
-			}
-			switch words {
-			case "top":
-				task.StoreTop = true
-			case "-":
-			default:
-				for _, f := range strings.Split(words, ",") {
-					w, err := strconv.ParseUint(f, 0, 32)
-					if err != nil {
-						return nil, fmt.Errorf("analyze: line %d: store word %q: %w", ln+1, f, err)
-					}
-					task.StoreWords = append(task.StoreWords, uint32(w))
-				}
-			}
-			t.Tasks = append(t.Tasks, task)
-		default:
-			return nil, fmt.Errorf("analyze: line %d: unknown directive %q", ln+1, fields[0])
-		}
-	}
-	if !sawHeader {
-		return nil, fmt.Errorf("analyze: missing tasktable header")
-	}
-	if len(t.Tasks) != wantTasks {
-		return nil, fmt.Errorf("analyze: header promises %d tasks, found %d", wantTasks, len(t.Tasks))
-	}
-	return t, nil
-}
-
-func parseKeyInt(field, key string) (int, error) {
-	v, ok := strings.CutPrefix(field, key+"=")
-	if !ok {
-		return 0, fmt.Errorf("want %s=, got %q", key, field)
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %w", key, err)
-	}
-	return n, nil
 }

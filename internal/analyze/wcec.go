@@ -47,7 +47,6 @@ package analyze
 // not-taken exit branch is never smeared into the steady-state figure.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -178,8 +177,9 @@ type WCECOptions struct {
 
 // WCEC runs the static forward-progress verifier over prog.
 func WCEC(prog *asm.Program, o WCECOptions) (*WCECTable, error) {
-	if prog == nil || len(prog.Code) == 0 {
-		return nil, fmt.Errorf("analyze: empty program")
+	p, err := prepare(prog, o.Options)
+	if err != nil {
+		return nil, err
 	}
 	if !(o.BudgetJ > 0) {
 		return nil, fmt.Errorf("analyze: wcec: energy budget must be > 0, got %g", o.BudgetJ)
@@ -196,13 +196,11 @@ func WCEC(prog *asm.Program, o WCECOptions) (*WCECTable, error) {
 	}
 
 	w := &wcecCalc{
-		prog:   prog,
-		code:   prog.Code,
-		g:      buildCFG(prog.Code),
-		mode:   o.Mode,
-		budget: o.BudgetJ,
+		program: p,
+		code:    prog.Code,
+		mode:    o.Mode,
+		budget:  o.BudgetJ,
 	}
-	w.fr = runFlow(w.g)
 	for c := 0; c < int(energy.NumClasses); c++ {
 		w.epc[c] = pm.EnergyPerCycle(energy.InstrClass(c))
 	}
@@ -221,10 +219,7 @@ func WCEC(prog *asm.Program, o WCECOptions) (*WCECTable, error) {
 			}
 		}
 	case WCECTask:
-		tt, err := Tasks(prog, o.Options)
-		if err != nil {
-			return nil, fmt.Errorf("analyze: wcec: task decomposition: %w", err)
-		}
+		tt := p.tasks()
 		w.sysBounds = map[isa.Sys]bool{isa.SysTaskEnd: true}
 		w.baseCuts = map[int]bool{}
 		for _, pc := range tt.Boundaries {
@@ -249,10 +244,8 @@ type wcecEntry struct {
 }
 
 type wcecCalc struct {
-	prog      *asm.Program
+	program
 	code      []isa.Instr
-	g         *cfg
-	fr        *flowResult
 	mode      WCECMode
 	budget    float64
 	sysBounds map[isa.Sys]bool
@@ -522,6 +515,18 @@ type cEdge struct {
 	c  wcost
 }
 
+// cGraph is the collapse graph (map[int]*cNode, keyed by the PC each
+// node stands at) seen by the SCC routine: succ is its successor
+// function for sccs and cyclic.
+type cGraph map[int]*cNode
+
+func (g cGraph) succ(v, i int) (int, bool) {
+	if s := g[v].succ; i < len(s) {
+		return s[i].to, true
+	}
+	return 0, false
+}
+
 // worst computes the worst-case cost from the region entry to a commit:
 // collapse every loop into a bounded (or ∞) summary node, then take the
 // longest path over the resulting DAG. A node from which no commit is
@@ -554,10 +559,7 @@ func (w *wcecCalc) worst(rg *regionGraph) wcost {
 
 // reduce collapses every cycle inside the allowed set, innermost first.
 func (w *wcecCalc) reduce(g map[int]*cNode, allowed map[int]bool, entry int) {
-	for _, comp := range tarjanNodes(g, allowed) {
-		if !cyclicComp(g, comp) {
-			continue
-		}
+	for _, comp := range w.loopsIn(g, allowed) {
 		compSet := map[int]bool{}
 		for _, id := range comp {
 			compSet[id] = true
@@ -585,90 +587,17 @@ func (w *wcecCalc) reduce(g map[int]*cNode, allowed map[int]bool, entry int) {
 	}
 }
 
-// tarjanNodes computes SCCs of the collapse graph restricted to allowed.
-func tarjanNodes(g map[int]*cNode, allowed map[int]bool) [][]int {
-	ids := make([]int, 0, len(allowed))
-	for id := range allowed {
-		if g[id] != nil {
-			ids = append(ids, id)
+// loopsIn returns the cyclic SCCs of the collapse graph restricted to
+// allowed, in sccs order. Node ids are PCs: the graph lives in
+// [0, len(code)), minus the members earlier collapses deleted.
+func (w *wcecCalc) loopsIn(g cGraph, allowed map[int]bool) [][]int {
+	var loops [][]int
+	for _, comp := range sccs(len(w.code), func(v int) bool { return allowed[v] && g[v] != nil }, g.succ) {
+		if cyclic(comp, g.succ) {
+			loops = append(loops, comp)
 		}
 	}
-	sort.Ints(ids)
-	index := map[int]int{}
-	low := map[int]int{}
-	onStack := map[int]bool{}
-	var stack []int
-	var out [][]int
-	next := 0
-
-	type frame struct {
-		v, succIdx int
-	}
-	var dfs []frame
-	for _, root := range ids {
-		if _, done := index[root]; done {
-			continue
-		}
-		dfs = append(dfs[:0], frame{root, 0})
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(dfs) > 0 {
-			f := &dfs[len(dfs)-1]
-			node := g[f.v]
-			if f.succIdx < len(node.succ) {
-				t := node.succ[f.succIdx].to
-				f.succIdx++
-				if !allowed[t] || g[t] == nil {
-					continue
-				}
-				if _, done := index[t]; !done {
-					index[t], low[t] = next, next
-					next++
-					stack = append(stack, t)
-					onStack[t] = true
-					dfs = append(dfs, frame{t, 0})
-				} else if onStack[t] {
-					low[f.v] = min64i(low[f.v], index[t])
-				}
-				continue
-			}
-			v := f.v
-			dfs = dfs[:len(dfs)-1]
-			if len(dfs) > 0 {
-				p := dfs[len(dfs)-1].v
-				low[p] = min64i(low[p], low[v])
-			}
-			if low[v] == index[v] {
-				var comp []int
-				for {
-					x := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[x] = false
-					comp = append(comp, x)
-					if x == v {
-						break
-					}
-				}
-				sort.Ints(comp)
-				out = append(out, comp)
-			}
-		}
-	}
-	return out
-}
-
-func cyclicComp(g map[int]*cNode, comp []int) bool {
-	if len(comp) > 1 {
-		return true
-	}
-	for _, e := range g[comp[0]].succ {
-		if e.to == comp[0] {
-			return true
-		}
-	}
-	return false
+	return loops
 }
 
 // header finds the unique loop entry: the one node of the component
@@ -1128,7 +1057,7 @@ func (w *wcecCalc) repairPoint(entry int, extraCuts []int) (int, bool) {
 	for pc := range g {
 		allowed[pc] = true
 	}
-	if h, ok := innermostHeader(g, allowed, rg.entry); ok {
+	if h, ok := w.innermostHeader(g, allowed, rg.entry); ok {
 		return h, true
 	}
 
@@ -1166,11 +1095,8 @@ func (w *wcecCalc) repairPoint(entry int, extraCuts []int) (int, bool) {
 
 // innermostHeader descends the loop nest of the region and returns the
 // deepest single-header loop's header.
-func innermostHeader(g map[int]*cNode, allowed map[int]bool, entry int) (int, bool) {
-	for _, comp := range tarjanNodes(g, allowed) {
-		if !cyclicComp(g, comp) {
-			continue
-		}
+func (w *wcecCalc) innermostHeader(g map[int]*cNode, allowed map[int]bool, entry int) (int, bool) {
+	for _, comp := range w.loopsIn(g, allowed) {
 		compSet := map[int]bool{}
 		for _, id := range comp {
 			compSet[id] = true
@@ -1185,7 +1111,7 @@ func innermostHeader(g map[int]*cNode, allowed map[int]bool, entry int) (int, bo
 				inner[id] = true
 			}
 		}
-		if ih, ok := innermostHeader(g, inner, entry); ok {
+		if ih, ok := w.innermostHeader(g, inner, entry); ok {
 			return ih, true
 		}
 		return h, true
@@ -1194,9 +1120,10 @@ func innermostHeader(g map[int]*cNode, allowed map[int]bool, entry int) (int, bo
 }
 
 // ---------------------------------------------------------------------
-// Serialization: one line per region, ParseWCEC round-trips.
+// Output: one text line per region, and JSON for machine readers.
 
-// String serializes the certificate table:
+// String renders the certificate table, the text ehlint -wcec prints
+// and the golden file pins:
 //
 //	wcectable <prog> mode=<m> regions=<n> budget=<g>
 //	repair <pc,...|-> complete=<0|1>
@@ -1283,182 +1210,4 @@ func (t *WCECTable) JSON() ([]byte, error) {
 		out.Regions = append(out.Regions, jr)
 	}
 	return json.MarshalIndent(out, "", "  ")
-}
-
-// ParseWCEC parses the String serialization back into a table. Blank
-// lines and #-comments are ignored; the region count is cross-checked
-// against the header.
-func ParseWCEC(s string) (*WCECTable, error) {
-	t := &WCECTable{}
-	sawHeader := false
-	declared := 0
-	sc := bufio.NewScanner(strings.NewReader(s))
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		f := strings.Fields(line)
-		switch f[0] {
-		case "wcectable":
-			if sawHeader {
-				return nil, fmt.Errorf("analyze: line %d: duplicate wcectable header", lineNo)
-			}
-			if len(f) != 5 {
-				return nil, fmt.Errorf("analyze: line %d: want 'wcectable <prog> mode= regions= budget=', got %d fields", lineNo, len(f))
-			}
-			sawHeader = true
-			t.Prog = f[1]
-			mode, err := parseKeyStr(f[2], "mode")
-			if err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %v", lineNo, err)
-			}
-			if m := WCECMode(mode); m != WCECCheckpoint && m != WCECTask {
-				return nil, fmt.Errorf("analyze: line %d: unknown mode %q", lineNo, mode)
-			}
-			t.Mode = WCECMode(mode)
-			if declared, err = parseKeyInt(f[3], "regions"); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %v", lineNo, err)
-			}
-			if t.BudgetJ, err = parseKeyFloat(f[4], "budget"); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %v", lineNo, err)
-			}
-			if declared < 0 || !(t.BudgetJ > 0) {
-				return nil, fmt.Errorf("analyze: line %d: invalid header (regions=%d budget=%g)", lineNo, declared, t.BudgetJ)
-			}
-		case "repair":
-			if !sawHeader {
-				return nil, fmt.Errorf("analyze: line %d: repair before wcectable header", lineNo)
-			}
-			if len(f) != 3 {
-				return nil, fmt.Errorf("analyze: line %d: want 'repair <pcs|-> complete=<0|1>', got %d fields", lineNo, len(f))
-			}
-			if f[1] != "-" {
-				for _, p := range strings.Split(f[1], ",") {
-					pc, err := strconv.Atoi(p)
-					if err != nil || pc < 0 {
-						return nil, fmt.Errorf("analyze: line %d: bad repair pc %q", lineNo, p)
-					}
-					t.Repair = append(t.Repair, pc)
-				}
-			}
-			c, err := parseKeyInt(f[2], "complete")
-			if err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %v", lineNo, err)
-			}
-			if c != 0 && c != 1 {
-				return nil, fmt.Errorf("analyze: line %d: complete=%d, want 0 or 1", lineNo, c)
-			}
-			t.RepairComplete = c == 1
-		case "region":
-			if !sawHeader {
-				return nil, fmt.Errorf("analyze: line %d: region before wcectable header", lineNo)
-			}
-			if len(f) != 9 {
-				return nil, fmt.Errorf("analyze: line %d: want 9 region fields, got %d", lineNo, len(f))
-			}
-			var r WCECRegion
-			var err error
-			if r.ID, err = strconv.Atoi(f[1]); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: bad region id %q", lineNo, f[1])
-			}
-			if r.Entry, err = parseKeyInt(f[2], "entry"); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %v", lineNo, err)
-			}
-			if r.Kind, err = parseKeyStr(f[3], "kind"); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %v", lineNo, err)
-			}
-			if r.WCCycles, r.WCUnbounded, err = parseKeyCycles(f[4], "wc"); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %v", lineNo, err)
-			}
-			if r.WCEnergy, err = parseKeyJoules(f[5], "wce"); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %v", lineNo, err)
-			}
-			if r.BCCycles, r.BCUnbounded, err = parseKeyCycles(f[6], "bc"); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %v", lineNo, err)
-			}
-			if r.BCEnergy, err = parseKeyJoules(f[7], "bce"); err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %v", lineNo, err)
-			}
-			v, err := parseKeyStr(f[8], "verdict")
-			if err != nil {
-				return nil, fmt.Errorf("analyze: line %d: %v", lineNo, err)
-			}
-			switch WCECVerdict(v) {
-			case WCECCertified, WCECLivelock, WCECUnknown:
-				r.Verdict = WCECVerdict(v)
-			default:
-				return nil, fmt.Errorf("analyze: line %d: unknown verdict %q", lineNo, v)
-			}
-			if r.Entry < 0 || r.ID != len(t.Regions) {
-				return nil, fmt.Errorf("analyze: line %d: region id/entry out of order (id=%d entry=%d)", lineNo, r.ID, r.Entry)
-			}
-			t.Regions = append(t.Regions, r)
-		default:
-			return nil, fmt.Errorf("analyze: line %d: unknown record %q", lineNo, f[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("analyze: scanning wcec table: %w", err)
-	}
-	if !sawHeader {
-		return nil, fmt.Errorf("analyze: no wcectable header")
-	}
-	if len(t.Regions) != declared {
-		return nil, fmt.Errorf("analyze: header declares %d regions, found %d", declared, len(t.Regions))
-	}
-	return t, nil
-}
-
-func parseKeyStr(field, key string) (string, error) {
-	v, ok := strings.CutPrefix(field, key+"=")
-	if !ok || v == "" {
-		return "", fmt.Errorf("want %s=, got %q", key, field)
-	}
-	return v, nil
-}
-
-func parseKeyFloat(field, key string) (float64, error) {
-	v, err := parseKeyStr(field, key)
-	if err != nil {
-		return 0, err
-	}
-	x, err := strconv.ParseFloat(v, 64)
-	if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
-		return 0, fmt.Errorf("bad %s value %q", key, v)
-	}
-	return x, nil
-}
-
-func parseKeyCycles(field, key string) (uint64, bool, error) {
-	v, err := parseKeyStr(field, key)
-	if err != nil {
-		return 0, false, err
-	}
-	if v == "unbounded" {
-		return 0, true, nil
-	}
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0, false, fmt.Errorf("bad %s value %q", key, v)
-	}
-	return n, false, nil
-}
-
-func parseKeyJoules(field, key string) (float64, error) {
-	v, err := parseKeyStr(field, key)
-	if err != nil {
-		return 0, err
-	}
-	if v == "inf" {
-		return math.Inf(1), nil
-	}
-	x, err := strconv.ParseFloat(v, 64)
-	if err != nil || math.IsNaN(x) || math.IsInf(x, 0) || x < 0 {
-		return 0, fmt.Errorf("bad %s value %q", key, v)
-	}
-	return x, nil
 }

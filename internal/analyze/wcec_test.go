@@ -286,23 +286,9 @@ func TestWCECTaskMode(t *testing.T) {
 	}
 }
 
+// TestWCECStringRoundTrip pins how the text table renders an unbounded
+// region: "unbounded" cycles and "inf" joules, never a wrapped figure.
 func TestWCECStringRoundTrip(t *testing.T) {
-	for _, mode := range []WCECMode{WCECCheckpoint, WCECTask} {
-		p := rawProg(t, "counted", countedLoop(t)...)
-		tbl, err := WCEC(p, WCECOptions{Mode: mode, Power: energy.MSP430Power(),
-			BudgetJ: wcecOpts(30).BudgetJ})
-		if err != nil {
-			t.Fatalf("WCEC %s: %v", mode, err)
-		}
-		got, err := ParseWCEC(tbl.String())
-		if err != nil {
-			t.Fatalf("ParseWCEC(%s): %v\n%s", mode, err, tbl.String())
-		}
-		if got.String() != tbl.String() {
-			t.Fatalf("round trip drift (%s):\n%s\nvs\n%s", mode, tbl.String(), got.String())
-		}
-	}
-	// Unbounded bounds survive the round trip as "unbounded"/"inf".
 	p := rawProg(t, "spin",
 		isa.Instr{Op: isa.BEQ, Rd: isa.R0, Rs1: isa.R0, Imm: 0},
 		halt(),
@@ -314,17 +300,6 @@ func TestWCECStringRoundTrip(t *testing.T) {
 	s := tbl.String()
 	if !strings.Contains(s, "wc=unbounded") || !strings.Contains(s, "wce=inf") {
 		t.Fatalf("serialization lacks unbounded markers:\n%s", s)
-	}
-	got, err := ParseWCEC(s)
-	if err != nil {
-		t.Fatalf("ParseWCEC: %v", err)
-	}
-	r := got.Regions[0]
-	if !r.WCUnbounded || !math.IsInf(r.WCEnergy, 1) {
-		t.Fatalf("parsed unbounded region = %+v", r)
-	}
-	if got.String() != s {
-		t.Fatalf("unbounded round trip drift:\n%svs\n%s", s, got.String())
 	}
 }
 
@@ -344,44 +319,4 @@ func TestWCECJSONUnbounded(t *testing.T) {
 	if !strings.Contains(string(js), `"wc_cycles": null`) {
 		t.Fatalf("unbounded cycles should marshal as null:\n%s", js)
 	}
-}
-
-func TestParseWCECErrors(t *testing.T) {
-	cases := []struct{ name, in string }{
-		{"empty", ""},
-		{"no-header", "region 0 entry=0 kind=entry wc=1 wce=1 bc=1 bce=1 verdict=certified\n"},
-		{"bad-mode", "wcectable p mode=banana regions=0 budget=1\nrepair - complete=0\n"},
-		{"count-mismatch", "wcectable p mode=checkpoint regions=2 budget=1\nrepair - complete=0\n"},
-		{"bad-verdict", "wcectable p mode=checkpoint regions=1 budget=1\nrepair - complete=0\nregion 0 entry=0 kind=entry wc=1 wce=1 bc=1 bce=1 verdict=maybe\n"},
-		{"bad-budget", "wcectable p mode=checkpoint regions=0 budget=0\nrepair - complete=0\n"},
-		{"bad-cycles", "wcectable p mode=checkpoint regions=1 budget=1\nrepair - complete=0\nregion 0 entry=0 kind=entry wc=-3 wce=1 bc=1 bce=1 verdict=certified\n"},
-		{"bad-repair", "wcectable p mode=checkpoint regions=0 budget=1\nrepair 1,x complete=0\n"},
-		{"dup-header", "wcectable p mode=checkpoint regions=0 budget=1\nwcectable p mode=checkpoint regions=0 budget=1\n"},
-		{"id-out-of-order", "wcectable p mode=checkpoint regions=1 budget=1\nregion 5 entry=0 kind=entry wc=1 wce=1 bc=1 bce=1 verdict=certified\n"},
-	}
-	for _, c := range cases {
-		if _, err := ParseWCEC(c.in); err == nil {
-			t.Errorf("%s: ParseWCEC accepted invalid input", c.name)
-		}
-	}
-}
-
-func FuzzParseWCEC(f *testing.F) {
-	f.Add("wcectable counted mode=checkpoint regions=1 budget=3.1e-08\nrepair 1 complete=1\nregion 0 entry=0 kind=entry wc=56 wce=6.1e-09 bc=6 bce=6.6e-10 verdict=unknown\n")
-	f.Add("wcectable p mode=task regions=1 budget=2.5e-08\nrepair 3,7 complete=1\nregion 0 entry=0 kind=entry wc=unbounded wce=inf bc=4 bce=2e-10 verdict=unknown\n")
-	f.Add("# comment\n\nwcectable x mode=checkpoint regions=0 budget=1\nrepair - complete=0\n")
-	f.Fuzz(func(t *testing.T, s string) {
-		tbl, err := ParseWCEC(s)
-		if err != nil {
-			return
-		}
-		// Anything accepted must round-trip exactly.
-		again, err := ParseWCEC(tbl.String())
-		if err != nil {
-			t.Fatalf("re-parse of serialized table failed: %v\n%s", err, tbl.String())
-		}
-		if again.String() != tbl.String() {
-			t.Fatalf("round trip drift:\n%svs\n%s", tbl.String(), again.String())
-		}
-	})
 }

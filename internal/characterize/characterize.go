@@ -23,46 +23,25 @@ import (
 	"ehmodel/internal/workload"
 )
 
-// ClankConfig parametrizes the §V-B Clank runs.
-type ClankConfig struct {
-	// PeriodCycles sizes the capacitor so one full active period holds
-	// roughly this many ALU cycles of energy (default 20000, comfortably
-	// above the 8000-cycle watchdog but far below a workload's length so
-	// every run spans many power failures).
-	PeriodCycles float64
-	// Scale is the workload problem-size multiplier (default 6, sized so
-	// each benchmark crosses several active periods).
-	Scale int
-	// TraceSeconds is the generated trace length (default 10 s).
-	TraceSeconds float64
-	// HarvestR and HarvestEta configure the transducer. The default
-	// 20 kΩ keeps peak harvested power below the core's draw, so the
-	// supply is genuinely intermittent (ε_C < ε); smaller resistances
-	// can sustain the device indefinitely during trace peaks.
-	HarvestR   float64
-	HarvestEta float64
-	// Run configures the parallel sweep engine for the profile sweeps
-	// (worker count, per-run deadline).
-	Run runner.Options
-}
-
-func (c *ClankConfig) setDefaults() {
-	if c.PeriodCycles == 0 {
-		c.PeriodCycles = 20000
-	}
-	if c.Scale == 0 {
-		c.Scale = 6
-	}
-	if c.TraceSeconds == 0 {
-		c.TraceSeconds = 10
-	}
-	if c.HarvestR == 0 {
-		c.HarvestR = 20000
-	}
-	if c.HarvestEta == 0 {
-		c.HarvestEta = 0.7
-	}
-}
+// The fixed setup of the §V-B Clank runs.
+const (
+	// clankPeriodCycles sizes the capacitor so one full active period
+	// holds roughly this many ALU cycles of energy: comfortably above
+	// the 8000-cycle watchdog but far below a workload's length, so
+	// every run spans many power failures.
+	clankPeriodCycles = 20000
+	// clankScale is the workload problem-size multiplier, sized so each
+	// benchmark crosses several active periods.
+	clankScale = 6
+	// clankTraceSeconds is the generated trace length.
+	clankTraceSeconds = 10
+	// clankHarvestR and clankHarvestEta configure the transducer. 20 kΩ
+	// keeps peak harvested power below the core's draw, so the supply is
+	// genuinely intermittent (ε_C < ε); smaller resistances can sustain
+	// the device indefinitely during trace peaks.
+	clankHarvestR   = 20000
+	clankHarvestEta = 0.7
+)
 
 // ClankRun is one benchmark × trace characterization result.
 type ClankRun struct {
@@ -74,20 +53,18 @@ type ClankRun struct {
 	Result *device.Result
 }
 
-// clankTrace generates the supply trace of kind for cfg (defaults
-// applied).
-func clankTrace(kind trace.Kind, cfg ClankConfig) *trace.Trace {
-	return trace.Generate(kind, cfg.TraceSeconds, 1e-3, 7+int64(kind))
+// clankTrace generates the supply trace of kind.
+func clankTrace(kind trace.Kind) *trace.Trace {
+	return trace.Generate(kind, clankTraceSeconds, 1e-3, 7+int64(kind))
 }
 
 // clankCell builds the one-benchmark × trace cell behind RunClank and
-// TauBProfile from cfg with its defaults applied, harvesting tr
-// (clankTrace's output for kind; a run and a cell key only read it, so
-// cells may share it). Clank's violation/overflow/watchdog counters
-// live on the strategy, not the Result, so the Extras hook serializes
-// them into the store — a cache hit recalls them without a strategy
-// instance.
-func clankCell(bench string, kind trace.Kind, tr *trace.Trace, cfg ClankConfig) sweep.Cell {
+// TauBProfile, harvesting tr (clankTrace's output for kind; a run and a
+// cell key only read it, so cells may share it). Clank's
+// violation/overflow/watchdog counters live on the strategy, not the
+// Result, so the Extras hook serializes them into the store — a cache
+// hit recalls them without a strategy instance.
+func clankCell(bench string, kind trace.Kind, tr *trace.Trace) sweep.Cell {
 	return sweep.Cell{
 		Label: fmt.Sprintf("clank %s under %v trace", bench, kind),
 		Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
@@ -95,14 +72,14 @@ func clankCell(bench string, kind trace.Kind, tr *trace.Trace, cfg ClankConfig) 
 			if !ok {
 				return device.Config{}, nil, fmt.Errorf("characterize: unknown workload %q", bench)
 			}
-			prog, err := w.Build(workload.Options{Seg: asm.FRAM, Scale: cfg.Scale})
+			prog, err := w.Build(workload.Options{Seg: asm.FRAM, Scale: clankScale})
 			if err != nil {
 				return device.Config{}, nil, err
 			}
 			pm := energy.CortexM0Power() // Clank is modelled on a Cortex-M0+
-			e := cfg.PeriodCycles * pm.EnergyPerCycle(energy.ClassALU)
+			e := clankPeriodCycles * pm.EnergyPerCycle(energy.ClassALU)
 			capC, vmax, von, voff := device.FixedSupplyConfig(e)
-			h, err := energy.NewHarvester(tr, cfg.HarvestR, cfg.HarvestEta)
+			h, err := energy.NewHarvester(tr, clankHarvestR, clankHarvestEta)
 			if err != nil {
 				return device.Config{}, nil, err
 			}
@@ -145,11 +122,11 @@ func clankRunFrom(bench string, kind trace.Kind, cr *sweep.CellResult) (*ClankRu
 }
 
 // RunClank executes one benchmark under Clank powered by the given
-// trace kind and returns its τ_B/τ_D profile.
-func RunClank(ctx context.Context, bench string, kind trace.Kind, cfg ClankConfig) (*ClankRun, error) {
-	cfg.setDefaults()
-	cell := clankCell(bench, kind, clankTrace(kind, cfg), cfg)
-	all, errs := sweep.Run(ctx, []sweep.Cell{cell}, cfg.Run)
+// trace kind and returns its τ_B/τ_D profile. run configures the sweep
+// engine (worker count, per-run deadline).
+func RunClank(ctx context.Context, bench string, kind trace.Kind, run runner.Options) (*ClankRun, error) {
+	cell := clankCell(bench, kind, clankTrace(kind))
+	all, errs := sweep.Run(ctx, []sweep.Cell{cell}, run)
 	if len(errs) > 0 {
 		return nil, errs[0].Err
 	}
@@ -162,17 +139,16 @@ func RunClank(ctx context.Context, bench string, kind trace.Kind, cfg ClankConfi
 // Surviving rows are returned ordered benchmark-major, trace-minor
 // regardless of completion order; failed runs are dropped and reported
 // in errs.
-func TauBProfile(ctx context.Context, benches []string, cfg ClankConfig) (out []*ClankRun, errs runner.Errors, err error) {
+func TauBProfile(ctx context.Context, benches []string, run runner.Options) (out []*ClankRun, errs runner.Errors, err error) {
 	if err := knownBenches(benches); err != nil {
 		return nil, nil, err
 	}
 	kinds := trace.Kinds()
 	// A trace depends only on its kind: generate each once and share it
 	// across the benchmarks.
-	cfg.setDefaults()
 	traces := make([]*trace.Trace, len(kinds))
 	for i, kind := range kinds {
-		traces[i] = clankTrace(kind, cfg)
+		traces[i] = clankTrace(kind)
 	}
 	type job struct {
 		bench string
@@ -183,10 +159,10 @@ func TauBProfile(ctx context.Context, benches []string, cfg ClankConfig) (out []
 	for _, bench := range benches {
 		for i, kind := range kinds {
 			jobs = append(jobs, job{bench: bench, kind: kind})
-			cells = append(cells, clankCell(bench, kind, traces[i], cfg))
+			cells = append(cells, clankCell(bench, kind, traces[i]))
 		}
 	}
-	all, errs := sweep.Run(ctx, cells, cfg.Run)
+	all, errs := sweep.Run(ctx, cells, run)
 	failed := errs.FailedSet()
 	var evalErrs runner.Errors
 	for i, j := range jobs {
@@ -251,10 +227,7 @@ func DefaultWatchdogs() []uint64 {
 // still the per-benchmark mean over watchdogs, and errs still reports
 // whole benchmarks (a benchmark is dropped if any of its watchdog runs
 // failed, indexed as before by benchmark position).
-func AlphaBProfile(ctx context.Context, benches []string, watchdogs []uint64, scale int, run runner.Options) (out []*AlphaBRun, errs runner.Errors, err error) {
-	if scale <= 0 {
-		scale = 1
-	}
+func AlphaBProfile(ctx context.Context, benches []string, watchdogs []uint64, run runner.Options) (out []*AlphaBRun, errs runner.Errors, err error) {
 	if err := knownBenches(benches); err != nil {
 		return nil, nil, err
 	}
@@ -270,7 +243,7 @@ func AlphaBProfile(ctx context.Context, benches []string, watchdogs []uint64, sc
 					if !ok {
 						return device.Config{}, nil, fmt.Errorf("characterize: unknown workload %q", bench)
 					}
-					prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: scale})
+					prog, err := w.Build(workload.Options{Seg: asm.SRAM})
 					if err != nil {
 						return device.Config{}, nil, err
 					}

@@ -130,30 +130,12 @@ func CaseStoreMajor() (*Figure, []StoreMajorPoint, error) {
 
 // --- §VI-B: circular buffers for idempotency ---
 
-// CircularConfig parametrizes the Clank circular-buffer sweep.
-type CircularConfig struct {
-	ArrayN int // logical array size (default 32)
-	Iters  int // outer passes (default 60)
-	// BufNs are the buffer sizes swept; zero value derives a sweep from
-	// the Eq. 15 plan.
-	BufNs []int
-	// PeriodCycles sizes the supply (default 40000).
-	PeriodCycles float64
-	// Run configures the parallel sweep engine.
-	Run runner.Options
-}
-
-func (c *CircularConfig) setDefaults() {
-	if c.ArrayN == 0 {
-		c.ArrayN = 32
-	}
-	if c.Iters == 0 {
-		c.Iters = 60
-	}
-	if c.PeriodCycles == 0 {
-		c.PeriodCycles = 40000
-	}
-}
+// The fixed setup of the circular-buffer sweep.
+const (
+	circularArrayN       = 32    // logical array size n
+	circularIters        = 60    // outer passes
+	circularPeriodCycles = 40000 // supply size, in ALU cycles of energy
+)
 
 // CircularPoint is one buffer size's measured behaviour.
 type CircularPoint struct {
@@ -167,12 +149,11 @@ type CircularPoint struct {
 // Clank machine with large tracking buffers (isolating
 // idempotency-violation control from buffer-capacity effects), checking
 // that τ_B follows (N−n+1)·τ_store and that progress peaks near the
-// Eq. 15 plan. One cell per buffer size, through the memoizing
-// executor.
-func CaseCircularBuffer(ctx context.Context, cfg CircularConfig) (*Figure, []CircularPoint, core.CircularBufferPlan, error) {
-	cfg.setDefaults()
+// Eq. 15 plan. One cell per buffer size, swept around the plan,
+// through the memoizing executor.
+func CaseCircularBuffer(ctx context.Context, run runner.Options) (*Figure, []CircularPoint, core.CircularBufferPlan, error) {
 	pm := energy.CortexM0Power()
-	e := cfg.PeriodCycles * pm.EnergyPerCycle(energy.ClassALU)
+	e := circularPeriodCycles * pm.EnergyPerCycle(energy.ClassALU)
 
 	// model parameters of this Clank machine for Eq. 9
 	arch := core.Params{
@@ -189,17 +170,15 @@ func CaseCircularBuffer(ctx context.Context, cfg CircularConfig) (*Figure, []Cir
 		AlphaR:  0,
 	}
 	tauOpt := arch.TauBOpt()
-	plan, err := core.OptimalCircularBuffer(cfg.ArrayN, workload.CircularBufferStoreCycles(), tauOpt, 0)
+	plan, err := core.OptimalCircularBuffer(circularArrayN, workload.CircularBufferStoreCycles(), tauOpt, 0)
 	if err != nil {
 		return nil, nil, plan, err
 	}
-	if cfg.BufNs == nil {
-		n := cfg.ArrayN
-		span := plan.N - n
-		cfg.BufNs = []int{
-			n, n + span/8, n + span/4, n + span/2, n + 3*span/4,
-			plan.N, n + span*3/2, n + span*3,
-		}
+	n := circularArrayN
+	span := plan.N - n
+	bufNs := []int{
+		n, n + span/8, n + span/4, n + span/2, n + 3*span/4,
+		plan.N, n + span*3/2, n + span*3,
 	}
 
 	fig := &Figure{
@@ -212,12 +191,12 @@ func CaseCircularBuffer(ctx context.Context, cfg CircularConfig) (*Figure, []Cir
 	tauMeas := Series{Label: "τ_B measured"}
 	prog := Series{Label: "measured progress"}
 	var cells []sweep.Cell
-	for _, bufN := range cfg.BufNs {
+	for _, bufN := range bufNs {
 		bufN := bufN
 		cells = append(cells, sweep.Cell{
 			Label: fmt.Sprintf("circular N=%d", bufN),
 			Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
-				p, err := workload.CircularBuffer(cfg.ArrayN, bufN, cfg.Iters, asm.FRAM)
+				p, err := workload.CircularBuffer(circularArrayN, bufN, circularIters, asm.FRAM)
 				if err != nil {
 					return device.Config{}, nil, err
 				}
@@ -240,16 +219,16 @@ func CaseCircularBuffer(ctx context.Context, cfg CircularConfig) (*Figure, []Cir
 			},
 		})
 	}
-	all, errs := sweep.Run(ctx, cells, cfg.Run)
+	all, errs := sweep.Run(ctx, cells, run)
 	if len(errs) > 0 {
 		return nil, nil, plan, errs[0].Err
 	}
 	var pts []CircularPoint
-	for i, bufN := range cfg.BufNs {
+	for i, bufN := range bufNs {
 		res := all[i].Result
 		pt := CircularPoint{
 			BufN:         bufN,
-			PredictedTau: core.StoresBetweenViolations(bufN, cfg.ArrayN, 0) * workload.CircularBufferStoreCycles(),
+			PredictedTau: core.StoresBetweenViolations(bufN, circularArrayN, 0) * workload.CircularBufferStoreCycles(),
 			MeasuredTau:  res.MeanTauB(),
 			Progress:     res.MeasuredProgress(),
 		}

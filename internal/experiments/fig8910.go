@@ -13,13 +13,9 @@ import (
 type CharacterizationConfig struct {
 	// Benches defaults to the MiBench kernel set.
 	Benches []string
-	// Clank carries the simulator configuration (capacitor sizing,
-	// trace length, workload scale).
-	Clank characterize.ClankConfig
 	// Watchdogs is the Fig. 10 sweep (defaults to 250–3000 step 250).
 	Watchdogs []uint64
-	// Run configures the parallel sweep engine; it is copied into the
-	// Clank configuration for the profile sweeps.
+	// Run configures the parallel sweep engine of the profile sweeps.
 	Run runner.Options
 }
 
@@ -49,8 +45,7 @@ func QuickCharacterizationConfig() CharacterizationConfig {
 // (one series per trace).
 func Fig8And9(ctx context.Context, cfg CharacterizationConfig) (fig8, fig9 *Figure, runs []*characterize.ClankRun, err error) {
 	cfg.setDefaults()
-	cfg.Clank.Run = cfg.Run
-	runs, errs, err := characterize.TauBProfile(ctx, cfg.Benches, cfg.Clank)
+	runs, errs, err := characterize.TauBProfile(ctx, cfg.Benches, cfg.Run)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -106,7 +101,7 @@ func benchIndex(benches []string, name string) int {
 // application state α_B across watchdog periods.
 func Fig10(ctx context.Context, cfg CharacterizationConfig) (*Figure, []*characterize.AlphaBRun, error) {
 	cfg.setDefaults()
-	runs, errs, err := characterize.AlphaBProfile(ctx, cfg.Benches, cfg.Watchdogs, cfg.Clank.Scale, cfg.Run)
+	runs, errs, err := characterize.AlphaBProfile(ctx, cfg.Benches, cfg.Watchdogs, cfg.Run)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -201,7 +201,7 @@ func drivers(which string, quick bool, run runner.Options) []driver {
 		return one(f, err)
 	})
 	add("circular", func(ctx context.Context) ([]*Figure, error) {
-		f, _, _, err := CaseCircularBuffer(ctx, CircularConfig{Run: run})
+		f, _, _, err := CaseCircularBuffer(ctx, run)
 		return one(f, err)
 	})
 	add("clank-buffers", func(ctx context.Context) ([]*Figure, error) { return one(AblationClankBuffers(ctx, run)) })

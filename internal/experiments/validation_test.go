@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ehmodel/internal/runner"
 	"ehmodel/internal/stats"
 )
 
@@ -205,7 +206,7 @@ func TestFig10AlphaBScale(t *testing.T) {
 // tracks (N−n+1)·τ_store, and measured progress peaks at the Eq. 15
 // plan.
 func TestCaseCircularBufferPlan(t *testing.T) {
-	_, pts, plan, err := CaseCircularBuffer(context.Background(), CircularConfig{})
+	_, pts, plan, err := CaseCircularBuffer(context.Background(), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,6 +108,13 @@ type Options struct {
 	Run runner.Options
 }
 
+// The default run shape of an audit (Options.PeriodCycles and
+// MaxPeriods), and the shape of every campaign run.
+const (
+	defaultPeriodCycles = 20000
+	defaultMaxPeriods   = 20000
+)
+
 // DefaultWorkloads is the audit's standard workload set: a WAR-free
 // counter, a pointer-chasing data structure, a table-driven CRC and a
 // recursive sort — four distinct store/restore behaviour classes.
@@ -178,10 +185,10 @@ func (o *Options) setDefaults() {
 		o.Plan = DefaultPlan()
 	}
 	if o.PeriodCycles == 0 {
-		o.PeriodCycles = 20000
+		o.PeriodCycles = defaultPeriodCycles
 	}
 	if o.MaxPeriods == 0 {
-		o.MaxPeriods = 20000
+		o.MaxPeriods = defaultMaxPeriods
 	}
 }
 

@@ -40,23 +40,19 @@ type CampaignOptions struct {
 	// the pure schedule-search setting. NaiveCommit is honored.
 	Plan Plan
 	// Budget is the maximum number of attack schedules (default 64).
+	// The campaign stops early after the first schedule that yields a
+	// minimized counterexample.
 	Budget int
 	// Seed drives the jitter of cut placement inside windows.
 	Seed int64
-	// MaxFindings stops the campaign early once this many distinct
-	// verdict classes have produced minimized counterexamples
-	// (default 1; ≤ 0 keeps going until Budget).
-	MaxFindings int
 	// Oracle attaches the observation recorder to every attack run and
 	// classifies with the formal oracle; without it only final-output
 	// divergence, run errors and starvation are detected.
 	Oracle bool
 	// FreshnessBound is the oracle's timeliness obligation in executed
-	// cycles (0 = unbounded).
+	// cycles (0 = unbounded). Every run has the audit's default shape:
+	// 20000-cycle supply periods, at most 20000 of them.
 	FreshnessBound uint64
-	// PeriodCycles / MaxPeriods shape each run (defaults 20000/20000).
-	PeriodCycles float64
-	MaxPeriods   int
 }
 
 // Window is one coverage-frontier interval of consumed-cycle positions
@@ -108,15 +104,6 @@ func (r *CampaignReport) Ok() bool { return len(r.Violations) == 0 }
 func (o *CampaignOptions) setDefaults() {
 	if o.Budget == 0 {
 		o.Budget = 64
-	}
-	if o.MaxFindings == 0 {
-		o.MaxFindings = 1
-	}
-	if o.PeriodCycles == 0 {
-		o.PeriodCycles = 20000
-	}
-	if o.MaxPeriods == 0 {
-		o.MaxPeriods = 20000
 	}
 }
 
@@ -179,8 +166,8 @@ func Campaign(ctx context.Context, o CampaignOptions) (*CampaignReport, error) {
 	ro := Options{
 		Oracle:         o.Oracle,
 		FreshnessBound: o.FreshnessBound,
-		PeriodCycles:   o.PeriodCycles,
-		MaxPeriods:     o.MaxPeriods,
+		PeriodCycles:   defaultPeriodCycles,
+		MaxPeriods:     defaultMaxPeriods,
 		Plan:           DefaultPlan(), // non-zero so setDefaults leaves it alone; never used as a schedule
 	}
 
@@ -267,7 +254,7 @@ func Campaign(ctx context.Context, o CampaignOptions) (*CampaignReport, error) {
 			emit(obsv.EvCampaignShrink, uint64(runs), uint64(len(min.Case.Cuts)))
 			rep.Violations = append(rep.Violations, min)
 		}
-		if o.MaxFindings > 0 && len(rep.Violations) >= o.MaxFindings {
+		if len(rep.Violations) > 0 {
 			break
 		}
 	}

@@ -9,23 +9,11 @@ import (
 type NelderMeadOptions struct {
 	// MaxIter bounds iterations (default 2000).
 	MaxIter int
-	// Tol is the convergence threshold on the simplex's function-value
-	// spread (default 1e-12).
-	Tol float64
-	// Step is the initial simplex displacement per coordinate
-	// (default 0.1, relative to |x|+1).
-	Step float64
 }
 
 func (o *NelderMeadOptions) setDefaults() {
 	if o.MaxIter == 0 {
 		o.MaxIter = 2000
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-12
-	}
-	if o.Step == 0 {
-		o.Step = 0.1
 	}
 }
 
@@ -44,6 +32,11 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NelderMeadOptions)
 		gamma = 2.0 // expansion
 		rho   = 0.5 // contraction
 		sigma = 0.5 // shrink
+		// tol is the convergence threshold on the simplex's
+		// function-value spread; step the initial simplex displacement
+		// per coordinate, relative to |x|+1.
+		tol  = 1e-12
+		step = 0.1
 	)
 
 	// initial simplex
@@ -52,7 +45,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NelderMeadOptions)
 	for i := range pts {
 		p := append([]float64(nil), x0...)
 		if i > 0 {
-			p[i-1] += opts.Step * (math.Abs(p[i-1]) + 1)
+			p[i-1] += step * (math.Abs(p[i-1]) + 1)
 		}
 		pts[i] = p
 		vals[i] = f(p)
@@ -102,7 +95,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NelderMeadOptions)
 
 	order()
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		if vals[n]-vals[0] <= opts.Tol*(math.Abs(vals[0])+opts.Tol) &&
+		if vals[n]-vals[0] <= tol*(math.Abs(vals[0])+tol) &&
 			xspread() <= 1e-9*(math.Abs(pts[0][0])+1) {
 			break
 		}
