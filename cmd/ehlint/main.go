@@ -92,16 +92,14 @@ func main() {
 			emit = func(w io.Writer) error { return wcecAllText(w, budgetJ) }
 		}
 		if err := emit(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "ehlint:", err)
-			os.Exit(2)
+			die(err)
 		}
 		return
 	}
 
 	seg, err := segFor(*segName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ehlint:", err)
-		os.Exit(2)
+		die(err)
 	}
 	if *arrayN > 0 {
 		circularN = *arrayN
@@ -122,104 +120,107 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *tasks {
-		for _, name := range names {
-			tt, err := tasksOne(name, seg, *scale)
+	// Each workload is built once; every pass reads the same program.
+	failed := false // an error-severity finding or a livelock verdict
+	for _, name := range names {
+		prog, err := buildOne(name, seg, *scale)
+		if err != nil {
+			die(err)
+		}
+		switch {
+		case *tasks:
+			tt, err := analyze.Tasks(prog, analyze.Options{})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "ehlint:", err)
-				os.Exit(2)
+				die(err)
 			}
 			fmt.Print(tt.String())
-		}
-		return
-	}
-
-	if *wcec {
-		livelock := false
-		for _, name := range names {
-			for _, mode := range []analyze.WCECMode{analyze.WCECCheckpoint, analyze.WCECTask} {
-				tbl, err := wcecOne(name, seg, *scale, mode, budgetJ)
+		case *wcec:
+			for _, mode := range wcecModes {
+				tbl, err := wcecOne(prog, mode, budgetJ)
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "ehlint:", err)
-					os.Exit(2)
+					die(err)
 				}
 				if *jsonOut {
 					b, err := tbl.JSON()
 					if err != nil {
-						fmt.Fprintln(os.Stderr, "ehlint:", err)
-						os.Exit(2)
+						die(err)
 					}
 					fmt.Println(string(b))
 				} else {
 					fmt.Print(tbl.String())
 				}
 				if tbl.FirstLivelock() != nil {
-					livelock = true
+					failed = true
+				}
+			}
+		default:
+			rep, err := analyze.Analyze(prog, analyze.Options{})
+			if err != nil {
+				die(err)
+			}
+			if *jsonOut {
+				b, err := rep.JSON()
+				if err != nil {
+					die(err)
+				}
+				fmt.Println(string(b))
+			} else {
+				fmt.Print(rep.Render())
+			}
+			if *arrayN > 0 {
+				res, err := rep.Eq15(*arrayN, *bufN, *writeback, *tauB)
+				if err != nil {
+					die(err)
+				}
+				printEq15(os.Stdout, res)
+			}
+			// Plain -all aggregates every static pass per workload: the
+			// findings above, then the task table and both certificate
+			// tables (text mode only; -json keeps one document per line).
+			if *all && !*jsonOut {
+				if err := printAggregate(os.Stdout, name, prog, budgetJ); err != nil {
+					die(err)
+				}
+			}
+			for _, f := range rep.Findings {
+				if f.Sev == analyze.SevError {
+					failed = true
 				}
 			}
 		}
-		if livelock {
-			os.Exit(1)
-		}
-		return
 	}
-
-	errorsSeen := false
-	for _, name := range names {
-		rep, err := lintOne(name, seg, *scale)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ehlint:", err)
-			os.Exit(2)
-		}
-		if *jsonOut {
-			b, err := rep.JSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ehlint:", err)
-				os.Exit(2)
-			}
-			fmt.Println(string(b))
-		} else {
-			fmt.Print(rep.Render())
-		}
-		if *arrayN > 0 {
-			res, err := rep.Eq15(*arrayN, *bufN, *writeback, *tauB)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ehlint:", err)
-				os.Exit(2)
-			}
-			printEq15(os.Stdout, res)
-		}
-		// Plain -all aggregates every static pass per workload: the
-		// findings above, then the task table and both certificate
-		// tables (text mode only; -json keeps one document per line).
-		if *all && !*jsonOut {
-			if err := printAggregate(os.Stdout, name, seg, *scale, budgetJ); err != nil {
-				fmt.Fprintln(os.Stderr, "ehlint:", err)
-				os.Exit(2)
-			}
-		}
-		for _, f := range rep.Findings {
-			if f.Sev == analyze.SevError {
-				errorsSeen = true
-			}
-		}
-	}
-	if errorsSeen {
+	if failed {
 		os.Exit(1)
 	}
 }
 
+// die reports a configuration, build or analysis error and exits 2.
+func die(err error) {
+	fmt.Fprintln(os.Stderr, "ehlint:", err)
+	os.Exit(2)
+}
+
+// wcecModes are the two region semantics every certificate table is
+// printed under.
+var wcecModes = []analyze.WCECMode{analyze.WCECCheckpoint, analyze.WCECTask}
+
 // printAggregate emits the -all per-workload task and WCEC sections.
-func printAggregate(w io.Writer, name string, seg asm.Segment, scale int, budgetJ float64) error {
-	tt, err := tasksOne(name, seg, scale)
+func printAggregate(w io.Writer, name string, prog *asm.Program, budgetJ float64) error {
+	tt, err := analyze.Tasks(prog, analyze.Options{})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "-- tasks: %s --\n", name)
 	fmt.Fprint(w, tt.String())
 	fmt.Fprintf(w, "-- wcec: %s --\n", name)
-	for _, mode := range []analyze.WCECMode{analyze.WCECCheckpoint, analyze.WCECTask} {
-		tbl, err := wcecOne(name, seg, scale, mode, budgetJ)
+	return printWCEC(w, prog, budgetJ)
+}
+
+// printWCEC renders prog's certificate tables under both region
+// semantics.
+func printWCEC(w io.Writer, prog *asm.Program, budgetJ float64) error {
+	for _, mode := range wcecModes {
+		tbl, err := wcecOne(prog, mode, budgetJ)
 		if err != nil {
 			return err
 		}
@@ -260,31 +261,9 @@ func buildOne(name string, seg asm.Segment, scale int) (*asm.Program, error) {
 	return prog, nil
 }
 
-// lintOne builds and analyzes one workload.
-func lintOne(name string, seg asm.Segment, scale int) (*analyze.Report, error) {
-	prog, err := buildOne(name, seg, scale)
-	if err != nil {
-		return nil, err
-	}
-	return analyze.Analyze(prog, analyze.Options{})
-}
-
-// tasksOne builds one workload and runs the task decomposition pass.
-func tasksOne(name string, seg asm.Segment, scale int) (*analyze.TaskTable, error) {
-	prog, err := buildOne(name, seg, scale)
-	if err != nil {
-		return nil, err
-	}
-	return analyze.Tasks(prog, analyze.Options{})
-}
-
-// wcecOne builds one workload and runs the forward-progress verifier
-// under the given region semantics.
-func wcecOne(name string, seg asm.Segment, scale int, mode analyze.WCECMode, budgetJ float64) (*analyze.WCECTable, error) {
-	prog, err := buildOne(name, seg, scale)
-	if err != nil {
-		return nil, err
-	}
+// wcecOne runs the forward-progress verifier on prog under the given
+// region semantics.
+func wcecOne(prog *asm.Program, mode analyze.WCECMode, budgetJ float64) (*analyze.WCECTable, error) {
 	return analyze.WCEC(prog, analyze.WCECOptions{Mode: mode, BudgetJ: budgetJ})
 }
 
@@ -297,12 +276,11 @@ func printEq15(w io.Writer, r analyze.Eq15Result) {
 		r.BufN, r.ArrayN, r.Writeback, r.TauB, r.TauStore, r.TauBTarget, verdict, r.NOpt)
 }
 
-// lintAllText renders the canonical all-workloads lint summary used by
-// the golden-output regression test and `make lint-workloads`: every
-// workload under both data placements, findings only (the footprint and
-// τ_store lines stay out so the golden file tracks diagnostics, not
-// performance model details).
-func lintAllText(w io.Writer) error {
+// eachPlacement builds every workload, in name order, under both data
+// placements at scale 1 and hands each program to emit after its
+// "== name/placement ==" header: the one loop behind the three golden
+// files.
+func eachPlacement(w io.Writer, emit func(*asm.Program) error) error {
 	segs := []struct {
 		name string
 		seg  asm.Segment
@@ -311,68 +289,59 @@ func lintAllText(w io.Writer) error {
 	sort.Strings(names)
 	for _, name := range names {
 		for _, s := range segs {
-			rep, err := lintOne(name, s.seg, 1)
+			prog, err := buildOne(name, s.seg, 1)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "== %s/%s ==\n", name, s.name)
-			if len(rep.Findings) == 0 {
-				fmt.Fprintln(w, "no findings")
-			}
-			for _, f := range rep.Findings {
-				fmt.Fprintf(w, "%-7s %-28s %s: %s\n", f.Sev, f.Kind, f.Where, f.Msg)
+			if err := emit(prog); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// lintAllText renders the canonical all-workloads lint summary used by
+// the golden-output regression test and `make lint-workloads`: findings
+// only (the footprint and τ_store lines stay out so the golden file
+// tracks diagnostics, not performance model details).
+func lintAllText(w io.Writer) error {
+	return eachPlacement(w, func(prog *asm.Program) error {
+		rep, err := analyze.Analyze(prog, analyze.Options{})
+		if err != nil {
+			return err
+		}
+		if len(rep.Findings) == 0 {
+			fmt.Fprintln(w, "no findings")
+		}
+		for _, f := range rep.Findings {
+			fmt.Fprintf(w, "%-7s %-28s %s: %s\n", f.Sev, f.Kind, f.Where, f.Msg)
+		}
+		return nil
+	})
 }
 
 // wcecAllText renders the canonical all-workloads WCEC certificate
 // tables used by the golden-output regression test and
-// `make lint-wcec`: every workload under both data placements, each
-// with both region semantics, as WCECTable.String renders them.
+// `make lint-wcec`: both region semantics per program, as
+// WCECTable.String renders them.
 func wcecAllText(w io.Writer, budgetJ float64) error {
-	segs := []struct {
-		name string
-		seg  asm.Segment
-	}{{"sram", asm.SRAM}, {"fram", asm.FRAM}}
-	names := workload.Names()
-	sort.Strings(names)
-	for _, name := range names {
-		for _, s := range segs {
-			fmt.Fprintf(w, "== %s/%s ==\n", name, s.name)
-			for _, mode := range []analyze.WCECMode{analyze.WCECCheckpoint, analyze.WCECTask} {
-				tbl, err := wcecOne(name, s.seg, 1, mode, budgetJ)
-				if err != nil {
-					return err
-				}
-				fmt.Fprint(w, tbl.String())
-			}
-		}
-	}
-	return nil
+	return eachPlacement(w, func(prog *asm.Program) error {
+		return printWCEC(w, prog, budgetJ)
+	})
 }
 
 // tasksAllText renders the canonical all-workloads task tables used by
-// the golden-output regression test and `make lint-tasks`: every
-// workload's decomposition under both data placements, as
+// the golden-output regression test and `make lint-tasks`, as
 // TaskTable.String renders them.
 func tasksAllText(w io.Writer) error {
-	segs := []struct {
-		name string
-		seg  asm.Segment
-	}{{"sram", asm.SRAM}, {"fram", asm.FRAM}}
-	names := workload.Names()
-	sort.Strings(names)
-	for _, name := range names {
-		for _, s := range segs {
-			tt, err := tasksOne(name, s.seg, 1)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "== %s/%s ==\n", name, s.name)
-			fmt.Fprint(w, tt.String())
+	return eachPlacement(w, func(prog *asm.Program) error {
+		tt, err := analyze.Tasks(prog, analyze.Options{})
+		if err != nil {
+			return err
 		}
-	}
-	return nil
+		fmt.Fprint(w, tt.String())
+		return nil
+	})
 }

@@ -134,8 +134,12 @@ func TestGoldenWCECParses(t *testing.T) {
 	tables := 0
 	for _, name := range workload.Names() {
 		for _, seg := range []asm.Segment{asm.SRAM, asm.FRAM} {
+			prog, err := buildOne(name, seg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, mode := range []analyze.WCECMode{analyze.WCECCheckpoint, analyze.WCECTask} {
-				tbl, err := wcecOne(name, seg, 1, mode, defaultBudgetJ())
+				tbl, err := wcecOne(prog, mode, defaultBudgetJ())
 				if err != nil {
 					t.Fatalf("%s/%v %s: %v", name, seg, mode, err)
 				}
@@ -158,8 +162,12 @@ func TestGoldenWCECParses(t *testing.T) {
 func TestAllAggregatesSections(t *testing.T) {
 	names := workload.Names()
 	for _, name := range names {
+		prog, err := buildOne(name, asm.FRAM, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var got bytes.Buffer
-		if err := printAggregate(&got, name, asm.FRAM, 1, defaultBudgetJ()); err != nil {
+		if err := printAggregate(&got, name, prog, defaultBudgetJ()); err != nil {
 			t.Fatal(err)
 		}
 		s := got.String()

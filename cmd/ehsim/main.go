@@ -11,10 +11,9 @@
 // (open in chrome://tracing or https://ui.perfetto.dev), -metrics FILE
 // exports aggregated run counters and histograms (CSV, or JSON with a
 // .json suffix), and -cpuprofile/-memprofile/-pprof expose the Go
-// profiling hooks. Under -audit, -adversarial and -repro every
-// simulated device reports into both files, on its own trace thread. A
-// bounded flight recorder is always on; its last events are dumped
-// when a run fails:
+// profiling hooks. Every simulated device, in every mode, reports into
+// both files, on its own trace thread. A bounded flight recorder is
+// always on; its last events are dumped when a run fails:
 //
 //	ehsim -workload counter -strategy hibernus -trace run.json -metrics run.csv
 //
@@ -109,11 +108,6 @@ type runOpts struct {
 	periodsCSV string
 	// runTimeout caps the simulation's wall-clock time (0 = none).
 	runTimeout time.Duration
-	// traceFile, when set, receives a Chrome trace_event JSON timeline.
-	traceFile string
-	// metricsFile, when set, receives the run's aggregated metrics
-	// (CSV, or JSON when the name ends in .json).
-	metricsFile string
 	// wcecCheck runs the static forward-progress verifier before the
 	// simulation and refuses statically-infeasible configurations.
 	wcecCheck bool
@@ -202,95 +196,87 @@ func cliMain() int {
 		return finish(1)
 	}
 
-	// The audit family builds its devices many layers down
-	// (faults.runCase); the context carries their engine and the
-	// -trace/-metrics sinks every one of them reports into.
-	if *repro != "" || *adversarial || *audit {
-		var strats []strategy.Spec
-		if *repro == "" {
-			if strats, err = specsFor(*auditStrategies); err != nil {
-				fmt.Fprintln(os.Stderr, "ehsim:", err)
-				return finish(1)
-			}
-		}
-		sinks, err := profiling.OpenSinks(*traceFile, *metricsFile)
-		if err != nil {
+	// Every mode's devices take their engine and the -trace/-metrics
+	// sinks from the context: the audit family builds them many layers
+	// down (faults.runCase), the single run in run.
+	auditing := *repro != "" || *adversarial || *audit
+	var strats []strategy.Spec
+	if auditing && *repro == "" {
+		if strats, err = specsFor(*auditStrategies); err != nil {
 			fmt.Fprintln(os.Stderr, "ehsim:", err)
 			return finish(1)
 		}
-		ctx = sinks.WithEnv(ctx, engine)
-		var n int
-		var annotate func(*obsv.Metrics)
-		switch {
-		case *repro != "":
-			n, err = runRepro(ctx, *repro, *oracle, *freshness, *runTimeout)
-		case *adversarial:
-			n, err = runAdversarial(ctx, adversarialOpts{
-				strategies: strats,
-				workloads:  splitList(*auditWorkloads),
-				plan:       plan,
-				budget:     *campaignBudget,
-				seed:       *faultSeed,
-				oracle:     *oracle,
-				freshness:  *freshness,
-				outFile:    *counterexamples,
-			})
-		default:
-			o := faults.Options{
-				Strategies:     strats,
-				Workloads:      splitList(*auditWorkloads),
-				Schedules:      *auditSchedules,
-				BaseSeed:       *faultSeed,
-				Oracle:         *oracle,
-				FreshnessBound: *freshness,
-				Run:            runner.Options{Workers: *workers, RunTimeout: *runTimeout},
-			}
-			if *naive {
-				p := faults.DefaultPlan()
-				p.NaiveCommit = true
-				o.Plan = p
-			}
-			n, annotate, err = runAudit(ctx, o)
-		}
-		if cerr := sinks.Close(annotate); err == nil {
-			err = cerr
-		}
-		// Operational errors exit 1, correctness violations exit 3,
-		// clean runs exit 0.
-		switch {
-		case err != nil:
-			fmt.Fprintln(os.Stderr, "ehsim:", err)
-			return finish(1)
-		case n > 0:
-			fmt.Fprintf(os.Stderr, "ehsim: %d correctness violation(s)\n", n)
-			return finish(3)
-		}
-		return finish(0)
 	}
-
-	opts := runOpts{
-		workload: *wname, strategy: *sname,
-		period: *period, tauB: *tauB, scale: *scale,
-		trace: *supplyName, periodsCSV: *periodsCSV,
-		runTimeout:  *runTimeout,
-		traceFile:   *traceFile,
-		metricsFile: *metricsFile,
-		wcecCheck:   *wcecCheck,
-	}
-	if !reflect.DeepEqual(plan, faults.Plan{Seed: *faultSeed}) {
-		opts.plan = &plan
-	}
-
-	if *list {
+	if *list && !auditing {
 		if err := listProgram(*wname, *sname, *tauB, *scale); err != nil {
 			fmt.Fprintln(os.Stderr, "ehsim:", err)
 			return finish(1)
 		}
 		return finish(0)
 	}
-	if err := run(device.WithEnv(ctx, device.Env{Engine: engine}), opts); err != nil {
+	sinks, err := profiling.OpenSinks(*traceFile, *metricsFile)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ehsim:", err)
 		return finish(1)
+	}
+	ctx = sinks.WithEnv(ctx, engine)
+	var n int
+	var annotate func(*obsv.Metrics)
+	switch {
+	case *repro != "":
+		n, err = runRepro(ctx, *repro, *oracle, *freshness, *runTimeout)
+	case *adversarial:
+		n, err = runAdversarial(ctx, adversarialOpts{
+			strategies: strats,
+			workloads:  splitList(*auditWorkloads),
+			plan:       plan,
+			budget:     *campaignBudget,
+			seed:       *faultSeed,
+			oracle:     *oracle,
+			freshness:  *freshness,
+			outFile:    *counterexamples,
+		})
+	case *audit:
+		o := faults.Options{
+			Strategies:     strats,
+			Workloads:      splitList(*auditWorkloads),
+			Schedules:      *auditSchedules,
+			BaseSeed:       *faultSeed,
+			Oracle:         *oracle,
+			FreshnessBound: *freshness,
+			Run:            runner.Options{Workers: *workers, RunTimeout: *runTimeout},
+		}
+		if *naive {
+			p := faults.DefaultPlan()
+			p.NaiveCommit = true
+			o.Plan = p
+		}
+		n, annotate, err = runAudit(ctx, o)
+	default:
+		opts := runOpts{
+			workload: *wname, strategy: *sname,
+			period: *period, tauB: *tauB, scale: *scale,
+			trace: *supplyName, periodsCSV: *periodsCSV,
+			runTimeout: *runTimeout,
+			wcecCheck:  *wcecCheck,
+		}
+		if !reflect.DeepEqual(plan, faults.Plan{Seed: *faultSeed}) {
+			opts.plan = &plan
+		}
+		err = run(ctx, opts)
+	}
+	if cerr := sinks.Close(annotate); err == nil {
+		err = cerr
+	}
+	// Operational errors exit 1, correctness violations exit 3,
+	// clean runs exit 0.
+	switch {
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "ehsim:", err)
+		return finish(1)
+	case n > 0:
+		fmt.Fprintf(os.Stderr, "ehsim: %d correctness violation(s)\n", n)
+		return finish(3)
 	}
 	return finish(0)
 }
@@ -661,11 +647,12 @@ func run(ctx context.Context, o runOpts) error {
 	pm := energy.MSP430Power()
 	e := o.period * pm.EnergyPerCycle(energy.ClassALU)
 	capC, vmax, von, voff := device.FixedSupplyConfig(e)
+	env := device.EnvFrom(ctx)
 	cfg := device.Config{
 		Prog: prog, Power: pm,
 		CapC: capC, CapVMax: vmax, VOn: von, VOff: voff,
 		MaxPeriods: 200000, MaxCycles: 1 << 62,
-		Engine:     device.EnvFrom(ctx).Engine,
+		Engine:     env.Engine,
 		RunTimeout: o.runTimeout,
 		Interrupt:  runner.Interrupt(ctx),
 		// On a fixed supply every charge is identical, so an exactly
@@ -694,35 +681,9 @@ func run(ctx context.Context, o runOpts) error {
 	}
 
 	// Observability: a bounded flight recorder is always on (dumped if
-	// the run fails); -trace and -metrics attach their sinks beside it.
+	// the run fails) beside the environment's -trace and -metrics sinks.
 	ring := obsv.NewRing(flightRecorderDepth)
-	sinks := []obsv.Tracer{ring}
-	var chrome *obsv.ChromeSink
-	if o.traceFile != "" {
-		f, err := os.Create(o.traceFile)
-		if err != nil {
-			return err
-		}
-		chrome = obsv.NewChromeSink(f)
-		sinks = append(sinks, chrome)
-	}
-	var met *obsv.Metrics
-	if o.metricsFile != "" {
-		met = &obsv.Metrics{}
-		sinks = append(sinks, met)
-	}
-	cfg.Observe = obsv.Combine(sinks...)
-	closeTrace := func() {
-		if chrome == nil {
-			return
-		}
-		if err := chrome.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "ehsim: trace:", err)
-		} else {
-			fmt.Printf("wrote Chrome trace to %s (open in chrome://tracing or ui.perfetto.dev)\n", o.traceFile)
-		}
-		chrome = nil
-	}
+	cfg.Observe = obsv.Combine(ring, env.Tracer())
 
 	if o.wcecCheck {
 		if err := wcecPreflight(&cfg, strat, e); err != nil {
@@ -736,9 +697,8 @@ func run(ctx context.Context, o runOpts) error {
 	}
 	res, err := d.Run()
 	if err != nil {
-		// The run died: finalize the trace and dump the flight
-		// recorder's last events before reporting the failure.
-		closeTrace()
+		// The run died: dump the flight recorder's last events before
+		// reporting the failure.
 		fmt.Fprintf(os.Stderr, "flight recorder: last %d lifecycle event(s) before the failure:\n", ring.Len())
 		ring.DumpText(os.Stderr)
 	}
@@ -755,12 +715,6 @@ func run(ctx context.Context, o runOpts) error {
 	}
 	if err != nil {
 		return err
-	}
-	closeTrace()
-	if met != nil {
-		if err := profiling.WriteMetrics(o.metricsFile, met); err != nil {
-			return err
-		}
 	}
 	if o.periodsCSV != "" {
 		f, err := os.Create(o.periodsCSV)

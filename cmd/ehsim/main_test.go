@@ -2,10 +2,17 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"ehmodel/internal/asm"
+	"ehmodel/internal/device"
 	"ehmodel/internal/faults"
+	"ehmodel/internal/profiling"
 )
 
 func TestStrategyForAll(t *testing.T) {
@@ -68,6 +75,43 @@ func TestRunEndToEnd(t *testing.T) {
 	o.trace = "multipeak"
 	if err := run(context.Background(), o); err != nil {
 		t.Fatalf("harvested: %v", err)
+	}
+}
+
+// TestRunReportsIntoEnvSinks: the single run's device reports into the
+// -trace and -metrics sinks the context's environment carries.
+func TestRunReportsIntoEnvSinks(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.csv")
+	sinks, err := profiling.OpenSinks(tracePath, metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(sinks.WithEnv(context.Background(), device.EngineBatched), baseOpts("counter", "timer")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sinks.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+	csv, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(strings.Split(string(csv), "\n"), "runs,1") {
+		t.Errorf("metrics lack runs,1:\n%s", csv)
+	}
+	b, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("trace does not parse: %v", err)
+	}
+	if len(doc.TraceEvents) == 0 {
+		t.Error("trace holds no events")
 	}
 }
 

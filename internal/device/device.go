@@ -659,6 +659,21 @@ func New(cfg Config, s Strategy) (*Device, error) {
 // dirty-block payload and flush it at checkpoints.
 func (d *Device) Cache() *mem.Cache { return d.cache }
 
+// Engine reports the loop that steps the device's active phases: the
+// configured engine, except that a cache model, which is per-access,
+// always steps the reference loop.
+func (d *Device) Engine() Engine {
+	if d.cache != nil {
+		return EngineReference
+	}
+	return d.cfg.Engine
+}
+
+// FastForwardPeriods reports how many periods of the last Run the
+// batched engine replayed from a confirmed fixed point instead of
+// simulating them (fastforward.go).
+func (d *Device) FastForwardPeriods() uint64 { return d.ff.replayed }
+
 // --- accessors strategies use ---
 
 // Cfg returns the device configuration.

@@ -53,6 +53,8 @@ type fixedPoint struct {
 	want   PeriodStats
 	wantPC uint32
 	tape   *periodTape
+	// replayed counts the periods fastForward replayed in this run.
+	replayed uint64
 }
 
 // periodTape is one recorded active period of a fixed point.
@@ -119,7 +121,7 @@ func (d *Device) resetFixedPoint() {
 	}
 	m, ok := d.strat.(Memoryless)
 	d.ff.replay = ok && m.Memoryless() && !d.cfg.DetectLivelock &&
-		d.cfg.Engine != EngineReference && d.cache == nil && d.rec == nil
+		d.Engine() == EngineBatched && d.rec == nil
 	d.ff.eligible = d.cfg.DetectLivelock || d.ff.replay
 }
 
@@ -233,6 +235,7 @@ func (d *Device) fastForward() error {
 		}
 		d.result.Periods = append(d.result.Periods, t.stats)
 	}
+	d.ff.replayed += n
 	if d.obs != nil && n > 0 {
 		d.emit(obsv.EvFastForward, n, t.cycles, 0)
 	}

@@ -26,7 +26,6 @@ type ChromeSink struct {
 	// per-tid open-span state, so unbalanced sequences (a run dying
 	// mid-checkpoint) still produce well-formed B/E nesting.
 	open map[int32]*chromeOpen
-	err  error
 }
 
 type chromeOpen struct {
@@ -58,9 +57,6 @@ func (s *ChromeSink) state(tid int32) *chromeOpen {
 func (s *ChromeSink) Event(e Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
 	ts := e.TimeS * 1e6 // trace_event timestamps are microseconds
 	st := s.state(e.Tid)
 	switch e.Type {
@@ -101,9 +97,6 @@ func (s *ChromeSink) Event(e Event) {
 		}
 	default:
 		s.instant(e, ts)
-	}
-	if err := s.w.Flush(); err != nil && s.err == nil {
-		s.err = err
 	}
 }
 
@@ -167,7 +160,7 @@ func WriteSpansChrome(w io.Writer, td *TraceData) error {
 		dur := float64(sp.End.Sub(sp.Start).Nanoseconds()) / 1e3
 		fmt.Fprintf(bw, `{"name":%q,"cat":"eh-request","ph":"X","pid":1,"tid":1,"ts":%s,"dur":%s`,
 			sp.Name, jsonFloat(ts), jsonFloat(dur))
-		bw.WriteString(`,"args":{"span_id":` + itoa(uint64(sp.ID)) + `,"parent":` + itoa(uint64(sp.Parent)))
+		bw.WriteString(`,"args":{"span_id":` + strconv.FormatUint(uint64(sp.ID), 10) + `,"parent":` + strconv.FormatUint(uint64(sp.Parent), 10))
 		for _, a := range sp.Attrs {
 			fmt.Fprintf(bw, `,%q:%q`, a.Key, a.Val)
 		}
@@ -177,17 +170,16 @@ func WriteSpansChrome(w io.Writer, td *TraceData) error {
 	return bw.Flush()
 }
 
-// Close terminates the JSON document and closes the underlying writer
-// when it is closable. The sink must not be used afterwards.
+// Close terminates the JSON document, flushes it and closes the
+// underlying writer when it is closable; it returns the first write
+// error of the whole stream (the buffered writer keeps it). The sink
+// must not be used afterwards.
 func (s *ChromeSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.w.WriteString(`]}`)
 	s.w.WriteByte('\n')
 	err := s.w.Flush()
-	if s.err != nil {
-		err = s.err
-	}
 	if s.closer != nil {
 		if cerr := s.closer.Close(); err == nil {
 			err = cerr

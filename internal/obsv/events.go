@@ -2,8 +2,8 @@
 // typed lifecycle events emitted by the device engines, the runtime
 // strategies and the fault injector, fanned into pluggable sinks —
 // a Chrome trace_event JSON writer (chrome://tracing / Perfetto), a
-// human-readable logfmt text log, a compact binary ring buffer for
-// always-on flight recording, and a loss-free metrics aggregator.
+// bounded ring buffer for always-on flight recording (dumped as
+// logfmt text), and a loss-free metrics aggregator.
 //
 // The layer's contract is that disabling it costs a nil check and
 // nothing else: an Event is a fixed-size value (no pointers, no
@@ -14,6 +14,8 @@
 // allocations and within a small ns/op tolerance of the committed
 // BENCH_core.json baseline.
 package obsv
+
+import "strconv"
 
 // EventType identifies one lifecycle event. The vocabulary is shared
 // by both execution engines; events marked engine-diagnostic below are
@@ -176,7 +178,7 @@ func (t EventType) String() string {
 	if int(t) < len(eventNames) && eventNames[t] != "" {
 		return eventNames[t]
 	}
-	return "event-" + itoa(uint64(t))
+	return "event-" + strconv.FormatUint(uint64(t), 10)
 }
 
 // EngineDiagnostic reports whether the event's presence is allowed to
@@ -229,7 +231,7 @@ func (c VerdictClass) String() string {
 	if int(c) < len(verdictNames) && verdictNames[c] != "" {
 		return verdictNames[c]
 	}
-	return "class-" + itoa(uint64(c))
+	return "class-" + strconv.FormatUint(uint64(c), 10)
 }
 
 // TriggerReason classifies why a strategy requested a backup (EvTrigger
@@ -291,7 +293,7 @@ func (r TriggerReason) String() string {
 	if int(r) < len(triggerNames) && triggerNames[r] != "" {
 		return triggerNames[r]
 	}
-	return "reason-" + itoa(uint64(r))
+	return "reason-" + strconv.FormatUint(uint64(r), 10)
 }
 
 // Event is one observability record. It is a fixed-size value with no
@@ -317,21 +319,4 @@ type Event struct {
 	Arg, Arg2 uint64
 	// F is an event-specific float (energy in joules, seconds, ...).
 	F float64
-}
-
-// itoa is a tiny allocation-free-enough uint formatter used by the
-// String methods (kept off strconv to avoid pulling it into the hot
-// path's import graph — String is never called on the disabled path).
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -444,7 +445,7 @@ func (m *Metrics) Merge(other *Metrics) {
 // rows flattens the metrics into ordered name/value pairs for CSV.
 func (m *Metrics) rows() [][2]string {
 	f := func(v float64) string { return fmt.Sprintf("%g", v) }
-	u := func(v uint64) string { return itoa(v) }
+	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
 	out := [][2]string{
 		{"runs", u(m.Runs)},
 		{"completed_runs", u(m.CompletedRuns)},

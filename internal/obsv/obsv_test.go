@@ -3,6 +3,7 @@ package obsv
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -297,25 +298,61 @@ func TestChromeSinkValidJSON(t *testing.T) {
 	}
 }
 
+// TestTextSinkAndLogger: the flight recorder dumps its retained events
+// as logfmt lines, then the overwritten count, and Logger quotes values
+// that need it.
 func TestTextSinkAndLogger(t *testing.T) {
+	r := NewRing(2)
+	r.Event(Event{Type: EvPowerOn})
+	r.Event(Event{Type: EvCheckpointCommit, Period: 2, Cycles: 999, TimeS: 0.5, Arg: 64, Arg2: 1000, F: 1e-6})
+	r.Event(Event{Type: EvWARFlush, Arg: 9, Arg2: uint64(TrigWAR)})
 	var buf bytes.Buffer
-	s := NewTextSink(&buf)
-	s.Event(Event{Type: EvCheckpointCommit, Period: 2, Cycles: 999, TimeS: 0.5, Arg: 64, Arg2: 1000, F: 1e-6})
-	s.Event(Event{Type: EvWARFlush, Arg: 9, Arg2: uint64(TrigWAR)})
+	r.DumpText(&buf)
 	out := buf.String()
-	for _, want := range []string{"ev.checkpoint-commit", "period=2", "cyc=999", "bytes=64", "tau_b=1000", "ev.war-flush", "occupancy=9", "reason=war"} {
+	for _, want := range []string{"ev.checkpoint-commit", "period=2", "cyc=999", "bytes=64", "tau_b=1000", "ev.war-flush", "occupancy=9", "reason=war", "ring.dropped events=1"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("text sink missing %q:\n%s", want, out)
+			t.Errorf("ring dump missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "ev.power-on") {
+		t.Errorf("ring dump kept an overwritten event:\n%s", out)
 	}
 
 	var lbuf bytes.Buffer
 	l := NewLogger(&lbuf)
-	l.Prefix = "audit"
-	l.Line("verdict", Field{"case", "hibernus/counter"}, Field{"outcome", "ok"}, Field{"msg", "has space"})
+	l.Line("audit.verdict", Field{"case", "hibernus/counter"}, Field{"outcome", "ok"}, Field{"msg", "has space"})
 	got := lbuf.String()
-	if got != "audit verdict case=hibernus/counter outcome=ok msg=\"has space\"\n" {
+	if got != "audit.verdict case=hibernus/counter outcome=ok msg=\"has space\"\n" {
 		t.Fatalf("logfmt line = %q", got)
+	}
+}
+
+// failingWriter accepts n bytes, then fails every write.
+type failingWriter struct{ n int }
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errDiskFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestChromeSinkCloseReportsWriteError: a writer that fails partway
+// through the stream makes Close return its error, though no Event
+// call reports it.
+func TestChromeSinkCloseReportsWriteError(t *testing.T) {
+	s := NewChromeSink(&failingWriter{n: 1000})
+	for i := 0; i < 500; i++ {
+		s.Event(Event{Type: EvPowerOn, Period: int32(i), F: 1e-3})
+		s.Event(Event{Type: EvBrownOut, Period: int32(i), Arg: 10, Arg2: 100})
+	}
+	if err := s.Close(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Close = %v, want %v", err, errDiskFull)
 	}
 }
 

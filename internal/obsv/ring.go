@@ -56,21 +56,14 @@ func (r *Ring) Snapshot() []Event {
 	return out
 }
 
-// Reset empties the ring without releasing its storage.
-func (r *Ring) Reset() {
-	r.next = 0
-	r.wrapped = false
-	r.dropped = 0
-}
-
-// DumpText renders the snapshot through a TextSink — the human-facing
-// form of a flight-recorder dump.
+// DumpText renders the snapshot as logfmt lines, one `ev.<type>` line
+// per event — the human-facing form of a flight-recorder dump.
 func (r *Ring) DumpText(w io.Writer) {
-	sink := NewTextSink(w)
+	l := NewLogger(w)
 	for _, e := range r.Snapshot() {
-		sink.Event(e)
+		l.Line("ev."+e.Type.String(), eventFields(e)...)
 	}
 	if r.dropped > 0 {
-		sink.L.Line("ring.dropped", Field{"events", r.dropped})
+		l.Line("ring.dropped", Field{"events", r.dropped})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -99,7 +100,7 @@ func (s *Span) SetUint(key string, v uint64) {
 	if s == nil {
 		return
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Val: itoa(v)})
+	s.Attrs = append(s.Attrs, Attr{Key: key, Val: strconv.FormatUint(v, 10)})
 }
 
 // SetBool attaches a boolean attribute. No-op on a nil span.
@@ -315,62 +316,4 @@ func (td *TraceData) WriteTree(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(&doc)
-}
-
-// SpanCounter folds a device's lifecycle event stream into summary
-// attributes on a span: which engine path ran, how many active periods,
-// committed backups and brown-outs a simulation cell saw, how many of
-// those periods the batched engine replayed from a fixed point instead
-// of simulating (ff_periods), its final simulated-cycle position and
-// whether it completed. It implements
-// Tracer and, like any per-device sink, assumes single-goroutine
-// access; call Flush after the run to attach the attributes.
-type SpanCounter struct {
-	sp        *Span
-	engine    string
-	periods   uint64
-	backups   uint64
-	brownOuts uint64
-	ffPeriods uint64
-	cycles    uint64
-	completed bool
-}
-
-// NewSpanCounter builds a counter attributing onto sp (which may be
-// nil; the counter then still counts but Flush does nothing).
-func NewSpanCounter(sp *Span) *SpanCounter { return &SpanCounter{sp: sp} }
-
-// Event implements Tracer.
-func (c *SpanCounter) Event(e Event) {
-	switch e.Type {
-	case EvRunBegin:
-		c.engine = engineName(e.Arg)
-	case EvPowerOn:
-		c.periods++
-	case EvCheckpointCommit:
-		c.backups++
-	case EvBrownOut:
-		c.brownOuts++
-	case EvFastForward:
-		c.ffPeriods += e.Arg
-	case EvRunEnd:
-		c.cycles = e.Cycles
-		c.completed = e.Arg == 1
-	}
-}
-
-// Flush writes the accumulated counts onto the span.
-func (c *SpanCounter) Flush() {
-	if c.sp == nil {
-		return
-	}
-	if c.engine != "" {
-		c.sp.SetAttr("engine", c.engine)
-	}
-	c.sp.SetUint("periods", c.periods)
-	c.sp.SetUint("backups", c.backups)
-	c.sp.SetUint("brown_outs", c.brownOuts)
-	c.sp.SetUint("ff_periods", c.ffPeriods)
-	c.sp.SetUint("simcycles", c.cycles)
-	c.sp.SetBool("completed", c.completed)
 }

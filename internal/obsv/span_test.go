@@ -141,50 +141,6 @@ func TestTraceSpanLimit(t *testing.T) {
 	}
 }
 
-// TestSpanCounter: lifecycle events fold into span attributes.
-func TestSpanCounter(t *testing.T) {
-	tr := NewTrace(NewTraceID(), 0)
-	ctx := ContextWithTrace(context.Background(), tr)
-	_, sp := StartSpan(ctx, "device.run")
-	c := NewSpanCounter(sp)
-	c.Event(Event{Type: EvRunBegin, Arg: 1})
-	c.Event(Event{Type: EvPowerOn})
-	c.Event(Event{Type: EvPowerOn})
-	c.Event(Event{Type: EvCheckpointCommit})
-	c.Event(Event{Type: EvBrownOut})
-	c.Event(Event{Type: EvFastForward, Arg: 40, Arg2: 3000})
-	c.Event(Event{Type: EvRunEnd, Arg: 1, Cycles: 1234})
-	c.Flush()
-	sp.Finish()
-
-	node := tr.Snapshot().Tree()[0]
-	want := map[string]string{
-		"engine":  "batched",
-		"periods": "2", "backups": "1", "brown_outs": "1", "ff_periods": "40",
-		"simcycles": "1234", "completed": "true",
-	}
-	for k, v := range want {
-		if node.Attrs[k] != v {
-			t.Errorf("attr %s = %q, want %q", k, node.Attrs[k], v)
-		}
-	}
-
-	// The reference engine tags its run too.
-	_, rsp := StartSpan(ctx, "device.run")
-	rc := NewSpanCounter(rsp)
-	rc.Event(Event{Type: EvRunBegin, Arg: 0})
-	rc.Flush()
-	rsp.Finish()
-	if got := tr.Snapshot().Tree()[1].Attrs["engine"]; got != "reference" {
-		t.Errorf("reference run engine attr = %q, want reference", got)
-	}
-
-	// A nil-span counter still counts without attributing anywhere.
-	nc := NewSpanCounter(nil)
-	nc.Event(Event{Type: EvPowerOn})
-	nc.Flush()
-}
-
 // TestTraceStore: FIFO retention with eviction, replacement on a reused
 // ID, and cumulative stats unaffected by eviction.
 func TestTraceStore(t *testing.T) {

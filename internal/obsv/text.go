@@ -34,13 +34,11 @@ func fmtValue(v any) string {
 }
 
 // Logger writes machine-parseable logfmt lines (`name k=v k=v ...`).
-// It is the shared formatter behind the text sink and the audit
-// verdict output, and is safe for concurrent use.
+// It is the shared formatter behind the flight recorder's text dump and
+// the audit verdict output, and is safe for concurrent use.
 type Logger struct {
 	mu sync.Mutex
 	w  io.Writer
-	// Prefix, when non-empty, opens every line (e.g. a run label).
-	Prefix string
 }
 
 // NewLogger returns a Logger writing to w.
@@ -49,10 +47,6 @@ func NewLogger(w io.Writer) *Logger { return &Logger{w: w} }
 // Line writes one structured record.
 func (l *Logger) Line(name string, fields ...Field) {
 	var b strings.Builder
-	if l.Prefix != "" {
-		b.WriteString(l.Prefix)
-		b.WriteByte(' ')
-	}
 	b.WriteString(name)
 	for _, f := range fields {
 		b.WriteByte(' ')
@@ -64,20 +58,6 @@ func (l *Logger) Line(name string, fields ...Field) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	io.WriteString(l.w, b.String())
-}
-
-// TextSink renders events as logfmt lines through a Logger — the
-// human-readable (and grep/awk-parseable) trace form.
-type TextSink struct {
-	L *Logger
-}
-
-// NewTextSink returns a text sink writing to w.
-func NewTextSink(w io.Writer) *TextSink { return &TextSink{L: NewLogger(w)} }
-
-// Event implements Tracer.
-func (s *TextSink) Event(e Event) {
-	s.L.Line("ev."+e.Type.String(), eventFields(e)...)
 }
 
 // eventFields renders an event's payload with type-appropriate names.

@@ -11,11 +11,12 @@ import (
 	"ehmodel/internal/obsv"
 )
 
-// Sinks are a CLI's run-wide observability outputs for devices built
-// many call layers down (sweep cells, audited schedules): -trace puts
-// every device's lifecycle on its own thread of one Chrome trace_event
-// timeline, and -metrics gives every device a loss-free Metrics sink of
-// one collector, merged at export.
+// Sinks are a CLI's run-wide observability outputs for every device it
+// builds, however many call layers down (sweep cells, audited
+// schedules, a single run): -trace puts every device's lifecycle on its
+// own thread of one Chrome trace_event timeline, and -metrics gives
+// every device a loss-free Metrics sink of one collector, merged at
+// export.
 type Sinks struct {
 	traceFile, metricsFile string
 	chrome                 *obsv.ChromeSink // nil without -trace
@@ -79,15 +80,15 @@ func (s *Sinks) Close(annotate func(*obsv.Metrics)) error {
 		if annotate != nil {
 			annotate(m)
 		}
-		if werr := WriteMetrics(s.metricsFile, m); err == nil {
+		if werr := writeMetrics(s.metricsFile, m); err == nil {
 			err = werr
 		}
 	}
 	return err
 }
 
-// WriteMetrics exports m as CSV, or JSON when the file name says so.
-func WriteMetrics(path string, m *obsv.Metrics) error {
+// writeMetrics exports m as CSV, or JSON when the file name says so.
+func writeMetrics(path string, m *obsv.Metrics) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

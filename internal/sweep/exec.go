@@ -292,33 +292,23 @@ func finish(c *Cell, cfg device.Config, strat device.Strategy, ent *Entry) (Cell
 // runLive simulates the cell and captures its extras. The device gets
 // the config's own tracer or, without one, the environment's provider's
 // (called here, once per simulated device). When the context carries a
-// trace, the simulation also gets its own "device.run" span whose
-// attributes (engine, periods, backups, brown-outs, simcycles) are
-// counted from the device's lifecycle events by a SpanCounter combined
-// with that tracer, so tracing a request never displaces the metrics
-// sink.
+// trace, the simulation also gets its own "device.run" span, closed by
+// noteRun; tracing attaches no observer, so a traced cell does the same
+// device work as an untraced one.
 func runLive(ctx context.Context, env device.Env, cfg device.Config, strat device.Strategy, c *Cell) (*device.Result, device.Config, json.RawMessage, error) {
 	if cfg.Observe == nil {
 		cfg.Observe = env.Tracer()
 	}
 	_, sp := obsv.StartSpan(ctx, "device.run")
-	var sc *obsv.SpanCounter
-	if sp != nil {
-		sc = obsv.NewSpanCounter(sp)
-		cfg.Observe = obsv.Combine(cfg.Observe, sc)
-	}
 	d, err := device.New(cfg, strat)
 	if err != nil {
 		return nil, device.Config{}, nil, failSpan(sp, err)
 	}
 	res, err := d.Run()
-	if sp != nil {
-		sc.Flush()
-	}
 	if err != nil {
 		return nil, device.Config{}, nil, failSpan(sp, err)
 	}
-	sp.Finish()
+	noteRun(sp, d, res)
 	var extras json.RawMessage
 	if c.Extras != nil {
 		v, err := c.Extras(strat, res)
@@ -334,6 +324,29 @@ func runLive(ctx context.Context, env device.Env, cfg device.Config, strat devic
 		}
 	}
 	return res, d.Cfg(), extras, nil
+}
+
+// noteRun closes a device.run span with the run's summary: the engine
+// that stepped it, the Result's period, backup and brown-out counts
+// (every period ends in a brown-out except a completing last one), the
+// periods the fast-forward replayed, and the final cycle position.
+// Nil-safe.
+func noteRun(sp *obsv.Span, d *device.Device, res *device.Result) {
+	if sp == nil {
+		return
+	}
+	brownOuts := len(res.Periods)
+	if res.Completed {
+		brownOuts--
+	}
+	sp.SetAttr("engine", d.Engine().String())
+	sp.SetUint("periods", uint64(len(res.Periods)))
+	sp.SetUint("backups", uint64(res.Backups()))
+	sp.SetUint("brown_outs", uint64(brownOuts))
+	sp.SetUint("ff_periods", d.FastForwardPeriods())
+	sp.SetUint("simcycles", res.TotalCycles)
+	sp.SetBool("completed", res.Completed)
+	sp.Finish()
 }
 
 func verify(c *Cell, res *device.Result) error {

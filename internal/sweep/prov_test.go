@@ -4,10 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"testing"
 
+	"ehmodel/internal/asm"
+	"ehmodel/internal/device"
 	"ehmodel/internal/obsv"
 	"ehmodel/internal/runner"
+	"ehmodel/internal/strategy"
+	"ehmodel/internal/trace"
+	"ehmodel/internal/workload"
 )
 
 // tracedRun executes cells with a trace and a provenance log attached
@@ -82,6 +88,106 @@ func TestExecutorCellSpans(t *testing.T) {
 	}
 	if n := len(spansNamed(warm, "device.run")); n != 0 {
 		t.Fatalf("warm run simulated: %d device.run spans", n)
+	}
+}
+
+// runEndCycles records the cycle position of a device's run-end event.
+type runEndCycles struct{ cycles uint64 }
+
+func (r *runEndCycles) Event(e obsv.Event) {
+	if e.Type == obsv.EvRunEnd {
+		r.cycles = e.Cycles
+	}
+}
+
+// TestDeviceRunSpansMatchMetrics: each device.run span's summary equals
+// what the device's own event stream says, on every settle path — a
+// bench supply, a harvested supply, a cache model (which steps the
+// reference loop), the reference engine from the env, and a fixed
+// point the batched engine fast-forwards.
+func TestDeviceRunSpansMatchMetrics(t *testing.T) {
+	counter := func(seg asm.Segment) *asm.Program {
+		w, _ := workload.Get("counter")
+		prog, err := w.Build(workload.Options{Seg: seg, Scale: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	cell := func(label string, edit func(cfg *device.Config) device.Strategy) Cell {
+		return Cell{Label: label, Build: func(context.Context) (device.Config, device.Strategy, error) {
+			cfg, s := testContent(t, 1, 2000, 10000)
+			if edit != nil {
+				s = edit(&cfg)
+			}
+			return cfg, s, nil
+		}}
+	}
+	cells := []Cell{
+		cell("bench", nil),
+		cell("harvest", func(cfg *device.Config) device.Strategy {
+			cfg.Harvester = mustHarvester(t, trace.Generate(trace.MultiPeak, 10, 1e-3, 42), 40000, 0.7)
+			return strategy.NewTimer(2000, 0.1)
+		}),
+		cell("cache", func(cfg *device.Config) device.Strategy {
+			cfg.Prog = counter(asm.FRAM)
+			return strategy.NewCacheVolatile()
+		}),
+		// τ_B beyond the period budget: no period commits, so the second
+		// repeats the first and the rest are replayed.
+		cell("fixed-point", func(*device.Config) device.Strategy {
+			return strategy.NewTimer(20000, 0.1)
+		}),
+	}
+	for _, engine := range []device.Engine{device.EngineBatched, device.EngineReference} {
+		var metrics []*obsv.Metrics
+		var ends []*runEndCycles
+		env := device.Env{Engine: engine, Observe: func() obsv.Tracer {
+			m, end := &obsv.Metrics{}, &runEndCycles{}
+			metrics, ends = append(metrics, m), append(ends, end)
+			return obsv.Multi{m, end}
+		}}
+		tr := obsv.NewTrace(obsv.NewTraceID(), 0)
+		ctx := device.WithEnv(obsv.ContextWithTrace(context.Background(), tr), env)
+		// One worker: devices are built in cell order.
+		if _, errs := NewExecutor(nil).Run(ctx, cells, runner.Options{Workers: 1}); len(errs) != 0 {
+			t.Fatal(errs[0])
+		}
+		cellSpans := spansNamed(tr.Snapshot(), "cell")
+		if len(cellSpans) != len(cells) || len(metrics) != len(cells) {
+			t.Fatalf("%v: %d cell spans, %d devices for %d cells", engine, len(cellSpans), len(metrics), len(cells))
+		}
+		for i, sp := range cellSpans {
+			label := sp.Attrs["label"]
+			if label != cells[i].Label || len(sp.Children) != 1 || sp.Children[0].Name != "device.run" {
+				t.Fatalf("%v: cell span %d is %q with children %v", engine, i, label, sp.Children)
+			}
+			got := sp.Children[0].Attrs
+			m := metrics[i]
+			wantEngine := engine.String()
+			if label == "cache" {
+				wantEngine = "reference"
+			}
+			want := map[string]string{
+				"engine":     wantEngine,
+				"periods":    strconv.FormatUint(m.Periods, 10),
+				"backups":    strconv.FormatUint(m.Backups, 10),
+				"brown_outs": strconv.FormatUint(m.BrownOuts, 10),
+				"ff_periods": strconv.FormatUint(m.FastForwardPeriods, 10),
+				"simcycles":  strconv.FormatUint(ends[i].cycles, 10),
+				"completed":  strconv.FormatBool(m.CompletedRuns == 1),
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v %s: device.run attrs %v, events say %v", engine, label, got, want)
+			}
+			if m.Runs != 1 || m.Periods == 0 {
+				t.Errorf("%v %s: device saw %d runs, %d periods", engine, label, m.Runs, m.Periods)
+			}
+			replays := label == "fixed-point" && engine == device.EngineBatched
+			if ff := m.FastForwardPeriods; (ff > 0) != replays {
+				t.Errorf("%v %s: %d fast-forwarded periods", engine, label, ff)
+			}
+		}
 	}
 }
 
