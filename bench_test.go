@@ -20,7 +20,6 @@ import (
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
 	"ehmodel/internal/experiments"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/stats"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/workload"
@@ -130,7 +129,7 @@ func BenchmarkFig6(b *testing.B) {
 	var pts []experiments.Fig6Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, pts, err = experiments.Fig6(context.Background(), experiments.Fig6Config{})
+		_, pts, err = experiments.Fig6(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +145,7 @@ func BenchmarkFig7(b *testing.B) {
 	var pts []experiments.Fig7Point
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, pts, err = experiments.Fig7(context.Background(), experiments.Fig6Config{})
+		_, pts, err = experiments.Fig7(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +208,7 @@ func BenchmarkCaseStoreMajorDevice(b *testing.B) {
 	var pts []experiments.StoreMajorDevicePoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, pts, err = experiments.CaseStoreMajorDevice(context.Background(), runner.Options{})
+		_, pts, err = experiments.CaseStoreMajorDevice(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -233,7 +232,7 @@ func BenchmarkCaseCircularBuffer(b *testing.B) {
 	var plan core.CircularBufferPlan
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, pts, plan, err = experiments.CaseCircularBuffer(context.Background(), runner.Options{})
+		_, pts, plan, err = experiments.CaseCircularBuffer(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +261,7 @@ func BenchmarkAblationClankBuffers(b *testing.B) {
 	var f *experiments.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
-		f, err = experiments.AblationClankBuffers(context.Background(), runner.Options{})
+		f, err = experiments.AblationClankBuffers(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -275,7 +274,7 @@ func BenchmarkAblationClankWatchdog(b *testing.B) {
 	var f *experiments.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
-		f, err = experiments.AblationClankWatchdog(context.Background(), runner.Options{})
+		f, err = experiments.AblationClankWatchdog(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -293,7 +292,7 @@ func BenchmarkAblationHibernusMargin(b *testing.B) {
 	var f *experiments.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
-		f, err = experiments.AblationHibernusMargin(context.Background(), runner.Options{})
+		f, err = experiments.AblationHibernusMargin(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -309,7 +308,7 @@ func BenchmarkAblationHibernusMargin(b *testing.B) {
 
 func BenchmarkAblationMementosGap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationMementosGap(context.Background(), runner.Options{}); err != nil {
+		if _, err := experiments.AblationMementosGap(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,7 +318,7 @@ func BenchmarkVariabilityStudy(b *testing.B) {
 	var f *experiments.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
-		f, err = experiments.VariabilityStudy(context.Background(), 4000, 40, runner.Options{})
+		f, err = experiments.VariabilityStudy(context.Background(), 4000, 40)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -342,7 +341,7 @@ func BenchmarkCapacitorSweep(b *testing.B) {
 	var f *experiments.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
-		f, err = experiments.CapacitorSweep(context.Background(), "crc", nil, runner.Options{})
+		f, err = experiments.CapacitorSweep(context.Background(), "crc", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -355,7 +354,7 @@ func BenchmarkNVMComparison(b *testing.B) {
 	var pts []experiments.NVMComparisonPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, pts, err = experiments.NVMComparison(context.Background(), "crc", 2000, runner.Options{})
+		_, pts, err = experiments.NVMComparison(context.Background(), "crc", 2000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -367,7 +366,7 @@ func BenchmarkTailLatencyStudy(b *testing.B) {
 	var pts []experiments.TailPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, pts, err = experiments.TailLatencyStudy(context.Background(), 0, runner.Options{})
+		_, pts, err = experiments.TailLatencyStudy(context.Background(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -385,7 +384,7 @@ func BenchmarkChargingStudy(b *testing.B) {
 	var pts []experiments.ChargingPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, pts, err = experiments.ChargingStudy(context.Background(), runner.Options{})
+		_, pts, err = experiments.ChargingStudy(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -397,7 +396,7 @@ func BenchmarkBreakEvenStudy(b *testing.B) {
 	var tauBE float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, _, tauBE, err = experiments.BreakEvenStudy(context.Background(), runner.Options{})
+		_, _, tauBE, err = experiments.BreakEvenStudy(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -409,7 +408,7 @@ func BenchmarkBreakdownComparison(b *testing.B) {
 	var rows []experiments.BreakdownRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, rows, err = experiments.BreakdownComparison(context.Background(), "crc", 0, runner.Options{})
+		_, rows, err = experiments.BreakdownComparison(context.Background(), "crc", 0)
 		if err != nil {
 			b.Fatal(err)
 		}

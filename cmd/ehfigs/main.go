@@ -111,8 +111,10 @@ func cliMain() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	// Every device any sweep driver builds — many call layers down —
-	// runs on the chosen engine and reports into the sinks.
-	ctx = sinks.WithEnv(ctx, engine)
+	// runs on the chosen engine under the -run-timeout deadline, reports
+	// into the sinks and holds a slot of the one -workers pool.
+	ctx = sinks.WithEnv(ctx, device.Env{Engine: engine, RunTimeout: *runTimeout})
+	ctx = runner.WithLimit(ctx, *workers)
 
 	// -trace-spans runs the whole generation as one trace: the same
 	// span vocabulary a traced ehserve request records (cells with
@@ -123,8 +125,7 @@ func cliMain() int {
 		ctx = obsv.ContextWithTrace(ctx, spanTrace)
 	}
 
-	ropts := runner.Options{Workers: *workers, RunTimeout: *runTimeout}
-	runErr := run(ctx, *fig, *quick, *csvDir, ropts, exec, sinks)
+	runErr := run(ctx, *fig, *quick, *csvDir, exec, sinks)
 	if spanTrace != nil {
 		if err := writeSpanTree(*traceSpans, spanTrace); err != nil {
 			fmt.Fprintln(os.Stderr, "ehfigs: trace-spans:", err)
@@ -148,10 +149,10 @@ func cliMain() int {
 // failure summary decides the exit status. The sinks close once the
 // sweeps are done; the metrics export adds the sweep engine's
 // per-class failure counts and the result store's counters.
-func run(ctx context.Context, which string, quick bool, csvDir string, ropts runner.Options, exec *sweep.Executor, sinks *profiling.Sinks) error {
+func run(ctx context.Context, which string, quick bool, csvDir string, exec *sweep.Executor, sinks *profiling.Sinks) error {
 	genCtx, gsp := obsv.StartSpan(ctx, "generate")
 	gsp.SetAttr("figure", which)
-	figs, failures := experiments.GenerateFigures(genCtx, which, quick, ropts)
+	figs, failures := experiments.GenerateFigures(genCtx, which, quick, runner.Options{})
 	gsp.Finish()
 	for _, f := range figs {
 		render(f)

@@ -13,9 +13,17 @@ import (
 	"ehmodel/internal/sweep"
 )
 
-func TestGenerateAnalyticFigures(t *testing.T) {
-	for _, id := range []string{"2", "3", "4", "11", "storemajor", "bitprecision"} {
-		figs, failures := experiments.GenerateFigures(context.Background(), id, true, runner.Options{})
+// generate builds the quick figure id (or "all") under ctx.
+func generate(ctx context.Context, id string) ([]*experiments.Figure, []experiments.Failure) {
+	return experiments.GenerateFigures(ctx, id, true, runner.Options{})
+}
+
+// generateEach generates each quick figure on its own and requires
+// exactly one figure and no failure.
+func generateEach(t *testing.T, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		figs, failures := generate(context.Background(), id)
 		if len(failures) != 0 {
 			t.Errorf("%s: %v", id, failures[0].Err)
 			continue
@@ -24,26 +32,21 @@ func TestGenerateAnalyticFigures(t *testing.T) {
 			t.Errorf("%s: %d figures", id, len(figs))
 		}
 	}
+}
+
+func TestGenerateAnalyticFigures(t *testing.T) {
+	generateEach(t, "2", "3", "4", "11", "storemajor", "bitprecision")
 }
 
 func TestGenerateSimulatedFiguresQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated figures are slow")
 	}
-	for _, id := range []string{"5", "6", "7", "8", "10", "circular", "variability"} {
-		figs, failures := experiments.GenerateFigures(context.Background(), id, true, runner.Options{})
-		if len(failures) != 0 {
-			t.Errorf("%s: %v", id, failures[0].Err)
-			continue
-		}
-		if len(figs) != 1 {
-			t.Errorf("%s: %d figures", id, len(figs))
-		}
-	}
+	generateEach(t, "5", "6", "7", "8", "10", "circular", "variability")
 }
 
 func TestGenerateUnknown(t *testing.T) {
-	figs, failures := experiments.GenerateFigures(context.Background(), "nope", true, runner.Options{})
+	figs, failures := generate(context.Background(), "nope")
 	if len(failures) == 0 {
 		t.Fatal("unknown figure accepted")
 	}
@@ -59,7 +62,7 @@ func TestGenerateUnknown(t *testing.T) {
 func TestGenerateCanceledStillDegrades(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	figs, failures := experiments.GenerateFigures(ctx, "5", true, runner.Options{})
+	figs, failures := generate(ctx, "5")
 	if len(failures) == 0 {
 		t.Fatal("canceled sweep reported no failure")
 	}
@@ -74,7 +77,7 @@ func TestRunWritesCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), "3", true, dir, runner.Options{}, sweep.NewExecutor(nil), sinks); err != nil {
+	if err := run(context.Background(), "3", true, dir, sweep.NewExecutor(nil), sinks); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "fig3.csv"))

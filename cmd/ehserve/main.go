@@ -26,6 +26,8 @@
 // with -cache disk, a restarted server still answers warm. Simulations
 // always run on the batched engine; the reference engine, which the
 // equivalence oracle proves byte-identical, is an ehsim and ehfigs flag.
+// -workers bounds the simulations running at once per process: every
+// request's sweeps share one pool of that many slots.
 //
 // Every request is traced: the X-EH-Trace response header names a span
 // tree (request parse, cache lookup, singleflight wait, each simulation
@@ -44,12 +46,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"ehmodel/internal/device"
 	"ehmodel/internal/obsv"
 	"ehmodel/internal/runner"
 	"ehmodel/internal/sweep"
@@ -70,22 +74,34 @@ const (
 )
 
 // newHTTPServer builds the listening server with the connection limits
-// above, so a slow or idle client cannot pin a connection forever.
-func newHTTPServer(addr string, h http.Handler) *http.Server {
+// above, so a slow or idle client cannot pin a connection forever. Every
+// request's context derives from base.
+func newHTTPServer(addr string, h http.Handler, base context.Context) *http.Server {
 	return &http.Server{
 		Addr:              addr,
 		Handler:           h,
+		BaseContext:       func(net.Listener) context.Context { return base },
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 		MaxHeaderBytes:    maxHeaderBytes,
 	}
 }
 
+// baseContext is the root of every request's context: one pool of
+// workers slots that the simulations of all requests share, and the
+// runTimeout deadline of each simulation. It derives from
+// context.Background, not from the signal context, so SIGTERM drains
+// in-flight requests instead of cancelling them.
+func baseContext(workers int, runTimeout time.Duration) context.Context {
+	ctx := device.WithEnv(context.Background(), device.Env{RunTimeout: runTimeout})
+	return runner.WithLimit(ctx, workers)
+}
+
 func cliMain() int {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	cacheMode := flag.String("cache", "mem", "result store: mem (in-process LRU), disk (persistent CAS under -cache-dir) or off")
 	cacheDir := flag.String("cache-dir", "results/cache", "directory for the on-disk result store (with -cache disk)")
-	workers := flag.Int("workers", 0, "simulations run at once across all figures, per request (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "simulations run at once across all requests of the process (0 = GOMAXPROCS)")
 	runTimeout := flag.Duration("run-timeout", 0, "wall-clock deadline per simulation run (0 = none)")
 	reqTimeout := flag.Duration("request-timeout", 10*time.Minute, "deadline per HTTP request (0 = none)")
 	traceCap := flag.Int("trace-store", obsv.DefaultTraceCapacity, "request traces retained for /v1/trace/{id} (0 disables tracing)")
@@ -100,14 +116,14 @@ func cliMain() int {
 	}
 	sweep.SetDefault(exec)
 
-	s := newServer(exec, runner.Options{Workers: *workers, RunTimeout: *runTimeout}, *reqTimeout)
+	s := newServer(exec, *reqTimeout)
 	if *traceCap > 0 {
 		s.traces = obsv.NewTraceStore(*traceCap)
 	} else {
 		s.traces = nil
 	}
 	s.series = obsv.NewSeries(*seriesWindow)
-	srv := newHTTPServer(*addr, s.handler())
+	srv := newHTTPServer(*addr, s.handler(), baseContext(*workers, *runTimeout))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

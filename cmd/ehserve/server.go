@@ -34,12 +34,12 @@ const cacheHeader = "X-EH-Cache"
 // shared sweep executor's content-addressed store.
 type server struct {
 	exec    *sweep.Executor
-	run     runner.Options
 	timeout time.Duration
 
-	// generate is experiments.GenerateFigures, injectable so tests can
-	// count and stall generations to observe the singleflight.
-	generate func(ctx context.Context, which string, quick bool, run runner.Options) ([]*experiments.Figure, []experiments.Failure)
+	// generate is experiments.GenerateFigures under the request
+	// context's pool, injectable so tests can count and stall
+	// generations to observe the singleflight.
+	generate func(ctx context.Context, which string, quick bool) ([]*experiments.Figure, []experiments.Failure)
 
 	// traces retains the last N request traces for /v1/trace/{id}; nil
 	// disables request tracing entirely (the -trace-store 0 flag).
@@ -66,16 +66,17 @@ type server struct {
 	lastAt     time.Time
 }
 
-func newServer(exec *sweep.Executor, run runner.Options, timeout time.Duration) *server {
+func newServer(exec *sweep.Executor, timeout time.Duration) *server {
 	return &server{
-		exec:     exec,
-		run:      run,
-		timeout:  timeout,
-		generate: experiments.GenerateFigures,
-		traces:   obsv.NewTraceStore(0),
-		hub:      newEventHub(),
-		series:   obsv.NewSeries(0),
-		resp:     map[string][]byte{},
+		exec:    exec,
+		timeout: timeout,
+		generate: func(ctx context.Context, which string, quick bool) ([]*experiments.Figure, []experiments.Failure) {
+			return experiments.GenerateFigures(ctx, which, quick, runner.Options{})
+		},
+		traces: obsv.NewTraceStore(0),
+		hub:    newEventHub(),
+		series: obsv.NewSeries(0),
+		resp:   map[string][]byte{},
 	}
 }
 
@@ -449,7 +450,7 @@ func (s *server) cachedFigure(key string) ([]byte, bool) {
 func (s *server) renderFigure(ctx context.Context, key, id string, quick bool) ([]byte, error) {
 	genCtx, gsp := obsv.StartSpan(ctx, "generate")
 	gsp.SetAttr("figure", id)
-	figs, failures := s.generate(genCtx, id, quick, s.run)
+	figs, failures := s.generate(genCtx, id, quick)
 	gsp.Finish()
 	renderStart := time.Now()
 	resp := figureResponse{ID: id, Quick: quick, Figures: figs}

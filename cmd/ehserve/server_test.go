@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,12 +15,12 @@ import (
 	"time"
 
 	"ehmodel/internal/experiments"
-	"ehmodel/internal/runner"
+	"ehmodel/internal/obsv"
 	"ehmodel/internal/sweep"
 )
 
 func testServer() *server {
-	return newServer(sweep.NewExecutor(sweep.NewMemStore(0)), runner.Options{}, time.Minute)
+	return newServer(sweep.NewExecutor(sweep.NewMemStore(0)), time.Minute)
 }
 
 func get(t *testing.T, h http.Handler, url string) *httptest.ResponseRecorder {
@@ -66,10 +67,11 @@ func TestFigureSingleflight(t *testing.T) {
 	s := testServer()
 	var calls atomic.Int32
 	release := make(chan struct{})
-	s.generate = func(ctx context.Context, which string, quick bool, run runner.Options) ([]*experiments.Figure, []experiments.Failure) {
+	generate := s.generate
+	s.generate = func(ctx context.Context, which string, quick bool) ([]*experiments.Figure, []experiments.Failure) {
 		calls.Add(1)
 		<-release
-		return experiments.GenerateFigures(ctx, which, quick, run)
+		return generate(ctx, which, quick)
 	}
 	h := s.handler()
 
@@ -131,7 +133,7 @@ func TestFigureSingleflight(t *testing.T) {
 func TestFigureFailureNotCached(t *testing.T) {
 	s := testServer()
 	var calls atomic.Int32
-	s.generate = func(ctx context.Context, which string, quick bool, run runner.Options) ([]*experiments.Figure, []experiments.Failure) {
+	s.generate = func(ctx context.Context, which string, quick bool) ([]*experiments.Figure, []experiments.Failure) {
 		calls.Add(1)
 		return nil, []experiments.Failure{{ID: which, Err: fmt.Errorf("transient")}}
 	}
@@ -268,10 +270,78 @@ func FuzzModelSweepQuery(f *testing.F) {
 	})
 }
 
+// TestRequestsSharePool: every request's context derives from the one
+// base context main builds, so the simulations of all requests share
+// its pool. Under -workers 1, four concurrent cold requests for
+// distinct figures run their cells one at a time: no two cell spans of
+// the four request traces overlap.
+func TestRequestsSharePool(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates four quick figures")
+	}
+	s := testServer()
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = newHTTPServer("", s.handler(), baseContext(1, 0))
+	ts.Start()
+	defer ts.Close()
+
+	ids := []string{"5", "charging", "breakeven", "hibernus-margin"}
+	traces := make([]obsv.TraceID, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		traces[i] = obsv.NewTraceID()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, err := http.NewRequest("GET", ts.URL+"/v1/figure?quick=1&id="+id, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			req.Header.Set(traceHeader, traces[i].String())
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || resp.Header.Get(cacheHeader) != "miss" {
+				t.Errorf("figure %s: %d, %s %q", id, resp.StatusCode, cacheHeader, resp.Header.Get(cacheHeader))
+			}
+		}()
+	}
+	wg.Wait()
+
+	var cells []obsv.Span
+	for i, id := range traces {
+		td, ok := s.traces.Get(id)
+		if !ok {
+			t.Fatalf("figure %s: trace %s not retained", ids[i], id)
+		}
+		n := len(cells)
+		for _, sp := range td.Spans {
+			if sp.Name == "cell" {
+				cells = append(cells, sp)
+			}
+		}
+		if len(cells) == n {
+			t.Fatalf("figure %s ran no cells", ids[i])
+		}
+	}
+	for i, a := range cells {
+		for _, b := range cells[i+1:] {
+			if a.Start.Before(b.End) && b.Start.Before(a.End) {
+				t.Fatalf("cells %v and %v ran at once under a pool of one", a.Attrs, b.Attrs)
+			}
+		}
+	}
+}
+
 // TestNewHTTPServerLimits pins the connection limits ehserve listens
 // with — and that no WriteTimeout cuts SSE streams short.
 func TestNewHTTPServerLimits(t *testing.T) {
-	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler(), context.Background())
 	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
 		t.Errorf("ReadHeaderTimeout = %v", srv.ReadHeaderTimeout)
 	}

@@ -13,14 +13,13 @@ import (
 
 	"ehmodel/internal/experiments"
 	"ehmodel/internal/obsv"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/sweep"
 )
 
 // fastFigureServer stubs generation so trace-shape tests don't simulate.
 func fastFigureServer() *server {
 	s := testServer()
-	s.generate = func(ctx context.Context, which string, quick bool, run runner.Options) ([]*experiments.Figure, []experiments.Failure) {
+	s.generate = func(ctx context.Context, which string, quick bool) ([]*experiments.Figure, []experiments.Failure) {
 		return []*experiments.Figure{{ID: "fig" + which, Title: "stub"}}, nil
 	}
 	return s
@@ -213,7 +212,7 @@ func TestProvenanceEnvelope(t *testing.T) {
 func TestProvLogOnlyWhenRead(t *testing.T) {
 	s := testServer()
 	sawLog := false
-	s.generate = func(ctx context.Context, which string, quick bool, run runner.Options) ([]*experiments.Figure, []experiments.Failure) {
+	s.generate = func(ctx context.Context, which string, quick bool) ([]*experiments.Figure, []experiments.Failure) {
 		sawLog = sweep.ProvFrom(ctx) != nil
 		return []*experiments.Figure{{ID: "fig" + which, Title: "stub"}}, nil
 	}

@@ -40,7 +40,6 @@ import (
 	"reflect"
 	"strings"
 	"syscall"
-	"time"
 
 	"ehmodel/internal/analyze"
 	"ehmodel/internal/asm"
@@ -106,8 +105,6 @@ type runOpts struct {
 	plan *faults.Plan
 	// periodsCSV, when set, receives per-period CSV statistics.
 	periodsCSV string
-	// runTimeout caps the simulation's wall-clock time (0 = none).
-	runTimeout time.Duration
 	// wcecCheck runs the static forward-progress verifier before the
 	// simulation and refuses statically-infeasible configurations.
 	wcecCheck bool
@@ -196,9 +193,10 @@ func cliMain() int {
 		return finish(1)
 	}
 
-	// Every mode's devices take their engine and the -trace/-metrics
-	// sinks from the context: the audit family builds them many layers
-	// down (faults.runCase), the single run in run.
+	// Every mode's devices take their engine, the -run-timeout deadline
+	// and the -trace/-metrics sinks from the context, and the audit's
+	// runs hold slots of the one -workers pool: the audit family builds
+	// devices many layers down (faults.runCase), the single run in run.
 	auditing := *repro != "" || *adversarial || *audit
 	var strats []strategy.Spec
 	if auditing && *repro == "" {
@@ -219,12 +217,13 @@ func cliMain() int {
 		fmt.Fprintln(os.Stderr, "ehsim:", err)
 		return finish(1)
 	}
-	ctx = sinks.WithEnv(ctx, engine)
+	ctx = sinks.WithEnv(ctx, device.Env{Engine: engine, RunTimeout: *runTimeout})
+	ctx = runner.WithLimit(ctx, *workers)
 	var n int
 	var annotate func(*obsv.Metrics)
 	switch {
 	case *repro != "":
-		n, err = runRepro(ctx, *repro, *oracle, *freshness, *runTimeout)
+		n, err = runRepro(ctx, *repro, *oracle, *freshness)
 	case *adversarial:
 		n, err = runAdversarial(ctx, adversarialOpts{
 			strategies: strats,
@@ -244,7 +243,6 @@ func cliMain() int {
 			BaseSeed:       *faultSeed,
 			Oracle:         *oracle,
 			FreshnessBound: *freshness,
-			Run:            runner.Options{Workers: *workers, RunTimeout: *runTimeout},
 		}
 		if *naive {
 			p := faults.DefaultPlan()
@@ -257,8 +255,7 @@ func cliMain() int {
 			workload: *wname, strategy: *sname,
 			period: *period, tauB: *tauB, scale: *scale,
 			trace: *supplyName, periodsCSV: *periodsCSV,
-			runTimeout: *runTimeout,
-			wcecCheck:  *wcecCheck,
+			wcecCheck: *wcecCheck,
 		}
 		if !reflect.DeepEqual(plan, faults.Plan{Seed: *faultSeed}) {
 			opts.plan = &plan
@@ -407,7 +404,7 @@ func runAudit(ctx context.Context, o faults.Options) (int, func(*obsv.Metrics), 
 // runRepro replays one printed counterexample case verbatim and reports
 // its verdict — the `-audit -repro "<case>"` workflow. The -oracle and
 // -freshness-bound flags layer on top of what the case string embeds.
-func runRepro(ctx context.Context, caseStr string, oracle bool, freshness uint64, runTimeout time.Duration) (int, error) {
+func runRepro(ctx context.Context, caseStr string, oracle bool, freshness uint64) (int, error) {
 	c, err := faults.ParseCase(caseStr)
 	if err != nil {
 		return 0, err
@@ -418,7 +415,7 @@ func runRepro(ctx context.Context, caseStr string, oracle bool, freshness uint64
 	if freshness > 0 {
 		c.Fresh = freshness
 	}
-	out, err := faults.ReplayCase(ctx, c, runner.Options{RunTimeout: runTimeout})
+	out, err := faults.ReplayCase(ctx, c)
 	if err != nil {
 		return 0, err
 	}
@@ -653,7 +650,7 @@ func run(ctx context.Context, o runOpts) error {
 		CapC: capC, CapVMax: vmax, VOn: von, VOff: voff,
 		MaxPeriods: 200000, MaxCycles: 1 << 62,
 		Engine:     env.Engine,
-		RunTimeout: o.runTimeout,
+		RunTimeout: env.RunTimeout,
 		Interrupt:  runner.Interrupt(ctx),
 		// On a fixed supply every charge is identical, so an exactly
 		// repeating doomed period proves livelock: fail fast with the
@@ -703,7 +700,7 @@ func run(ctx context.Context, o runOpts) error {
 		ring.DumpText(os.Stderr)
 	}
 	if errors.Is(err, device.ErrDeadlineExceeded) {
-		return fmt.Errorf("run exceeded its -run-timeout of %v: %w", o.runTimeout, err)
+		return fmt.Errorf("run exceeded its -run-timeout of %v: %w", env.RunTimeout, err)
 	}
 	if errors.Is(err, device.ErrUnrecoverable) {
 		fmt.Printf("%s under %s (%s data): FAIL-STOP\n\n", o.workload, strat.Name(), seg)

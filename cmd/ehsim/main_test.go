@@ -87,7 +87,7 @@ func TestRunReportsIntoEnvSinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(sinks.WithEnv(context.Background(), device.EngineBatched), baseOpts("counter", "timer")); err != nil {
+	if err := run(sinks.WithEnv(context.Background(), device.Env{}), baseOpts("counter", "timer")); err != nil {
 		t.Fatal(err)
 	}
 	if err := sinks.Close(nil); err != nil {

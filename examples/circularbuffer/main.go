@@ -15,12 +15,11 @@ import (
 	"os"
 
 	"ehmodel/internal/experiments"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/textplot"
 )
 
 func main() {
-	fig, pts, plan, err := experiments.CaseCircularBuffer(context.Background(), runner.Options{})
+	fig, pts, plan, err := experiments.CaseCircularBuffer(context.Background())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

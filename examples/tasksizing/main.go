@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	fig, pts, err := experiments.Fig7(context.Background(), experiments.Fig6Config{})
+	fig, pts, err := experiments.Fig7(context.Background())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -19,6 +19,7 @@ import (
 
 	"ehmodel/internal/asm"
 	"ehmodel/internal/isa"
+	"ehmodel/internal/mem"
 )
 
 // DefaultBoundaries are the SYS codes treated as checkpoint sites for
@@ -29,20 +30,12 @@ func DefaultBoundaries() []isa.Sys { return []isa.Sys{isa.SysChkpt, isa.SysTaskE
 // Options configures an analysis run. The zero value picks the device
 // defaults.
 type Options struct {
-	// Boundaries are the SYS codes that delimit checkpoint regions;
-	// nil means DefaultBoundaries.
-	Boundaries []isa.Sys
 	// SRAMSize and FRAMSize give the device memory geometry in bytes;
-	// zero means the device defaults (8 KiB SRAM, 256 KiB FRAM).
+	// zero means the device defaults (mem.DefaultSRAMSize and
+	// mem.DefaultFRAMSize).
 	SRAMSize int
 	FRAMSize int
 }
-
-// Device memory defaults, matching device.New.
-const (
-	defaultSRAMSize = 8 << 10
-	defaultFRAMSize = 256 << 10
-)
 
 // program is the front half every pass shares: the CFG, the interval
 // fixpoint over it, and every reachable memory access resolved against
@@ -62,7 +55,7 @@ func prepare(prog *asm.Program, o Options) (program, error) {
 	if prog == nil || len(prog.Code) == 0 {
 		return program{}, fmt.Errorf("analyze: empty program")
 	}
-	p := program{prog: prog, lay: memLayout{sramSize: defaultSRAMSize, framSize: defaultFRAMSize}}
+	p := program{prog: prog, lay: memLayout{sramSize: mem.DefaultSRAMSize, framSize: mem.DefaultFRAMSize}}
 	if o.SRAMSize > 0 {
 		p.lay.sramSize = uint32(o.SRAMSize)
 	}
@@ -92,12 +85,8 @@ func Analyze(prog *asm.Program, o Options) (*Report, error) {
 		return nil, err
 	}
 	g, fr, acc, lay := p.g, p.fr, p.acc, p.lay
-	bounds := o.Boundaries
-	if bounds == nil {
-		bounds = DefaultBoundaries()
-	}
-	boundarySet := make(map[isa.Sys]bool, len(bounds))
-	for _, s := range bounds {
+	boundarySet := make(map[isa.Sys]bool)
+	for _, s := range DefaultBoundaries() {
 		boundarySet[s] = true
 	}
 

@@ -75,10 +75,9 @@ type TaskTable struct {
 	TauStore float64 `json:"tau_store,omitempty"`
 }
 
-// Tasks decomposes prog into idempotent tasks. The zero Options picks
-// the device memory defaults; Options.Boundaries is ignored — task
-// decomposition always anchors on SysTaskEnd, the marker task runtimes
-// commit at.
+// Tasks decomposes prog into idempotent tasks, anchored on SysTaskEnd,
+// the marker task runtimes commit at. The zero Options picks the device
+// memory defaults.
 func Tasks(prog *asm.Program, o Options) (*TaskTable, error) {
 	p, err := prepare(prog, o)
 	if err != nil {

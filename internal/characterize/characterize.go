@@ -122,11 +122,10 @@ func clankRunFrom(bench string, kind trace.Kind, cr *sweep.CellResult) (*ClankRu
 }
 
 // RunClank executes one benchmark under Clank powered by the given
-// trace kind and returns its τ_B/τ_D profile. run configures the sweep
-// engine (worker count, per-run deadline).
-func RunClank(ctx context.Context, bench string, kind trace.Kind, run runner.Options) (*ClankRun, error) {
+// trace kind and returns its τ_B/τ_D profile.
+func RunClank(ctx context.Context, bench string, kind trace.Kind) (*ClankRun, error) {
 	cell := clankCell(bench, kind, clankTrace(kind))
-	all, errs := sweep.Run(ctx, []sweep.Cell{cell}, run)
+	all, errs := sweep.Run(ctx, []sweep.Cell{cell})
 	if len(errs) > 0 {
 		return nil, errs[0].Err
 	}
@@ -139,7 +138,7 @@ func RunClank(ctx context.Context, bench string, kind trace.Kind, run runner.Opt
 // Surviving rows are returned ordered benchmark-major, trace-minor
 // regardless of completion order; failed runs are dropped and reported
 // in errs.
-func TauBProfile(ctx context.Context, benches []string, run runner.Options) (out []*ClankRun, errs runner.Errors, err error) {
+func TauBProfile(ctx context.Context, benches []string) (out []*ClankRun, errs runner.Errors, err error) {
 	if err := knownBenches(benches); err != nil {
 		return nil, nil, err
 	}
@@ -162,7 +161,7 @@ func TauBProfile(ctx context.Context, benches []string, run runner.Options) (out
 			cells = append(cells, clankCell(bench, kind, traces[i]))
 		}
 	}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
 	var evalErrs runner.Errors
 	for i, j := range jobs {
@@ -227,7 +226,7 @@ func DefaultWatchdogs() []uint64 {
 // still the per-benchmark mean over watchdogs, and errs still reports
 // whole benchmarks (a benchmark is dropped if any of its watchdog runs
 // failed, indexed as before by benchmark position).
-func AlphaBProfile(ctx context.Context, benches []string, watchdogs []uint64, run runner.Options) (out []*AlphaBRun, errs runner.Errors, err error) {
+func AlphaBProfile(ctx context.Context, benches []string, watchdogs []uint64) (out []*AlphaBRun, errs runner.Errors, err error) {
 	if err := knownBenches(benches); err != nil {
 		return nil, nil, err
 	}
@@ -269,7 +268,7 @@ func AlphaBProfile(ctx context.Context, benches []string, watchdogs []uint64, ru
 			})
 		}
 	}
-	all, cellErrs := sweep.Run(ctx, cells, run)
+	all, cellErrs := sweep.Run(ctx, cells)
 	failed := cellErrs.FailedSet()
 	for bi, bench := range benches {
 		ar := &AlphaBRun{Bench: bench}

@@ -4,12 +4,11 @@ import (
 	"context"
 	"testing"
 
-	"ehmodel/internal/runner"
 	"ehmodel/internal/trace"
 )
 
 func TestRunClankProducesProfile(t *testing.T) {
-	r, err := RunClank(context.Background(), "ds", trace.MultiPeak, runner.Options{})
+	r, err := RunClank(context.Background(), "ds", trace.MultiPeak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestRunClankProducesProfile(t *testing.T) {
 }
 
 func TestRunClankUnknownBench(t *testing.T) {
-	if _, err := RunClank(context.Background(), "nope", trace.Ramp, runner.Options{}); err == nil {
+	if _, err := RunClank(context.Background(), "nope", trace.Ramp); err == nil {
 		t.Fatal("unknown bench accepted")
 	}
 }
@@ -47,7 +46,7 @@ func TestRunClankUnknownBench(t *testing.T) {
 // the prevailing backup cadence by much (τ_D ≤ τ_B in the model; the
 // measured analogue allows the in-flight interval).
 func TestTauDBoundedByTauB(t *testing.T) {
-	r, err := RunClank(context.Background(), "counter", trace.Spikes, runner.Options{})
+	r, err := RunClank(context.Background(), "counter", trace.Spikes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func TestTraceInsensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-trace characterization is slow")
 	}
-	runs, errs, err := TauBProfile(context.Background(), []string{"lzfx"}, runner.Options{})
+	runs, errs, err := TauBProfile(context.Background(), []string{"lzfx"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +96,7 @@ func TestAlphaBProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("α_B sweep is slow")
 	}
-	runs, errs, err := AlphaBProfile(context.Background(), []string{"ds", "sha"}, []uint64{250, 500, 1000}, runner.Options{})
+	runs, errs, err := AlphaBProfile(context.Background(), []string{"ds", "sha"}, []uint64{250, 500, 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func TestAlphaBProfile(t *testing.T) {
 }
 
 func TestAlphaBUnknownBench(t *testing.T) {
-	if _, _, err := AlphaBProfile(context.Background(), []string{"nope"}, []uint64{250}, runner.Options{}); err == nil {
+	if _, _, err := AlphaBProfile(context.Background(), []string{"nope"}, []uint64{250}); err == nil {
 		t.Fatal("unknown bench accepted")
 	}
 }

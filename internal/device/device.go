@@ -410,10 +410,10 @@ type Config struct {
 
 func (c *Config) setDefaults() {
 	if c.SRAMSize == 0 {
-		c.SRAMSize = 8 * 1024
+		c.SRAMSize = mem.DefaultSRAMSize
 	}
 	if c.FRAMSize == 0 {
-		c.FRAMSize = 256 * 1024
+		c.FRAMSize = mem.DefaultFRAMSize
 	}
 	if c.SigmaB == 0 {
 		c.SigmaB = 2 // FRAM word per two cycles (§III)

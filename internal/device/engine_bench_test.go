@@ -77,7 +77,7 @@ func benchmarkStepN(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := mem.NewSystem(8*1024, 256*1024)
+	m, err := mem.NewSystem(mem.DefaultSRAMSize, mem.DefaultFRAMSize)
 	if err != nil {
 		b.Fatal(err)
 	}

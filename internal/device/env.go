@@ -2,20 +2,27 @@ package device
 
 import (
 	"context"
+	"time"
 
 	"ehmodel/internal/obsv"
 )
 
 // Env is the run environment a CLI chooses once and every device built
 // below it inherits, however many call layers down: it rides the
-// context the way spans and the sweep's provenance log do. The library
-// code that builds devices from a context (the sweep executor and the
-// fault auditor) reads it; a Config built by hand ignores it. The zero
-// Env runs the batched engine with observability off.
+// context the way spans and the sweep's provenance log do. It has three
+// fields: the engine, the per-run deadline and the observer provider.
+// The library code that builds devices from a context (the sweep
+// executor and the fault auditor) reads it; a Config built by hand
+// ignores it. The zero Env runs the batched engine with no deadline and
+// observability off.
 type Env struct {
 	// Engine is the engine for every device whose Config leaves Engine
 	// at its zero value.
 	Engine Engine
+	// RunTimeout is the wall-clock budget of every device whose Config
+	// leaves RunTimeout at zero (see Config.RunTimeout); zero means no
+	// deadline.
+	RunTimeout time.Duration
 	// Observe, when non-nil, is called once per simulated device and its
 	// tracer attached to that device, so it can hand out per-device
 	// sinks (a Collector's loss-free per-worker Metrics, or a shared

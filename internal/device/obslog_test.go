@@ -124,10 +124,10 @@ func TestObsLogResultNeutral(t *testing.T) {
 // data store of a run lands in the log as a HazardStore.
 func allWords() map[uint32]struct{} {
 	words := make(map[uint32]struct{})
-	for a := mem.SRAMBase; a < mem.SRAMBase+8*1024; a += 4 {
+	for a := mem.SRAMBase; a < mem.SRAMBase+mem.DefaultSRAMSize; a += 4 {
 		words[a] = struct{}{}
 	}
-	for a := mem.FRAMBase; a < mem.FRAMBase+256*1024; a += 4 {
+	for a := mem.FRAMBase; a < mem.FRAMBase+mem.DefaultFRAMSize; a += 4 {
 		words[a] = struct{}{}
 	}
 	return words

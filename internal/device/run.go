@@ -722,13 +722,14 @@ func (d *Device) backup(p Payload) bool {
 // single-backup sleep after a Hibernus-style checkpoint. A harvester
 // that sustains the idle draw would otherwise spin to MaxCycles, so
 // the sleep polls the interrupt/deadline check too. The batched engine
-// settles the chunks in fusedSleep (sleep.go), except under a fault
-// injector or while recording a fixed point, which see every chunk.
+// (as Engine reports it, so never a cache model) settles the chunks in
+// fusedSleep (sleep.go), except under a fault injector or while
+// recording a fixed point, which see every chunk.
 func (d *Device) idleToDeath() error {
 	if d.obs != nil {
 		d.emit(obsv.EvSleep, 0, 0, 0)
 	}
-	if d.cfg.Engine != EngineReference && d.inj == nil && d.tape == nil {
+	if d.Engine() == EngineBatched && d.inj == nil && d.tape == nil {
 		return d.fusedSleep()
 	}
 	const chunk = pollCreditIdle
@@ -752,10 +753,10 @@ func (d *Device) idleToDeath() error {
 // checked against. maxSteps bounds runaway programs.
 func RunContinuous(prog *asm.Program, sramSize, framSize int, maxSteps uint64) ([]uint32, uint64, error) {
 	if sramSize == 0 {
-		sramSize = 8 * 1024
+		sramSize = mem.DefaultSRAMSize
 	}
 	if framSize == 0 {
-		framSize = 256 * 1024
+		framSize = mem.DefaultFRAMSize
 	}
 	ms, err := mem.NewSystem(sramSize, framSize)
 	if err != nil {

@@ -3,6 +3,7 @@ package device_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ehmodel/internal/device"
@@ -19,51 +20,70 @@ import (
 // capacitor) the batched engine must settle exactly these chunks on
 // each path — the general ones are the troughs where the harvest no
 // longer clamps, and each sleep's last chunk — and the reference engine,
-// which sleeps through consume, none.
+// which sleeps through consume, none. A cache-model device runs the
+// reference engine whatever its Config asks for, its sleeps included:
+// it must report that engine, settle no fused chunk and return the
+// reference Result.
 func TestFusedSleepPaths(t *testing.T) {
-	want := map[string][2]uint64{
-		"crc": {522302, 18032},
-		"ds":  {522313, 17841},
-		"sha": {522304, 17773},
-	}
 	spec, ok := strategy.Lookup("hibernus")
 	if !ok {
 		t.Fatal("hibernus missing from the catalog")
 	}
 	tr := trace.Generate(trace.MultiPeak, 20, 1e-3, 1)
-	for _, wl := range []string{"crc", "ds", "sha"} {
-		w, ok := workload.Get(wl)
+	for _, row := range []struct {
+		wl         string
+		scale      int
+		harvest    bool
+		cacheBlock int
+		want       [2]uint64 // the batched engine's clamped and general chunks
+	}{
+		{"crc", 10, true, 0, [2]uint64{522302, 18032}},
+		{"ds", 10, true, 0, [2]uint64{522313, 17841}},
+		{"sha", 10, true, 0, [2]uint64{522304, 17773}},
+		{"crc", 2, false, 32, [2]uint64{}},
+	} {
+		w, ok := workload.Get(row.wl)
 		if !ok {
-			t.Fatalf("workload %q missing", wl)
+			t.Fatalf("workload %q missing", row.wl)
 		}
-		prog, err := w.Build(workload.Options{Seg: spec.Seg, Scale: 10})
+		prog, err := w.Build(workload.Options{Seg: spec.Seg, Scale: row.scale})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var results []*device.Result
 		for _, eng := range []device.Engine{device.EngineBatched, device.EngineReference} {
-			h, err := energy.NewHarvester(tr, 3000, 0.7)
-			if err != nil {
-				t.Fatal(err)
-			}
 			cfg := benchEquivCfg(prog, 6000)
 			cfg.Engine = eng
-			cfg.Harvester = h
+			cfg.CacheBlockSize = row.cacheBlock
+			if row.harvest {
+				if cfg.Harvester, err = energy.NewHarvester(tr, 3000, 0.7); err != nil {
+					t.Fatal(err)
+				}
+			}
 			d, err := device.New(cfg, spec.New())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := d.Run(); err != nil {
-				t.Fatalf("%s (%v): %v", wl, eng, err)
+			res, err := d.Run()
+			if err != nil {
+				t.Fatalf("%s (%v): %v", row.wl, eng, err)
+			}
+			results = append(results, res)
+			if row.cacheBlock > 0 && d.Engine() != device.EngineReference {
+				t.Errorf("%s with a cache (%v): device reports the %v engine", row.wl, eng, d.Engine())
 			}
 			clamped, general := d.SleepChunks()
-			w := want[wl]
+			want := row.want
 			if eng == device.EngineReference {
-				w = [2]uint64{}
+				want = [2]uint64{}
 			}
-			if clamped != w[0] || general != w[1] {
-				t.Errorf("%s (%v): %d clamped and %d general sleep chunks, want %d and %d",
-					wl, eng, clamped, general, w[0], w[1])
+			if clamped != want[0] || general != want[1] {
+				t.Errorf("%s (%v, cache block %d): %d clamped and %d general sleep chunks, want %d and %d",
+					row.wl, eng, row.cacheBlock, clamped, general, want[0], want[1])
 			}
+		}
+		if !reflect.DeepEqual(results[0], results[1]) {
+			t.Errorf("%s (cache block %d): the batched and reference Results differ", row.wl, row.cacheBlock)
 		}
 	}
 }

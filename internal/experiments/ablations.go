@@ -7,7 +7,6 @@ import (
 	"ehmodel/internal/asm"
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/sweep"
 	"ehmodel/internal/trace"
@@ -52,7 +51,7 @@ func ablationCell(label string, pm energy.PowerModel, periodCycles float64, maxP
 // (the paper's configuration uses 8+8) on a load-heavy and a
 // violation-heavy kernel. Larger buffers eliminate overflow-forced
 // checkpoints, stretching τ_B until violations or the watchdog dominate.
-func AblationClankBuffers(ctx context.Context, run runner.Options) (*Figure, error) {
+func AblationClankBuffers(ctx context.Context) (*Figure, error) {
 	fig := &Figure{
 		ID:     "ablation-clank-buffers",
 		Title:  "Clank tracking-buffer capacity ablation",
@@ -90,7 +89,7 @@ func AblationClankBuffers(ctx context.Context, run runner.Options) (*Figure, err
 				}))
 		}
 	}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
 
 	for bi, bench := range benches {
@@ -120,7 +119,7 @@ func AblationClankBuffers(ctx context.Context, run runner.Options) (*Figure, err
 // AblationClankWatchdog sweeps the watchdog period on an ALU-dominated
 // kernel where the watchdog is the only checkpoint source, comparing
 // measured progress against the EH model across the sweep.
-func AblationClankWatchdog(ctx context.Context, run runner.Options) (*Figure, error) {
+func AblationClankWatchdog(ctx context.Context) (*Figure, error) {
 	fig := &Figure{
 		ID:     "ablation-clank-watchdog",
 		Title:  "Clank watchdog-period ablation (sha kernel)",
@@ -151,7 +150,7 @@ func AblationClankWatchdog(ctx context.Context, run runner.Options) (*Figure, er
 				return prog, cl, nil
 			}))
 	}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
 
 	meas := Series{Label: "measured"}
@@ -182,7 +181,7 @@ func AblationClankWatchdog(ctx context.Context, run runner.Options) (*Figure, er
 // margins maximize pre-hibernation work but risk dying mid-backup
 // (§IV-B's inconsistent-state hazard, visible as periods whose backup
 // failed), while loose margins waste energy idling.
-func AblationHibernusMargin(ctx context.Context, run runner.Options) (*Figure, error) {
+func AblationHibernusMargin(ctx context.Context) (*Figure, error) {
 	fig := &Figure{
 		ID:     "ablation-hibernus-margin",
 		Title:  "Hibernus threshold-margin ablation (crc benchmark)",
@@ -210,7 +209,7 @@ func AblationHibernusMargin(ctx context.Context, run runner.Options) (*Figure, e
 				return prog, h, nil
 			}))
 	}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
 
 	prg := Series{Label: "measured p"}
@@ -245,7 +244,7 @@ func AblationHibernusMargin(ctx context.Context, run runner.Options) (*Figure, e
 // AblationMementosGap sweeps the minimum spacing between checkpoint
 // commits once below threshold: no gating thrashes on every site; very
 // wide gating risks dying between checkpoints.
-func AblationMementosGap(ctx context.Context, run runner.Options) (*Figure, error) {
+func AblationMementosGap(ctx context.Context) (*Figure, error) {
 	fig := &Figure{
 		ID:     "ablation-mementos-gap",
 		Title:  "Mementos checkpoint-gating ablation (ds benchmark)",
@@ -272,7 +271,7 @@ func AblationMementosGap(ctx context.Context, run runner.Options) (*Figure, erro
 				return prog, m, nil
 			}))
 	}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
 
 	s := Series{Label: "measured p"}
@@ -300,7 +299,7 @@ func AblationMementosGap(ctx context.Context, run runner.Options) (*Figure, erro
 // describes. It is a single cell, not a sweep, but it still runs
 // through the memoizing executor so repeated invocations recall the
 // stored result.
-func VariabilityStudy(ctx context.Context, tauB uint64, periods int, run runner.Options) (*Figure, error) {
+func VariabilityStudy(ctx context.Context, tauB uint64, periods int) (*Figure, error) {
 	if periods <= 0 {
 		periods = 40
 	}
@@ -327,7 +326,7 @@ func VariabilityStudy(ctx context.Context, tauB uint64, periods int, run runner.
 			}, strategy.NewTimer(tauB, 0.1), nil
 		},
 	}}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	if len(errs) > 0 {
 		return nil, errs[0].Err
 	}

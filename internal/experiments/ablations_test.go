@@ -3,12 +3,10 @@ package experiments
 import (
 	"context"
 	"testing"
-
-	"ehmodel/internal/runner"
 )
 
 func TestAblationClankBuffers(t *testing.T) {
-	fig, err := AblationClankBuffers(context.Background(), runner.Options{})
+	fig, err := AblationClankBuffers(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +33,7 @@ func TestAblationClankBuffers(t *testing.T) {
 }
 
 func TestAblationClankWatchdog(t *testing.T) {
-	fig, err := AblationClankWatchdog(context.Background(), runner.Options{})
+	fig, err := AblationClankWatchdog(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +64,7 @@ func TestAblationClankWatchdog(t *testing.T) {
 }
 
 func TestAblationHibernusMargin(t *testing.T) {
-	fig, err := AblationHibernusMargin(context.Background(), runner.Options{})
+	fig, err := AblationHibernusMargin(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +89,7 @@ func TestAblationHibernusMargin(t *testing.T) {
 }
 
 func TestAblationMementosGap(t *testing.T) {
-	fig, err := AblationMementosGap(context.Background(), runner.Options{})
+	fig, err := AblationMementosGap(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +105,7 @@ func TestAblationMementosGap(t *testing.T) {
 }
 
 func TestVariabilityStudy(t *testing.T) {
-	fig, err := VariabilityStudy(context.Background(), 4000, 30, runner.Options{})
+	fig, err := VariabilityStudy(context.Background(), 4000, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +133,7 @@ func TestVariabilityStudy(t *testing.T) {
 }
 
 func TestVariabilityStudyDefaults(t *testing.T) {
-	fig, err := VariabilityStudy(context.Background(), 2000, 0, runner.Options{})
+	fig, err := VariabilityStudy(context.Background(), 2000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

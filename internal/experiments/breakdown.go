@@ -6,7 +6,6 @@ import (
 
 	"ehmodel/internal/asm"
 	"ehmodel/internal/device"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/sweep"
 	"ehmodel/internal/workload"
@@ -32,7 +31,7 @@ type BreakdownRow struct {
 // converts supply into backup traffic, Clank's register-only
 // checkpoints barely register, and so on. Runtimes run in parallel
 // through the sweep engine; a failed runtime leaves a gap at its index.
-func BreakdownComparison(ctx context.Context, bench string, periodCycles float64, run runner.Options) (*Figure, []BreakdownRow, error) {
+func BreakdownComparison(ctx context.Context, bench string, periodCycles float64) (*Figure, []BreakdownRow, error) {
 	if periodCycles == 0 {
 		periodCycles = 20000
 	}
@@ -73,7 +72,7 @@ func BreakdownComparison(ctx context.Context, bench string, periodCycles float64
 				return prog, en.make(), nil
 			}))
 	}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
 
 	cats := []string{"progress", "dead", "backup", "restore", "idle"}

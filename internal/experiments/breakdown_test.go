@@ -3,12 +3,10 @@ package experiments
 import (
 	"context"
 	"testing"
-
-	"ehmodel/internal/runner"
 )
 
 func TestBreakdownComparison(t *testing.T) {
-	_, rows, err := BreakdownComparison(context.Background(), "crc", 0, runner.Options{})
+	_, rows, err := BreakdownComparison(context.Background(), "crc", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +45,7 @@ func TestBreakdownComparison(t *testing.T) {
 }
 
 func TestBreakdownUnknown(t *testing.T) {
-	if _, _, err := BreakdownComparison(context.Background(), "nope", 0, runner.Options{}); err == nil {
+	if _, _, err := BreakdownComparison(context.Background(), "nope", 0); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }

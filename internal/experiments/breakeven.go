@@ -7,7 +7,6 @@ import (
 	"ehmodel/internal/asm"
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/sweep"
 	"ehmodel/internal/workload"
@@ -28,7 +27,7 @@ type BreakEvenPoint struct {
 // on the simulator (one cell per setting, through the memoizing
 // executor), locates the empirical crossover, and compares it against
 // Eq. 11 evaluated from the run's own measurements.
-func BreakEvenStudy(ctx context.Context, run runner.Options) (*Figure, []BreakEvenPoint, float64, error) {
+func BreakEvenStudy(ctx context.Context) (*Figure, []BreakEvenPoint, float64, error) {
 	pm := energy.MSP430Power()
 	const periodCycles = 20000
 
@@ -59,7 +58,7 @@ func BreakEvenStudy(ctx context.Context, run runner.Options) (*Figure, []BreakEv
 			},
 		})
 	}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	if len(errs) > 0 {
 		return nil, nil, 0, errs[0].Err
 	}

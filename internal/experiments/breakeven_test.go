@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"testing"
-
-	"ehmodel/internal/runner"
 )
 
 // TestBreakEvenStudy: the empirical one-backup-per-period crossover
@@ -12,7 +10,7 @@ import (
 // restore invocations than backup invocations" regime starts where the
 // model says it does.
 func TestBreakEvenStudy(t *testing.T) {
-	fig, pts, tauBE, err := BreakEvenStudy(context.Background(), runner.Options{})
+	fig, pts, tauBE, err := BreakEvenStudy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
 	"ehmodel/internal/mem"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/sweep"
 	"ehmodel/internal/workload"
@@ -151,7 +150,7 @@ type CircularPoint struct {
 // that τ_B follows (N−n+1)·τ_store and that progress peaks near the
 // Eq. 15 plan. One cell per buffer size, swept around the plan,
 // through the memoizing executor.
-func CaseCircularBuffer(ctx context.Context, run runner.Options) (*Figure, []CircularPoint, core.CircularBufferPlan, error) {
+func CaseCircularBuffer(ctx context.Context) (*Figure, []CircularPoint, core.CircularBufferPlan, error) {
 	pm := energy.CortexM0Power()
 	e := circularPeriodCycles * pm.EnergyPerCycle(energy.ClassALU)
 
@@ -219,7 +218,7 @@ func CaseCircularBuffer(ctx context.Context, run runner.Options) (*Figure, []Cir
 			},
 		})
 	}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	if len(errs) > 0 {
 		return nil, nil, plan, errs[0].Err
 	}

@@ -30,7 +30,7 @@ type ChargingPoint struct {
 // normalized to the capacitor supply E grows toward (and past) 1 as
 // ε_C/ε rises — the divergence §III derives. Each point compares the
 // measurement with Eq. 8 evaluated at the measured ε_C.
-func ChargingStudy(ctx context.Context, run runner.Options) (*Figure, []ChargingPoint, error) {
+func ChargingStudy(ctx context.Context) (*Figure, []ChargingPoint, error) {
 	pm := energy.MSP430Power()
 	const (
 		periodCycles = 20000
@@ -75,7 +75,7 @@ func ChargingStudy(ctx context.Context, run runner.Options) (*Figure, []Charging
 			},
 		})
 	}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
 
 	meas := Series{Label: "measured"}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"math"
 	"testing"
-
-	"ehmodel/internal/runner"
 )
 
 // TestChargingStudy validates the model's ε_C terms: measured progress
@@ -13,7 +11,7 @@ import (
 // harvesting grows, and crosses p = 1 where the model says extra
 // harvested work exceeds the capacitor budget.
 func TestChargingStudy(t *testing.T) {
-	_, pts, err := ChargingStudy(context.Background(), runner.Options{})
+	_, pts, err := ChargingStudy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,7 @@ func TestFigureBytesIdenticalAcrossCacheTemps(t *testing.T) {
 
 	fig5CSV := func(workers int) []byte {
 		t.Helper()
-		cfg := QuickFig5Config()
-		cfg.Run = runner.Options{Workers: workers}
-		fig, _, err := Fig5(context.Background(), cfg)
+		fig, _, err := Fig5(runner.WithLimit(context.Background(), workers), QuickFig5Config())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,10 +124,11 @@ func TestAllFiguresIdenticalThroughDiskTier(t *testing.T) {
 }
 
 // quickCatalogBytes generates the quick `-fig all` catalog through the
-// default executor and returns every figure's CSV and notes.
+// default executor, in a pool of workers slots, and returns every
+// figure's CSV and notes.
 func quickCatalogBytes(ctx context.Context, t *testing.T, workers int) []byte {
 	t.Helper()
-	figs, failures := GenerateFigures(ctx, "all", true, runner.Options{Workers: workers})
+	figs, failures := GenerateFigures(runner.WithLimit(ctx, workers), "all", true, runner.Options{})
 	if len(failures) != 0 {
 		t.Fatalf("%s: %v", failures[0].ID, failures[0].Err)
 	}

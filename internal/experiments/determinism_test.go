@@ -18,9 +18,7 @@ func TestFig5DeterministicAcrossWorkers(t *testing.T) {
 	}
 	csv := func(workers int) []byte {
 		t.Helper()
-		cfg := QuickFig5Config()
-		cfg.Run = runner.Options{Workers: workers}
-		fig, _, err := Fig5(context.Background(), cfg)
+		fig, _, err := Fig5(runner.WithLimit(context.Background(), workers), QuickFig5Config())
 		if err != nil {
 			t.Fatalf("Fig5(workers=%d): %v", workers, err)
 		}

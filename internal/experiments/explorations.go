@@ -8,7 +8,6 @@ import (
 	"ehmodel/internal/core"
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/stats"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/sweep"
@@ -23,7 +22,7 @@ import (
 // model's E axis made empirical. One-time costs (restore, dead
 // execution) amortize over larger buffers, so both the model and the
 // measurement should rise toward the backup-limited asymptote.
-func CapacitorSweep(ctx context.Context, bench string, periodCycles []float64, run runner.Options) (*Figure, error) {
+func CapacitorSweep(ctx context.Context, bench string, periodCycles []float64) (*Figure, error) {
 	if periodCycles == nil {
 		periodCycles = []float64{3000, 6000, 12000, 24000, 48000, 96000}
 	}
@@ -53,7 +52,7 @@ func CapacitorSweep(ctx context.Context, bench string, periodCycles []float64, r
 				return prog, strategy.NewDINO(), nil
 			}))
 	}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
 	for i, pc := range periodCycles {
 		if failed[i] {
@@ -87,7 +86,7 @@ type NVMComparisonPoint struct {
 // NVMComparison runs the same workload and backup cadence over FRAM,
 // STT-RAM and Flash checkpoint memories, comparing measured progress
 // with the model evaluated at each technology's Ω_B/σ_B.
-func NVMComparison(ctx context.Context, bench string, tauB uint64, run runner.Options) (*Figure, []NVMComparisonPoint, error) {
+func NVMComparison(ctx context.Context, bench string, tauB uint64) (*Figure, []NVMComparisonPoint, error) {
 	w, ok := workload.Get(bench)
 	if !ok {
 		return nil, nil, fmt.Errorf("experiments: unknown workload %q", bench)
@@ -130,7 +129,7 @@ func NVMComparison(ctx context.Context, bench string, tauB uint64, run runner.Op
 			},
 		})
 	}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
 	var pts []NVMComparisonPoint
 	for i := range nvms {

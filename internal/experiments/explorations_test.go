@@ -3,12 +3,10 @@ package experiments
 import (
 	"context"
 	"testing"
-
-	"ehmodel/internal/runner"
 )
 
 func TestCapacitorSweep(t *testing.T) {
-	fig, err := CapacitorSweep(context.Background(), "crc", nil, runner.Options{})
+	fig, err := CapacitorSweep(context.Background(), "crc", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +30,13 @@ func TestCapacitorSweep(t *testing.T) {
 }
 
 func TestCapacitorSweepUnknown(t *testing.T) {
-	if _, err := CapacitorSweep(context.Background(), "nope", nil, runner.Options{}); err == nil {
+	if _, err := CapacitorSweep(context.Background(), "nope", nil); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
 
 func TestNVMComparison(t *testing.T) {
-	_, pts, err := NVMComparison(context.Background(), "crc", 2000, runner.Options{})
+	_, pts, err := NVMComparison(context.Background(), "crc", 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +64,7 @@ func TestNVMComparison(t *testing.T) {
 }
 
 func TestNVMComparisonUnknown(t *testing.T) {
-	if _, _, err := NVMComparison(context.Background(), "nope", 2000, runner.Options{}); err == nil {
+	if _, _, err := NVMComparison(context.Background(), "nope", 2000); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }

@@ -31,9 +31,6 @@ type Fig5Config struct {
 	// PeriodsPerRun is how many full active periods each configuration
 	// measures (default 4).
 	PeriodsPerRun int
-	// Run configures the parallel sweep engine (workers, per-run
-	// deadline).
-	Run runner.Options
 }
 
 func (c *Fig5Config) setDefaults() {
@@ -102,7 +99,7 @@ func Fig5(ctx context.Context, cfg Fig5Config) (*Figure, []Fig5Point, error) {
 			})
 		}
 	}
-	all, errs := sweep.Run(ctx, cells, cfg.Run)
+	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
 
 	var pts []Fig5Point

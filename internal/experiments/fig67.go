@@ -9,33 +9,20 @@ import (
 	"ehmodel/internal/core"
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/stats"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/sweep"
 	"ehmodel/internal/workload"
 )
 
-// Fig6Config parametrizes the three-systems validation (§V-A, Fig. 6).
-type Fig6Config struct {
-	// PeriodCycles is the per-period energy budget in ALU cycles
-	// (default 12000, small enough that the Table II benchmarks span
-	// multiple periods).
-	PeriodCycles float64
-	// Scale is the workload problem-size multiplier (default 4).
-	Scale int
-	// Run configures the parallel sweep engine.
-	Run runner.Options
-}
-
-func (c *Fig6Config) setDefaults() {
-	if c.PeriodCycles == 0 {
-		c.PeriodCycles = 12000
-	}
-	if c.Scale == 0 {
-		c.Scale = 4
-	}
-}
+// The run shape of the three-systems validation (§V-A, Figs. 6 and 7):
+// a per-period energy budget in ALU cycles small enough that the
+// Table II benchmarks span multiple periods, and the workload
+// problem-size multiplier.
+const (
+	fig6PeriodCycles = 12000
+	fig6Scale        = 4
+)
 
 // Fig6Point is one benchmark × system validation sample.
 type Fig6Point struct {
@@ -102,8 +89,7 @@ func PredictFromRun(res *device.Result, cfg device.Config, single bool) (core.Pa
 // the Table II benchmarks — one cell per system and benchmark,
 // system-major — and compares against the EH model's prediction,
 // reporting per-system geometric-mean error as the paper does.
-func Fig6(ctx context.Context, cfg Fig6Config) (*Figure, []Fig6Point, error) {
-	cfg.setDefaults()
+func Fig6(ctx context.Context) (*Figure, []Fig6Point, error) {
 	fig := &Figure{
 		ID:     "fig6",
 		Title:  "Measured vs EH-model-predicted progress (Fig. 6)",
@@ -122,9 +108,9 @@ func Fig6(ctx context.Context, cfg Fig6Config) (*Figure, []Fig6Point, error) {
 			jobs = append(jobs, job{sys: si, bench: bi})
 			cells = append(cells, fixedCell(
 				fmt.Sprintf("fig6 %s/%s", sys.name, w.Name),
-				cfg.PeriodCycles,
+				fig6PeriodCycles,
 				func(ctx context.Context) (*asm.Program, device.Strategy, error) {
-					prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: cfg.Scale})
+					prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: fig6Scale})
 					if err != nil {
 						return nil, nil, err
 					}
@@ -132,7 +118,7 @@ func Fig6(ctx context.Context, cfg Fig6Config) (*Figure, []Fig6Point, error) {
 				}))
 		}
 	}
-	all, errs := sweep.Run(ctx, cells, cfg.Run)
+	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
 
 	var pts []Fig6Point
@@ -192,8 +178,7 @@ type Fig7Point struct {
 
 // Fig7 reproduces the τ_B-optimality correlation: benchmarks whose DINO
 // task length lands near τ_B,opt make the most progress.
-func Fig7(ctx context.Context, cfg Fig6Config) (*Figure, []Fig7Point, error) {
-	cfg.setDefaults()
+func Fig7(ctx context.Context) (*Figure, []Fig7Point, error) {
 	fig := &Figure{
 		ID:     "fig7",
 		Title:  "Progress vs similarity of τ_B to τ_B,opt under DINO (Fig. 7)",
@@ -206,16 +191,16 @@ func Fig7(ctx context.Context, cfg Fig6Config) (*Figure, []Fig7Point, error) {
 		w := benches[bi]
 		cells = append(cells, fixedCell(
 			"fig7 dino/"+w.Name,
-			cfg.PeriodCycles,
+			fig6PeriodCycles,
 			func(ctx context.Context) (*asm.Program, device.Strategy, error) {
-				prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: cfg.Scale})
+				prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: fig6Scale})
 				if err != nil {
 					return nil, nil, err
 				}
 				return prog, strategy.NewDINO(), nil
 			}))
 	}
-	all, errs := sweep.Run(ctx, cells, cfg.Run)
+	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
 
 	var pts []Fig7Point

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"ehmodel/internal/characterize"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/trace"
 	"ehmodel/internal/workload"
 )
@@ -15,8 +14,6 @@ type CharacterizationConfig struct {
 	Benches []string
 	// Watchdogs is the Fig. 10 sweep (defaults to 250–3000 step 250).
 	Watchdogs []uint64
-	// Run configures the parallel sweep engine of the profile sweeps.
-	Run runner.Options
 }
 
 func (c *CharacterizationConfig) setDefaults() {
@@ -45,7 +42,7 @@ func QuickCharacterizationConfig() CharacterizationConfig {
 // (one series per trace).
 func Fig8And9(ctx context.Context, cfg CharacterizationConfig) (fig8, fig9 *Figure, runs []*characterize.ClankRun, err error) {
 	cfg.setDefaults()
-	runs, errs, err := characterize.TauBProfile(ctx, cfg.Benches, cfg.Run)
+	runs, errs, err := characterize.TauBProfile(ctx, cfg.Benches)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -101,7 +98,7 @@ func benchIndex(benches []string, name string) int {
 // application state α_B across watchdog periods.
 func Fig10(ctx context.Context, cfg CharacterizationConfig) (*Figure, []*characterize.AlphaBRun, error) {
 	cfg.setDefaults()
-	runs, errs, err := characterize.AlphaBProfile(ctx, cfg.Benches, cfg.Watchdogs, cfg.Run)
+	runs, errs, err := characterize.AlphaBProfile(ctx, cfg.Benches, cfg.Watchdogs)
 	if err != nil {
 		return nil, nil, err
 	}

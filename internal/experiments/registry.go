@@ -54,13 +54,14 @@ func KnownFigureID(id string) bool {
 // so a front end that installed a memoizing store serves repeats from
 // cache.
 //
-// Every requested driver runs at once, and run.Workers bounds the
-// simulations of all of them together (runner.WithLimit): one driver's
-// sweep fills the slots another's leaves idle. Figures and failures
-// still come back in catalog order, so the output is the same at any
-// worker count.
+// Every requested driver runs at once, and one worker pool bounds the
+// simulations of all of them together: one driver's sweep fills the
+// slots another's leaves idle. The pool is the context's (see
+// runner.WithLimit), or one of run.Workers slots when it has none.
+// Figures and failures still come back in catalog order, so the output
+// is the same at any worker count.
 func GenerateFigures(ctx context.Context, which string, quick bool, run runner.Options) ([]*Figure, []Failure) {
-	figs, failures := runDrivers(runner.WithLimit(ctx, run.Workers), drivers(which, quick, run))
+	figs, failures := runDrivers(runner.WithLimit(ctx, run.Workers), drivers(which, quick))
 	if len(figs) == 0 && len(failures) == 0 {
 		failures = append(failures, Failure{ID: which, Err: fmt.Errorf("unknown figure %q", which)})
 	}
@@ -122,7 +123,7 @@ func one(f *Figure, err error) ([]*Figure, error) {
 // drivers lists the drivers that build the requested figures, in the
 // order their output is reported. Figs. 8 and 9 share one driver (and
 // the failure ID "8/9"); each ablation is a driver of its own.
-func drivers(which string, quick bool, run runner.Options) []driver {
+func drivers(which string, quick bool) []driver {
 	want := func(id string) bool { return which == "all" || which == id }
 	var ds []driver
 	add := func(id string, gen func(context.Context) ([]*Figure, error)) {
@@ -133,13 +134,9 @@ func drivers(which string, quick bool, run runner.Options) []driver {
 	analytic := func(id string, f func() *Figure) {
 		add(id, func(context.Context) ([]*Figure, error) { return []*Figure{f()}, nil })
 	}
-	characterization := func() CharacterizationConfig {
-		cfg := CharacterizationConfig{}
-		if quick {
-			cfg = QuickCharacterizationConfig()
-		}
-		cfg.Run = run
-		return cfg
+	characterization := CharacterizationConfig{}
+	if quick {
+		characterization = QuickCharacterizationConfig()
 	}
 
 	analytic("2", Fig2)
@@ -150,21 +147,20 @@ func drivers(which string, quick bool, run runner.Options) []driver {
 		if quick {
 			cfg = QuickFig5Config()
 		}
-		cfg.Run = run
 		f, _, err := Fig5(ctx, cfg)
 		return one(f, err)
 	})
 	add("6", func(ctx context.Context) ([]*Figure, error) {
-		f, _, err := Fig6(ctx, Fig6Config{Run: run})
+		f, _, err := Fig6(ctx)
 		return one(f, err)
 	})
 	add("7", func(ctx context.Context) ([]*Figure, error) {
-		f, _, err := Fig7(ctx, Fig6Config{Run: run})
+		f, _, err := Fig7(ctx)
 		return one(f, err)
 	})
 	if want("8") || want("9") {
 		ds = append(ds, driver{"8/9", func(ctx context.Context) ([]*Figure, error) {
-			f8, f9, _, err := Fig8And9(ctx, characterization())
+			f8, f9, _, err := Fig8And9(ctx, characterization)
 			var figs []*Figure
 			if f8 != nil && want("8") {
 				figs = append(figs, f8)
@@ -176,7 +172,7 @@ func drivers(which string, quick bool, run runner.Options) []driver {
 		}})
 	}
 	add("10", func(ctx context.Context) ([]*Figure, error) {
-		f, _, err := Fig10(ctx, characterization())
+		f, _, err := Fig10(ctx, characterization)
 		return one(f, err)
 	})
 	analytic("11", func() *Figure { return Fig11(Fig11Config{Base: DefaultFig11Base()}) })
@@ -197,42 +193,42 @@ func drivers(which string, quick bool, run runner.Options) []driver {
 		return one(f, err)
 	})
 	add("storemajor-device", func(ctx context.Context) ([]*Figure, error) {
-		f, _, err := CaseStoreMajorDevice(ctx, run)
+		f, _, err := CaseStoreMajorDevice(ctx)
 		return one(f, err)
 	})
 	add("circular", func(ctx context.Context) ([]*Figure, error) {
-		f, _, _, err := CaseCircularBuffer(ctx, run)
+		f, _, _, err := CaseCircularBuffer(ctx)
 		return one(f, err)
 	})
-	add("clank-buffers", func(ctx context.Context) ([]*Figure, error) { return one(AblationClankBuffers(ctx, run)) })
-	add("clank-watchdog", func(ctx context.Context) ([]*Figure, error) { return one(AblationClankWatchdog(ctx, run)) })
-	add("hibernus-margin", func(ctx context.Context) ([]*Figure, error) { return one(AblationHibernusMargin(ctx, run)) })
-	add("mementos-gap", func(ctx context.Context) ([]*Figure, error) { return one(AblationMementosGap(ctx, run)) })
+	add("clank-buffers", func(ctx context.Context) ([]*Figure, error) { return one(AblationClankBuffers(ctx)) })
+	add("clank-watchdog", func(ctx context.Context) ([]*Figure, error) { return one(AblationClankWatchdog(ctx)) })
+	add("hibernus-margin", func(ctx context.Context) ([]*Figure, error) { return one(AblationHibernusMargin(ctx)) })
+	add("mementos-gap", func(ctx context.Context) ([]*Figure, error) { return one(AblationMementosGap(ctx)) })
 	add("tail", func(ctx context.Context) ([]*Figure, error) {
-		f, _, err := TailLatencyStudy(ctx, 0, run)
+		f, _, err := TailLatencyStudy(ctx, 0)
 		return one(f, err)
 	})
 	add("charging", func(ctx context.Context) ([]*Figure, error) {
-		f, _, err := ChargingStudy(ctx, run)
+		f, _, err := ChargingStudy(ctx)
 		return one(f, err)
 	})
 	add("breakeven", func(ctx context.Context) ([]*Figure, error) {
-		f, _, _, err := BreakEvenStudy(ctx, run)
+		f, _, _, err := BreakEvenStudy(ctx)
 		return one(f, err)
 	})
 	add("breakdown", func(ctx context.Context) ([]*Figure, error) {
-		f, _, err := BreakdownComparison(ctx, "crc", 0, run)
+		f, _, err := BreakdownComparison(ctx, "crc", 0)
 		return one(f, err)
 	})
 	add("capacitor", func(ctx context.Context) ([]*Figure, error) {
-		return one(CapacitorSweep(ctx, "crc", nil, run))
+		return one(CapacitorSweep(ctx, "crc", nil))
 	})
 	add("nvm", func(ctx context.Context) ([]*Figure, error) {
-		f, _, err := NVMComparison(ctx, "crc", 2000, run)
+		f, _, err := NVMComparison(ctx, "crc", 2000)
 		return one(f, err)
 	})
 	add("variability", func(ctx context.Context) ([]*Figure, error) {
-		return one(VariabilityStudy(ctx, 4000, 40, run))
+		return one(VariabilityStudy(ctx, 4000, 40))
 	})
 	analytic("bitprecision", func() *Figure {
 		r := CaseBitPrecision(DefaultFig11Base())

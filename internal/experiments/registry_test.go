@@ -67,7 +67,7 @@ func TestRunDrivers(t *testing.T) {
 // case comes last, with Figs. 8 and 9 sharing one driver.
 func TestDriversOrder(t *testing.T) {
 	var ids []string
-	for _, d := range drivers("all", true, runner.Options{}) {
+	for _, d := range drivers("all", true) {
 		ids = append(ids, d.id)
 	}
 	want := []string{
@@ -81,7 +81,7 @@ func TestDriversOrder(t *testing.T) {
 		t.Errorf("drivers %v, want %v", ids, want)
 	}
 	for _, id := range FigureIDs() {
-		ds := drivers(id, true, runner.Options{})
+		ds := drivers(id, true)
 		if len(ds) != 1 {
 			t.Errorf("figure %s: %d drivers, want 1", id, len(ds))
 		}

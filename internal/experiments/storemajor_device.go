@@ -6,7 +6,6 @@ import (
 
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/sweep"
 	"ehmodel/internal/workload"
@@ -28,7 +27,7 @@ type StoreMajorDevicePoint struct {
 // each NVM write/read bandwidth ratio it reports both loop orders'
 // progress; Eq. 14 predicts store-major wins exactly when writes are
 // slow. One cell per ratio × order, through the memoizing executor.
-func CaseStoreMajorDevice(ctx context.Context, run runner.Options) (*Figure, []StoreMajorDevicePoint, error) {
+func CaseStoreMajorDevice(ctx context.Context) (*Figure, []StoreMajorDevicePoint, error) {
 	const (
 		n    = 16
 		reps = 6
@@ -87,7 +86,7 @@ func CaseStoreMajorDevice(ctx context.Context, run runner.Options) (*Figure, []S
 			})
 		}
 	}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	if len(errs) > 0 {
 		return nil, nil, errs[0].Err
 	}

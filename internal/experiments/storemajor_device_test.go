@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"ehmodel/internal/runner"
 	"ehmodel/internal/workload"
 )
 
@@ -12,7 +11,7 @@ import (
 // the loop order's effect on dirty-block backup traffic shows up as
 // measured progress, in the direction Eq. 14 predicts.
 func TestCaseStoreMajorDevice(t *testing.T) {
-	fig, pts, err := CaseStoreMajorDevice(context.Background(), runner.Options{})
+	fig, pts, err := CaseStoreMajorDevice(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

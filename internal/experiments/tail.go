@@ -7,7 +7,6 @@ import (
 	"ehmodel/internal/asm"
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/stats"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/sweep"
@@ -30,7 +29,7 @@ type TailPoint struct {
 // maximizes the mean — the structural content of Eq. 10's
 // τ_B,opt(wc) < τ_B,opt. The sweep is one cell per τ_B through the
 // memoizing executor.
-func TailLatencyStudy(ctx context.Context, periods int, run runner.Options) (*Figure, []TailPoint, error) {
+func TailLatencyStudy(ctx context.Context, periods int) (*Figure, []TailPoint, error) {
 	if periods <= 0 {
 		periods = 60
 	}
@@ -75,7 +74,7 @@ func TailLatencyStudy(ctx context.Context, periods int, run runner.Options) (*Fi
 			},
 		})
 	}
-	all, errs := sweep.Run(ctx, cells, run)
+	all, errs := sweep.Run(ctx, cells)
 	if len(errs) > 0 {
 		return nil, nil, errs[0].Err
 	}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"testing"
-
-	"ehmodel/internal/runner"
 )
 
 // TestTailLatencyStudy verifies §IV-A2's design trade-off empirically:
@@ -12,7 +10,7 @@ import (
 // degrades faster than the mean beyond the optimum — so tail-focused
 // designs must not choose a longer τ_B than average-focused ones.
 func TestTailLatencyStudy(t *testing.T) {
-	_, pts, err := TailLatencyStudy(context.Background(), 60, runner.Options{})
+	_, pts, err := TailLatencyStudy(context.Background(), 60)
 	if err != nil {
 		t.Fatal(err)
 	}

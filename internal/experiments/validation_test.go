@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"ehmodel/internal/runner"
 	"ehmodel/internal/stats"
 )
 
@@ -50,7 +49,7 @@ func TestFig5PointsWithinBounds(t *testing.T) {
 // error (the paper reports 1.60% overall and ~7% for Mementos, whose
 // dead-cycle behaviour deviates from the τ_B/2 assumption).
 func TestFig6ModelAccuracy(t *testing.T) {
-	fig, pts, err := Fig6(context.Background(), Fig6Config{})
+	fig, pts, err := Fig6(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func collect(pts []Fig6Point) []float64 {
 // whose DINO task length lands closer to τ_B,opt achieve more progress
 // (the paper highlights AR as both the closest and the fastest).
 func TestFig7Correlation(t *testing.T) {
-	fig, pts, err := Fig7(context.Background(), Fig6Config{})
+	fig, pts, err := Fig7(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +205,7 @@ func TestFig10AlphaBScale(t *testing.T) {
 // tracks (N−n+1)·τ_store, and measured progress peaks at the Eq. 15
 // plan.
 func TestCaseCircularBufferPlan(t *testing.T) {
-	_, pts, plan, err := CaseCircularBuffer(context.Background(), runner.Options{})
+	_, pts, plan, err := CaseCircularBuffer(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ehmodel/internal/obsv"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/strategy"
 )
 
@@ -73,7 +72,7 @@ func TestCampaignFindsAlpacaNaiveCommit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseCase(%q): %v", v.Case.String(), err)
 		}
-		out, err := ReplayCase(ctx, c, runner.Options{})
+		out, err := ReplayCase(ctx, c)
 		if err != nil {
 			t.Fatalf("replay %d: %v", i, err)
 		}

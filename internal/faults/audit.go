@@ -97,19 +97,11 @@ type Options struct {
 	// committed input older than this at its commit is a violation.
 	// Zero disables the check. Only meaningful with Oracle.
 	FreshnessBound uint64
-	// PeriodCycles is the per-period energy budget in ALU cycles
-	// (default 20000, matching the strategy integration tests).
-	PeriodCycles float64
-	// MaxPeriods bounds each run (default 20000).
-	MaxPeriods int
-	// Run configures the parallel sweep engine (worker count, per-run
-	// deadline). The report is assembled in input order, so it is
-	// identical at any worker count.
-	Run runner.Options
 }
 
-// The default run shape of an audit (Options.PeriodCycles and
-// MaxPeriods), and the shape of every campaign run.
+// The run shape of every audited and campaign run unless its Case
+// overrides it: the per-period energy budget in ALU cycles (matching
+// the strategy integration tests) and the bound on power-on periods.
 const (
 	defaultPeriodCycles = 20000
 	defaultMaxPeriods   = 20000
@@ -184,12 +176,6 @@ func (o *Options) setDefaults() {
 	if reflect.DeepEqual(o.Plan, Plan{}) {
 		o.Plan = DefaultPlan()
 	}
-	if o.PeriodCycles == 0 {
-		o.PeriodCycles = defaultPeriodCycles
-	}
-	if o.MaxPeriods == 0 {
-		o.MaxPeriods = defaultMaxPeriods
-	}
 }
 
 // caseSeed derives a per-cell, per-schedule seed from the base seed.
@@ -206,8 +192,10 @@ func caseSeed(base int64, strat, wl string, k int) int64 {
 	return int64(h & 0x7fffffffffffffff)
 }
 
-// Audit runs the sweep through the parallel sweep engine and returns
-// the report. Setup errors (unknown workload, bad plan, a benchmark
+// Audit runs the sweep through the parallel sweep engine, in the slots
+// of the context's worker pool, and returns the report. The report is
+// assembled in input order, so it is identical at any worker count.
+// Setup errors (unknown workload, bad plan, a benchmark
 // that fails to build) abort with an error before any schedule runs;
 // crash-consistency failures are collected as violations instead. Runs
 // that the engine drops (cancellation, per-run deadline, panic) are
@@ -243,8 +231,7 @@ func Audit(ctx context.Context, o Options) (*Report, error) {
 			}
 		}
 	}
-	ro := o.Run
-	ro.Label = func(i int) string { return "audit " + cells[i].c.String() }
+	ro := runner.Options{Label: func(i int) string { return "audit " + cells[i].c.String() }}
 	results, errs := runner.Map(ctx, len(cells), ro, func(i int) (*RunOutcome, error) {
 		cl := cells[i]
 		return AuditRun(ctx, o, cl.spec.New(), cl.prog, cl.want, cl.c)
@@ -326,7 +313,8 @@ func (r *RunOutcome) HasClass(class obsv.VerdictClass) bool {
 // strat. Zero fields of o pick the same defaults as Audit. A bare case
 // runs o.Plan reseeded with c.Seed; a self-contained case (embedded
 // plan fields, e.g. one produced by ParseCase or the campaign shrinker)
-// overrides the plan and the oracle/run-shape options entirely.
+// overrides the plan and the oracle options entirely. The case's run
+// shape (period budget and period bound) defaults to the audit's.
 func AuditRun(ctx context.Context, o Options, strat device.Strategy, prog *asm.Program, want []uint32, c Case) (*RunOutcome, error) {
 	o.setDefaults()
 	plan := o.Plan
@@ -341,17 +329,17 @@ func AuditRun(ctx context.Context, o Options, strat device.Strategy, prog *asm.P
 	if c.Fresh > 0 {
 		o.FreshnessBound = c.Fresh
 	}
-	if c.Period > 0 {
-		o.PeriodCycles = c.Period
+	if c.Period == 0 {
+		c.Period = defaultPeriodCycles
 	}
-	if c.Periods > 0 {
-		o.MaxPeriods = c.Periods
+	if c.Periods == 0 {
+		c.Periods = defaultMaxPeriods
 	}
 	var rec *device.ObsLog
 	if o.Oracle {
 		rec = &device.ObsLog{}
 	}
-	res, err := runCase(ctx, &o, strat, prog, plan, rec, nil)
+	res, err := runCase(ctx, c.Period, c.Periods, strat, prog, plan, rec, nil)
 	out := &RunOutcome{Case: enrich(c, &o, plan), Log: rec}
 	switch {
 	case errors.Is(err, device.ErrUnrecoverable):
@@ -394,40 +382,38 @@ func AuditRun(ctx context.Context, o Options, strat device.Strategy, prog *asm.P
 }
 
 // enrich returns c as a self-contained case: the exact plan that ran
-// plus the oracle and run-shape settings needed to replay it verbatim.
+// plus the oracle settings needed to replay it verbatim.
 func enrich(c Case, o *Options, plan Plan) Case {
 	c = c.withPlan(plan)
 	c.Oracle = o.Oracle
 	c.Fresh = o.FreshnessBound
-	c.Period = o.PeriodCycles
-	c.Periods = o.MaxPeriods
 	return c
 }
 
 // runCase executes one faulted device run: injector from plan, fixed
-// supply sized for o.PeriodCycles, optional observation recorder and
-// tracer, and the engine and a tracer of the context's device.Env. It
-// is shared by the sweep auditor and the adversarial campaign so a
-// shrunk counterexample replays in exactly the environment that found
-// it.
-func runCase(ctx context.Context, o *Options, strat device.Strategy, prog *asm.Program, plan Plan, rec *device.ObsLog, obs obsv.Tracer) (*device.Result, error) {
+// supply sized for periodCycles, at most maxPeriods power-on periods,
+// optional observation recorder and tracer, and the engine, deadline
+// and a tracer of the context's device.Env. It is shared by the sweep
+// auditor and the adversarial campaign so a shrunk counterexample
+// replays in exactly the environment that found it.
+func runCase(ctx context.Context, periodCycles float64, maxPeriods int, strat device.Strategy, prog *asm.Program, plan Plan, rec *device.ObsLog, obs obsv.Tracer) (*device.Result, error) {
 	env := device.EnvFrom(ctx)
 	inj, err := New(plan)
 	if err != nil {
 		return nil, err
 	}
 	pm := energy.MSP430Power()
-	e := o.PeriodCycles * pm.EnergyPerCycle(energy.ClassALU)
+	e := periodCycles * pm.EnergyPerCycle(energy.ClassALU)
 	capC, vmax, von, voff := device.FixedSupplyConfig(e)
 	cfg := device.Config{
 		Prog: prog, Power: pm,
 		CapC: capC, CapVMax: vmax, VOn: von, VOff: voff,
-		MaxPeriods: o.MaxPeriods, MaxCycles: 2_000_000_000,
+		MaxPeriods: maxPeriods, MaxCycles: 2_000_000_000,
 		Engine:     env.Engine,
 		Faults:     inj,
 		Record:     rec,
 		Observe:    obsv.Combine(obs, env.Tracer()),
-		RunTimeout: o.Run.RunTimeout,
+		RunTimeout: env.RunTimeout,
 		Interrupt:  runner.Interrupt(ctx),
 	}
 	d, err := device.New(cfg, strat)
@@ -441,8 +427,9 @@ func runCase(ctx context.Context, o *Options, strat device.Strategy, prog *asm.P
 // `ehsim -audit -repro` path. The strategy is resolved from the catalog
 // (a "+sense" suffix wraps it in the SenseCommit input-freshness
 // protocol) and the workload's continuous reference is recomputed, so
-// the outcome depends on nothing but the case string.
-func ReplayCase(ctx context.Context, c Case, run runner.Options) (*RunOutcome, error) {
+// the outcome depends on nothing but the case string (and the context's
+// device.Env, which picks the engine, deadline and observers).
+func ReplayCase(ctx context.Context, c Case) (*RunOutcome, error) {
 	name := c.Strategy
 	wrap := false
 	if base, ok := strings.CutSuffix(name, "+sense"); ok {
@@ -465,7 +452,7 @@ func ReplayCase(ctx context.Context, c Case, run runner.Options) (*RunOutcome, e
 	if wrap {
 		strat = strategy.NewSenseCommit(strat)
 	}
-	o := Options{Run: run}
+	var o Options
 	if !c.hasPlan() {
 		// A bare case replays under the default sweep attack, matching
 		// how Audit would have run it.

@@ -2,9 +2,11 @@ package faults
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ehmodel/internal/device"
 	"ehmodel/internal/obsv"
@@ -121,9 +123,7 @@ func TestAuditDeterministic(t *testing.T) {
 	// merges in input order, so the parallel audit is byte-identical to
 	// the serial one.
 	for _, workers := range []int{1, 8} {
-		o := opts
-		o.Run = runner.Options{Workers: workers}
-		r, err := Audit(context.Background(), o)
+		r, err := Audit(runner.WithLimit(context.Background(), workers), opts)
 		if err != nil {
 			t.Fatalf("Audit(workers=%d): %v", workers, err)
 		}
@@ -178,6 +178,22 @@ func TestAuditRunsEnvEngine(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref, bat) {
 		t.Fatalf("reference and batched audits differ:\n%+v\n%+v", ref, bat)
+	}
+}
+
+// TestReplayCaseEnvDeadline: the context's device.Env deadline reaches
+// a replayed case's device, which ends in the typed deadline error. The
+// case is long enough to reach the device's first deadline poll.
+func TestReplayCaseEnvDeadline(t *testing.T) {
+	c, err := ParseCase("hibernus/counter seed=2075050420369660098")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := device.WithEnv(context.Background(), device.Env{RunTimeout: time.Nanosecond})
+	_, err = ReplayCase(ctx, c)
+	var de *device.DeadlineError
+	if !errors.As(err, &de) || de.Timeout != time.Nanosecond {
+		t.Fatalf("ReplayCase returned %v, want the case's 1ns deadline", err)
 	}
 }
 

@@ -166,8 +166,6 @@ func Campaign(ctx context.Context, o CampaignOptions) (*CampaignReport, error) {
 	ro := Options{
 		Oracle:         o.Oracle,
 		FreshnessBound: o.FreshnessBound,
-		PeriodCycles:   defaultPeriodCycles,
-		MaxPeriods:     defaultMaxPeriods,
 		Plan:           DefaultPlan(), // non-zero so setDefaults leaves it alone; never used as a schedule
 	}
 
@@ -194,7 +192,7 @@ func Campaign(ctx context.Context, o CampaignOptions) (*CampaignReport, error) {
 		}
 	}
 	probeTap := &tap{}
-	res, err := runCase(ctx, &ro, o.Strategy.New(), prog, probePlan, rec, probeTap)
+	res, err := runCase(ctx, defaultPeriodCycles, defaultMaxPeriods, o.Strategy.New(), prog, probePlan, rec, probeTap)
 	if err != nil {
 		return nil, fmt.Errorf("faults: campaign probe: %w", err)
 	}

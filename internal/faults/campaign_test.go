@@ -6,7 +6,6 @@ import (
 
 	"ehmodel/internal/device"
 	"ehmodel/internal/obsv"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/workload"
 )
@@ -63,7 +62,7 @@ func TestCampaignFindsNaiveCommitTornState(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseCase(%q): %v", v.Case.String(), err)
 		}
-		out, err := ReplayCase(ctx, c, runner.Options{})
+		out, err := ReplayCase(ctx, c)
 		if err != nil {
 			t.Fatalf("replay %d: %v", i, err)
 		}

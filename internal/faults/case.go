@@ -38,7 +38,8 @@ type Case struct {
 	Oracle bool
 	Fresh  uint64
 
-	// Run shape overrides; zero picks the Options defaults.
+	// Run shape overrides; zero picks the audit's default shape
+	// (20000-cycle periods, at most 20000 of them).
 	Period  float64 // per-period energy budget, ALU cycles
 	Periods int     // max power-on periods
 }

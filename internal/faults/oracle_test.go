@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ehmodel/internal/obsv"
-	"ehmodel/internal/runner"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/workload"
 )
@@ -30,7 +29,7 @@ func TestOracleCatchesReplayedInput(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseCase: %v", err)
 	}
-	out, err := ReplayCase(ctx, c, runner.Options{})
+	out, err := ReplayCase(ctx, c)
 	if err != nil {
 		t.Fatalf("ReplayCase: %v", err)
 	}
@@ -59,7 +58,7 @@ func TestOracleCatchesReplayedInput(t *testing.T) {
 	// blind spot this oracle exists to close.
 	blind := c
 	blind.Oracle = false
-	bout, err := ReplayCase(ctx, blind, runner.Options{})
+	bout, err := ReplayCase(ctx, blind)
 	if err != nil {
 		t.Fatalf("ReplayCase (oracle off): %v", err)
 	}
@@ -76,7 +75,7 @@ func TestOracleReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseCase: %v", err)
 	}
-	first, err := ReplayCase(ctx, c, runner.Options{})
+	first, err := ReplayCase(ctx, c)
 	if err != nil {
 		t.Fatalf("first replay: %v", err)
 	}
@@ -85,7 +84,7 @@ func TestOracleReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseCase(%q): %v", first.Case.String(), err)
 	}
-	second, err := ReplayCase(ctx, again, runner.Options{})
+	second, err := ReplayCase(ctx, again)
 	if err != nil {
 		t.Fatalf("second replay: %v", err)
 	}

@@ -20,6 +20,10 @@ const (
 	SRAMBase uint32 = 0x00000
 	// FRAMBase is the start of nonvolatile memory.
 	FRAMBase uint32 = 0x20000
+	// DefaultSRAMSize and DefaultFRAMSize are the region sizes in bytes
+	// when a configuration leaves them unset.
+	DefaultSRAMSize = 8 << 10
+	DefaultFRAMSize = 256 << 10
 )
 
 // Region classifies an address.

@@ -41,11 +41,11 @@ func OpenSinks(traceFile, metricsFile string) (*Sinks, error) {
 	return s, nil
 }
 
-// WithEnv returns ctx carrying the run environment: engine for every
-// device, and, when a sink is open, a provider handing each device its
-// own thread of the Chrome timeline and its own Metrics sink.
-func (s *Sinks) WithEnv(ctx context.Context, engine device.Engine) context.Context {
-	env := device.Env{Engine: engine}
+// WithEnv returns ctx carrying env (the engine and deadline of every
+// device) with, when a sink is open, an Observe provider handing each
+// device its own thread of the Chrome timeline and its own Metrics
+// sink.
+func (s *Sinks) WithEnv(ctx context.Context, env device.Env) context.Context {
 	if s.chrome != nil || s.coll != nil {
 		env.Observe = s.tracer
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"ehmodel/internal/device"
 	"ehmodel/internal/faults"
@@ -32,12 +33,12 @@ func TestSinksEveryDevice(t *testing.T) {
 		}
 		specs = append(specs, spec)
 	}
-	rep, err := faults.Audit(sinks.WithEnv(context.Background(), device.EngineBatched), faults.Options{
+	ctx := runner.WithLimit(sinks.WithEnv(context.Background(), device.Env{}), 4)
+	rep, err := faults.Audit(ctx, faults.Options{
 		Strategies: specs,
 		Workloads:  []string{"crc"},
 		Schedules:  3,
 		BaseSeed:   1,
-		Run:        runner.Options{Workers: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,16 +76,17 @@ func TestSinksEveryDevice(t *testing.T) {
 	}
 }
 
-// TestSinksOff: with neither file asked for, devices get no tracer and
-// Close writes nothing.
+// TestSinksOff: with neither file asked for, the environment passes
+// through unchanged (devices get no tracer) and Close writes nothing.
 func TestSinksOff(t *testing.T) {
 	sinks, err := OpenSinks("", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := device.EnvFrom(sinks.WithEnv(context.Background(), device.EngineReference))
-	if env.Engine != device.EngineReference || env.Observe != nil {
-		t.Fatalf("env = %+v, want the reference engine and no provider", env)
+	want := device.Env{Engine: device.EngineReference, RunTimeout: time.Minute}
+	env := device.EnvFrom(sinks.WithEnv(context.Background(), want))
+	if env.Engine != want.Engine || env.RunTimeout != want.RunTimeout || env.Observe != nil {
+		t.Fatalf("env = %+v, want the reference engine, a 1m deadline and no provider", env)
 	}
 	if err := sinks.Close(func(*obsv.Metrics) { t.Error("annotate called without -metrics") }); err != nil {
 		t.Fatal(err)

@@ -19,11 +19,12 @@
 // drivers can degrade gracefully: drop the failed points, note the
 // failures on the figure, and keep the sweep's output usable.
 //
-// Concurrent sweeps can share one bound: WithLimit puts a pool of n
+// Every point runs in a slot of a pool. WithLimit puts a pool of n
 // worker slots on a context, and every MapCtx started under it — from
 // any goroutine — runs each point in one of those slots. A front end
-// that runs several drivers at once thereby keeps "at most n
-// simulations at once" without the drivers knowing of each other.
+// installs one pool per process, so "at most n simulations at once"
+// holds across every sweep it starts without the drivers knowing of
+// each other; a sweep started under no pool gets a private one.
 package runner
 
 import (
@@ -34,21 +35,16 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
-	"time"
 
 	"ehmodel/internal/device"
 )
 
 // Options configures a sweep execution. The zero value runs with
-// GOMAXPROCS workers and no per-run deadline.
+// GOMAXPROCS workers.
 type Options struct {
-	// Workers bounds concurrent sweep points; ≤ 0 means GOMAXPROCS.
+	// Workers sizes the private pool of a sweep whose context carries
+	// none; ≤ 0 means GOMAXPROCS. Under a WithLimit pool it is ignored.
 	Workers int
-	// RunTimeout is the wall-clock budget of one sweep point. Drivers
-	// pass it into device.Config.RunTimeout, where a coarse cycle-batch
-	// check aborts a runaway simulation with ErrDeadlineExceeded. Zero
-	// means no deadline.
-	RunTimeout time.Duration
 	// Label names sweep point i in error reports (e.g. "fig5 τ_B=360").
 	// Nil falls back to "point i".
 	Label func(i int) string
@@ -230,57 +226,94 @@ type workerKey struct{}
 // limitKey carries the *limit WithLimit installed.
 type limitKey struct{}
 
-// slot is one worker slot. lim is the shared pool it belongs to, or nil
-// for a worker of a MapCtx that runs under no limit.
-type slot struct {
-	id  int
-	lim *limit
-}
+// slot is one worker slot of a pool.
+type slot struct{ id int }
 
 // limit is a pool of worker slots shared by every MapCtx started under
-// one context. free holds the slots no point is running in.
+// one context. Points waiting for a slot stand in one queue, oldest
+// first.
 type limit struct {
-	free chan *slot
+	mu    sync.Mutex
+	free  []*slot
+	queue []waiter
+}
+
+// waiter is one queued point: its sweep's context, and the channel,
+// buffered so that a grant never blocks, it receives its slot on.
+type waiter struct {
+	ctx  context.Context
+	slot chan *slot
 }
 
 // WithLimit returns a context under which every point of every MapCtx —
 // across goroutines, for as long as the context lives — holds one of n
-// worker slots while its fn runs (n ≤ 0 means GOMAXPROCS). The limit
-// takes the place of each sweep's Options.Workers: all of a sweep's
-// points wait for slots at once, served in the order they queued, and
-// WorkerFrom reports the shared slot. A point still waiting for a slot
-// when the context ends fails with the cancellation cause. A MapCtx
-// started inside a point runs its points one at a time in that point's
-// slot, since waiting for a second slot could deadlock.
+// worker slots while its fn runs (n ≤ 0 means GOMAXPROCS), and
+// WorkerFrom reports that slot. A sweep queues all of its points for
+// slots at once, in input order, and the pool serves every queued
+// point first come, first served: a sweep of long cells is not starved
+// by a stream of short ones, and one sweep on one slot runs its points
+// in input order. A point still waiting for a slot when the context
+// ends fails with the cancellation cause.
+//
+// The outermost pool wins: on a context that already carries one,
+// WithLimit returns ctx unchanged and ignores n, so a front end's bound
+// holds over every call below it that asks for a pool of its own.
 func WithLimit(ctx context.Context, n int) context.Context {
+	if _, ok := ctx.Value(limitKey{}).(*limit); ok {
+		return ctx
+	}
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	l := &limit{free: make(chan *slot, n)}
-	for i := 0; i < n; i++ {
-		l.free <- &slot{id: i, lim: l}
+	l := &limit{free: make([]*slot, n)}
+	for i := range l.free {
+		l.free[i] = &slot{id: n - 1 - i} // a stack: slot 0 goes first
 	}
 	return context.WithValue(ctx, limitKey{}, l)
 }
 
-// acquire waits for a free slot, or fails with the cancellation cause
-// once ctx ends — also when a slot and the end arrive together, so a
-// cancelled sweep starts nothing new.
-func (l *limit) acquire(ctx context.Context) (*slot, error) {
-	select {
-	case s := <-l.free:
-		if ctx.Err() == nil {
-			return s, nil
-		}
-		l.free <- s
-	case <-ctx.Done():
+// wait queues k points of a sweep under ctx, in order, and returns the
+// channel each receives its slot on.
+func (l *limit) wait(ctx context.Context, k int) []chan *slot {
+	cs := make([]chan *slot, k)
+	l.mu.Lock()
+	for i := range cs {
+		cs[i] = make(chan *slot, 1)
+		l.queue = append(l.queue, waiter{ctx, cs[i]})
 	}
-	return nil, context.Cause(ctx)
+	l.mu.Unlock()
+	l.release(nil, nil)
+	return cs
+}
+
+// release returns s (when non-nil) to the pool, with a slot already
+// granted to the withdrawn channel c, and hands the free slots to the
+// oldest waiters. A waiter whose context has ended is dropped, so once
+// a sweep's context ends its channels receive no more slots.
+func (l *limit) release(s *slot, c chan *slot) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if s != nil {
+		l.free = append(l.free, s)
+	}
+	if len(c) > 0 {
+		l.free = append(l.free, <-c)
+	}
+	for len(l.free) > 0 && len(l.queue) > 0 {
+		w := l.queue[0]
+		l.queue[0] = waiter{} // the backing array must not keep ctx alive
+		l.queue = l.queue[1:]
+		if w.ctx.Err() == nil {
+			last := len(l.free) - 1
+			w.slot <- l.free[last]
+			l.free = l.free[:last]
+		}
+	}
 }
 
 // WorkerFrom returns the worker slot (0-based) running the current
-// sweep point, or -1 outside a MapCtx worker. Under WithLimit the slot
-// is the shared one, in [0, n).
+// sweep point, or -1 outside a MapCtx point. The slot belongs to the
+// pool the sweep ran under, in [0, n) for a WithLimit pool of n.
 func WorkerFrom(ctx context.Context) int {
 	if s, ok := ctx.Value(workerKey{}).(*slot); ok {
 		return s.id
@@ -303,14 +336,14 @@ func Map[T any](ctx context.Context, n int, o Options, fn func(i int) (T, error)
 	return MapCtx(ctx, n, o, func(_ context.Context, i int) (T, error) { return fn(i) })
 }
 
-// MapCtx is Map with the worker's context threaded into fn: the same
+// MapCtx is Map with the point's context threaded into fn: the same
 // bounded pool, panic isolation and ordered merge, plus a context
 // carrying the worker slot (WorkerFrom) so request-scoped layers above
 // — tracing spans, provenance records — know which slot resolved each
-// point. fn must treat its context as request-scoped: it is derived
-// from ctx and may be shared by every point the worker runs. Under
-// WithLimit each point holds one of the limit's shared slots while fn
-// runs.
+// point. Each point holds a slot of the context's pool while fn runs;
+// a context without a pool gets a private one of o.Workers slots. A
+// MapCtx started inside a point runs its points one at a time in that
+// point's slot, since waiting for a second slot could deadlock.
 func MapCtx[T any](ctx context.Context, n int, o Options, fn func(ctx context.Context, i int) (T, error)) ([]T, Errors) {
 	results := make([]T, n)
 	if n <= 0 {
@@ -332,10 +365,7 @@ func MapCtx[T any](ctx context.Context, n int, o Options, fn func(ctx context.Co
 		}
 	}
 
-	lim, _ := ctx.Value(limitKey{}).(*limit)
-	if held, _ := ctx.Value(workerKey{}).(*slot); lim != nil && held != nil && held.lim == lim {
-		// Nested inside a point that holds one of lim's slots: waiting
-		// for another could deadlock, so run in this one, serially.
+	if _, nested := ctx.Value(workerKey{}).(*slot); nested {
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
 				failPoint(i, context.Cause(ctx))
@@ -346,59 +376,31 @@ func MapCtx[T any](ctx context.Context, n int, o Options, fn func(ctx context.Co
 		return results, collect(perPoint)
 	}
 
-	// Under a limit every point queues for a slot at once, in input
-	// order, so the slots serve concurrent sweeps first come, first
-	// served: a sweep of long cells is not starved by a stream of short
-	// ones, and the limit alone bounds the running points. A queued
-	// point costs one parked goroutine, small next to the simulation it
-	// waits to run.
-	workers := o.workers(n)
-	if lim != nil {
-		workers = n
-	}
-	idx := make(chan int)
+	ctx = WithLimit(ctx, o.workers(n))
+	lim := ctx.Value(limitKey{}).(*limit)
+	// A queued point costs one parked goroutine, small next to the
+	// simulation it waits to run.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i, w := range lim.wait(ctx, n) {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			wctx := ctx
-			if lim == nil {
-				wctx = context.WithValue(ctx, workerKey{}, &slot{id: w})
-			}
-			for i := range idx {
-				// The feed's select may hand over a point just as the
-				// context ends; such a point does not start either.
-				if ctx.Err() != nil {
+			select {
+			case s := <-w:
+				// Also when a slot and the end arrive together: a
+				// cancelled sweep starts nothing new.
+				if ctx.Err() == nil {
+					point(context.WithValue(ctx, workerKey{}, s), i)
+				} else {
 					failPoint(i, context.Cause(ctx))
-					continue
 				}
-				if lim == nil {
-					point(wctx, i)
-					continue
-				}
-				s, err := lim.acquire(ctx)
-				if err != nil {
-					failPoint(i, err)
-					continue
-				}
-				point(context.WithValue(ctx, workerKey{}, s), i)
-				lim.free <- s
+				lim.release(s, nil)
+			case <-ctx.Done():
+				lim.release(nil, w)
+				failPoint(i, context.Cause(ctx))
 			}
-		}(w)
+		}()
 	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case <-ctx.Done():
-			for j := i; j < n; j++ {
-				failPoint(j, context.Cause(ctx))
-			}
-			break feed
-		case idx <- i:
-		}
-	}
-	close(idx)
 	wg.Wait()
 	return results, collect(perPoint)
 }

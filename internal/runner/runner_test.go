@@ -438,8 +438,8 @@ func TestMapCtxPanicIsolation(t *testing.T) {
 // than 3 points at once, and every running point holds its own slot in
 // [0, 3). Cancelling the context fails every point still waiting for a
 // slot with the cause, promptly, though the slot is never freed. A
-// MapCtx started inside a point under a limit of 1 runs in that point's
-// slot instead of deadlocking.
+// MapCtx started inside a point runs in that point's slot instead of
+// deadlocking, under a limit of 1 and under a sweep's private pool.
 func TestWithLimit(t *testing.T) {
 	const limit, sweeps, n = 3, 4, 24
 	shared := WithLimit(context.Background(), limit)
@@ -533,10 +533,20 @@ func TestWithLimit(t *testing.T) {
 	close(release)
 	<-holderDone
 
-	// Nested under a limit of 1.
+	// Nested under a limit of 1, and under the private pool of a sweep
+	// started with none.
+	for _, base := range []context.Context{one, context.Background()} {
+		testNestedSerial(t, base)
+	}
+}
+
+// testNestedSerial runs a MapCtx inside each point of a sweep under
+// base: every inner point must run in the outer point's slot.
+func testNestedSerial(t *testing.T, base context.Context) {
+	t.Helper()
 	nested := make(chan Errors, 1)
 	go func() {
-		_, errs := MapCtx(one, 2, Options{}, func(ctx context.Context, i int) (int, error) {
+		_, errs := MapCtx(base, 2, Options{}, func(ctx context.Context, i int) (int, error) {
 			inner, errs := MapCtx(ctx, 3, Options{Workers: 3}, func(ctx context.Context, j int) (int, error) {
 				return WorkerFrom(ctx), nil
 			})
@@ -558,6 +568,34 @@ func TestWithLimit(t *testing.T) {
 			t.Error(errs)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("a MapCtx nested in a point under a limit of 1 deadlocked")
+		t.Fatal("a MapCtx nested in a point deadlocked")
+	}
+}
+
+// TestWithLimitOutermostWins: WithLimit on a context that already
+// carries a pool keeps that pool. A sweep under the inner call runs in
+// the outer pool's slots, and the inner n and o.Workers are ignored.
+func TestWithLimitOutermostWins(t *testing.T) {
+	const outerN, innerN, n = 2, 8, 16
+	ctx := WithLimit(WithLimit(context.Background(), outerN), innerN)
+	var running, peak atomic.Int32
+	res, errs := MapCtx(ctx, n, Options{Workers: innerN}, func(ctx context.Context, i int) (int, error) {
+		r := running.Add(1)
+		defer running.Add(-1)
+		for p := peak.Load(); r > p && !peak.CompareAndSwap(p, r); p = peak.Load() {
+		}
+		time.Sleep(200 * time.Microsecond) // overlap the points
+		return WorkerFrom(ctx), nil
+	})
+	if errs != nil {
+		t.Fatal(errs)
+	}
+	for i, w := range res {
+		if w < 0 || w >= outerN {
+			t.Errorf("point %d ran on slot %d, want the outer pool's [0, %d)", i, w, outerN)
+		}
+	}
+	if p := peak.Load(); p > outerN {
+		t.Errorf("peak of %d points running at once under an outer pool of %d", p, outerN)
 	}
 }

@@ -19,8 +19,8 @@ type Cell struct {
 	// Build assembles the cell's config and strategy. It runs inside the
 	// worker pool (program assembly is part of the cell's work) and must
 	// be deterministic: the same cell must always build the same content.
-	// The executor wires RunTimeout and Interrupt itself; Build should
-	// leave them unset.
+	// The executor wires RunTimeout (from the context's device.Env) and
+	// Interrupt itself; Build should leave them unset.
 	Build func(ctx context.Context) (device.Config, device.Strategy, error)
 	// Extras, when non-nil, runs after a live simulation with the
 	// strategy still attached and returns driver-visible data to store
@@ -72,7 +72,7 @@ type Stats struct {
 func (s Stats) Total() uint64 { return s.Hits + s.Misses + s.Bypass + s.Dedup }
 
 // Executor runs cells through the store with singleflight dedup,
-// layered on runner.MapCtx for bounded workers, panic isolation and
+// layered on runner.MapCtx for the worker pool, panic isolation and
 // ordered merge. A nil-store executor degrades to plain runner semantics (every
 // cell a bypass), which is the library default — caching is opt-in at
 // the CLI/service layer via SetDefault.
@@ -122,25 +122,24 @@ func Default() *Executor {
 }
 
 // Run executes cells through the process-default executor.
-func Run(ctx context.Context, cells []Cell, o runner.Options) ([]CellResult, runner.Errors) {
-	return Default().Run(ctx, cells, o)
+func Run(ctx context.Context, cells []Cell) ([]CellResult, runner.Errors) {
+	return Default().Run(ctx, cells)
 }
 
-// Run executes the cells on runner's bounded worker pool and returns
+// Run executes the cells in the slots of the context's worker pool
+// (runner.WithLimit; a private GOMAXPROCS pool without one) and returns
 // their results merged in input order: results[i] belongs to cells[i],
-// failed points are zero-valued with the failure in errs — exactly
-// runner.Map's contract, so figures stay byte-identical at any worker
-// count and any cache temperature.
-func (e *Executor) Run(ctx context.Context, cells []Cell, o runner.Options) ([]CellResult, runner.Errors) {
-	if o.Label == nil {
-		o.Label = func(i int) string { return cells[i].Label }
-	}
+// failed points are zero-valued with the failure, labelled by
+// Cell.Label, in errs — exactly runner.Map's contract, so figures stay
+// byte-identical at any worker count and any cache temperature.
+func (e *Executor) Run(ctx context.Context, cells []Cell) ([]CellResult, runner.Errors) {
+	o := runner.Options{Label: func(i int) string { return cells[i].Label }}
 	return runner.MapCtx(ctx, len(cells), o, func(ctx context.Context, i int) (CellResult, error) {
-		return e.runCell(ctx, &cells[i], o)
+		return e.runCell(ctx, &cells[i])
 	})
 }
 
-func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (CellResult, error) {
+func (e *Executor) runCell(ctx context.Context, c *Cell) (CellResult, error) {
 	// Request-scoped observability: when the context carries a trace the
 	// whole resolution becomes a "cell" span; when it carries a ProvLog
 	// the outcome lands there too. Both are nil-disabled — with neither
@@ -161,10 +160,10 @@ func (e *Executor) runCell(ctx context.Context, c *Cell, o runner.Options) (Cell
 		cfg.Engine = env.Engine
 	}
 	// Environmental wiring is the executor's job, applied uniformly so a
-	// cell's identity never depends on it: neither field is part of the
-	// key, and an aborted run is never stored.
+	// cell's identity never depends on it: neither the deadline nor the
+	// interrupt is part of the key, and an aborted run is never stored.
 	if cfg.RunTimeout == 0 {
-		cfg.RunTimeout = o.RunTimeout
+		cfg.RunTimeout = env.RunTimeout
 	}
 	if cfg.Interrupt == nil {
 		cfg.Interrupt = runner.Interrupt(ctx)

@@ -8,8 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"ehmodel/internal/asm"
 	"ehmodel/internal/device"
+	"ehmodel/internal/energy"
+	"ehmodel/internal/isa"
 	"ehmodel/internal/runner"
+	"ehmodel/internal/strategy"
 )
 
 // testCell wraps testContent as an executable cell.
@@ -34,7 +38,7 @@ func scrubEnv(cfg device.Config) device.Config {
 
 func run1(t *testing.T, e *Executor, cells []Cell, workers int) []CellResult {
 	t.Helper()
-	res, errs := e.Run(context.Background(), cells, runner.Options{Workers: workers})
+	res, errs := e.Run(runner.WithLimit(context.Background(), workers), cells)
 	if len(errs) != 0 {
 		t.Fatal(errs[0])
 	}
@@ -129,7 +133,7 @@ func TestExecutorBypass(t *testing.T) {
 			return cfg, optedOutStrategy{Strategy: s}, nil
 		},
 	}
-	_, errs := e.Run(context.Background(), []Cell{u}, runner.Options{})
+	_, errs := e.Run(context.Background(), []Cell{u})
 	// The opted-out wrapper cannot actually run (it has no real
 	// implementation behind Name etc. beyond the embedded strategy), so
 	// accept either a clean bypass or a strategy error — the point is it
@@ -149,14 +153,14 @@ func TestExecutorVerifyAppliesToCachedResults(t *testing.T) {
 	c := testCell(t, 1, 2000)
 	c.Verify = func(res *device.Result) error { return fail }
 
-	_, errs := e.Run(context.Background(), []Cell{c}, runner.Options{})
+	_, errs := e.Run(context.Background(), []Cell{c})
 	if len(errs) != 1 || errs[0].Err != fail {
 		t.Fatalf("cold verify: %v", errs)
 	}
 	if st := e.Stats(); st.Misses != 1 {
 		t.Fatalf("rejected result not stored: %+v", st)
 	}
-	_, errs = e.Run(context.Background(), []Cell{c}, runner.Options{})
+	_, errs = e.Run(context.Background(), []Cell{c})
 	if len(errs) != 1 || errs[0].Err != fail {
 		t.Fatalf("warm verify: %v", errs)
 	}
@@ -202,12 +206,40 @@ func TestExecutorBuildError(t *testing.T) {
 			return device.Config{}, nil, boom
 		}},
 	}
-	res, errs := e.Run(context.Background(), cells, runner.Options{})
+	res, errs := e.Run(context.Background(), cells)
 	if len(errs) != 1 || errs[0].Index != 1 || errs[0].Err != boom {
 		t.Fatalf("errs %v", errs)
 	}
 	if res[0].Result == nil {
 		t.Fatal("healthy cell lost")
+	}
+}
+
+// TestExecutorEnvDeadline: the context's device.Env deadline reaches
+// the devices the executor builds. A cell that never halts ends in the
+// device's typed deadline error.
+func TestExecutorEnvDeadline(t *testing.T) {
+	b := asm.New("spin")
+	b.Label("loop")
+	b.Addi(isa.R1, isa.R1, 1)
+	b.Jump("loop")
+	spin, err := b.Assemble()
+	if err != nil {
+		t.Fatal(err)
+	}
+	capC, vmax, von, voff := device.FixedSupplyConfig(1e-6)
+	c := Cell{Label: "spin", Build: func(context.Context) (device.Config, device.Strategy, error) {
+		return device.Config{
+			Prog: spin, Power: energy.MSP430Power(),
+			CapC: capC, CapVMax: vmax, VOn: von, VOff: voff,
+		}, strategy.NewTimer(4000, 0.1), nil
+	}}
+	const timeout = 50 * time.Millisecond
+	ctx := device.WithEnv(context.Background(), device.Env{RunTimeout: timeout})
+	_, errs := Run(ctx, []Cell{c})
+	var de *device.DeadlineError
+	if len(errs) != 1 || !errors.As(errs[0], &de) || de.Timeout != timeout {
+		t.Fatalf("errs %v, want the cell's %v deadline", errs, timeout)
 	}
 }
 
@@ -221,7 +253,7 @@ func TestExecutorPanicRerun(t *testing.T) {
 	c.Extras = func(device.Strategy, *device.Result) (any, error) { panic("extras boom") }
 	for run := 1; run <= 2; run++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		_, errs := e.Run(ctx, []Cell{c}, runner.Options{})
+		_, errs := e.Run(ctx, []Cell{c})
 		cancel()
 		var pe *runner.PanicError
 		if len(errs) != 1 || !errors.As(errs[0], &pe) || pe.Value != "extras boom" {

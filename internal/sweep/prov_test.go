@@ -23,7 +23,7 @@ func tracedRun(t *testing.T, e *Executor, cells []Cell, workers int) (*obsv.Trac
 	tr := obsv.NewTrace(obsv.NewTraceID(), 0)
 	pl := NewProvLog(0)
 	ctx := WithProvLog(obsv.ContextWithTrace(context.Background(), tr), pl)
-	_, errs := e.Run(ctx, cells, runner.Options{Workers: workers})
+	_, errs := e.Run(runner.WithLimit(ctx, workers), cells)
 	if len(errs) != 0 {
 		t.Fatal(errs[0])
 	}
@@ -150,7 +150,7 @@ func TestDeviceRunSpansMatchMetrics(t *testing.T) {
 		tr := obsv.NewTrace(obsv.NewTraceID(), 0)
 		ctx := device.WithEnv(obsv.ContextWithTrace(context.Background(), tr), env)
 		// One worker: devices are built in cell order.
-		if _, errs := NewExecutor(nil).Run(ctx, cells, runner.Options{Workers: 1}); len(errs) != 0 {
+		if _, errs := NewExecutor(nil).Run(runner.WithLimit(ctx, 1), cells); len(errs) != 0 {
 			t.Fatal(errs[0])
 		}
 		cellSpans := spansNamed(tr.Snapshot(), "cell")

@@ -28,7 +28,7 @@ type Profile struct {
 
 // ProfileProgram executes prog continuously and gathers its profile.
 func ProfileProgram(prog *asm.Program, maxSteps uint64) (*Profile, error) {
-	ms, err := mem.NewSystem(8*1024, 256*1024)
+	ms, err := mem.NewSystem(mem.DefaultSRAMSize, mem.DefaultFRAMSize)
 	if err != nil {
 		return nil, err
 	}
