@@ -3,17 +3,19 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test test-race test-short fuzz-equiv audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard bench-smoke bench-ledger bench-ab serve-smoke clean
+.PHONY: check fmt vet staticcheck build test test-race bench-once test-short fuzz-equiv audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard bench-smoke bench-ledger bench-ab serve-smoke clean
 
 # `test` runs the full suite race-free — including the complete engine
 # equivalence matrix, which self-trims to a representative slice under
 # the race detector (its ~10× slowdown would blow the package timeout).
 # `test-race` then re-runs everything with -race on that slice.
+# `bench-once` runs every Go benchmark one iteration, so a benchmark
+# that no longer builds or fails is caught like a test.
 # `bench-smoke` last: its golden digests pin the seed-1 sim Results and
 # the quick-figure CSVs, which an edit to a path both engines share
 # (stepOnce, consume, idleToDeath) must reproduce — the equivalence
 # oracle cannot see such an edit.
-check: fmt vet staticcheck build test test-race bench-smoke
+check: fmt vet staticcheck build test test-race bench-once bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -42,6 +44,11 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# every Benchmark* function once (about 6 s on 2 vCPUs, most of it
+# compiling); the timings mean nothing at one iteration
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # quick loop while developing: skips the fuzz matrix and the full
 # 100-schedule audit sweep

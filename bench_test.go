@@ -100,7 +100,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig11(b *testing.B) {
 	var f *experiments.Figure
 	for i := 0; i < b.N; i++ {
-		f = experiments.Fig11(experiments.Fig11Config{Base: experiments.DefaultFig11Base()})
+		f = experiments.Fig11()
 	}
 	b.ReportMetric(float64(len(f.Series)), "curves")
 }
@@ -250,7 +250,7 @@ func BenchmarkCaseCircularBuffer(b *testing.B) {
 func BenchmarkCaseBitPrecision(b *testing.B) {
 	var r experiments.BitPrecisionResult
 	for i := 0; i < b.N; i++ {
-		r = experiments.CaseBitPrecision(experiments.DefaultFig11Base())
+		r = experiments.CaseBitPrecision()
 	}
 	b.ReportMetric(r.GainOneBit, "dp_one_bit")
 }
@@ -318,7 +318,7 @@ func BenchmarkVariabilityStudy(b *testing.B) {
 	var f *experiments.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
-		f, err = experiments.VariabilityStudy(context.Background(), 4000, 40)
+		f, err = experiments.VariabilityStudy(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func BenchmarkCapacitorSweep(b *testing.B) {
 	var f *experiments.Figure
 	for i := 0; i < b.N; i++ {
 		var err error
-		f, err = experiments.CapacitorSweep(context.Background(), "crc", nil)
+		f, err = experiments.CapacitorSweep(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -354,7 +354,7 @@ func BenchmarkNVMComparison(b *testing.B) {
 	var pts []experiments.NVMComparisonPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, pts, err = experiments.NVMComparison(context.Background(), "crc", 2000)
+		_, pts, err = experiments.NVMComparison(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func BenchmarkTailLatencyStudy(b *testing.B) {
 	var pts []experiments.TailPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, pts, err = experiments.TailLatencyStudy(context.Background(), 0)
+		_, pts, err = experiments.TailLatencyStudy(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -408,7 +408,7 @@ func BenchmarkBreakdownComparison(b *testing.B) {
 	var rows []experiments.BreakdownRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, rows, err = experiments.BreakdownComparison(context.Background(), "crc", 0)
+		_, rows, err = experiments.BreakdownComparison(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -420,7 +420,7 @@ func BenchmarkTable2(b *testing.B) {
 	var rows []experiments.Table2Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Table2(nil)
+		rows, err = experiments.Table2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -484,11 +484,11 @@ func BenchmarkContinuousExecution(b *testing.B) {
 	}
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		_, c, err := device.RunContinuous(prog, 0, 0, 100_000_000)
+		p, err := workload.ProfileProgram(prog, 100_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cycles = c
+		cycles = p.Cycles
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds()*float64(b.N), "sim_cycles_per_s")
 }

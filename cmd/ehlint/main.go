@@ -129,7 +129,7 @@ func main() {
 		}
 		switch {
 		case *tasks:
-			tt, err := analyze.Tasks(prog, analyze.Options{})
+			tt, err := analyze.Tasks(prog)
 			if err != nil {
 				die(err)
 			}
@@ -154,7 +154,7 @@ func main() {
 				}
 			}
 		default:
-			rep, err := analyze.Analyze(prog, analyze.Options{})
+			rep, err := analyze.Analyze(prog)
 			if err != nil {
 				die(err)
 			}
@@ -206,7 +206,7 @@ var wcecModes = []analyze.WCECMode{analyze.WCECCheckpoint, analyze.WCECTask}
 
 // printAggregate emits the -all per-workload task and WCEC sections.
 func printAggregate(w io.Writer, name string, prog *asm.Program, budgetJ float64) error {
-	tt, err := analyze.Tasks(prog, analyze.Options{})
+	tt, err := analyze.Tasks(prog)
 	if err != nil {
 		return err
 	}
@@ -308,7 +308,7 @@ func eachPlacement(w io.Writer, emit func(*asm.Program) error) error {
 // tracks diagnostics, not performance model details).
 func lintAllText(w io.Writer) error {
 	return eachPlacement(w, func(prog *asm.Program) error {
-		rep, err := analyze.Analyze(prog, analyze.Options{})
+		rep, err := analyze.Analyze(prog)
 		if err != nil {
 			return err
 		}
@@ -337,7 +337,7 @@ func wcecAllText(w io.Writer, budgetJ float64) error {
 // TaskTable.String renders them.
 func tasksAllText(w io.Writer) error {
 	return eachPlacement(w, func(prog *asm.Program) error {
-		tt, err := analyze.Tasks(prog, analyze.Options{})
+		tt, err := analyze.Tasks(prog)
 		if err != nil {
 			return err
 		}

@@ -14,12 +14,10 @@ import (
 
 // eventHub fans published events out to every connected subscriber.
 // Delivery is best-effort: a subscriber that stops draining its channel
-// loses events (counted, never blocking the serving path).
+// silently loses events, and the serving path never blocks.
 type eventHub struct {
-	mu                 sync.Mutex
-	subs               map[chan []byte]struct{}
-	nextID             uint64
-	published, dropped uint64
+	mu   sync.Mutex
+	subs map[chan []byte]struct{}
 }
 
 // subBuffer is each subscriber's channel depth; a burst larger than
@@ -63,13 +61,10 @@ func (h *eventHub) publish(v any) {
 		return
 	}
 	h.mu.Lock()
-	h.nextID++
-	h.published++
 	for ch := range h.subs {
 		select {
 		case ch <- b:
 		default:
-			h.dropped++
 		}
 	}
 	h.mu.Unlock()

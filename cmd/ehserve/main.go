@@ -116,7 +116,7 @@ func cliMain() int {
 	}
 	sweep.SetDefault(exec)
 
-	s := newServer(exec, *reqTimeout)
+	s := newServer(*reqTimeout)
 	if *traceCap > 0 {
 		s.traces = obsv.NewTraceStore(*traceCap)
 	} else {

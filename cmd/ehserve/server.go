@@ -31,9 +31,9 @@ const cacheHeader = "X-EH-Cache"
 // server answers figure/sweep/model queries. Figure responses are the
 // expensive ones; they go through a request-keyed singleflight plus a
 // response byte cache, and the simulations underneath go through the
-// shared sweep executor's content-addressed store.
+// process-default sweep executor's content-addressed store, whose
+// counters /metrics, the series sampler and the drain line report.
 type server struct {
-	exec    *sweep.Executor
 	timeout time.Duration
 
 	// generate is experiments.GenerateFigures under the request
@@ -66,9 +66,8 @@ type server struct {
 	lastAt     time.Time
 }
 
-func newServer(exec *sweep.Executor, timeout time.Duration) *server {
+func newServer(timeout time.Duration) *server {
 	return &server{
-		exec:    exec,
 		timeout: timeout,
 		generate: func(ctx context.Context, which string, quick bool) ([]*experiments.Figure, []experiments.Failure) {
 			return experiments.GenerateFigures(ctx, which, quick, runner.Options{})
@@ -198,7 +197,7 @@ func (s *server) snapshotMetrics() obsv.Metrics {
 // counters folded in, as CSV (default) or JSON (?format=json).
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.snapshotMetrics()
-	st := s.exec.Stats()
+	st := sweep.Default().Stats()
 	snap.AddCache(st.Hits, st.Misses, st.Bypass, st.Dedup, st.StoreErrors)
 	var buf bytes.Buffer
 	var err error
@@ -267,7 +266,7 @@ func (s *server) handleSeries(w http.ResponseWriter, _ *http.Request) {
 // The ticker loop in main calls it; tests call it directly.
 func (s *server) sample(now time.Time) {
 	snap := s.snapshotMetrics()
-	st := s.exec.Stats()
+	st := sweep.Default().Stats()
 	var traces, spans uint64
 	if s.traces != nil {
 		traces, spans = s.traces.Stats()
@@ -308,7 +307,7 @@ func (s *server) drainSummary() string {
 	if s.traces != nil {
 		traces, spans = s.traces.Stats()
 	}
-	st := s.exec.Stats()
+	st := sweep.Default().Stats()
 	hitRate := 0.0
 	if t := st.Total(); t > 0 {
 		hitRate = float64(st.Hits+st.Dedup) / float64(t)

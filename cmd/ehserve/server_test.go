@@ -19,8 +19,14 @@ import (
 	"ehmodel/internal/sweep"
 )
 
-func testServer() *server {
-	return newServer(sweep.NewExecutor(sweep.NewMemStore(0)), time.Minute)
+// testServer builds a server whose figures simulate through a fresh
+// memory-store executor, installed as the process default for the
+// test and restored after it (no ehserve test runs in parallel).
+func testServer(tb testing.TB) *server {
+	prev := sweep.Default()
+	sweep.SetDefault(sweep.NewExecutor(sweep.NewMemStore(0)))
+	tb.Cleanup(func() { sweep.SetDefault(prev) })
+	return newServer(time.Minute)
 }
 
 func get(t *testing.T, h http.Handler, url string) *httptest.ResponseRecorder {
@@ -34,7 +40,7 @@ func get(t *testing.T, h http.Handler, url string) *httptest.ResponseRecorder {
 // TestFigureResponseCached: the same figure query twice must yield
 // byte-identical responses, the second answered from the response cache.
 func TestFigureResponseCached(t *testing.T) {
-	h := testServer().handler()
+	h := testServer(t).handler()
 	r1 := get(t, h, "/v1/figure?id=3")
 	if r1.Code != http.StatusOK {
 		t.Fatalf("first: %d %s", r1.Code, r1.Body.String())
@@ -64,7 +70,7 @@ func TestFigureResponseCached(t *testing.T) {
 // TestFigureSingleflight: concurrent identical queries collapse onto a
 // single generation; followers share the leader's bytes.
 func TestFigureSingleflight(t *testing.T) {
-	s := testServer()
+	s := testServer(t)
 	var calls atomic.Int32
 	release := make(chan struct{})
 	generate := s.generate
@@ -131,7 +137,7 @@ func TestFigureSingleflight(t *testing.T) {
 // TestFigureFailureNotCached: a generation that reports failures must
 // not be replayed from the response cache.
 func TestFigureFailureNotCached(t *testing.T) {
-	s := testServer()
+	s := testServer(t)
 	var calls atomic.Int32
 	s.generate = func(ctx context.Context, which string, quick bool) ([]*experiments.Figure, []experiments.Failure) {
 		calls.Add(1)
@@ -153,7 +159,7 @@ func TestFigureFailureNotCached(t *testing.T) {
 }
 
 func TestFigureBadRequests(t *testing.T) {
-	h := testServer().handler()
+	h := testServer(t).handler()
 	for _, url := range []string{"/v1/figure", "/v1/figure?id=nope", "/v1/figure?id=3&quick=maybe"} {
 		if rec := get(t, h, url); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: %d, want 400", url, rec.Code)
@@ -164,7 +170,7 @@ func TestFigureBadRequests(t *testing.T) {
 // TestModelQuery: a closed-form evaluation echoes the overlaid params
 // and returns Eq. 8 outputs in range.
 func TestModelQuery(t *testing.T) {
-	h := testServer().handler()
+	h := testServer(t).handler()
 	rec := get(t, h, "/v1/model?tau_b=10&alpha_b=0.1")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("%d: %s", rec.Code, rec.Body.String())
@@ -196,7 +202,7 @@ func TestModelQuery(t *testing.T) {
 // TestSweepQuery: the τ_B sweep returns the requested grid and its
 // argmax near the analytic optimum.
 func TestSweepQuery(t *testing.T) {
-	h := testServer().handler()
+	h := testServer(t).handler()
 	rec := get(t, h, "/v1/sweep?lo=1&hi=1000&n=200")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("%d: %s", rec.Code, rec.Body.String())
@@ -228,7 +234,7 @@ func TestSweepQuery(t *testing.T) {
 // overflow float64 are the query's fault — 400 naming the problem, not
 // a 500 from the JSON encoder.
 func TestModelSweepNonFinite(t *testing.T) {
-	h := testServer().handler()
+	h := testServer(t).handler()
 	for _, c := range []struct{ url, want string }{
 		{"/v1/sweep?lo=NaN", "lo"},
 		{"/v1/sweep?hi=NaN", "hi"},
@@ -256,7 +262,7 @@ func FuzzModelSweepQuery(f *testing.F) {
 	} {
 		f.Add(q)
 	}
-	h := testServer().handler()
+	h := testServer(f).handler()
 	f.Fuzz(func(t *testing.T, q string) {
 		for _, path := range []string{"/v1/model", "/v1/sweep"} {
 			req := httptest.NewRequest("GET", path, nil)
@@ -279,7 +285,7 @@ func TestRequestsSharePool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates four quick figures")
 	}
-	s := testServer()
+	s := testServer(t)
 	ts := httptest.NewUnstartedServer(nil)
 	ts.Config = newHTTPServer("", s.handler(), baseContext(1, 0))
 	ts.Start()
@@ -359,7 +365,7 @@ func TestNewHTTPServerLimits(t *testing.T) {
 // TestMetricsEndpoint: served requests show up in /metrics, along with
 // the result store's counters.
 func TestMetricsEndpoint(t *testing.T) {
-	h := testServer().handler()
+	h := testServer(t).handler()
 	get(t, h, "/v1/model?tau_b=10")
 	get(t, h, "/v1/figure?id=nope") // a 400, counted as an error
 	rec := get(t, h, "/metrics?format=json")
@@ -385,8 +391,37 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsCountFigureCells: /metrics reports the executor figures
+// simulate through. Figs. 8 and 9 have different response-cache keys
+// but share their characterization cells, so the second request hits
+// every cell the first one missed, and no cell bypasses the store.
+func TestMetricsCountFigureCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates the quick characterization")
+	}
+	h := testServer(t).handler()
+	for _, id := range []string{"8", "9"} {
+		if rec := get(t, h, "/v1/figure?quick=1&id="+id); rec.Code != http.StatusOK {
+			t.Fatalf("figure %s: %d %s", id, rec.Code, rec.Body.String())
+		}
+	}
+	rec := get(t, h, "/metrics?format=json")
+	var m struct {
+		Hits   uint64 `json:"cache_hits"`
+		Misses uint64 `json:"cache_misses"`
+		Bypass uint64 `json:"cache_bypass"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Misses == 0 || m.Hits == 0 || m.Bypass != 0 {
+		t.Fatalf("cache_misses %d, cache_hits %d, cache_bypass %d: want misses and hits, no bypass",
+			m.Misses, m.Hits, m.Bypass)
+	}
+}
+
 func TestHealthz(t *testing.T) {
-	rec := get(t, testServer().handler(), "/healthz")
+	rec := get(t, testServer(t).handler(), "/healthz")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "ok") {
 		t.Fatalf("%d %s", rec.Code, rec.Body.String())
 	}

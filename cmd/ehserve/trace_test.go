@@ -17,8 +17,8 @@ import (
 )
 
 // fastFigureServer stubs generation so trace-shape tests don't simulate.
-func fastFigureServer() *server {
-	s := testServer()
+func fastFigureServer(t *testing.T) *server {
+	s := testServer(t)
 	s.generate = func(ctx context.Context, which string, quick bool) ([]*experiments.Figure, []experiments.Failure) {
 		return []*experiments.Figure{{ID: "fig" + which, Title: "stub"}}, nil
 	}
@@ -51,7 +51,7 @@ func spanNames(t *testing.T, body []byte) map[string][]*obsv.SpanNode {
 // and render, and the warm request shows a cache-hit lookup and nothing
 // simulated.
 func TestTraceEndpoint(t *testing.T) {
-	h := fastFigureServer().handler()
+	h := fastFigureServer(t).handler()
 
 	r1 := get(t, h, "/v1/figure?id=3")
 	if r1.Code != http.StatusOK {
@@ -117,7 +117,7 @@ func TestTraceEndpoint(t *testing.T) {
 
 // TestTraceHeaderInbound: a caller-supplied X-EH-Trace names the trace.
 func TestTraceHeaderInbound(t *testing.T) {
-	h := fastFigureServer().handler()
+	h := fastFigureServer(t).handler()
 	want := obsv.NewTraceID().String()
 	req := httptest.NewRequest("GET", "/v1/model?tau_b=10", nil)
 	req.Header.Set(traceHeader, want)
@@ -134,7 +134,7 @@ func TestTraceHeaderInbound(t *testing.T) {
 // TestTracingDisabled: with no trace store the endpoints degrade
 // gracefully and responses carry no trace header.
 func TestTracingDisabled(t *testing.T) {
-	s := fastFigureServer()
+	s := fastFigureServer(t)
 	s.traces = nil
 	h := s.handler()
 	rec := get(t, h, "/v1/figure?id=3")
@@ -153,7 +153,7 @@ func TestTracingDisabled(t *testing.T) {
 // without perturbing the cached bytes, and a warm request reports zero
 // computed cells.
 func TestProvenanceEnvelope(t *testing.T) {
-	h := fastFigureServer().handler()
+	h := fastFigureServer(t).handler()
 
 	p1 := get(t, h, "/v1/figure?id=3&provenance=1")
 	if p1.Code != http.StatusOK {
@@ -210,7 +210,7 @@ func TestProvenanceEnvelope(t *testing.T) {
 // Tracing alone collects none: the trace takes its cell data from the
 // executor's cell spans.
 func TestProvLogOnlyWhenRead(t *testing.T) {
-	s := testServer()
+	s := testServer(t)
 	sawLog := false
 	s.generate = func(ctx context.Context, which string, quick bool) ([]*experiments.Figure, []experiments.Failure) {
 		sawLog = sweep.ProvFrom(ctx) != nil
@@ -237,7 +237,7 @@ func TestProvLogOnlyWhenRead(t *testing.T) {
 
 // TestSeriesEndpoint: sampled intervals report per-interval deltas.
 func TestSeriesEndpoint(t *testing.T) {
-	s := fastFigureServer()
+	s := fastFigureServer(t)
 	h := s.handler()
 	now := time.Now()
 	s.sample(now)
@@ -275,7 +275,7 @@ func TestSeriesEndpoint(t *testing.T) {
 // TestEventsStream: a subscriber sees the request completion event for
 // a figure request, with its trace ID attached.
 func TestEventsStream(t *testing.T) {
-	s := fastFigureServer()
+	s := fastFigureServer(t)
 	srv := httptest.NewServer(s.handler())
 	defer srv.Close()
 
@@ -330,7 +330,7 @@ func TestEventsStream(t *testing.T) {
 // TestSnapshotMetricsClones: the exported snapshot must not share the
 // ErrorClasses map with the live metrics (the /metrics race fix).
 func TestSnapshotMetricsClones(t *testing.T) {
-	s := testServer()
+	s := testServer(t)
 	s.mu.Lock()
 	s.metrics.AddErrorClass("deadline", 1)
 	s.mu.Unlock()
@@ -346,9 +346,7 @@ func TestSnapshotMetricsClones(t *testing.T) {
 // TestDrainSummary: the shutdown line reports requests, spans and the
 // store hit rate.
 func TestDrainSummary(t *testing.T) {
-	s := testServer()
-	exec := sweep.NewExecutor(sweep.NewMemStore(0))
-	s.exec = exec
+	s := testServer(t)
 	h := s.handler()
 	get(t, h, "/v1/model?tau_b=10")
 	line := s.drainSummary()

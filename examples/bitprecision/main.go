@@ -15,8 +15,7 @@ import (
 )
 
 func main() {
-	base := experiments.DefaultFig11Base()
-	fig := experiments.Fig11(experiments.Fig11Config{Base: base})
+	fig := experiments.Fig11()
 
 	var series []textplot.Series
 	for _, s := range fig.Series {
@@ -33,7 +32,7 @@ func main() {
 		fmt.Println("•", n)
 	}
 
-	r := experiments.CaseBitPrecision(base)
+	r := experiments.CaseBitPrecision()
 	fmt.Printf("\nAt τ_B,bit = %.0f cycles, cutting one bit (12.5%%) of application-state\n", r.TauBBit)
 	fmt.Printf("precision buys Δp = %.4f; the same cut at τ_B,opt buys only %.4f.\n", r.GainOneBit, r.GainAtOpt)
 	fmt.Println("Architects can use these curves to decide whether a reduced-precision")

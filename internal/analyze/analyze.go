@@ -19,7 +19,6 @@ import (
 
 	"ehmodel/internal/asm"
 	"ehmodel/internal/isa"
-	"ehmodel/internal/mem"
 )
 
 // DefaultBoundaries are the SYS codes treated as checkpoint sites for
@@ -27,22 +26,11 @@ import (
 // ends (DINO/Chain commit points).
 func DefaultBoundaries() []isa.Sys { return []isa.Sys{isa.SysChkpt, isa.SysTaskEnd} }
 
-// Options configures an analysis run. The zero value picks the device
-// defaults.
-type Options struct {
-	// SRAMSize and FRAMSize give the device memory geometry in bytes;
-	// zero means the device defaults (mem.DefaultSRAMSize and
-	// mem.DefaultFRAMSize).
-	SRAMSize int
-	FRAMSize int
-}
-
 // program is the front half every pass shares: the CFG, the interval
 // fixpoint over it, and every reachable memory access resolved against
 // the device memory layout.
 type program struct {
 	prog *asm.Program
-	lay  memLayout
 	g    *cfg
 	fr   *flowResult
 	acc  []*accessInfo // by PC; nil off the reachable loads and stores
@@ -51,17 +39,11 @@ type program struct {
 // prepare validates prog and runs the shared front half. It returns a
 // value, not a pointer, so Tasks — which every Alpaca device.New runs —
 // allocates no more than the front half itself does.
-func prepare(prog *asm.Program, o Options) (program, error) {
+func prepare(prog *asm.Program) (program, error) {
 	if prog == nil || len(prog.Code) == 0 {
 		return program{}, fmt.Errorf("analyze: empty program")
 	}
-	p := program{prog: prog, lay: memLayout{sramSize: mem.DefaultSRAMSize, framSize: mem.DefaultFRAMSize}}
-	if o.SRAMSize > 0 {
-		p.lay.sramSize = uint32(o.SRAMSize)
-	}
-	if o.FRAMSize > 0 {
-		p.lay.framSize = uint32(o.FRAMSize)
-	}
+	p := program{prog: prog}
 	p.g = buildCFG(prog.Code)
 	p.fr = runFlow(p.g)
 	p.acc = make([]*accessInfo, len(prog.Code))
@@ -71,7 +53,7 @@ func prepare(prog *asm.Program, o Options) (program, error) {
 		}
 		for pc := b.Start; pc < b.End; pc++ {
 			if in := prog.Code[pc]; in.Op.IsLoad() || in.Op.IsStore() {
-				p.acc[pc] = resolveAccess(pc, in, p.fr.stateAt[pc], p.lay)
+				p.acc[pc] = resolveAccess(pc, in, p.fr.stateAt[pc])
 			}
 		}
 	}
@@ -79,12 +61,12 @@ func prepare(prog *asm.Program, o Options) (program, error) {
 }
 
 // Analyze runs the full static analysis over prog.
-func Analyze(prog *asm.Program, o Options) (*Report, error) {
-	p, err := prepare(prog, o)
+func Analyze(prog *asm.Program) (*Report, error) {
+	p, err := prepare(prog)
 	if err != nil {
 		return nil, err
 	}
-	g, fr, acc, lay := p.g, p.fr, p.acc, p.lay
+	g, fr, acc := p.g, p.fr, p.acc
 	boundarySet := make(map[isa.Sys]bool)
 	for _, s := range DefaultBoundaries() {
 		boundarySet[s] = true
@@ -98,11 +80,11 @@ func Analyze(prog *asm.Program, o Options) (*Report, error) {
 
 	// Global (Clank-sound) pass: no clearing at programmer boundaries,
 	// because Clank checkpoints at dynamically chosen points.
-	global := runWAR(g, acc, nil, nil, false, lay)
+	global := runWAR(g, acc, nil, nil, false)
 	r.Hazards = global.hazards
 
 	// Region-scoped pass for software checkpointing runtimes.
-	region := runWAR(g, acc, boundarySet, nil, true, lay)
+	region := runWAR(g, acc, boundarySet, nil, true)
 	r.RegionHazards = region.hazards
 	r.Region = RegionStats{
 		Hazards:        len(region.hazards),
@@ -110,7 +92,7 @@ func Analyze(prog *asm.Program, o Options) (*Report, error) {
 		PeakWriteWords: region.peakWrite,
 	}
 
-	readFoot, storeFoot := footprints(g, fr, acc, lay)
+	readFoot, storeFoot := footprints(g, fr, acc)
 	r.Clank = ClankBound{
 		ReadFirstEntries:  readFoot.size(),
 		WriteFirstEntries: storeFoot.size(),

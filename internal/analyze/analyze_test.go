@@ -27,7 +27,7 @@ func rawProg(t *testing.T, name string, code ...isa.Instr) *asm.Program {
 
 func mustAnalyze(t *testing.T, p *asm.Program) *Report {
 	t.Helper()
-	r, err := Analyze(p, Options{})
+	r, err := Analyze(p)
 	if err != nil {
 		t.Fatalf("Analyze(%s): %v", p.Name, err)
 	}

@@ -55,7 +55,7 @@ func buildFRAM(t *testing.T, w workload.Workload) (*asm.Program, []uint32, *anal
 	if err != nil {
 		t.Fatalf("building %s: %v", w.Name, err)
 	}
-	rep, err := analyze.Analyze(prog, analyze.Options{})
+	rep, err := analyze.Analyze(prog)
 	if err != nil {
 		t.Fatalf("analyzing %s: %v", w.Name, err)
 	}
@@ -137,7 +137,7 @@ func TestStaticHazardsCoverClankFaulted(t *testing.T) {
 		prog, want, rep := buildFRAM(t, w)
 		for seed := int64(1); seed <= 3; seed++ {
 			c := clankWith(4, 4)
-			cs := faults.Case{Strategy: "clank", Workload: w.Name, Seed: seed}
+			cs := faults.Case{Strategy: "clank", Workload: w.Name, Plan: faults.Plan{Seed: seed}}
 			out, err := faults.AuditRun(ctx, faults.Options{}, c, prog, want, cs)
 			if err != nil {
 				t.Fatalf("%s: %v", cs, err)
@@ -277,7 +277,7 @@ func TestTaskFootprintsCoverAlpacaCommits(t *testing.T) {
 		for seed := int64(1); seed <= 2; seed++ {
 			fa := strategy.NewAlpaca()
 			fa.RecordCommits()
-			cs := faults.Case{Strategy: "alpaca", Workload: name, Seed: seed}
+			cs := faults.Case{Strategy: "alpaca", Workload: name, Plan: faults.Plan{Seed: seed}}
 			out, err := faults.AuditRun(ctx, faults.Options{}, fa, prog, want, cs)
 			if err != nil {
 				t.Fatalf("%s: %v", cs, err)
@@ -314,7 +314,7 @@ func TestEq15PlanReplaySafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probeRep, err := analyze.Analyze(probe, analyze.Options{})
+	probeRep, err := analyze.Analyze(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestEq15PlanReplaySafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := workload.CircularBufferRef(n, res15.NOpt, iters)
-	rep, err := analyze.Analyze(prog, analyze.Options{})
+	rep, err := analyze.Analyze(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestEq15PlanReplaySafe(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(1); seed <= 3; seed++ {
 		fc := clankWith(rep.Clank.ReadFirstEntries, rep.Clank.WriteFirstEntries)
-		cs := faults.Case{Strategy: "clank", Workload: "circular-eq15", Seed: seed}
+		cs := faults.Case{Strategy: "clank", Workload: "circular-eq15", Plan: faults.Plan{Seed: seed}}
 		out, err := faults.AuditRun(ctx, faults.Options{}, fc, prog, want, cs)
 		if err != nil {
 			t.Fatal(err)

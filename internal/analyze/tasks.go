@@ -76,10 +76,9 @@ type TaskTable struct {
 }
 
 // Tasks decomposes prog into idempotent tasks, anchored on SysTaskEnd,
-// the marker task runtimes commit at. The zero Options picks the device
-// memory defaults.
-func Tasks(prog *asm.Program, o Options) (*TaskTable, error) {
-	p, err := prepare(prog, o)
+// the marker task runtimes commit at.
+func Tasks(prog *asm.Program) (*TaskTable, error) {
+	p, err := prepare(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +87,7 @@ func Tasks(prog *asm.Program, o Options) (*TaskTable, error) {
 
 // tasks runs the decomposition over the prepared program.
 func (p *program) tasks() *TaskTable {
-	prog, g, fr, acc, lay := p.prog, p.g, p.fr, p.acc, p.lay
+	prog, g, fr, acc := p.prog, p.g, p.fr, p.acc
 	sysBounds := map[isa.Sys]bool{isa.SysTaskEnd: true}
 
 	// Fixed point: every store the WAR pass still flags becomes a
@@ -96,7 +95,7 @@ func (p *program) tasks() *TaskTable {
 	// is bounded by the instruction count.
 	pcBounds := make(map[int]bool)
 	for i := 0; i <= len(prog.Code); i++ {
-		res := runWAR(g, acc, sysBounds, pcBounds, false, lay)
+		res := runWAR(g, acc, sysBounds, pcBounds, false)
 		grew := false
 		for _, h := range res.hazards {
 			if !pcBounds[h.PC] {
@@ -142,7 +141,7 @@ func (p *program) tasks() *TaskTable {
 		if !fr.reach[g.blockOf[pc]] {
 			continue
 		}
-		reads, stores := taskFootprint(g, acc, pcBounds, pc, lay)
+		reads, stores := taskFootprint(g, acc, pcBounds, pc)
 		task := Task{
 			ID:        len(t.Tasks),
 			Entry:     pc,
@@ -178,7 +177,7 @@ func (p *program) tasks() *TaskTable {
 // crossing a task boundary. A boundary PC other than the entry itself
 // starts the next task and is excluded; task-end markers and halts
 // close the task.
-func taskFootprint(g *cfg, acc []*accessInfo, pcBounds map[int]bool, entry int, lay memLayout) (reads, stores *wordSet) {
+func taskFootprint(g *cfg, acc []*accessInfo, pcBounds map[int]bool, entry int) (reads, stores *wordSet) {
 	reads, stores = newWordSet(), newWordSet()
 	seen := map[int]bool{entry: true}
 	work := []int{entry}
@@ -190,9 +189,9 @@ func taskFootprint(g *cfg, acc []*accessInfo, pcBounds map[int]bool, entry int, 
 		}
 		if a := acc[pc]; a != nil {
 			if a.store {
-				a.addSpan(stores, lay)
+				a.addSpan(stores)
 			} else {
-				a.addSpan(reads, lay)
+				a.addSpan(reads)
 			}
 		}
 		in := g.code[pc]

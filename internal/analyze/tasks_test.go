@@ -29,7 +29,7 @@ func TestTasksCutAllHazards(t *testing.T) {
 	for _, name := range []string{"counter", "ds", "crc", "qsort"} {
 		for _, seg := range []asm.Segment{asm.SRAM, asm.FRAM} {
 			prog := taskProg(t, name, seg)
-			tt, err := Tasks(prog, Options{})
+			tt, err := Tasks(prog)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, seg, err)
 			}
@@ -37,7 +37,7 @@ func TestTasksCutAllHazards(t *testing.T) {
 				t.Fatalf("%s/%v: no tasks", name, seg)
 			}
 
-			p, err := prepare(prog, Options{})
+			p, err := prepare(prog)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestTasksCutAllHazards(t *testing.T) {
 			for _, pc := range tt.Boundaries {
 				pcBounds[pc] = true
 			}
-			res := runWAR(p.g, p.acc, map[isa.Sys]bool{isa.SysTaskEnd: true}, pcBounds, false, p.lay)
+			res := runWAR(p.g, p.acc, map[isa.Sys]bool{isa.SysTaskEnd: true}, pcBounds, false)
 			if len(res.hazards) != 0 {
 				t.Errorf("%s/%v: %d WAR hazards survive the task boundaries (first at pc %d)",
 					name, seg, len(res.hazards), res.hazards[0].PC)

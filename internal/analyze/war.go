@@ -121,21 +121,17 @@ type accessInfo struct {
 	huge       bool   // span wider than maxSpanWords — treated as ⊤
 }
 
-// memLayout is the device memory geometry the analysis resolves
-// addresses against.
-type memLayout struct {
-	sramSize uint32
-	framSize uint32
-}
-
-func (m memLayout) validWord(w uint32) bool {
-	return w < mem.SRAMBase+m.sramSize ||
-		(w >= mem.FRAMBase && w < mem.FRAMBase+m.framSize)
+// validWord reports whether word address w lies in the device's SRAM
+// or FRAM, the fixed geometry of mem.DefaultSRAMSize and
+// mem.DefaultFRAMSize that every device runs with.
+func validWord(w uint32) bool {
+	return w < mem.SRAMBase+mem.DefaultSRAMSize ||
+		(w >= mem.FRAMBase && w < mem.FRAMBase+mem.DefaultFRAMSize)
 }
 
 // resolveAccess interprets the address operand of the load/store at pc
 // under the abstract state st.
-func resolveAccess(pc int, in isa.Instr, st regState, lay memLayout) *accessInfo {
+func resolveAccess(pc int, in isa.Instr, st regState) *accessInfo {
 	size := uint32(4)
 	if in.Op == isa.LB || in.Op == isa.LBU || in.Op == isa.SB {
 		size = 1
@@ -147,7 +143,7 @@ func resolveAccess(pc int, in isa.Instr, st regState, lay memLayout) *accessInfo
 		a.known, a.exact, a.addr = true, true, c
 		a.loW, a.hiW = c&^3, (c+size-1)&^3
 		a.misaligned = size == 4 && c%4 != 0
-		a.oob = !lay.validWord(a.loW) && !lay.validWord(a.hiW)
+		a.oob = !validWord(a.loW) && !validWord(a.hiW)
 		return a
 	}
 	if addr.bounded() && addr.hi+int64(size)-1 <= maxU32 {
@@ -159,7 +155,7 @@ func resolveAccess(pc int, in isa.Instr, st regState, lay memLayout) *accessInfo
 		a.known, a.loW, a.hiW = true, lo, hi
 		oob := true
 		for w := lo; ; w += 4 {
-			if lay.validWord(w) {
+			if validWord(w) {
 				oob = false
 				break
 			}
@@ -175,13 +171,13 @@ func resolveAccess(pc int, in isa.Instr, st regState, lay memLayout) *accessInfo
 
 // addSpan unions the access's device-valid words into s; an unresolved
 // access sends s to ⊤.
-func (a *accessInfo) addSpan(s *wordSet, lay memLayout) {
+func (a *accessInfo) addSpan(s *wordSet) {
 	if !a.known {
 		s.setTop()
 		return
 	}
 	for w := a.loW; ; w += 4 {
-		if lay.validWord(w) {
+		if validWord(w) {
 			s.add(w)
 		}
 		if w >= a.hiW {
@@ -234,7 +230,7 @@ type warResult struct {
 // pcBounds marks instruction indices that clear the state *before* the
 // instruction executes (the task decomposition pass's commit-before-
 // store boundaries); trackW additionally tracks stored-word pressure.
-func runWAR(g *cfg, acc []*accessInfo, boundaries map[isa.Sys]bool, pcBounds map[int]bool, trackW bool, lay memLayout) *warResult {
+func runWAR(g *cfg, acc []*accessInfo, boundaries map[isa.Sys]bool, pcBounds map[int]bool, trackW bool) *warResult {
 	n := len(g.blocks)
 	newState := func() *warState {
 		s := &warState{R: newWordSet()}
@@ -270,14 +266,14 @@ func runWAR(g *cfg, acc []*accessInfo, boundaries map[isa.Sys]bool, pcBounds map
 			return
 		}
 		if !a.store {
-			a.addSpan(st.R, lay)
+			a.addSpan(st.R)
 			return
 		}
 		if onStore != nil {
-			onStore(pc, storeHazard(st.R, a, lay))
+			onStore(pc, storeHazard(st.R, a))
 		}
 		if st.W != nil {
-			a.addSpan(st.W, lay)
+			a.addSpan(st.W)
 		}
 		if a.exact {
 			st.R.del(a.addr &^ 3)
@@ -364,7 +360,7 @@ func runWAR(g *cfg, acc []*accessInfo, boundaries map[isa.Sys]bool, pcBounds map
 // storeHazard intersects the live read-first set with the store's
 // possible target words. Returns nil when the store provably cannot hit
 // a read-first word.
-func storeHazard(r *wordSet, a *accessInfo, lay memLayout) *wordSet {
+func storeHazard(r *wordSet, a *accessInfo) *wordSet {
 	if r.top && !a.known {
 		hz := newWordSet()
 		hz.setTop()
@@ -379,7 +375,7 @@ func storeHazard(r *wordSet, a *accessInfo, lay memLayout) *wordSet {
 	}
 	hz := newWordSet()
 	for w := a.loW; ; w += 4 {
-		if lay.validWord(w) && r.has(w) {
+		if validWord(w) && r.has(w) {
 			hz.add(w)
 		}
 		if w >= a.hiW {
@@ -395,7 +391,7 @@ func storeHazard(r *wordSet, a *accessInfo, lay memLayout) *wordSet {
 // footprints returns the sets of words the reachable program may load
 // and may store — the sound upper bounds on Clank's read-first and
 // write-first buffer occupancy between any two checkpoints.
-func footprints(g *cfg, fr *flowResult, acc []*accessInfo, lay memLayout) (read, store *wordSet) {
+func footprints(g *cfg, fr *flowResult, acc []*accessInfo) (read, store *wordSet) {
 	read, store = newWordSet(), newWordSet()
 	for id, b := range g.blocks {
 		if !fr.reach[id] {
@@ -407,9 +403,9 @@ func footprints(g *cfg, fr *flowResult, acc []*accessInfo, lay memLayout) (read,
 				continue
 			}
 			if a.store {
-				a.addSpan(store, lay)
+				a.addSpan(store)
 			} else {
-				a.addSpan(read, lay)
+				a.addSpan(read)
 			}
 		}
 	}

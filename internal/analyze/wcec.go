@@ -165,7 +165,6 @@ func (t *WCECTable) RegionAt(entry int) *WCECRegion {
 
 // WCECOptions parameterizes the verifier.
 type WCECOptions struct {
-	Options
 	// Mode selects the region delimitation; empty = WCECCheckpoint.
 	Mode WCECMode
 	// Power prices cycles into joules; zero value = energy.MSP430Power().
@@ -177,7 +176,7 @@ type WCECOptions struct {
 
 // WCEC runs the static forward-progress verifier over prog.
 func WCEC(prog *asm.Program, o WCECOptions) (*WCECTable, error) {
-	p, err := prepare(prog, o.Options)
+	p, err := prepare(prog)
 	if err != nil {
 		return nil, err
 	}

@@ -248,7 +248,7 @@ func TestWCECTaskMode(t *testing.T) {
 		isa.Instr{Op: isa.SW, Rd: isa.R2, Rs1: isa.R1, Imm: 0},
 		halt(),
 	)
-	tt, err := Tasks(p, Options{})
+	tt, err := Tasks(p)
 	if err != nil {
 		t.Fatalf("Tasks: %v", err)
 	}

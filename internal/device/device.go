@@ -317,9 +317,6 @@ type Config struct {
 	// See EngineBatched/EngineReference.
 	Engine Engine
 
-	SRAMSize int // bytes; default 8 KiB
-	FRAMSize int // bytes; default 256 KiB
-
 	Power energy.PowerModel
 
 	// Capacitor and thresholds. The device begins executing at VOn and
@@ -409,12 +406,6 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.SRAMSize == 0 {
-		c.SRAMSize = mem.DefaultSRAMSize
-	}
-	if c.FRAMSize == 0 {
-		c.FRAMSize = mem.DefaultFRAMSize
-	}
 	if c.SigmaB == 0 {
 		c.SigmaB = 2 // FRAM word per two cycles (§III)
 	}
@@ -602,7 +593,7 @@ func New(cfg Config, s Strategy) (*Device, error) {
 			cfg.CacheBlockSize = cs.CacheBlockSize()
 		}
 	}
-	ms, err := mem.NewSystem(cfg.SRAMSize, cfg.FRAMSize)
+	ms, err := mem.NewSystem(mem.DefaultSRAMSize, mem.DefaultFRAMSize)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"ehmodel/internal/energy"
 	"ehmodel/internal/isa"
 	"ehmodel/internal/trace"
+	"ehmodel/internal/workload"
 )
 
 // nullStrategy never backs up except at halt; used to exercise the
@@ -107,14 +108,14 @@ func TestConfigValidation(t *testing.T) {
 
 func TestContinuousEquivalence(t *testing.T) {
 	prog := loopProgram(t, 500, asm.SRAM)
-	out, cycles, err := RunContinuous(prog, 0, 0, 1_000_000)
+	p, err := workload.ProfileProgram(prog, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 || out[0] != 500 {
-		t.Fatalf("continuous output %v", out)
+	if len(p.Output) != 1 || p.Output[0] != 500 {
+		t.Fatalf("continuous output %v", p.Output)
 	}
-	if cycles == 0 {
+	if p.Cycles == 0 {
 		t.Fatal("no cycles")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"ehmodel/internal/asm"
 	"ehmodel/internal/cpu"
 	"ehmodel/internal/energy"
 	"ehmodel/internal/isa"
@@ -746,39 +745,4 @@ func (d *Device) idleToDeath() error {
 		}
 	}
 	return nil
-}
-
-// RunContinuous executes prog on an uninterrupted supply and returns its
-// output stream and executed cycles — the oracle intermittent runs are
-// checked against. maxSteps bounds runaway programs.
-func RunContinuous(prog *asm.Program, sramSize, framSize int, maxSteps uint64) ([]uint32, uint64, error) {
-	if sramSize == 0 {
-		sramSize = mem.DefaultSRAMSize
-	}
-	if framSize == 0 {
-		framSize = mem.DefaultFRAMSize
-	}
-	ms, err := mem.NewSystem(sramSize, framSize)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := ms.WriteSRAMImage(prog.SRAMImage); err != nil {
-		return nil, 0, err
-	}
-	if err := ms.WriteFRAMImage(prog.FRAMImage); err != nil {
-		return nil, 0, err
-	}
-	c := &cpu.Core{}
-	var cycles uint64
-	for steps := uint64(0); !c.Halted; steps++ {
-		if steps >= maxSteps {
-			return nil, 0, fmt.Errorf("device: %q did not halt within %d steps", prog.Name, maxSteps)
-		}
-		st, err := c.Step(prog.Code, ms)
-		if err != nil {
-			return nil, 0, err
-		}
-		cycles += st.Cycles
-	}
-	return append([]uint32(nil), c.OutBuf...), cycles, nil
 }

@@ -22,31 +22,6 @@ import (
 // render, and the merged order is the input order so output is
 // identical at any worker count and any cache temperature.
 
-// ablationCell wraps one ablation run as a sweep cell with a bounded
-// period budget. requireComplete preserves the two historical flavours:
-// runs that must finish, and corner runs (razor-thin Hibernus margins)
-// where making no forward progress is the measurement.
-func ablationCell(label string, pm energy.PowerModel, periodCycles float64, maxPeriods int, requireComplete bool, build func() (*asm.Program, device.Strategy, error)) sweep.Cell {
-	var progName, sysName string
-	return sweep.Cell{
-		Label: label,
-		Build: func(context.Context) (device.Config, device.Strategy, error) {
-			prog, s, err := build()
-			if err != nil {
-				return device.Config{}, nil, err
-			}
-			progName, sysName = prog.Name, s.Name()
-			return fixedConfig(prog, pm, periodCycles, maxPeriods), s, nil
-		},
-		Verify: func(res *device.Result) error {
-			if requireComplete && !res.Completed {
-				return fmt.Errorf("experiments: ablation run of %s/%s incomplete", sysName, progName)
-			}
-			return nil
-		},
-	}
-}
-
 // AblationClankBuffers sweeps the read-first/write-first buffer capacity
 // (the paper's configuration uses 8+8) on a load-heavy and a
 // violation-heavy kernel. Larger buffers eliminate overflow-forced
@@ -78,9 +53,9 @@ func AblationClankBuffers(ctx context.Context) (*Figure, error) {
 	for bi := range benches {
 		for ci := range capacities {
 			prog, entries := progs[bi], capacities[ci]
-			cells = append(cells, ablationCell(
+			cells = append(cells, fixedCell(
 				fmt.Sprintf("clank-buffers %s entries=%d", benches[bi], entries),
-				pm, 30000, 100000, true,
+				pm, 30000,
 				func() (*asm.Program, device.Strategy, error) {
 					cl := strategy.NewClank()
 					cl.ReadFirstEntries = entries
@@ -139,9 +114,9 @@ func AblationClankWatchdog(ctx context.Context) (*Figure, error) {
 	var cells []sweep.Cell
 	for _, wd := range watchdogs {
 		wd := wd
-		cells = append(cells, ablationCell(
+		cells = append(cells, fixedCell(
 			fmt.Sprintf("clank-watchdog sha wd=%d cycles", wd),
-			pm, 20000, 100000, true,
+			pm, 20000,
 			func() (*asm.Program, device.Strategy, error) {
 				cl := strategy.NewClank()
 				cl.WatchdogCycles = wd
@@ -199,15 +174,16 @@ func AblationHibernusMargin(ctx context.Context) (*Figure, error) {
 	for _, margin := range margins {
 		margin := margin
 		// tight margins may never complete — dying mid-backup every
-		// period is §IV-B's hazard and exactly what this ablation shows
-		cells = append(cells, ablationCell(
-			fmt.Sprintf("hibernus-margin crc margin=%g", margin),
-			pm, 15000, 500, false,
-			func() (*asm.Program, device.Strategy, error) {
+		// period is §IV-B's hazard and exactly what this ablation shows,
+		// so these cells verify nothing and stop after 500 periods
+		cells = append(cells, sweep.Cell{
+			Label: fmt.Sprintf("hibernus-margin crc margin=%g", margin),
+			Build: func(context.Context) (device.Config, device.Strategy, error) {
 				h := strategy.NewHibernus()
 				h.Margin = margin
-				return prog, h, nil
-			}))
+				return fixedConfig(prog, pm, 15000, 500), h, nil
+			},
+		})
 	}
 	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
@@ -262,9 +238,9 @@ func AblationMementosGap(ctx context.Context) (*Figure, error) {
 	var cells []sweep.Cell
 	for _, gap := range gaps {
 		gap := gap
-		cells = append(cells, ablationCell(
+		cells = append(cells, fixedCell(
 			fmt.Sprintf("mementos-gap ds gap=%d cycles", gap),
-			pm, 15000, 100000, true,
+			pm, 15000,
 			func() (*asm.Program, device.Strategy, error) {
 				m := strategy.NewMementos()
 				m.MinGapCycles = gap
@@ -298,11 +274,12 @@ func AblationMementosGap(ctx context.Context) (*Figure, error) {
 // backup schedule, exactly the supply-side non-determinism §IV-A2
 // describes. It is a single cell, not a sweep, but it still runs
 // through the memoizing executor so repeated invocations recall the
-// stored result.
-func VariabilityStudy(ctx context.Context, tauB uint64, periods int) (*Figure, error) {
-	if periods <= 0 {
+// stored result. The timer backs up every 4000 cycles, over 40 periods.
+func VariabilityStudy(ctx context.Context) (*Figure, error) {
+	const (
+		tauB    = 4000
 		periods = 40
-	}
+	)
 	pm := energy.MSP430Power()
 	cells := []sweep.Cell{{
 		Label: fmt.Sprintf("variability τ_B=%d periods=%d", tauB, periods),
@@ -317,13 +294,9 @@ func VariabilityStudy(ctx context.Context, tauB uint64, periods int) (*Figure, e
 			if err != nil {
 				return device.Config{}, nil, err
 			}
-			e := 20000 * pm.EnergyPerCycle(energy.ClassALU)
-			capC, vmax, von, voff := device.FixedSupplyConfig(e)
-			return device.Config{
-				Prog: prog, Power: pm, Harvester: h,
-				CapC: capC, CapVMax: vmax, VOn: von, VOff: voff,
-				MaxPeriods: periods, MaxCycles: 1 << 62,
-			}, strategy.NewTimer(tauB, 0.1), nil
+			cfg := fixedConfig(prog, pm, 20000, periods)
+			cfg.Harvester = h
+			return cfg, strategy.NewTimer(tauB, 0.1), nil
 		},
 	}}
 	all, errs := sweep.Run(ctx, cells)

@@ -105,7 +105,7 @@ func TestAblationMementosGap(t *testing.T) {
 }
 
 func TestVariabilityStudy(t *testing.T) {
-	fig, err := VariabilityStudy(context.Background(), 4000, 30)
+	fig, err := VariabilityStudy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,15 +129,5 @@ func TestVariabilityStudy(t *testing.T) {
 	// per-period progress noticeably (Fig. 4's message)
 	if hi-lo < 0.01 {
 		t.Errorf("no variability observed: [%g, %g]", lo, hi)
-	}
-}
-
-func TestVariabilityStudyDefaults(t *testing.T) {
-	fig, err := VariabilityStudy(context.Background(), 2000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Series[0].Points) == 0 {
-		t.Fatal("no samples with default period count")
 	}
 }

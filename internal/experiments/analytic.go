@@ -91,26 +91,14 @@ func Fig4() *Figure {
 	return f
 }
 
-// Fig11Config parametrizes the reduced-bit-precision figure. Ratios are
-// the Ω_B·A_B/(Ω_B·α_B+ε) values of the plotted curves; the paper
-// controls the ratio via α_B with all other parameters fixed from the
-// susan-on-Clank characterization.
-type Fig11Config struct {
-	// Base carries E, ε, Ω_B and A_B (typically extracted from a Clank
-	// run of susan).
-	Base core.Params
-	// Ratios to plot; zero value uses {10, 25, 50, 100}. A ratio is
-	// reachable only up to Ω_B·A_B/ε of the base parameters.
-	Ratios []float64
-}
-
 // Fig11 plots the magnitude of ∂p/∂α_B — the progress gained per unit
 // of application-state reduction — against τ_B, marking each curve's
-// τ_B,bit sweet spot (Eq. 16).
-func Fig11(cfg Fig11Config) *Figure {
-	if cfg.Ratios == nil {
-		cfg.Ratios = []float64{10, 25, 50, 100}
-	}
+// τ_B,bit sweet spot (Eq. 16). The curves are the Ω_B·A_B/(Ω_B·α_B+ε)
+// ratios 10, 25, 50 and 100 on DefaultFig11Base: the paper controls
+// the ratio via α_B with all other parameters fixed from the
+// susan-on-Clank characterization.
+func Fig11() *Figure {
+	base := DefaultFig11Base()
 	f := &Figure{
 		ID:     "fig11",
 		Title:  "Benefit of reduced bit-precision vs τ_B (Fig. 11)",
@@ -118,10 +106,10 @@ func Fig11(cfg Fig11Config) *Figure {
 		YLabel: "|∂p/∂α_B|",
 		XLog:   true,
 	}
-	axis := core.LogSpace(1, 4*cfg.Base.E/cfg.Base.Epsilon, 120)
-	for _, ratio := range cfg.Ratios {
+	axis := core.LogSpace(1, 4*base.E/base.Epsilon, 120)
+	for _, ratio := range []float64{10, 25, 50, 100} {
 		// choose α_B so that Ω_B·A_B/(Ω_B·α_B+ε) equals the ratio
-		p := cfg.Base
+		p := base
 		alpha := alphaForRatio(p, ratio)
 		if alpha < 0 || math.IsNaN(alpha) {
 			continue // ratio unreachable for these base parameters

@@ -6,6 +6,7 @@ import (
 
 	"ehmodel/internal/asm"
 	"ehmodel/internal/device"
+	"ehmodel/internal/energy"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/sweep"
 	"ehmodel/internal/workload"
@@ -31,14 +32,13 @@ type BreakdownRow struct {
 // converts supply into backup traffic, Clank's register-only
 // checkpoints barely register, and so on. Runtimes run in parallel
 // through the sweep engine; a failed runtime leaves a gap at its index.
-func BreakdownComparison(ctx context.Context, bench string, periodCycles float64) (*Figure, []BreakdownRow, error) {
-	if periodCycles == 0 {
+// The workload is crc on a 20000-cycle supply.
+func BreakdownComparison(ctx context.Context) (*Figure, []BreakdownRow, error) {
+	const (
+		bench        = "crc"
 		periodCycles = 20000
-	}
-	w, ok := workload.Get(bench)
-	if !ok {
-		return nil, nil, fmt.Errorf("experiments: unknown workload %q", bench)
-	}
+	)
+	w, _ := workload.Get(bench)
 	type entry struct {
 		name string
 		seg  asm.Segment
@@ -63,8 +63,8 @@ func BreakdownComparison(ctx context.Context, bench string, periodCycles float64
 		en := en
 		cells = append(cells, fixedCell(
 			"breakdown "+en.name+"/"+bench,
-			periodCycles,
-			func(ctx context.Context) (*asm.Program, device.Strategy, error) {
+			energy.MSP430Power(), periodCycles,
+			func() (*asm.Program, device.Strategy, error) {
 				prog, err := w.Build(workload.Options{Seg: en.seg, Scale: 4})
 				if err != nil {
 					return nil, nil, err

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBreakdownComparison(t *testing.T) {
-	_, rows, err := BreakdownComparison(context.Background(), "crc", 0)
+	_, rows, err := BreakdownComparison(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,5 @@ func TestBreakdownComparison(t *testing.T) {
 	}
 	if byName["clank"].Backup >= byName["dino"].Backup {
 		t.Error("clank's register checkpoints should undercut dino's snapshots")
-	}
-}
-
-func TestBreakdownUnknown(t *testing.T) {
-	if _, _, err := BreakdownComparison(context.Background(), "nope", 0); err == nil {
-		t.Fatal("unknown workload accepted")
 	}
 }

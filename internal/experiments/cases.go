@@ -199,16 +199,11 @@ func CaseCircularBuffer(ctx context.Context) (*Figure, []CircularPoint, core.Cir
 				if err != nil {
 					return device.Config{}, nil, err
 				}
-				capC, vmax, von, voff := device.FixedSupplyConfig(e)
 				cl := strategy.NewClank()
 				cl.ReadFirstEntries = 4096 // isolate violation-driven backups
 				cl.WriteFirstEntries = 4096
 				cl.WatchdogCycles = 1 << 40
-				return device.Config{
-					Prog: p, Power: pm,
-					CapC: capC, CapVMax: vmax, VOn: von, VOff: voff,
-					MaxPeriods: 100000, MaxCycles: 1 << 62,
-				}, cl, nil
+				return fixedConfig(p, pm, circularPeriodCycles, 100000), cl, nil
 			},
 			Verify: func(res *device.Result) error {
 				if !res.Completed {
@@ -259,8 +254,10 @@ type BitPrecisionResult struct {
 	GainAtOpt  float64 // Δp for the same cut at τ_B,opt instead
 }
 
-// CaseBitPrecision quantifies where reduced-precision backups pay off.
-func CaseBitPrecision(base core.Params) BitPrecisionResult {
+// CaseBitPrecision quantifies where reduced-precision backups pay off,
+// on DefaultFig11Base.
+func CaseBitPrecision() BitPrecisionResult {
+	base := DefaultFig11Base()
 	bit := base.TauBBit()
 	opt := base.TauBOpt()
 	return BitPrecisionResult{

@@ -34,20 +34,20 @@ func fixedConfig(prog *asm.Program, pm energy.PowerModel, periodCycles float64, 
 	}
 }
 
-// fixedCell wraps the classic runFixed pattern as a sweep cell: build
-// the program and strategy, supply periodCycles of energy per period,
-// and require the workload to complete.
-func fixedCell(label string, periodCycles float64, build func(ctx context.Context) (*asm.Program, device.Strategy, error)) sweep.Cell {
+// fixedCell is the bench-supply sweep cell: build the program and
+// strategy, supply periodCycles of energy per period under power model
+// pm, allow up to 100000 periods, and require the workload to complete.
+func fixedCell(label string, pm energy.PowerModel, periodCycles float64, build func() (*asm.Program, device.Strategy, error)) sweep.Cell {
 	var progName, sysName string
 	return sweep.Cell{
 		Label: label,
-		Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
-			prog, s, err := build(ctx)
+		Build: func(context.Context) (device.Config, device.Strategy, error) {
+			prog, s, err := build()
 			if err != nil {
 				return device.Config{}, nil, err
 			}
 			progName, sysName = prog.Name, s.Name()
-			return fixedConfig(prog, energy.MSP430Power(), periodCycles, 100000), s, nil
+			return fixedConfig(prog, pm, periodCycles, 100000), s, nil
 		},
 		Verify: func(res *device.Result) error {
 			if !res.Completed {

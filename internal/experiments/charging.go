@@ -37,7 +37,6 @@ func ChargingStudy(ctx context.Context) (*Figure, []ChargingPoint, error) {
 		tauB         = 2000
 		alphaB       = 0.1
 	)
-	e := periodCycles * pm.EnergyPerCycle(energy.ClassALU)
 
 	fig := &Figure{
 		ID:     "charging",
@@ -58,11 +57,7 @@ func ChargingStudy(ctx context.Context) (*Figure, []ChargingPoint, error) {
 				if err != nil {
 					return device.Config{}, nil, err
 				}
-				cfg := device.Config{
-					Prog: prog, Power: pm,
-					MaxPeriods: 12, MaxCycles: 1 << 62,
-				}
-				cfg.CapC, cfg.CapVMax, cfg.VOn, cfg.VOff = device.FixedSupplyConfig(e)
+				cfg := fixedConfig(prog, pm, periodCycles, 12)
 				if r > 0 {
 					src := trace.Constant(3.0, 1, 0.01)
 					h, err := energy.NewHarvester(src, r, 0.7)

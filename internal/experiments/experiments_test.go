@@ -74,7 +74,7 @@ func TestFig4BoundsOrdered(t *testing.T) {
 func TestFig11CurvesPeakAtTauBBit(t *testing.T) {
 	base := DefaultFig11Base()
 	ratios := []float64{10, 25, 50, 100}
-	f := Fig11(Fig11Config{Base: base, Ratios: ratios})
+	f := Fig11()
 	if len(f.Series) != len(ratios) {
 		t.Fatalf("series = %d, want %d", len(f.Series), len(ratios))
 	}
@@ -129,7 +129,7 @@ func TestFigureCSV(t *testing.T) {
 }
 
 func TestCaseBitPrecision(t *testing.T) {
-	r := CaseBitPrecision(DefaultFig11Base())
+	r := CaseBitPrecision()
 	if r.TauBBit <= 0 {
 		t.Fatal("no τ_B,bit")
 	}

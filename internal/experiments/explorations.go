@@ -21,15 +21,13 @@ import (
 // CapacitorSweep measures progress as the energy buffer grows — the
 // model's E axis made empirical. One-time costs (restore, dead
 // execution) amortize over larger buffers, so both the model and the
-// measurement should rise toward the backup-limited asymptote.
-func CapacitorSweep(ctx context.Context, bench string, periodCycles []float64) (*Figure, error) {
-	if periodCycles == nil {
-		periodCycles = []float64{3000, 6000, 12000, 24000, 48000, 96000}
-	}
-	w, ok := workload.Get(bench)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown workload %q", bench)
-	}
+// measurement should rise toward the backup-limited asymptote. The
+// workload is crc under DINO, over six supplies from 3000 to 96000 ALU
+// cycles.
+func CapacitorSweep(ctx context.Context) (*Figure, error) {
+	const bench = "crc"
+	periodCycles := []float64{3000, 6000, 12000, 24000, 48000, 96000}
+	w, _ := workload.Get(bench)
 	fig := &Figure{
 		ID:     "exploration-capacitor",
 		Title:  fmt.Sprintf("Energy-buffer sizing for %s under DINO", bench),
@@ -43,8 +41,8 @@ func CapacitorSweep(ctx context.Context, bench string, periodCycles []float64) (
 	for _, pc := range periodCycles {
 		cells = append(cells, fixedCell(
 			fmt.Sprintf("capacitor %s E=%g cycles", bench, pc),
-			pc,
-			func(ctx context.Context) (*asm.Program, device.Strategy, error) {
+			energy.MSP430Power(), pc,
+			func() (*asm.Program, device.Strategy, error) {
 				prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: 8})
 				if err != nil {
 					return nil, nil, err
@@ -85,12 +83,14 @@ type NVMComparisonPoint struct {
 
 // NVMComparison runs the same workload and backup cadence over FRAM,
 // STT-RAM and Flash checkpoint memories, comparing measured progress
-// with the model evaluated at each technology's Ω_B/σ_B.
-func NVMComparison(ctx context.Context, bench string, tauB uint64) (*Figure, []NVMComparisonPoint, error) {
-	w, ok := workload.Get(bench)
-	if !ok {
-		return nil, nil, fmt.Errorf("experiments: unknown workload %q", bench)
-	}
+// with the model evaluated at each technology's Ω_B/σ_B. The workload
+// is crc under a timer with τ_B = 2000 cycles.
+func NVMComparison(ctx context.Context) (*Figure, []NVMComparisonPoint, error) {
+	const (
+		bench = "crc"
+		tauB  = 2000
+	)
+	w, _ := workload.Get(bench)
 	fig := &Figure{
 		ID:     "exploration-nvm",
 		Title:  fmt.Sprintf("Checkpoint NVM technology comparison (%s, timer τ_B=%d)", bench, tauB),
@@ -111,15 +111,10 @@ func NVMComparison(ctx context.Context, bench string, tauB uint64) (*Figure, []N
 				if err != nil {
 					return device.Config{}, nil, err
 				}
-				e := 30000 * pm.EnergyPerCycle(energy.ClassALU)
-				capC, vmax, von, voff := device.FixedSupplyConfig(e)
-				return device.Config{
-					Prog: prog, Power: pm,
-					CapC: capC, CapVMax: vmax, VOn: von, VOff: voff,
-					SigmaB: nvm.SigmaB, SigmaR: nvm.SigmaR,
-					OmegaBExtra: nvm.OmegaBExtra, OmegaRExtra: nvm.OmegaRExtra,
-					MaxPeriods: 100000, MaxCycles: 1 << 62,
-				}, strategy.NewTimer(tauB, 0.1), nil
+				cfg := fixedConfig(prog, pm, 30000, 100000)
+				cfg.SigmaB, cfg.SigmaR = nvm.SigmaB, nvm.SigmaR
+				cfg.OmegaBExtra, cfg.OmegaRExtra = nvm.OmegaBExtra, nvm.OmegaRExtra
+				return cfg, strategy.NewTimer(tauB, 0.1), nil
 			},
 			Verify: func(res *device.Result) error {
 				if !res.Completed {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestCapacitorSweep(t *testing.T) {
-	fig, err := CapacitorSweep(context.Background(), "crc", nil)
+	fig, err := CapacitorSweep(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,14 +29,8 @@ func TestCapacitorSweep(t *testing.T) {
 	}
 }
 
-func TestCapacitorSweepUnknown(t *testing.T) {
-	if _, err := CapacitorSweep(context.Background(), "nope", nil); err == nil {
-		t.Fatal("unknown workload accepted")
-	}
-}
-
 func TestNVMComparison(t *testing.T) {
-	_, pts, err := NVMComparison(context.Background(), "crc", 2000)
+	_, pts, err := NVMComparison(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +54,5 @@ func TestNVMComparison(t *testing.T) {
 	if !(byName["fram"].Predicted > byName["sttram"].Predicted &&
 		byName["sttram"].Predicted > byName["flash"].Predicted) {
 		t.Errorf("model ranking diverges: %+v", pts)
-	}
-}
-
-func TestNVMComparisonUnknown(t *testing.T) {
-	if _, _, err := NVMComparison(context.Background(), "nope", 2000); err == nil {
-		t.Fatal("unknown workload accepted")
 	}
 }

@@ -108,8 +108,8 @@ func Fig6(ctx context.Context) (*Figure, []Fig6Point, error) {
 			jobs = append(jobs, job{sys: si, bench: bi})
 			cells = append(cells, fixedCell(
 				fmt.Sprintf("fig6 %s/%s", sys.name, w.Name),
-				fig6PeriodCycles,
-				func(ctx context.Context) (*asm.Program, device.Strategy, error) {
+				energy.MSP430Power(), fig6PeriodCycles,
+				func() (*asm.Program, device.Strategy, error) {
 					prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: fig6Scale})
 					if err != nil {
 						return nil, nil, err
@@ -191,8 +191,8 @@ func Fig7(ctx context.Context) (*Figure, []Fig7Point, error) {
 		w := benches[bi]
 		cells = append(cells, fixedCell(
 			"fig7 dino/"+w.Name,
-			fig6PeriodCycles,
-			func(ctx context.Context) (*asm.Program, device.Strategy, error) {
+			energy.MSP430Power(), fig6PeriodCycles,
+			func() (*asm.Program, device.Strategy, error) {
 				prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: fig6Scale})
 				if err != nil {
 					return nil, nil, err

@@ -24,15 +24,9 @@ func TestFitFromSimulatedMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := 20000 * pm.EnergyPerCycle(energy.ClassALU)
 
 	measure := func(tauB uint64) float64 {
-		capC, vmax, von, voff := device.FixedSupplyConfig(e)
-		d, err := device.New(device.Config{
-			Prog: prog, Power: pm,
-			CapC: capC, CapVMax: vmax, VOn: von, VOff: voff,
-			MaxPeriods: 12, MaxCycles: 1 << 62,
-		}, strategy.NewTimer(tauB, 0.1))
+		d, err := device.New(fixedConfig(prog, pm, 20000, 12), strategy.NewTimer(tauB, 0.1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -175,9 +175,9 @@ func drivers(which string, quick bool) []driver {
 		f, _, err := Fig10(ctx, characterization)
 		return one(f, err)
 	})
-	analytic("11", func() *Figure { return Fig11(Fig11Config{Base: DefaultFig11Base()}) })
+	analytic("11", Fig11)
 	add("table2", func(context.Context) ([]*Figure, error) {
-		rows, err := Table2(nil)
+		rows, err := Table2()
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +205,7 @@ func drivers(which string, quick bool) []driver {
 	add("hibernus-margin", func(ctx context.Context) ([]*Figure, error) { return one(AblationHibernusMargin(ctx)) })
 	add("mementos-gap", func(ctx context.Context) ([]*Figure, error) { return one(AblationMementosGap(ctx)) })
 	add("tail", func(ctx context.Context) ([]*Figure, error) {
-		f, _, err := TailLatencyStudy(ctx, 0)
+		f, _, err := TailLatencyStudy(ctx)
 		return one(f, err)
 	})
 	add("charging", func(ctx context.Context) ([]*Figure, error) {
@@ -217,21 +217,21 @@ func drivers(which string, quick bool) []driver {
 		return one(f, err)
 	})
 	add("breakdown", func(ctx context.Context) ([]*Figure, error) {
-		f, _, err := BreakdownComparison(ctx, "crc", 0)
+		f, _, err := BreakdownComparison(ctx)
 		return one(f, err)
 	})
 	add("capacitor", func(ctx context.Context) ([]*Figure, error) {
-		return one(CapacitorSweep(ctx, "crc", nil))
+		return one(CapacitorSweep(ctx))
 	})
 	add("nvm", func(ctx context.Context) ([]*Figure, error) {
-		f, _, err := NVMComparison(ctx, "crc", 2000)
+		f, _, err := NVMComparison(ctx)
 		return one(f, err)
 	})
 	add("variability", func(ctx context.Context) ([]*Figure, error) {
-		return one(VariabilityStudy(ctx, 4000, 40))
+		return one(VariabilityStudy(ctx))
 	})
 	analytic("bitprecision", func() *Figure {
-		r := CaseBitPrecision(DefaultFig11Base())
+		r := CaseBitPrecision()
 		f := &Figure{ID: "case-bitprecision", Title: "Reduced bit-precision payoff (§VI-C)"}
 		f.AddNote("τ_B,bit = %.1f cycles", r.TauBBit)
 		f.AddNote("Δp for a 1-bit α_B cut at τ_B,bit: %.4f", r.GainOneBit)

@@ -64,15 +64,10 @@ func CaseStoreMajorDevice(ctx context.Context) (*Figure, []StoreMajorDevicePoint
 					if err != nil {
 						return device.Config{}, nil, err
 					}
-					e := 20000 * pm.EnergyPerCycle(energy.ClassALU)
-					capC, vmax, von, voff := device.FixedSupplyConfig(e)
-					return device.Config{
-						Prog: prog, Power: pm,
-						CapC: capC, CapVMax: vmax, VOn: von, VOff: voff,
-						SigmaB: 2 * ratio, SigmaR: 2, // σ_load fixed at FRAM speed
-						CacheBlockSize: 32, CacheSets: 16, CacheWays: 2,
-						MaxPeriods: 100000, MaxCycles: 1 << 62,
-					}, strategy.NewCacheVolatile(), nil
+					cfg := fixedConfig(prog, pm, 20000, 100000)
+					cfg.SigmaB, cfg.SigmaR = 2*ratio, 2 // σ_load fixed at FRAM speed
+					cfg.CacheBlockSize, cfg.CacheSets, cfg.CacheWays = 32, 16, 2
+					return cfg, strategy.NewCacheVolatile(), nil
 				},
 				Verify: func(res *device.Result) error {
 					if !res.Completed {

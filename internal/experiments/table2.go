@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"ehmodel/internal/asm"
 	"ehmodel/internal/workload"
 )
@@ -20,23 +18,10 @@ type Table2Row struct {
 	SRAMFootprint int
 }
 
-// Table2 profiles a benchmark set (Table II by default; pass names to
-// inventory other sets such as the MiBench kernels).
-func Table2(names []string) ([]Table2Row, error) {
-	var set []workload.Workload
-	if names == nil {
-		set = workload.TableII()
-	} else {
-		for _, n := range names {
-			w, ok := workload.Get(n)
-			if !ok {
-				return nil, fmt.Errorf("experiments: unknown workload %q", n)
-			}
-			set = append(set, w)
-		}
-	}
+// Table2 profiles the Table II benchmarks.
+func Table2() ([]Table2Row, error) {
 	var rows []Table2Row
-	for _, w := range set {
+	for _, w := range workload.TableII() {
 		prog, err := w.Build(workload.Options{Seg: asm.SRAM})
 		if err != nil {
 			return nil, err

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestTable2Default(t *testing.T) {
-	rows, err := Table2(nil)
+	rows, err := Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,23 +20,5 @@ func TestTable2Default(t *testing.T) {
 		if r.Desc == "" {
 			t.Errorf("%s: missing description", r.Name)
 		}
-	}
-}
-
-func TestTable2Custom(t *testing.T) {
-	rows, err := Table2([]string{"lzfx", "sha"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 || rows[0].Name != "lzfx" {
-		t.Fatalf("rows: %+v", rows)
-	}
-	// lzfx stores far more densely than sha (the Fig. 8 driver)
-	if rows[0].TauStore >= rows[1].TauStore {
-		t.Errorf("lzfx τ_store (%g) should undercut sha's (%g)",
-			rows[0].TauStore, rows[1].TauStore)
-	}
-	if _, err := Table2([]string{"nope"}); err == nil {
-		t.Fatal("unknown workload accepted")
 	}
 }

@@ -28,11 +28,9 @@ type TailPoint struct {
 // maximizes the worst periods (tail) sits at or below the τ_B that
 // maximizes the mean — the structural content of Eq. 10's
 // τ_B,opt(wc) < τ_B,opt. The sweep is one cell per τ_B through the
-// memoizing executor.
-func TailLatencyStudy(ctx context.Context, periods int) (*Figure, []TailPoint, error) {
-	if periods <= 0 {
-		periods = 60
-	}
+// memoizing executor, each run for 60 periods.
+func TailLatencyStudy(ctx context.Context) (*Figure, []TailPoint, error) {
+	const periods = 60
 	pm := energy.MSP430Power()
 
 	fig := &Figure{
@@ -64,13 +62,9 @@ func TailLatencyStudy(ctx context.Context, periods int) (*Figure, []TailPoint, e
 				if err != nil {
 					return device.Config{}, nil, err
 				}
-				e := 20000 * pm.EnergyPerCycle(energy.ClassALU)
-				capC, vmax, von, voff := device.FixedSupplyConfig(e)
-				return device.Config{
-					Prog: prog, Power: pm, Harvester: h,
-					CapC: capC, CapVMax: vmax, VOn: von, VOff: voff,
-					MaxPeriods: periods, MaxCycles: 1 << 62,
-				}, strategy.NewTimer(tauB, 0.1), nil
+				cfg := fixedConfig(prog, pm, 20000, periods)
+				cfg.Harvester = h
+				return cfg, strategy.NewTimer(tauB, 0.1), nil
 			},
 		})
 	}

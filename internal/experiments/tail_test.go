@@ -10,7 +10,7 @@ import (
 // degrades faster than the mean beyond the optimum — so tail-focused
 // designs must not choose a longer τ_B than average-focused ones.
 func TestTailLatencyStudy(t *testing.T) {
-	_, pts, err := TailLatencyStudy(context.Background(), 60)
+	_, pts, err := TailLatencyStudy(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

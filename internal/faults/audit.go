@@ -226,7 +226,7 @@ func Audit(ctx context.Context, o Options) (*Report, error) {
 			}
 			want := w.Ref(opts)
 			for k := 0; k < o.Schedules; k++ {
-				c := Case{Strategy: spec.Name, Workload: wname, Seed: caseSeed(o.BaseSeed, spec.Name, wname, k)}
+				c := Case{Strategy: spec.Name, Workload: wname, Plan: Plan{Seed: caseSeed(o.BaseSeed, spec.Name, wname, k)}}
 				cells = append(cells, cell{spec: spec, prog: prog, want: want, c: c})
 			}
 		}
@@ -319,7 +319,7 @@ func AuditRun(ctx context.Context, o Options, strat device.Strategy, prog *asm.P
 	o.setDefaults()
 	plan := o.Plan
 	if c.hasPlan() {
-		plan = c.plan()
+		plan = c.Plan
 	} else {
 		plan.Seed = c.Seed
 	}

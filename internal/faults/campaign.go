@@ -183,7 +183,7 @@ func Campaign(ctx context.Context, o CampaignOptions) (*CampaignReport, error) {
 	probePlan.StaleRestoreProb = 0
 	probePlan.Seed = o.Seed
 	rec := &device.ObsLog{}
-	if hints, aerr := analyze.Analyze(prog, analyze.Options{}); aerr == nil {
+	if hints, aerr := analyze.Analyze(prog); aerr == nil {
 		if words := hints.HazardWords(); len(words) > 0 {
 			rec.HazardWords = make(map[uint32]struct{}, len(words))
 			for _, a := range words {
@@ -225,9 +225,8 @@ func Campaign(ctx context.Context, o CampaignOptions) (*CampaignReport, error) {
 		plan := o.Plan
 		plan.CutCycles = []uint64{cut}
 		plan.Seed = o.Seed
-		c := Case{Strategy: o.Strategy.Name, Workload: o.Workload, Seed: o.Seed,
+		c := Case{Strategy: o.Strategy.Name, Workload: o.Workload, Plan: plan,
 			Oracle: o.Oracle, Fresh: o.FreshnessBound}
-		c = c.withPlan(plan)
 		rep.Schedules++
 		emit(obsv.EvCampaignSchedule, uint64(wi), cut)
 		out, err := AuditRun(ctx, ro, o.Strategy.New(), prog, want, c)
@@ -249,7 +248,7 @@ func Campaign(ctx context.Context, o CampaignOptions) (*CampaignReport, error) {
 			emit(obsv.EvCampaignFinding, uint64(v.Class), cut)
 			min, runs := shrink(ctx, &ro, &o, prog, want, v)
 			rep.ShrinkRuns += runs
-			emit(obsv.EvCampaignShrink, uint64(runs), uint64(len(min.Case.Cuts)))
+			emit(obsv.EvCampaignShrink, uint64(runs), uint64(len(min.Case.CutCycles)))
 			rep.Violations = append(rep.Violations, min)
 		}
 		if len(rep.Violations) > 0 {
@@ -383,16 +382,16 @@ func shrink(ctx context.Context, ro *Options, o *CampaignOptions, prog *asm.Prog
 	// Step 1: drop the stochastic mix — pure deterministic cuts (plus
 	// the protocol mode) make the repro independent of RNG draws.
 	c := best.Case
-	if c.MeanCut > 0 || c.Torn > 0 || c.Flips > 0 || c.Stale > 0 {
+	if c.RandomCutMeanCycles > 0 || c.TornWriteProb > 0 || c.BitFlipRate > 0 || c.StaleRestoreProb > 0 {
 		cand := c
-		cand.MeanCut, cand.Torn, cand.Flips, cand.Stale = 0, 0, 0, 0
+		cand.RandomCutMeanCycles, cand.TornWriteProb, cand.BitFlipRate, cand.StaleRestoreProb = 0, 0, 0, 0
 		if min, ok := try(cand); ok {
 			best, c = min, cand
 		}
 	}
 
 	// Step 2: ddmin over the cut set (complement reduction).
-	cuts := append([]uint64(nil), c.Cuts...)
+	cuts := append([]uint64(nil), c.CutCycles...)
 	n := 2
 	for len(cuts) >= 2 && n <= len(cuts) {
 		chunk := (len(cuts) + n - 1) / n
@@ -400,7 +399,7 @@ func shrink(ctx context.Context, ro *Options, o *CampaignOptions, prog *asm.Prog
 		for i := 0; i < len(cuts); i += chunk {
 			complement := append(append([]uint64(nil), cuts[:i]...), cuts[min(i+chunk, len(cuts)):]...)
 			cand := c
-			cand.Cuts = complement
+			cand.CutCycles = complement
 			if m, ok := try(cand); ok {
 				cuts = complement
 				best, c = m, cand
@@ -420,22 +419,22 @@ func shrink(ctx context.Context, ro *Options, o *CampaignOptions, prog *asm.Prog
 	// Step 3: push the first cut later (doubling probe then binary
 	// search), bounded — the latest failing first cut pins the frontier
 	// the violation lives on.
-	if len(c.Cuts) > 0 {
-		c.Cuts = cuts
-		sort.Slice(c.Cuts, func(a, b int) bool { return c.Cuts[a] < c.Cuts[b] })
+	if len(c.CutCycles) > 0 {
+		c.CutCycles = cuts
+		sort.Slice(c.CutCycles, func(a, b int) bool { return c.CutCycles[a] < c.CutCycles[b] })
 		withFirst := func(v uint64) Case {
 			cand := c
-			cand.Cuts = append([]uint64(nil), c.Cuts...)
-			cand.Cuts[0] = v
+			cand.CutCycles = append([]uint64(nil), c.CutCycles...)
+			cand.CutCycles[0] = v
 			return cand
 		}
-		hi := c.Cuts[0]
+		hi := c.CutCycles[0]
 		step := uint64(1)
 		for probes := 0; probes < 8; probes++ {
 			if m, ok := try(withFirst(hi + step)); ok {
 				hi += step
 				best = m
-				c.Cuts[0] = hi
+				c.CutCycles[0] = hi
 				step *= 2
 			} else {
 				break
@@ -448,7 +447,7 @@ func shrink(ctx context.Context, ro *Options, o *CampaignOptions, prog *asm.Prog
 			if m, ok := try(withFirst(mid)); ok {
 				badLo = mid
 				best = m
-				c.Cuts[0] = mid
+				c.CutCycles[0] = mid
 			} else {
 				badHi = mid
 			}

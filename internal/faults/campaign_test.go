@@ -54,8 +54,8 @@ func TestCampaignFindsNaiveCommitTornState(t *testing.T) {
 
 	// The minimized counterexample is a single cut that replays
 	// deterministically to the same verdict class — twice.
-	if len(v.Case.Cuts) != 1 {
-		t.Fatalf("shrinker left %d cuts, want 1 (case %s)", len(v.Case.Cuts), v.Case)
+	if len(v.Case.CutCycles) != 1 {
+		t.Fatalf("shrinker left %d cuts, want 1 (case %s)", len(v.Case.CutCycles), v.Case)
 	}
 	for i := 0; i < 2; i++ {
 		c, err := ParseCase(v.Case.String())
@@ -90,8 +90,8 @@ func uniformFirstFinding(ctx context.Context, t *testing.T, spec strategy.Spec, 
 	want := w.Ref(opts)
 	for k := 1; k <= budget; k++ {
 		cut := 1 + splitmix(seed^uint64(k)<<20)%space
-		c := Case{Strategy: spec.Name, Workload: wl, Seed: int64(seed),
-			Cuts: []uint64{cut}, Naive: true}
+		c := Case{Strategy: spec.Name, Workload: wl,
+			Plan: Plan{Seed: int64(seed), CutCycles: []uint64{cut}, NaiveCommit: true}}
 		out, err := AuditRun(ctx, Options{}, spec.New(), prog, want, c)
 		if err != nil {
 			t.Fatalf("uniform schedule %d: %v", k, err)

@@ -3,7 +3,7 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -11,26 +11,19 @@ import (
 // Case identifies one audited run. A bare case (only Strategy, Workload
 // and Seed set) replays under the ambient Options.Plan — the sweep
 // convention. A case whose plan fields are set is self-contained: the
-// embedded fields rebuild the exact fault plan and oracle configuration,
-// so the printed form is a complete, replayable counterexample. The
-// auditor and the adversarial campaign enrich every reported violation's
-// Case this way, and Case.String / ParseCase round-trip the result
-// through `ehsim -audit -repro`.
+// embedded plan and oracle configuration rebuild the exact run, so the
+// printed form is a complete, replayable counterexample. The auditor
+// and the adversarial campaign enrich every reported violation's Case
+// this way, and Case.String / ParseCase round-trip the result through
+// `ehsim -audit -repro`.
 type Case struct {
 	Strategy string
 	Workload string
-	// Seed is the injector seed of this schedule; together with the plan
-	// fields it fully reproduces the run.
-	Seed int64
 
-	// Embedded fault plan (see Plan). All-zero means "not embedded":
-	// replay falls back to the ambient plan.
-	Cuts    []uint64 // deterministic power-cut cycles
-	MeanCut float64  // random-cut mean interval, cycles
-	Torn    float64  // per-word torn-write probability
-	Flips   float64  // per-word bit-flip rate
-	Stale   float64  // forced stale-restore probability
-	Naive   bool     // single-slot unvalidated commit mode
+	// Plan is the case's fault plan; its Seed is the injector seed of
+	// this schedule. With every other field zero the plan counts as not
+	// embedded, and replay runs the ambient plan reseeded with Seed.
+	Plan
 
 	// Oracle configuration carried for replay: whether to attach the
 	// observation recorder, and the timeliness bound in executed cycles
@@ -46,33 +39,15 @@ type Case struct {
 
 // hasPlan reports whether the case embeds a fault plan of its own.
 func (c Case) hasPlan() bool {
-	return len(c.Cuts) > 0 || c.MeanCut > 0 || c.Torn > 0 || c.Flips > 0 ||
-		c.Stale > 0 || c.Naive
+	return len(c.CutCycles) > 0 || c.RandomCutMeanCycles > 0 || c.TornWriteProb > 0 ||
+		c.BitFlipRate > 0 || c.StaleRestoreProb > 0 || c.NaiveCommit
 }
 
-// plan rebuilds the embedded fault plan.
-func (c Case) plan() Plan {
-	return Plan{
-		Seed:                c.Seed,
-		CutCycles:           append([]uint64(nil), c.Cuts...),
-		RandomCutMeanCycles: c.MeanCut,
-		TornWriteProb:       c.Torn,
-		BitFlipRate:         c.Flips,
-		StaleRestoreProb:    c.Stale,
-		NaiveCommit:         c.Naive,
-	}
-}
-
-// withPlan returns a copy of c carrying p as its embedded plan, making
-// the case self-contained.
+// withPlan returns a copy of c carrying p as its embedded plan, with
+// its own sorted copy of the cuts, making the case self-contained.
 func (c Case) withPlan(p Plan) Case {
-	c.Cuts = append([]uint64(nil), p.CutCycles...)
-	sort.Slice(c.Cuts, func(a, b int) bool { return c.Cuts[a] < c.Cuts[b] })
-	c.MeanCut = p.RandomCutMeanCycles
-	c.Torn = p.TornWriteProb
-	c.Flips = p.BitFlipRate
-	c.Stale = p.StaleRestoreProb
-	c.Naive = p.NaiveCommit
+	c.Plan = p
+	c.CutCycles = slices.Sorted(slices.Values(p.CutCycles))
 	return c
 }
 
@@ -87,28 +62,28 @@ func (c Case) withPlan(p Plan) Case {
 func (c Case) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s/%s seed=%d", c.Strategy, c.Workload, c.Seed)
-	if len(c.Cuts) > 0 {
+	if len(c.CutCycles) > 0 {
 		b.WriteString(" cuts=")
-		for i, v := range c.Cuts {
+		for i, v := range c.CutCycles {
 			if i > 0 {
 				b.WriteByte(',')
 			}
 			b.WriteString(strconv.FormatUint(v, 10))
 		}
 	}
-	if c.MeanCut > 0 {
-		fmt.Fprintf(&b, " mean=%g", c.MeanCut)
+	if c.RandomCutMeanCycles > 0 {
+		fmt.Fprintf(&b, " mean=%g", c.RandomCutMeanCycles)
 	}
-	if c.Torn > 0 {
-		fmt.Fprintf(&b, " torn=%g", c.Torn)
+	if c.TornWriteProb > 0 {
+		fmt.Fprintf(&b, " torn=%g", c.TornWriteProb)
 	}
-	if c.Flips > 0 {
-		fmt.Fprintf(&b, " flips=%g", c.Flips)
+	if c.BitFlipRate > 0 {
+		fmt.Fprintf(&b, " flips=%g", c.BitFlipRate)
 	}
-	if c.Stale > 0 {
-		fmt.Fprintf(&b, " stale=%g", c.Stale)
+	if c.StaleRestoreProb > 0 {
+		fmt.Fprintf(&b, " stale=%g", c.StaleRestoreProb)
 	}
-	if c.Naive {
+	if c.NaiveCommit {
 		b.WriteString(" naive")
 	}
 	if c.Oracle {
@@ -148,7 +123,7 @@ func ParseCase(s string) (Case, error) {
 			if hasVal {
 				return c, fmt.Errorf("faults: case token %q takes no value", tok)
 			}
-			c.Naive = true
+			c.NaiveCommit = true
 		case "oracle":
 			if hasVal {
 				return c, fmt.Errorf("faults: case token %q takes no value", tok)
@@ -166,7 +141,7 @@ func ParseCase(s string) (Case, error) {
 				if err != nil {
 					return c, fmt.Errorf("faults: case cut %q: %w", f, err)
 				}
-				c.Cuts = append(c.Cuts, v)
+				c.CutCycles = append(c.CutCycles, v)
 			}
 		case "mean", "torn", "flips", "stale", "period":
 			v, err := strconv.ParseFloat(val, 64)
@@ -175,13 +150,13 @@ func ParseCase(s string) (Case, error) {
 			}
 			switch key {
 			case "mean":
-				c.MeanCut = v
+				c.RandomCutMeanCycles = v
 			case "torn":
-				c.Torn = v
+				c.TornWriteProb = v
 			case "flips":
-				c.Flips = v
+				c.BitFlipRate = v
 			case "stale":
-				c.Stale = v
+				c.StaleRestoreProb = v
 			case "period":
 				c.Period = v
 			}

@@ -9,14 +9,14 @@ import (
 // every shape of case the auditor and campaign print.
 func TestCaseStringRoundTrip(t *testing.T) {
 	cases := []Case{
-		{Strategy: "timer", Workload: "counter", Seed: 1},
-		{Strategy: "clank", Workload: "qsort", Seed: -3},
-		{Strategy: "timer", Workload: "counter", Seed: 7, Cuts: []uint64{3284}, Naive: true},
-		{Strategy: "chain", Workload: "sense", Seed: 1, Cuts: []uint64{400}, Stale: 1, Oracle: true},
-		{Strategy: "timer+sense", Workload: "sense", Seed: 2, MeanCut: 7000,
-			Torn: 0.001, Flips: 0.0015, Stale: 0.05, Oracle: true, Fresh: 500,
+		{Strategy: "timer", Workload: "counter", Plan: Plan{Seed: 1}},
+		{Strategy: "clank", Workload: "qsort", Plan: Plan{Seed: -3}},
+		{Strategy: "timer", Workload: "counter", Plan: Plan{Seed: 7, CutCycles: []uint64{3284}, NaiveCommit: true}},
+		{Strategy: "chain", Workload: "sense", Plan: Plan{Seed: 1, CutCycles: []uint64{400}, StaleRestoreProb: 1}, Oracle: true},
+		{Strategy: "timer+sense", Workload: "sense", Plan: Plan{Seed: 2, RandomCutMeanCycles: 7000,
+			TornWriteProb: 0.001, BitFlipRate: 0.0015, StaleRestoreProb: 0.05}, Oracle: true, Fresh: 500,
 			Period: 20000, Periods: 20000},
-		{Strategy: "dino", Workload: "ds", Seed: 9, Cuts: []uint64{100, 2500, 90000}},
+		{Strategy: "dino", Workload: "ds", Plan: Plan{Seed: 9, CutCycles: []uint64{100, 2500, 90000}}},
 	}
 	for _, c := range cases {
 		s := c.String()

@@ -119,7 +119,7 @@ func TestOracleTimeliness(t *testing.T) {
 	// checkpoint cadence, not the attack mix.
 	o := Options{Plan: Plan{Seed: 1}, Oracle: true, FreshnessBound: 500}
 
-	bare, err := AuditRun(ctx, o, spec.New(), prog, want, Case{Strategy: "timer", Workload: "sense", Seed: 1})
+	bare, err := AuditRun(ctx, o, spec.New(), prog, want, Case{Strategy: "timer", Workload: "sense", Plan: Plan{Seed: 1}})
 	if err != nil {
 		t.Fatalf("AuditRun (timer): %v", err)
 	}
@@ -131,7 +131,7 @@ func TestOracleTimeliness(t *testing.T) {
 	}
 
 	protected, err := AuditRun(ctx, o, strategy.NewSenseCommit(spec.New()), prog, want,
-		Case{Strategy: "timer+sense", Workload: "sense", Seed: 1})
+		Case{Strategy: "timer+sense", Workload: "sense", Plan: Plan{Seed: 1}})
 	if err != nil {
 		t.Fatalf("AuditRun (timer+sense): %v", err)
 	}

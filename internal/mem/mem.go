@@ -21,7 +21,8 @@ const (
 	// FRAMBase is the start of nonvolatile memory.
 	FRAMBase uint32 = 0x20000
 	// DefaultSRAMSize and DefaultFRAMSize are the region sizes in bytes
-	// when a configuration leaves them unset.
+	// of the modelled MSP430FR5994: every simulated device and the
+	// static analyzer use them.
 	DefaultSRAMSize = 8 << 10
 	DefaultFRAMSize = 256 << 10
 )

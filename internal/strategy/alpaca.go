@@ -163,13 +163,9 @@ func (a *Alpaca) skip(entry uint32) {
 // fuzzer-generated code) keeps a nil table and commits at SysTaskEnd
 // markers only.
 func (a *Alpaca) Attach(d *device.Device) {
-	cfg := d.Cfg()
 	a.table = nil
 	a.bounds = nil
-	tt, err := analyze.Tasks(cfg.Prog, analyze.Options{
-		SRAMSize: cfg.SRAMSize,
-		FRAMSize: cfg.FRAMSize,
-	})
+	tt, err := analyze.Tasks(d.Cfg().Prog)
 	if err == nil {
 		a.table = tt
 		a.bounds = tt.BoundarySet()

@@ -120,7 +120,7 @@ func TestCacheVolatileFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := device.RunContinuous(prog, 0, 0, 50_000_000)
+		oracle, err := workload.ProfileProgram(prog, 50_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,8 +132,8 @@ func TestCacheVolatileFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Completed || !reflect.DeepEqual(res.Output, want) {
-			t.Fatalf("seed %d: completed=%v got %v want %v", seed, res.Completed, res.Output, want)
+		if !res.Completed || !reflect.DeepEqual(res.Output, oracle.Output) {
+			t.Fatalf("seed %d: completed=%v got %v want %v", seed, res.Completed, res.Output, oracle.Output)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func TestFuzzEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				want, _, err := device.RunContinuous(prog, 0, 0, 50_000_000)
+				oracle, err := workload.ProfileProgram(prog, 50_000_000)
 				if err != nil {
 					t.Fatalf("seed %d oracle: %v", seed, err)
 				}
@@ -66,8 +66,8 @@ func TestFuzzEquivalence(t *testing.T) {
 				if !res.Completed {
 					t.Fatalf("seed %d: incomplete after %d periods", seed, len(res.Periods))
 				}
-				if !reflect.DeepEqual(res.Output, want) {
-					t.Fatalf("seed %d: output diverged\n got %v\nwant %v", seed, res.Output, want)
+				if !reflect.DeepEqual(res.Output, oracle.Output) {
+					t.Fatalf("seed %d: output diverged\n got %v\nwant %v", seed, res.Output, oracle.Output)
 				}
 			}
 		})

@@ -216,7 +216,7 @@ func TestWCECBoundsDynamicFaulted(t *testing.T) {
 				meter := strategy.NewRegionMeter(inner, tbl)
 				out, err := faults.AuditRun(context.Background(), faults.Options{},
 					meter, prog, w.Ref(opts),
-					faults.Case{Strategy: spec.Name, Workload: "crc", Seed: seed})
+					faults.Case{Strategy: spec.Name, Workload: "crc", Plan: faults.Plan{Seed: seed}})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -30,6 +30,7 @@ import (
 	"ehmodel/internal/asm"
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
+	"ehmodel/internal/mem"
 )
 
 // CodeVersion is the cache-epoch stamp folded into every cell key.
@@ -103,8 +104,11 @@ func cellKey(cfg device.Config, strat device.Strategy, version string) (Key, boo
 	hashProgram(w, cfg.Prog)
 
 	w.str("engine", cfg.Engine.String())
-	w.u64("sram", uint64(cfg.SRAMSize))
-	w.u64("fram", uint64(cfg.FRAMSize))
+	// Every device runs the fixed memory geometry, but the sizes stay
+	// key material: dropping them would move every key and turn each
+	// stored entry into a miss.
+	w.u64("sram", mem.DefaultSRAMSize)
+	w.u64("fram", mem.DefaultFRAMSize)
 
 	w.f64("freq", cfg.Power.FreqHz)
 	for c := 0; c < energy.NumClasses; c++ {

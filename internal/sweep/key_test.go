@@ -115,8 +115,6 @@ func TestCellKeySensitivity(t *testing.T) {
 			{"sigmaR", func(c *device.Config) { c.SigmaR = 7 }},
 			{"omegaBExtra", func(c *device.Config) { c.OmegaBExtra = 1e-12 }},
 			{"omegaRExtra", func(c *device.Config) { c.OmegaRExtra = 1e-12 }},
-			{"sram", func(c *device.Config) { c.SRAMSize = 4 << 10 }},
-			{"fram", func(c *device.Config) { c.FRAMSize = 128 << 10 }},
 			{"cache", func(c *device.Config) { c.CacheBlockSize = 32; c.CacheSets = 16; c.CacheWays = 2 }},
 			{"maxCycles", func(c *device.Config) { c.MaxCycles = 1 << 40 }},
 			{"maxPeriods", func(c *device.Config) { c.MaxPeriods = 51 }},
@@ -153,6 +151,37 @@ func TestCellKeySensitivity(t *testing.T) {
 		cfg.Interrupt = func() error { return nil }
 		if k := mustKey(t, cfg, baseStrat); k != baseKey {
 			t.Error("environmental fields (RunTimeout/Interrupt) leaked into the key")
+		}
+	}
+}
+
+// TestCellKeyPinned pins the exact key of four cells: a bench-supply
+// timer cell, a harvested cell, a mixed-volatility cache cell and a
+// reference-engine cell. TestCellKeySensitivity only checks that fields
+// move keys; a key that moves silently would turn every stored entry
+// into a miss, so any change to these digests must come with a
+// CodeVersion bump.
+func TestCellKeyPinned(t *testing.T) {
+	base, timer := testContent(t, 2, 3000, 10000)
+	harvested := base
+	harvested.Harvester = mustHarvester(t, trace.Generate(trace.MultiPeak, 1, 1e-3, 42), 40000, 0.7)
+	cached := base
+	cached.CacheBlockSize, cached.CacheSets, cached.CacheWays = 32, 16, 2
+	reference := base
+	reference.Engine = device.EngineReference
+	for _, c := range []struct {
+		name  string
+		cfg   device.Config
+		strat device.Strategy
+		want  string
+	}{
+		{"bench timer", base, timer, "16e7194e828d9dc23796f298195b0e567e172ebc52b8bd6cc3734ba02d584b68"},
+		{"harvested", harvested, timer, "acd4df78d0a21d49506c2d1dedd40d781b72ed60b58f769b6f7aaac69faf5029"},
+		{"cachevol", cached, strategy.NewCacheVolatile(), "810d8ae96e6615bccb8b9a94b35456c94fc71f5e5dea642cf173b704565fc4f5"},
+		{"reference", reference, timer, "72a94b0d91c5bf6fea4c49b76e8a8cb6596602ffec59f1d9b25ba06aa5b15b86"},
+	} {
+		if got := mustKey(t, c.cfg, c.strat).String(); got != c.want {
+			t.Errorf("%s: key %s, want %s", c.name, got, c.want)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ehmodel/internal/asm"
-	"ehmodel/internal/device"
 )
 
 func TestCircularBufferMatchesRef(t *testing.T) {
@@ -19,13 +18,13 @@ func TestCircularBufferMatchesRef(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		out, _, err := device.RunContinuous(prog, 0, 0, 10_000_000)
+		p, err := ProfileProgram(prog, 10_000_000)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
 		want := CircularBufferRef(tc.n, tc.bufN, tc.iters)
-		if !reflect.DeepEqual(out, want) {
-			t.Fatalf("%+v: got %v want %v", tc, out, want)
+		if !reflect.DeepEqual(p.Output, want) {
+			t.Fatalf("%+v: got %v want %v", tc, p.Output, want)
 		}
 	}
 }
@@ -53,15 +52,15 @@ func TestCircularBufferStoreCycles(t *testing.T) {
 	// comparing two iteration counts.
 	p1, _ := CircularBuffer(8, 16, 1, asm.FRAM)
 	p2, _ := CircularBuffer(8, 16, 2, asm.FRAM)
-	_, c1, err := device.RunContinuous(p1, 0, 0, 1_000_000)
+	r1, err := ProfileProgram(p1, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c2, err := device.RunContinuous(p2, 0, 0, 1_000_000)
+	r2, err := ProfileProgram(p2, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perOuter := float64(c2 - c1) // one extra outer iteration = n stores
+	perOuter := float64(r2.Cycles - r1.Cycles) // one extra outer iteration = n stores
 	perStore := perOuter / 8
 	want := CircularBufferStoreCycles()
 	if diff := perStore - want; diff > 3 || diff < -3 {

@@ -27,6 +27,9 @@ type Profile struct {
 }
 
 // ProfileProgram executes prog continuously and gathers its profile.
+// Its Output and Cycles are also the continuous-execution oracle that
+// intermittent runs are checked against. maxSteps bounds runaway
+// programs.
 func ProfileProgram(prog *asm.Program, maxSteps uint64) (*Profile, error) {
 	ms, err := mem.NewSystem(mem.DefaultSRAMSize, mem.DefaultFRAMSize)
 	if err != nil {

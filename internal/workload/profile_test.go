@@ -46,3 +46,24 @@ func TestProfileProgramTimeout(t *testing.T) {
 		t.Fatal("step budget should trip")
 	}
 }
+
+// TestProfileStoreDensity: lzfx stores far more densely than sha, the
+// τ_store contrast that drives Fig. 8.
+func TestProfileStoreDensity(t *testing.T) {
+	tauStore := func(name string) float64 {
+		t.Helper()
+		w, _ := Get(name)
+		prog, err := w.Build(Options{Seg: asm.SRAM})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ProfileProgram(prog, 100_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.StoreEveryCycles
+	}
+	if lzfx, sha := tauStore("lzfx"), tauStore("sha"); lzfx >= sha {
+		t.Errorf("lzfx τ_store (%g) should undercut sha's (%g)", lzfx, sha)
+	}
+}

@@ -3,8 +3,6 @@ package workload
 import (
 	"reflect"
 	"testing"
-
-	"ehmodel/internal/device"
 )
 
 func TestTransposeBothOrdersMatchRef(t *testing.T) {
@@ -14,15 +12,15 @@ func TestTransposeBothOrdersMatchRef(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, cycles, err := device.RunContinuous(prog, 0, 0, 10_000_000)
+		p, err := ProfileProgram(prog, 10_000_000)
 		if err != nil {
 			t.Fatalf("%v: %v", order, err)
 		}
-		if cycles == 0 {
+		if p.Cycles == 0 {
 			t.Fatalf("%v: no work", order)
 		}
-		if !reflect.DeepEqual(out, want) {
-			t.Fatalf("%v: output %v, want %v", order, out, want)
+		if !reflect.DeepEqual(p.Output, want) {
+			t.Fatalf("%v: output %v, want %v", order, p.Output, want)
 		}
 	}
 }
@@ -41,15 +39,15 @@ func TestTransposeOrdersDifferOnlyInAccessPattern(t *testing.T) {
 			len(lm.Code), len(sm.Code))
 	}
 	// same work, same cycles — only the addresses differ
-	_, c1, err := device.RunContinuous(lm, 0, 0, 10_000_000)
+	r1, err := ProfileProgram(lm, 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c2, err := device.RunContinuous(sm, 0, 0, 10_000_000)
+	r2, err := ProfileProgram(sm, 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1 != c2 {
-		t.Fatalf("cycle counts differ without a cache: %d vs %d", c1, c2)
+	if r1.Cycles != r2.Cycles {
+		t.Fatalf("cycle counts differ without a cache: %d vs %d", r1.Cycles, r2.Cycles)
 	}
 }

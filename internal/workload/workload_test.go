@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ehmodel/internal/asm"
-	"ehmodel/internal/device"
 )
 
 // TestAllWorkloadsMatchOracle is the foundational correctness check:
@@ -22,16 +21,16 @@ func TestAllWorkloadsMatchOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
-				out, cycles, err := device.RunContinuous(prog, 0, 0, 50_000_000)
+				p, err := ProfileProgram(prog, 50_000_000)
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
-				if cycles == 0 {
+				if p.Cycles == 0 {
 					t.Fatal("no cycles executed")
 				}
 				want := w.Ref(opts)
-				if !reflect.DeepEqual(out, want) {
-					t.Fatalf("output mismatch:\n got %v\nwant %v", out, want)
+				if !reflect.DeepEqual(p.Output, want) {
+					t.Fatalf("output mismatch:\n got %v\nwant %v", p.Output, want)
 				}
 			})
 		}
@@ -52,16 +51,16 @@ func TestScaleGrowsWork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, c1, err := device.RunContinuous(p1, 0, 0, 100_000_000)
+			r1, err := ProfileProgram(p1, 100_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, c2, err := device.RunContinuous(p2, 0, 0, 100_000_000)
+			r2, err := ProfileProgram(p2, 100_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c2 <= c1 {
-				t.Errorf("scale 2 (%d cycles) should exceed scale 1 (%d)", c2, c1)
+			if r2.Cycles <= r1.Cycles {
+				t.Errorf("scale 2 (%d cycles) should exceed scale 1 (%d)", r2.Cycles, r1.Cycles)
 			}
 		})
 	}
