@@ -20,6 +20,7 @@ import (
 	"ehmodel/internal/device"
 	"ehmodel/internal/energy"
 	"ehmodel/internal/experiments"
+	"ehmodel/internal/mem"
 	"ehmodel/internal/stats"
 	"ehmodel/internal/strategy"
 	"ehmodel/internal/workload"
@@ -482,9 +483,13 @@ func BenchmarkContinuousExecution(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ms, err := mem.NewSystem(mem.DefaultSRAMSize, mem.DefaultFRAMSize)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		p, err := workload.ProfileProgram(prog, 100_000_000)
+		p, err := workload.ProfileProgram(ms, prog, 100_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}

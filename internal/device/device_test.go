@@ -9,6 +9,7 @@ import (
 	"ehmodel/internal/cpu"
 	"ehmodel/internal/energy"
 	"ehmodel/internal/isa"
+	"ehmodel/internal/mem"
 	"ehmodel/internal/trace"
 	"ehmodel/internal/workload"
 )
@@ -108,7 +109,11 @@ func TestConfigValidation(t *testing.T) {
 
 func TestContinuousEquivalence(t *testing.T) {
 	prog := loopProgram(t, 500, asm.SRAM)
-	p, err := workload.ProfileProgram(prog, 1_000_000)
+	ms, err := mem.NewSystem(mem.DefaultSRAMSize, mem.DefaultFRAMSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := workload.ProfileProgram(ms, prog, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

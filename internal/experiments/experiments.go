@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -45,28 +46,43 @@ func (f *Figure) AddNote(format string, args ...any) {
 }
 
 // WriteCSV emits the figure as series-labelled rows:
-// series,x,y,err.
+// series,x,y,err — the bytes encoding/csv writes for those records.
+// Only a label can need quoting: no float the 'g' format prints holds
+// a comma, quote or line break, starts with a space or reads `\.`. So
+// encoding/csv encodes each label once, the rows are appended around it
+// into one buffer, and w gets one Write.
 func (f *Figure) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"series", "x", "y", "err"}); err != nil {
-		return err
-	}
+	// 24 bytes hold any float in the 'g' format; a quoted label is at
+	// most twice its length plus two quotes.
+	size := len(csvHeader)
 	for _, s := range f.Series {
+		size += len(s.Points) * (2*len(s.Label) + 2 + 3*(1+24) + 1)
+	}
+	b := append(make([]byte, 0, size), csvHeader...)
+	var label bytes.Buffer
+	cw := csv.NewWriter(&label)
+	for _, s := range f.Series {
+		label.Reset()
+		if err := cw.Write([]string{s.Label}); err != nil {
+			return err
+		}
+		cw.Flush()
+		enc := label.Bytes()[:label.Len()-1] // less the record's newline
 		for _, p := range s.Points {
-			rec := []string{
-				s.Label,
-				strconv.FormatFloat(p.X, 'g', -1, 64),
-				strconv.FormatFloat(p.Y, 'g', -1, 64),
-				strconv.FormatFloat(p.Err, 'g', -1, 64),
+			b = append(b, enc...)
+			for _, v := range [...]float64{p.X, p.Y, p.Err} {
+				b = append(b, ',')
+				b = strconv.AppendFloat(b, v, 'g', -1, 64)
 			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+			b = append(b, '\n')
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	_, err := w.Write(b)
+	return err
 }
+
+// csvHeader is WriteCSV's first record.
+const csvHeader = "series,x,y,err\n"
 
 // find returns the series with the given label, or nil.
 func (f *Figure) find(label string) *Series {

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -125,6 +128,81 @@ func TestFigureCSV(t *testing.T) {
 	}
 	if f.find("Ω_B=1") == nil || f.find("missing") != nil {
 		t.Error("find misbehaves")
+	}
+}
+
+// csvReference renders f the way WriteCSV is specified to: every
+// record through encoding/csv.
+func csvReference(t *testing.T, f *Figure) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	cw := csv.NewWriter(&buf)
+	if err := cw.Write([]string{"series", "x", "y", "err"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range f.Series {
+		for _, p := range s.Points {
+			rec := []string{s.Label}
+			for _, v := range []float64{p.X, p.Y, p.Err} {
+				rec = append(rec, strconv.FormatFloat(v, 'g', -1, 64))
+			}
+			if err := cw.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestWriteCSVMatchesEncodingCSV: WriteCSV writes the bytes
+// encoding/csv writes for the same records, for labels that need
+// quoting or look as if they might, and for every float special.
+func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		5e-324, 1e21, 0.1, -2.2250738585072014e-308}
+	var points []Point
+	for i := range specials {
+		points = append(points, Point{specials[i], specials[(i+1)%len(specials)], specials[(i+2)%len(specials)]})
+	}
+	for name, labels := range map[string][]string{
+		"plain":         {"crc", "Ω_B=1"},
+		"comma":         {"a,b"},
+		"quote":         {`say "hi"`, `"`},
+		"cr":            {"cr\rhere"},
+		"lf":            {"lf\nhere", "crlf\r\n"},
+		"leading space": {" lead", "\ttab"},
+		"backslash dot": {`\.`, `\.x`},
+		"empty":         {""},
+		"mixed":         {"", " a,\"b\"\r\n", `\.`, "plain"},
+	} {
+		f := &Figure{ID: name}
+		for _, l := range labels {
+			f.Series = append(f.Series, Series{Label: l, Points: points})
+		}
+		f.Series = append(f.Series, Series{Label: "no points"})
+		var got bytes.Buffer
+		if err := f.WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if want := csvReference(t, f); !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: WriteCSV wrote\n%q\nencoding/csv writes\n%q", name, got.Bytes(), want)
+		}
+	}
+}
+
+// BenchmarkFigureWriteCSV renders one analytic figure of the catalog's
+// typical size.
+func BenchmarkFigureWriteCSV(b *testing.B) {
+	f := Fig3()
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := f.WriteCSV(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"ehmodel/internal/asm"
+	"ehmodel/internal/mem"
 	"ehmodel/internal/workload"
 )
 
@@ -18,15 +19,19 @@ type Table2Row struct {
 	SRAMFootprint int
 }
 
-// Table2 profiles the Table II benchmarks.
+// Table2 profiles the Table II benchmarks, all on one memory system.
 func Table2() ([]Table2Row, error) {
+	ms, err := mem.NewSystem(mem.DefaultSRAMSize, mem.DefaultFRAMSize)
+	if err != nil {
+		return nil, err
+	}
 	var rows []Table2Row
 	for _, w := range workload.TableII() {
 		prog, err := w.Build(workload.Options{Seg: asm.SRAM})
 		if err != nil {
 			return nil, err
 		}
-		p, err := workload.ProfileProgram(prog, 100_000_000)
+		p, err := workload.ProfileProgram(ms, prog, 100_000_000)
 		if err != nil {
 			return nil, err
 		}

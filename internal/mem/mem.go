@@ -78,6 +78,12 @@ func NewSystem(sramSize, framSize int) (*System, error) {
 	}, nil
 }
 
+// Clear zeroes both regions, leaving the system as NewSystem made it.
+func (s *System) Clear() {
+	clear(s.sram)
+	clear(s.fram)
+}
+
 // SRAMSize and FRAMSize report the configured sizes in bytes.
 func (s *System) SRAMSize() int { return len(s.sram) }
 func (s *System) FRAMSize() int { return len(s.fram) }

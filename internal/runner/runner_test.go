@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -597,5 +598,47 @@ func TestWithLimitOutermostWins(t *testing.T) {
 	}
 	if p := peak.Load(); p > outerN {
 		t.Errorf("peak of %d points running at once under an outer pool of %d", p, outerN)
+	}
+}
+
+// TestPoolGoroutinesPerSlot: a pool runs its points on one worker
+// goroutine per busy slot, however many points wait, and its workers
+// exit once the sweep returns and nothing else waits.
+func TestPoolGoroutinesPerSlot(t *testing.T) {
+	const slots, n = 2, 10_000
+	base := runtime.NumGoroutine()
+	var peak atomic.Int64
+	_, errs := MapCtx(WithLimit(context.Background(), slots), n, Options{}, func(context.Context, int) (int, error) {
+		g := int64(runtime.NumGoroutine())
+		for p := peak.Load(); g > p && !peak.CompareAndSwap(p, g); p = peak.Load() {
+		}
+		return 0, nil
+	})
+	if errs != nil {
+		t.Fatal(errs)
+	}
+	// The workers plus slack for the runtime's own goroutines.
+	if p, limit := peak.Load(), int64(base+slots+2); p > limit {
+		t.Errorf("%d goroutines while %d points ran on %d slots, want at most %d", p, n, slots, limit)
+	}
+	// A worker exits right after it frees its slot, which can be a
+	// moment after MapCtx returns: wait for that, not for a sleep.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after the sweep, %d before it", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// BenchmarkMapCtxShortPoints: the pool's own cost per point, on points
+// that do no work.
+func BenchmarkMapCtxShortPoints(b *testing.B) {
+	ctx := WithLimit(context.Background(), 2)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, errs := MapCtx(ctx, 1000, Options{}, func(context.Context, int) (int, error) { return 0, nil }); errs != nil {
+			b.Fatal(errs)
+		}
 	}
 }

@@ -115,12 +115,13 @@ func TestCacheVolatilePayloadsTrackDirtyBlocks(t *testing.T) {
 // TestCacheVolatileFuzz: random programs with FRAM data under the
 // hybrid-cache runtime.
 func TestCacheVolatileFuzz(t *testing.T) {
+	ms := newMem(t)
 	for seed := int64(1); seed <= 6; seed++ {
 		prog, err := workload.Random(seed, asm.FRAM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := workload.ProfileProgram(prog, 50_000_000)
+		oracle, err := workload.ProfileProgram(ms, prog, 50_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ehmodel/internal/device"
+	"ehmodel/internal/mem"
 	"ehmodel/internal/workload"
 )
 
@@ -29,6 +30,17 @@ func fuzzBaseSeed(t *testing.T) int64 {
 	return v
 }
 
+// newMem returns a memory system of the modelled geometry for
+// continuous-execution oracles.
+func newMem(t testing.TB) *mem.System {
+	t.Helper()
+	ms, err := mem.NewSystem(mem.DefaultSRAMSize, mem.DefaultFRAMSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
 // TestFuzzEquivalence differentially tests the whole stack: random
 // terminating programs must produce identical committed output under
 // every runtime strategy and aggressive intermittency as under
@@ -46,12 +58,13 @@ func TestFuzzEquivalence(t *testing.T) {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
+			ms := newMem(t)
 			for seed := base; seed < base+seeds; seed++ {
 				prog, err := workload.Random(seed, c.Seg)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				oracle, err := workload.ProfileProgram(prog, 50_000_000)
+				oracle, err := workload.ProfileProgram(ms, prog, 50_000_000)
 				if err != nil {
 					t.Fatalf("seed %d oracle: %v", seed, err)
 				}

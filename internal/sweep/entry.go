@@ -173,12 +173,7 @@ func decodeEntry(b []byte) (*Entry, error) {
 			p.RestoreE = d.float()
 			p.IdleE = d.float()
 			p.Backups = d.int()
-			if n := d.count(1); n > 0 {
-				p.BackupIntervals = make([]uint64, n)
-				for j := range p.BackupIntervals {
-					p.BackupIntervals[j] = d.uvarint()
-				}
-			}
+			p.BackupIntervals = d.uvarints()
 			p.AppBytes = d.ints()
 			p.PayloadBytes = d.ints()
 			p.ChargeTimeS = d.float()
@@ -228,12 +223,30 @@ func (d *decoder) fail() {
 	d.b = nil
 }
 
-// uvarint reads a minimal uvarint: a multi-byte encoding whose last
-// byte is zero carries a redundant high group, which encodeEntry never
-// writes.
+// minUvarint decodes the minimal uvarint at the front of b and returns
+// it with its length, or a length ≤ 0 when b does not start with one: a
+// multi-byte encoding whose last byte is zero carries a redundant high
+// group, which encodeEntry never writes.
+func minUvarint(b []byte) (uint64, int) {
+	v, n := binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
+}
+
+// unzigzag maps a zig-zag encoded uvarint back to its signed value.
+func unzigzag(u uint64) int64 {
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v
+}
+
 func (d *decoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 || (n > 1 && d.b[n-1] == 0) {
+	v, n := minUvarint(d.b)
+	if n <= 0 {
 		d.fail()
 		return 0
 	}
@@ -241,14 +254,7 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) varint() int64 {
-	u := d.uvarint()
-	v := int64(u >> 1)
-	if u&1 != 0 {
-		v = ^v
-	}
-	return v
-}
+func (d *decoder) varint() int64 { return unzigzag(d.uvarint()) }
 
 func (d *decoder) int() int {
 	v := d.varint()
@@ -298,14 +304,46 @@ func (d *decoder) float() float64 {
 	return v
 }
 
+// uvarints reads a length-prefixed array of uvarints. The per-backup
+// arrays are most of a long entry, so each is decoded in one loop over
+// a local slice instead of a method call per element.
+func (d *decoder) uvarints() []uint64 {
+	n := d.count(1)
+	if n == 0 {
+		return nil
+	}
+	vs := make([]uint64, n)
+	b := d.b
+	for i := range vs {
+		v, k := minUvarint(b)
+		if k <= 0 {
+			d.fail()
+			return nil
+		}
+		vs[i], b = v, b[k:]
+	}
+	d.b = b
+	return vs
+}
+
+// ints reads a length-prefixed array of zig-zag varints, in one loop
+// like uvarints.
 func (d *decoder) ints() []int {
 	n := d.count(1)
 	if n == 0 {
 		return nil
 	}
 	vs := make([]int, n)
+	b := d.b
 	for i := range vs {
-		vs[i] = d.int()
+		u, k := minUvarint(b)
+		v := unzigzag(u)
+		if k <= 0 || int64(int(v)) != v {
+			d.fail()
+			return nil
+		}
+		vs[i], b = int(v), b[k:]
 	}
+	d.b = b
 	return vs
 }

@@ -157,6 +157,39 @@ func liveEntry(t testing.TB) *Entry {
 	return &Entry{Result: res, Prov: &StoredProv{Label: "counter", ComputeUS: 900, CreatedUnixMS: 1_700_000_000_000}}
 }
 
+// manyBackupsEntry is a long entry of the kind a harvested sweep
+// stores: 40 periods of 50 backups each, so the per-backup arrays are
+// most of its bytes.
+func manyBackupsEntry() *Entry {
+	r := &device.Result{Strategy: "timer|taub=3000", Program: "crc", Completed: true,
+		TotalCycles: 6_000_000, TimeS: 0.75, Output: []uint32{0xbeef, 7}}
+	for i := 0; i < 40; i++ {
+		p := device.PeriodStats{SupplyE: 2.2e-7, HarvestedE: 1.9e-7, ProgressCycles: 140_000,
+			BackupCycles: 6_000, RestoreCycles: 120, ProgressE: 1.7e-7, BackupE: 1.1e-8,
+			RestoreE: 2e-10, Backups: 50, ChargeTimeS: 0.012}
+		for j := 0; j < p.Backups; j++ {
+			p.BackupIntervals = append(p.BackupIntervals, uint64(2_800+37*j))
+			p.AppBytes = append(p.AppBytes, 64+8*(j%9))
+			p.PayloadBytes = append(p.PayloadBytes, 136+8*(j%9))
+		}
+		r.Periods = append(r.Periods, p)
+	}
+	return &Entry{Result: r, Prov: &StoredProv{Label: "crc τB=3000", ComputeUS: 5_000, CreatedUnixMS: 1_700_000_000_000}}
+}
+
+// BenchmarkDecodeEntry: the decode half of a store hit, on an entry
+// with many backups.
+func BenchmarkDecodeEntry(b *testing.B) {
+	enc := encodeEntry(manyBackupsEntry())
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := decodeEntry(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // hugeLength is a length prefix no input can hold.
 var hugeLength = []byte{0xff, 0xff, 0xff, 0xff, 0x0f}
 
@@ -170,7 +203,7 @@ var hugeLength = []byte{0xff, 0xff, 0xff, 0xff, 0x0f}
 // under plain go test.
 func FuzzDecodeEntry(f *testing.F) {
 	head := append([]byte(entryMagic), entryVersion)
-	for _, e := range []*Entry{richEntry(), liveEntry(f), {Result: &device.Result{}}} {
+	for _, e := range []*Entry{richEntry(), liveEntry(f), manyBackupsEntry(), {Result: &device.Result{}}} {
 		enc := encodeEntry(e)
 		f.Add(enc)
 		for _, n := range []int{0, len(entryMagic), len(head), len(enc) / 2, len(enc) - 1} {

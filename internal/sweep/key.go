@@ -23,9 +23,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"math"
 	"sort"
+	"sync"
 
 	"ehmodel/internal/asm"
 	"ehmodel/internal/device"
@@ -97,7 +97,8 @@ func cellKey(cfg device.Config, strat device.Strategy, version string) (Key, boo
 	}
 	cfg = cfg.WithDefaults(strat)
 
-	w := newKeyWriter()
+	buf := keyBufs.Get().(*[]byte)
+	w := &keyWriter{b: (*buf)[:0]}
 	w.str("version", version)
 	w.str("strategy", strat.Name())
 	w.str("strategy-key", stratKey)
@@ -139,8 +140,9 @@ func cellKey(cfg device.Config, strat device.Strategy, version string) (Key, boo
 	w.u64("maxPeriods", uint64(cfg.MaxPeriods))
 	w.bool("livelock", cfg.DetectLivelock)
 
-	var k Key
-	w.h.Sum(k[:0])
+	k := sha256.Sum256(w.b)
+	*buf = w.b
+	keyBufs.Put(buf)
 	return k, true
 }
 
@@ -152,14 +154,12 @@ func hashProgram(w *keyWriter, p *asm.Program) {
 	w.str("prog", p.Name)
 	w.u64("entry", uint64(p.Entry))
 	w.u64("ninstr", uint64(len(p.Code)))
+	// The code is the bare 20-byte records, one per instruction, with
+	// no field framing: the count above delimits them.
 	for _, in := range p.Code {
-		var buf [20]byte
-		binary.LittleEndian.PutUint32(buf[0:], uint32(in.Op))
-		binary.LittleEndian.PutUint32(buf[4:], uint32(in.Rd))
-		binary.LittleEndian.PutUint32(buf[8:], uint32(in.Rs1))
-		binary.LittleEndian.PutUint32(buf[12:], uint32(in.Rs2))
-		binary.LittleEndian.PutUint32(buf[16:], uint32(in.Imm))
-		w.h.Write(buf[:])
+		for _, v := range [...]uint32{uint32(in.Op), uint32(in.Rd), uint32(in.Rs1), uint32(in.Rs2), uint32(in.Imm)} {
+			w.b = binary.LittleEndian.AppendUint32(w.b, v)
+		}
 	}
 	w.u32s("words", p.Words)
 	w.bytes("sramImage", p.SRAMImage)
@@ -181,30 +181,32 @@ func hashSymTable(w *keyWriter, tag string, m map[string]uint32) {
 	}
 }
 
-// keyWriter writes tagged, length-prefixed fields into a running hash so
-// no two distinct field sequences can collide by concatenation.
-type keyWriter struct {
-	h   hash.Hash
-	buf [8]byte
+// keyWriter writes tagged, length-prefixed fields into one buffer, which
+// CellKey hashes in one call, so no two distinct field sequences can
+// collide by concatenation.
+type keyWriter struct{ b []byte }
+
+// keyBufs recycles keyWriter buffers. A warm pass keys every cell, and
+// a key's material, mostly the program image, is 1.5–14 kB (2.3 kB in
+// the median quick-pass cell), so a fresh buffer per key would be much
+// of the pass's garbage.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// field opens a field: its tag, then the payload length.
+func (w *keyWriter) field(tag string, payloadLen int) {
+	w.b = binary.LittleEndian.AppendUint64(w.b, uint64(len(tag)))
+	w.b = append(w.b, tag...)
+	w.b = binary.LittleEndian.AppendUint64(w.b, uint64(payloadLen))
 }
 
-func newKeyWriter() *keyWriter { return &keyWriter{h: sha256.New()} }
-
-func (w *keyWriter) raw(tag string, payload []byte) {
-	binary.LittleEndian.PutUint64(w.buf[:], uint64(len(tag)))
-	w.h.Write(w.buf[:])
-	w.h.Write([]byte(tag))
-	binary.LittleEndian.PutUint64(w.buf[:], uint64(len(payload)))
-	w.h.Write(w.buf[:])
-	w.h.Write(payload)
+func (w *keyWriter) str(tag, s string) {
+	w.field(tag, len(s))
+	w.b = append(w.b, s...)
 }
-
-func (w *keyWriter) str(tag, s string) { w.raw(tag, []byte(s)) }
 
 func (w *keyWriter) u64(tag string, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.raw(tag, b[:])
+	w.field(tag, 8)
+	w.b = binary.LittleEndian.AppendUint64(w.b, v)
 }
 
 // f64 hashes the exact bit pattern, so keys distinguish every float the
@@ -219,13 +221,15 @@ func (w *keyWriter) bool(tag string, v bool) {
 	}
 }
 
-func (w *keyWriter) bytes(tag string, b []byte) { w.raw(tag, b) }
+func (w *keyWriter) bytes(tag string, b []byte) {
+	w.field(tag, len(b))
+	w.b = append(w.b, b...)
+}
 
 func (w *keyWriter) u32s(tag string, vs []uint32) {
-	b := make([]byte, 8+4*len(vs))
-	binary.LittleEndian.PutUint64(b, uint64(len(vs)))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(b[8+4*i:], v)
+	w.field(tag, 8+4*len(vs))
+	w.b = binary.LittleEndian.AppendUint64(w.b, uint64(len(vs)))
+	for _, v := range vs {
+		w.b = binary.LittleEndian.AppendUint32(w.b, v)
 	}
-	w.raw(tag, b)
 }

@@ -225,6 +225,22 @@ func TestCellKeyBypass(t *testing.T) {
 	check("opted-out strategy", base, optedOutStrategy{})
 }
 
+// BenchmarkCellKeyHarvested: the first key of a harvested cell, which
+// hashes its trace (later keys of one instance reuse the digest). Each
+// iteration keys a fresh instance of the same 10 s trace.
+func BenchmarkCellKeyHarvested(b *testing.B) {
+	cfg, s := testContent(b, 1, 2000, 10000)
+	tr := trace.Generate(trace.MultiPeak, 10, 1e-3, 77)
+	cfg.Harvester = mustHarvester(b, tr, 40000, 0.7)
+	b.ReportAllocs()
+	for b.Loop() {
+		cfg.Harvester.Source = &trace.Trace{Name: tr.Name, SamplesV: tr.SamplesV, PeriodS: tr.PeriodS}
+		if _, ok := CellKey(cfg, s); !ok {
+			b.Fatal("harvested cell unexpectedly unhashable")
+		}
+	}
+}
+
 func mustHarvester(t testing.TB, src *trace.Trace, r, eta float64) *energy.Harvester {
 	t.Helper()
 	h, err := energy.NewHarvester(src, r, eta)

@@ -13,10 +13,19 @@ import (
 // into a cell key. Two traces with equal fingerprints drive simulations
 // identically; generator parameters (kind, seed) need no separate
 // representation because they are fully captured by the samples.
-// Samples are buffered into 4 KiB blocks before hashing; the digest is
-// that of the plain little-endian sample stream, which every stored
-// harvested cell key depends on (TestCacheFingerprintPinned pins it).
+// The hash is computed on the first call and kept: every cell that
+// harvests one trace keys it for the price of one hash, which is why a
+// Trace must not be modified after construction.
 func (t *Trace) CacheFingerprint() string {
+	t.fp.once.Do(func() { t.fp.s = t.fingerprint() })
+	return t.fp.s
+}
+
+// fingerprint hashes the trace. Samples are buffered into 4 KiB blocks
+// before hashing; the digest is that of the plain little-endian sample
+// stream, which every stored harvested cell key depends on
+// (TestCacheFingerprintPinned pins it).
+func (t *Trace) fingerprint() string {
 	h := sha256.New()
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(len(t.Name)))

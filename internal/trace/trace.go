@@ -20,14 +20,22 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
 )
 
 // Trace is a harvested open-circuit voltage signal sampled at a fixed
-// period.
+// period. A Trace must not be modified after construction, whether by
+// a constructor or as a literal: cells running in parallel read one
+// instance, and its CacheFingerprint is computed once, on first use.
 type Trace struct {
 	Name     string
 	SamplesV []float64 // voltage at each sample point (V)
 	PeriodS  float64   // seconds between samples
+
+	fp struct { // CacheFingerprint's memo
+		once sync.Once
+		s    string
+	}
 }
 
 // Duration returns the trace length in seconds.

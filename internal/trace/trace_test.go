@@ -295,3 +295,35 @@ func TestCacheFingerprintPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheFingerprintMemo: each trace hashes its samples once, on its
+// first CacheFingerprint call, whether a generator, Constant or ReadCSV
+// built it or it is a literal, and that digest equals a fresh hash.
+// Later calls return it without hashing again.
+func TestCacheFingerprintMemo(t *testing.T) {
+	var traces []*Trace
+	for _, k := range Kinds() {
+		traces = append(traces, Generate(k, 2, 1e-3, 5))
+	}
+	var csv bytes.Buffer
+	if err := Generate(MultiPeak, 1, 1e-3, 9).WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ReadCSV(&csv, "recorded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces = append(traces, Constant(1.8, 1, 1e-3), parsed,
+		&Trace{Name: "literal", SamplesV: []float64{0, 1.5, 3}, PeriodS: 1e-3})
+	for _, tr := range traces {
+		want := tr.fingerprint()
+		for call := 1; call <= 2; call++ {
+			if got := tr.CacheFingerprint(); got != want {
+				t.Errorf("%s: call %d returned %s, a fresh hash is %s", tr.Name, call, got, want)
+			}
+		}
+		if a := testing.AllocsPerRun(10, func() { _ = tr.CacheFingerprint() }); a != 0 {
+			t.Errorf("%s: a repeated CacheFingerprint allocates %v times: it hashes again", tr.Name, a)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 )
 
 func TestCircularBufferMatchesRef(t *testing.T) {
+	ms := newMem(t)
 	for _, tc := range []struct{ n, bufN, iters int }{
 		{8, 8, 3},  // conventional in-place
 		{8, 16, 3}, // double buffering
@@ -18,7 +19,7 @@ func TestCircularBufferMatchesRef(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
-		p, err := ProfileProgram(prog, 10_000_000)
+		p, err := ProfileProgram(ms, prog, 10_000_000)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -52,11 +53,12 @@ func TestCircularBufferStoreCycles(t *testing.T) {
 	// comparing two iteration counts.
 	p1, _ := CircularBuffer(8, 16, 1, asm.FRAM)
 	p2, _ := CircularBuffer(8, 16, 2, asm.FRAM)
-	r1, err := ProfileProgram(p1, 1_000_000)
+	ms := newMem(t)
+	r1, err := ProfileProgram(ms, p1, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ProfileProgram(p2, 1_000_000)
+	r2, err := ProfileProgram(ms, p2, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,15 +26,14 @@ type Profile struct {
 	Output        []uint32
 }
 
-// ProfileProgram executes prog continuously and gathers its profile.
-// Its Output and Cycles are also the continuous-execution oracle that
-// intermittent runs are checked against. maxSteps bounds runaway
-// programs.
-func ProfileProgram(prog *asm.Program, maxSteps uint64) (*Profile, error) {
-	ms, err := mem.NewSystem(mem.DefaultSRAMSize, mem.DefaultFRAMSize)
-	if err != nil {
-		return nil, err
-	}
+// ProfileProgram executes prog continuously on ms, which it clears
+// first, and gathers its profile. Its Output and Cycles are also the
+// continuous-execution oracle that intermittent runs are checked
+// against. maxSteps bounds runaway programs. A caller profiling several
+// programs passes one system to every call rather than allocate and
+// fault in 264 KiB for each.
+func ProfileProgram(ms *mem.System, prog *asm.Program, maxSteps uint64) (*Profile, error) {
+	ms.Clear()
 	if err := ms.WriteSRAMImage(prog.SRAMImage); err != nil {
 		return nil, err
 	}

@@ -7,12 +7,13 @@ import (
 
 func TestTransposeBothOrdersMatchRef(t *testing.T) {
 	want := TransposeRef(16)
+	ms := newMem(t)
 	for _, order := range []TransposeOrder{LoadMajor, StoreMajor} {
 		prog, err := Transpose(order, 16, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := ProfileProgram(prog, 10_000_000)
+		p, err := ProfileProgram(ms, prog, 10_000_000)
 		if err != nil {
 			t.Fatalf("%v: %v", order, err)
 		}
@@ -39,11 +40,12 @@ func TestTransposeOrdersDifferOnlyInAccessPattern(t *testing.T) {
 			len(lm.Code), len(sm.Code))
 	}
 	// same work, same cycles — only the addresses differ
-	r1, err := ProfileProgram(lm, 10_000_000)
+	ms := newMem(t)
+	r1, err := ProfileProgram(ms, lm, 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ProfileProgram(sm, 10_000_000)
+	r2, err := ProfileProgram(ms, sm, 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestAllWorkloadsMatchOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("build: %v", err)
 				}
-				p, err := ProfileProgram(prog, 50_000_000)
+				p, err := ProfileProgram(newMem(t), prog, 50_000_000)
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
@@ -51,11 +51,12 @@ func TestScaleGrowsWork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r1, err := ProfileProgram(p1, 100_000_000)
+			ms := newMem(t)
+			r1, err := ProfileProgram(ms, p1, 100_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := ProfileProgram(p2, 100_000_000)
+			r2, err := ProfileProgram(ms, p2, 100_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
