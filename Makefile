@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test test-race bench-once test-short fuzz-equiv audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard bench-smoke bench-ledger bench-ab serve-smoke clean
+.PHONY: check fmt vet staticcheck build test test-race bench-once test-short fuzz-equiv fuzz-entry audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard bench-smoke bench-ledger bench-ab serve-smoke clean
 
 # `test` runs the full suite race-free — including the complete engine
 # equivalence matrix, which self-trims to a representative slice under
@@ -60,6 +60,13 @@ test-short:
 # input lands in internal/device/testdata/fuzz/FuzzEngineEquivalence
 fuzz-equiv:
 	$(GO) test ./internal/device/ -run '^$$' -fuzz '^FuzzEngineEquivalence$$' -fuzztime 60s
+
+# a time-boxed search for result-store entries the decoder mishandles:
+# it is the only guard on a memory-tier payload, which keeps no
+# checksum; a failing input lands in
+# internal/sweep/testdata/fuzz/FuzzDecodeEntry
+fuzz-entry:
+	$(GO) test ./internal/sweep/ -run '^$$' -fuzz '^FuzzDecodeEntry$$' -fuzztime 60s
 
 # the crash-consistency audit sweep on its own
 audit:

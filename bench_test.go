@@ -421,7 +421,7 @@ func BenchmarkTable2(b *testing.B) {
 	var rows []experiments.Table2Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Table2()
+		rows, err = experiments.Table2(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

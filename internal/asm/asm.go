@@ -32,7 +32,10 @@ func (s Segment) String() string {
 	return "fram"
 }
 
-// Program is an assembled EH32 binary image.
+// Program is an assembled EH32 binary image. A Program must not be
+// modified after assembly: the cells of a figure pass share one
+// instance per workload and options (workload.Program), and devices and
+// cell keys only read it.
 type Program struct {
 	Name      string
 	Code      []isa.Instr

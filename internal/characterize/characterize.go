@@ -68,11 +68,7 @@ func clankCell(bench string, kind trace.Kind, tr *trace.Trace) sweep.Cell {
 	return sweep.Cell{
 		Label: fmt.Sprintf("clank %s under %v trace", bench, kind),
 		Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
-			w, ok := workload.Get(bench)
-			if !ok {
-				return device.Config{}, nil, fmt.Errorf("characterize: unknown workload %q", bench)
-			}
-			prog, err := w.Build(workload.Options{Seg: asm.FRAM, Scale: clankScale})
+			prog, err := workload.Program(ctx, bench, workload.Options{Seg: asm.FRAM, Scale: clankScale})
 			if err != nil {
 				return device.Config{}, nil, err
 			}
@@ -238,11 +234,7 @@ func AlphaBProfile(ctx context.Context, benches []string, watchdogs []uint64) (o
 			cells = append(cells, sweep.Cell{
 				Label: fmt.Sprintf("mixed-volatility α_B profile of %s wd=%d", bench, wd),
 				Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
-					w, ok := workload.Get(bench)
-					if !ok {
-						return device.Config{}, nil, fmt.Errorf("characterize: unknown workload %q", bench)
-					}
-					prog, err := w.Build(workload.Options{Seg: asm.SRAM})
+					prog, err := workload.Program(ctx, bench, workload.Options{Seg: asm.SRAM})
 					if err != nil {
 						return device.Config{}, nil, err
 					}

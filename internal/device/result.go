@@ -135,7 +135,14 @@ func (r *Result) MeasuredEpsilon() float64 {
 
 // PayloadSamples returns total checkpoint bytes per committed backup.
 func (r *Result) PayloadSamples() []float64 {
-	var out []float64
+	n := 0
+	for i := range r.Periods {
+		n += len(r.Periods[i].PayloadBytes)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]float64, 0, n)
 	for i := range r.Periods {
 		for _, v := range r.Periods[i].PayloadBytes {
 			out = append(out, float64(v))
@@ -184,7 +191,14 @@ func (r *Result) CycleProgress() float64 {
 // TauBSamples collects all backup-interval samples (exec cycles between
 // committed backups) across periods.
 func (r *Result) TauBSamples() []float64 {
-	var out []float64
+	n := 0
+	for i := range r.Periods {
+		n += len(r.Periods[i].BackupIntervals)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]float64, 0, n)
 	for i := range r.Periods {
 		for _, v := range r.Periods[i].BackupIntervals {
 			out = append(out, float64(v))
@@ -196,15 +210,19 @@ func (r *Result) TauBSamples() []float64 {
 // TauDSamples collects the dead-cycle count of each period that ended in
 // a power failure.
 func (r *Result) TauDSamples() []float64 {
-	var out []float64
-	for i := range r.Periods {
-		// dead cycles only exist for failure-terminated periods; the
-		// final (completed) period records zero dead cycles and is
-		// excluded to avoid biasing τ_D downward.
-		if r.Completed && i == len(r.Periods)-1 {
-			continue
-		}
-		out = append(out, float64(r.Periods[i].DeadCycles))
+	// dead cycles only exist for failure-terminated periods; the final
+	// (completed) period records zero dead cycles and is excluded to
+	// avoid biasing τ_D downward.
+	failed := r.Periods
+	if r.Completed && len(failed) > 0 {
+		failed = failed[:len(failed)-1]
+	}
+	if len(failed) == 0 {
+		return nil
+	}
+	out := make([]float64, len(failed))
+	for i := range failed {
+		out[i] = float64(failed[i].DeadCycles)
 	}
 	return out
 }
@@ -212,7 +230,19 @@ func (r *Result) TauDSamples() []float64 {
 // AlphaBSamples returns per-backup application bytes divided by the
 // backup interval — instantaneous α_B samples in bytes/cycle.
 func (r *Result) AlphaBSamples() []float64 {
-	var out []float64
+	n := 0
+	for i := range r.Periods {
+		p := &r.Periods[i]
+		for j := range p.AppBytes {
+			if j < len(p.BackupIntervals) && p.BackupIntervals[j] > 0 {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]float64, 0, n)
 	for i := range r.Periods {
 		p := &r.Periods[i]
 		for j, bytes := range p.AppBytes {

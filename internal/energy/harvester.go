@@ -22,7 +22,8 @@ type Harvester struct {
 // least one sample, every sample a finite voltage, and a finite
 // positive sample period: a supply with no voltage at some instant
 // would store a NaN harvest, which the two engines settle differently.
-// The samples are checked once, here, so no run pays for it.
+// The samples are checked once per trace instance (Trace.NonFinite),
+// so no run, and no second harvester on the same trace, pays for it.
 func NewHarvester(src *trace.Trace, r, eta float64) (*Harvester, error) {
 	if src == nil {
 		return nil, fmt.Errorf("energy: harvester needs a voltage source")
@@ -30,10 +31,8 @@ func NewHarvester(src *trace.Trace, r, eta float64) (*Harvester, error) {
 	if len(src.SamplesV) == 0 {
 		return nil, fmt.Errorf("energy: harvester trace %q has no samples", src.Name)
 	}
-	for i, v := range src.SamplesV {
-		if !(math.Abs(v) <= math.MaxFloat64) {
-			return nil, fmt.Errorf("energy: harvester trace %q sample %d is %g, want a finite voltage", src.Name, i, v)
-		}
+	if i := src.NonFinite(); i >= 0 {
+		return nil, fmt.Errorf("energy: harvester trace %q sample %d is %g, want a finite voltage", src.Name, i, src.SamplesV[i])
 	}
 	if !(src.PeriodS > 0 && src.PeriodS <= math.MaxFloat64) {
 		return nil, fmt.Errorf("energy: harvester trace %q sample period must be finite and > 0, got %g", src.Name, src.PeriodS)

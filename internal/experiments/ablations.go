@@ -37,30 +37,19 @@ func AblationClankBuffers(ctx context.Context) (*Figure, error) {
 	pm := energy.CortexM0Power()
 	benches := []string{"susan", "lzfx"}
 	capacities := []int{1, 2, 4, 8, 16, 32, 64}
-	progs := make([]*asm.Program, len(benches))
-	for bi, bench := range benches {
-		w, ok := workload.Get(bench)
-		if !ok {
-			return nil, fmt.Errorf("experiments: workload %q missing", bench)
-		}
-		prog, err := w.Build(workload.Options{Seg: asm.FRAM, Scale: 2})
-		if err != nil {
-			return nil, err
-		}
-		progs[bi] = prog
-	}
 	var cells []sweep.Cell
 	for bi := range benches {
 		for ci := range capacities {
-			prog, entries := progs[bi], capacities[ci]
+			entries := capacities[ci]
 			cells = append(cells, fixedCell(
 				fmt.Sprintf("clank-buffers %s entries=%d", benches[bi], entries),
 				pm, 30000,
-				func() (*asm.Program, device.Strategy, error) {
+				benches[bi], workload.Options{Seg: asm.FRAM, Scale: 2},
+				func() device.Strategy {
 					cl := strategy.NewClank()
 					cl.ReadFirstEntries = entries
 					cl.WriteFirstEntries = entries
-					return prog, cl, nil
+					return cl
 				}))
 		}
 	}
@@ -103,13 +92,6 @@ func AblationClankWatchdog(ctx context.Context) (*Figure, error) {
 		XLog:   true,
 	}
 	pm := energy.CortexM0Power()
-	w, _ := workload.Get("sha")
-	// scale ≫ period so every configuration spans many power failures —
-	// otherwise dead cycles never occur and rare backups trivially win
-	prog, err := w.Build(workload.Options{Seg: asm.FRAM, Scale: 24})
-	if err != nil {
-		return nil, err
-	}
 	watchdogs := []uint64{500, 1000, 2000, 4000, 8000, 16000}
 	var cells []sweep.Cell
 	for _, wd := range watchdogs {
@@ -117,12 +99,16 @@ func AblationClankWatchdog(ctx context.Context) (*Figure, error) {
 		cells = append(cells, fixedCell(
 			fmt.Sprintf("clank-watchdog sha wd=%d cycles", wd),
 			pm, 20000,
-			func() (*asm.Program, device.Strategy, error) {
+			// scale ≫ period so every configuration spans many power
+			// failures — otherwise dead cycles never occur and rare
+			// backups trivially win
+			"sha", workload.Options{Seg: asm.FRAM, Scale: 24},
+			func() device.Strategy {
 				cl := strategy.NewClank()
 				cl.WatchdogCycles = wd
 				cl.ReadFirstEntries = 4096 // watchdog-only checkpointing
 				cl.WriteFirstEntries = 4096
-				return prog, cl, nil
+				return cl
 			}))
 	}
 	all, errs := sweep.Run(ctx, cells)
@@ -164,11 +150,6 @@ func AblationHibernusMargin(ctx context.Context) (*Figure, error) {
 		YLabel: "progress p / failed-backup fraction",
 	}
 	pm := energy.MSP430Power()
-	w, _ := workload.Get("crc")
-	prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: 4})
-	if err != nil {
-		return nil, err
-	}
 	margins := []float64{1.02, 1.1, 1.5, 2, 3, 5, 8}
 	var cells []sweep.Cell
 	for _, margin := range margins {
@@ -178,7 +159,11 @@ func AblationHibernusMargin(ctx context.Context) (*Figure, error) {
 		// so these cells verify nothing and stop after 500 periods
 		cells = append(cells, sweep.Cell{
 			Label: fmt.Sprintf("hibernus-margin crc margin=%g", margin),
-			Build: func(context.Context) (device.Config, device.Strategy, error) {
+			Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
+				prog, err := workload.Program(ctx, "crc", workload.Options{Seg: asm.SRAM, Scale: 4})
+				if err != nil {
+					return device.Config{}, nil, err
+				}
 				h := strategy.NewHibernus()
 				h.Margin = margin
 				return fixedConfig(prog, pm, 15000, 500), h, nil
@@ -229,11 +214,6 @@ func AblationMementosGap(ctx context.Context) (*Figure, error) {
 		XLog:   true,
 	}
 	pm := energy.MSP430Power()
-	w, _ := workload.Get("ds")
-	prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: 4})
-	if err != nil {
-		return nil, err
-	}
 	gaps := []uint64{32, 128, 512, 2048, 8192}
 	var cells []sweep.Cell
 	for _, gap := range gaps {
@@ -241,10 +221,11 @@ func AblationMementosGap(ctx context.Context) (*Figure, error) {
 		cells = append(cells, fixedCell(
 			fmt.Sprintf("mementos-gap ds gap=%d cycles", gap),
 			pm, 15000,
-			func() (*asm.Program, device.Strategy, error) {
+			"ds", workload.Options{Seg: asm.SRAM, Scale: 4},
+			func() device.Strategy {
 				m := strategy.NewMementos()
 				m.MinGapCycles = gap
-				return prog, m, nil
+				return m
 			}))
 	}
 	all, errs := sweep.Run(ctx, cells)
@@ -284,8 +265,7 @@ func VariabilityStudy(ctx context.Context) (*Figure, error) {
 	cells := []sweep.Cell{{
 		Label: fmt.Sprintf("variability τ_B=%d periods=%d", tauB, periods),
 		Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
-			w, _ := workload.Get("counter")
-			prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: 400})
+			prog, err := workload.Program(ctx, "counter", workload.Options{Seg: asm.SRAM, Scale: 400})
 			if err != nil {
 				return device.Config{}, nil, err
 			}

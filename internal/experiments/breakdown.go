@@ -38,7 +38,6 @@ func BreakdownComparison(ctx context.Context) (*Figure, []BreakdownRow, error) {
 		bench        = "crc"
 		periodCycles = 20000
 	)
-	w, _ := workload.Get(bench)
 	type entry struct {
 		name string
 		seg  asm.Segment
@@ -64,13 +63,7 @@ func BreakdownComparison(ctx context.Context) (*Figure, []BreakdownRow, error) {
 		cells = append(cells, fixedCell(
 			"breakdown "+en.name+"/"+bench,
 			energy.MSP430Power(), periodCycles,
-			func() (*asm.Program, device.Strategy, error) {
-				prog, err := w.Build(workload.Options{Seg: en.seg, Scale: 4})
-				if err != nil {
-					return nil, nil, err
-				}
-				return prog, en.make(), nil
-			}))
+			bench, workload.Options{Seg: en.seg, Scale: 4}, en.make))
 	}
 	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()

@@ -48,8 +48,7 @@ func BreakEvenStudy(ctx context.Context) (*Figure, []BreakEvenPoint, float64, er
 		cells = append(cells, sweep.Cell{
 			Label: fmt.Sprintf("breakeven τ_B=%d cycles", tauB),
 			Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
-				w, _ := workload.Get("counter")
-				prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: 120})
+				prog, err := workload.Program(ctx, "counter", workload.Options{Seg: asm.SRAM, Scale: 120})
 				if err != nil {
 					return device.Config{}, nil, err
 				}

@@ -10,6 +10,7 @@ import (
 	"ehmodel/internal/energy"
 	"ehmodel/internal/runner"
 	"ehmodel/internal/sweep"
+	"ehmodel/internal/workload"
 )
 
 // Every sweep driver in this package builds a []sweep.Cell and executes
@@ -34,18 +35,20 @@ func fixedConfig(prog *asm.Program, pm energy.PowerModel, periodCycles float64, 
 	}
 }
 
-// fixedCell is the bench-supply sweep cell: build the program and
-// strategy, supply periodCycles of energy per period under power model
-// pm, allow up to 100000 periods, and require the workload to complete.
-func fixedCell(label string, pm energy.PowerModel, periodCycles float64, build func() (*asm.Program, device.Strategy, error)) sweep.Cell {
+// fixedCell is the bench-supply sweep cell: run the workload bench,
+// built with opts, under a fresh strategy from strat, supply
+// periodCycles of energy per period under power model pm, allow up to
+// 100000 periods, and require the workload to complete.
+func fixedCell(label string, pm energy.PowerModel, periodCycles float64, bench string, opts workload.Options, strat func() device.Strategy) sweep.Cell {
 	var progName, sysName string
 	return sweep.Cell{
 		Label: label,
-		Build: func(context.Context) (device.Config, device.Strategy, error) {
-			prog, s, err := build()
+		Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
+			prog, err := workload.Program(ctx, bench, opts)
 			if err != nil {
 				return device.Config{}, nil, err
 			}
+			s := strat()
 			progName, sysName = prog.Name, s.Name()
 			return fixedConfig(prog, pm, periodCycles, 100000), s, nil
 		},

@@ -52,8 +52,7 @@ func ChargingStudy(ctx context.Context) (*Figure, []ChargingPoint, error) {
 		cells = append(cells, sweep.Cell{
 			Label: fmt.Sprintf("charging r=%g Ω", r),
 			Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
-				w, _ := workload.Get("counter")
-				prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: 120})
+				prog, err := workload.Program(ctx, "counter", workload.Options{Seg: asm.SRAM, Scale: 120})
 				if err != nil {
 					return device.Config{}, nil, err
 				}

@@ -27,7 +27,6 @@ import (
 func CapacitorSweep(ctx context.Context) (*Figure, error) {
 	const bench = "crc"
 	periodCycles := []float64{3000, 6000, 12000, 24000, 48000, 96000}
-	w, _ := workload.Get(bench)
 	fig := &Figure{
 		ID:     "exploration-capacitor",
 		Title:  fmt.Sprintf("Energy-buffer sizing for %s under DINO", bench),
@@ -42,13 +41,8 @@ func CapacitorSweep(ctx context.Context) (*Figure, error) {
 		cells = append(cells, fixedCell(
 			fmt.Sprintf("capacitor %s E=%g cycles", bench, pc),
 			energy.MSP430Power(), pc,
-			func() (*asm.Program, device.Strategy, error) {
-				prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: 8})
-				if err != nil {
-					return nil, nil, err
-				}
-				return prog, strategy.NewDINO(), nil
-			}))
+			bench, workload.Options{Seg: asm.SRAM, Scale: 8},
+			func() device.Strategy { return strategy.NewDINO() }))
 	}
 	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()
@@ -90,7 +84,6 @@ func NVMComparison(ctx context.Context) (*Figure, []NVMComparisonPoint, error) {
 		bench = "crc"
 		tauB  = 2000
 	)
-	w, _ := workload.Get(bench)
 	fig := &Figure{
 		ID:     "exploration-nvm",
 		Title:  fmt.Sprintf("Checkpoint NVM technology comparison (%s, timer τ_B=%d)", bench, tauB),
@@ -107,7 +100,7 @@ func NVMComparison(ctx context.Context) (*Figure, []NVMComparisonPoint, error) {
 		cells = append(cells, sweep.Cell{
 			Label: "nvm " + nvm.Name + "/" + bench,
 			Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
-				prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: 8})
+				prog, err := workload.Program(ctx, bench, workload.Options{Seg: asm.SRAM, Scale: 8})
 				if err != nil {
 					return device.Config{}, nil, err
 				}

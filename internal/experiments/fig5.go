@@ -150,8 +150,7 @@ func fig5Build(cfg Fig5Config, pm energy.PowerModel, eSupply, tauB float64) func
 	return func(ctx context.Context) (device.Config, device.Strategy, error) {
 		totalCycles := float64(cfg.PeriodsPerRun+1) * eSupply / pm.EnergyPerCycle(energy.ClassALU)
 		scale := int(totalCycles/20000) + 1
-		w, _ := workload.Get("counter")
-		prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: scale})
+		prog, err := workload.Program(ctx, "counter", workload.Options{Seg: asm.SRAM, Scale: scale})
 		if err != nil {
 			return device.Config{}, nil, err
 		}

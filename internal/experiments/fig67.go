@@ -109,13 +109,7 @@ func Fig6(ctx context.Context) (*Figure, []Fig6Point, error) {
 			cells = append(cells, fixedCell(
 				fmt.Sprintf("fig6 %s/%s", sys.name, w.Name),
 				energy.MSP430Power(), fig6PeriodCycles,
-				func() (*asm.Program, device.Strategy, error) {
-					prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: fig6Scale})
-					if err != nil {
-						return nil, nil, err
-					}
-					return prog, sys.make(), nil
-				}))
+				w.Name, workload.Options{Seg: asm.SRAM, Scale: fig6Scale}, sys.make))
 		}
 	}
 	all, errs := sweep.Run(ctx, cells)
@@ -192,13 +186,8 @@ func Fig7(ctx context.Context) (*Figure, []Fig7Point, error) {
 		cells = append(cells, fixedCell(
 			"fig7 dino/"+w.Name,
 			energy.MSP430Power(), fig6PeriodCycles,
-			func() (*asm.Program, device.Strategy, error) {
-				prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: fig6Scale})
-				if err != nil {
-					return nil, nil, err
-				}
-				return prog, strategy.NewDINO(), nil
-			}))
+			w.Name, workload.Options{Seg: asm.SRAM, Scale: fig6Scale},
+			func() device.Strategy { return strategy.NewDINO() }))
 	}
 	all, errs := sweep.Run(ctx, cells)
 	failed := errs.FailedSet()

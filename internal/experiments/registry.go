@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"ehmodel/internal/runner"
+	"ehmodel/internal/workload"
 )
 
 // The figure registry is the one catalog of everything this repo can
@@ -60,7 +61,12 @@ func KnownFigureID(id string) bool {
 // runner.WithLimit), or one of run.Workers slots when it has none.
 // Figures and failures still come back in catalog order, so the output
 // is the same at any worker count.
+//
+// The pass carries a program table (workload.WithPrograms): each
+// (workload, options) program the pass asks for is assembled once,
+// shared by every cell that asks, and dropped with the pass.
 func GenerateFigures(ctx context.Context, which string, quick bool, run runner.Options) ([]*Figure, []Failure) {
+	ctx = workload.WithPrograms(ctx)
 	figs, failures := runDrivers(runner.WithLimit(ctx, run.Workers), drivers(which, quick))
 	if len(figs) == 0 && len(failures) == 0 {
 		failures = append(failures, Failure{ID: which, Err: fmt.Errorf("unknown figure %q", which)})
@@ -176,8 +182,8 @@ func drivers(which string, quick bool) []driver {
 		return one(f, err)
 	})
 	analytic("11", Fig11)
-	add("table2", func(context.Context) ([]*Figure, error) {
-		rows, err := Table2()
+	add("table2", func(ctx context.Context) ([]*Figure, error) {
+		rows, err := Table2(ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"ehmodel/internal/asm"
 	"ehmodel/internal/mem"
 	"ehmodel/internal/workload"
@@ -19,15 +21,17 @@ type Table2Row struct {
 	SRAMFootprint int
 }
 
-// Table2 profiles the Table II benchmarks, all on one memory system.
-func Table2() ([]Table2Row, error) {
+// Table2 profiles the Table II benchmarks, all on one memory system,
+// taking their programs from the context's program table (see
+// workload.Program).
+func Table2(ctx context.Context) ([]Table2Row, error) {
 	ms, err := mem.NewSystem(mem.DefaultSRAMSize, mem.DefaultFRAMSize)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Table2Row
 	for _, w := range workload.TableII() {
-		prog, err := w.Build(workload.Options{Seg: asm.SRAM})
+		prog, err := workload.Program(ctx, w.Name, workload.Options{Seg: asm.SRAM})
 		if err != nil {
 			return nil, err
 		}

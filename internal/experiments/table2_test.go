@@ -1,9 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestTable2Default(t *testing.T) {
-	rows, err := Table2()
+	rows, err := Table2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,7 @@ func TailLatencyStudy(ctx context.Context) (*Figure, []TailPoint, error) {
 		cells = append(cells, sweep.Cell{
 			Label: fmt.Sprintf("tail τ_B=%d cycles", tauB),
 			Build: func(ctx context.Context) (device.Config, device.Strategy, error) {
-				w, _ := workload.Get("counter")
-				prog, err := w.Build(workload.Options{Seg: asm.SRAM, Scale: 600})
+				prog, err := workload.Program(ctx, "counter", workload.Options{Seg: asm.SRAM, Scale: 600})
 				if err != nil {
 					return device.Config{}, nil, err
 				}

@@ -13,10 +13,19 @@ type Cache struct {
 	sets      int
 	ways      int
 
-	tags  [][]uint64 // per set, per way: block number + 1 (0 = invalid)
-	dirty [][]bool
-	lru   [][]uint64 // per set, per way: last-touch tick
-	tick  uint64
+	// Slot set*ways+way holds one block. tags is the block number + 1
+	// (0 = invalid), lru the slot's last-touch tick.
+	tags []uint64
+	lru  []uint64
+	tick uint64
+
+	// dirty lists the dirty slots in no particular order, and
+	// dirtyAt[slot] is the slot's index in dirty plus one (0 = clean).
+	// A block turns clean in O(1), so DirtyBlocks and FlushDirty cost
+	// O(dirty blocks) rather than O(sets × ways) — a backup every few
+	// stores then scans only what those stores dirtied.
+	dirty   []int
+	dirtyAt []int
 
 	stats CacheStats
 }
@@ -42,16 +51,11 @@ func NewCache(blockSize, sets, ways int) (*Cache, error) {
 	if ways < 1 {
 		return nil, fmt.Errorf("mem: ways %d must be ≥ 1", ways)
 	}
-	c := &Cache{blockSize: blockSize, sets: sets, ways: ways}
-	c.tags = make([][]uint64, sets)
-	c.dirty = make([][]bool, sets)
-	c.lru = make([][]uint64, sets)
-	for i := 0; i < sets; i++ {
-		c.tags[i] = make([]uint64, ways)
-		c.dirty[i] = make([]bool, ways)
-		c.lru[i] = make([]uint64, ways)
-	}
-	return c, nil
+	n := sets * ways
+	return &Cache{
+		blockSize: blockSize, sets: sets, ways: ways,
+		tags: make([]uint64, n), lru: make([]uint64, n), dirtyAt: make([]int, n),
+	}, nil
 }
 
 // BlockSize returns the block size in bytes.
@@ -68,7 +72,7 @@ func (c *Cache) ResetStats() { c.stats = CacheStats{} }
 func (c *Cache) Access(addr uint32, isStore bool) (hit, writeback bool) {
 	c.tick++
 	block := uint64(addr) / uint64(c.blockSize)
-	set := int(block % uint64(c.sets))
+	base := int(block%uint64(c.sets)) * c.ways
 	key := block + 1
 
 	if isStore {
@@ -78,11 +82,11 @@ func (c *Cache) Access(addr uint32, isStore bool) (hit, writeback bool) {
 	}
 
 	// Hit path.
-	for w := 0; w < c.ways; w++ {
-		if c.tags[set][w] == key {
-			c.lru[set][w] = c.tick
+	for w, tag := range c.tags[base : base+c.ways] {
+		if tag == key {
+			c.lru[base+w] = c.tick
 			if isStore {
-				c.dirty[set][w] = true
+				c.markDirty(base + w)
 			}
 			return true, false
 		}
@@ -94,35 +98,53 @@ func (c *Cache) Access(addr uint32, isStore bool) (hit, writeback bool) {
 	} else {
 		c.stats.LoadMisses++
 	}
+	lru := c.lru[base : base+c.ways]
 	victim := 0
-	for w := 1; w < c.ways; w++ {
-		if c.lru[set][w] < c.lru[set][victim] {
+	for w := 1; w < len(lru); w++ {
+		if lru[w] < lru[victim] {
 			victim = w
 		}
 	}
-	writeback = c.tags[set][victim] != 0 && c.dirty[set][victim]
+	slot := base + victim
+	writeback = c.tags[slot] != 0 && c.dirtyAt[slot] != 0
 	if writeback {
 		c.stats.Writebacks++
 	}
-	c.tags[set][victim] = key
-	c.dirty[set][victim] = isStore
-	c.lru[set][victim] = c.tick
+	c.tags[slot] = key
+	c.lru[slot] = c.tick
+	if isStore {
+		c.markDirty(slot)
+	} else {
+		c.markClean(slot)
+	}
 	return false, writeback
+}
+
+// markDirty adds slot to the dirty list unless it is already there.
+func (c *Cache) markDirty(slot int) {
+	if c.dirtyAt[slot] == 0 {
+		c.dirty = append(c.dirty, slot)
+		c.dirtyAt[slot] = len(c.dirty)
+	}
+}
+
+// markClean removes slot from the dirty list, moving the list's last
+// slot into its place.
+func (c *Cache) markClean(slot int) {
+	i := c.dirtyAt[slot]
+	if i == 0 {
+		return
+	}
+	last := c.dirty[len(c.dirty)-1]
+	c.dirty[i-1] = last
+	c.dirtyAt[last] = i
+	c.dirty = c.dirty[:len(c.dirty)-1]
+	c.dirtyAt[slot] = 0
 }
 
 // DirtyBlocks returns how many blocks are currently dirty — the backup
 // payload a mixed-volatility system must write to NVM at a checkpoint.
-func (c *Cache) DirtyBlocks() int {
-	n := 0
-	for s := range c.dirty {
-		for w := range c.dirty[s] {
-			if c.dirty[s][w] {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (c *Cache) DirtyBlocks() int { return len(c.dirty) }
 
 // DirtyBytes returns the backup payload in bytes (dirty blocks ×
 // block size) — the α_B·τ_B quantity of Eq. 4 for cache-based systems.
@@ -131,27 +153,22 @@ func (c *Cache) DirtyBytes() int { return c.DirtyBlocks() * c.blockSize }
 // FlushDirty marks all dirty blocks clean and returns how many were
 // flushed; the device calls it when a backup commits.
 func (c *Cache) FlushDirty() int {
-	n := 0
-	for s := range c.dirty {
-		for w := range c.dirty[s] {
-			if c.dirty[s][w] {
-				c.dirty[s][w] = false
-				n++
-				c.stats.Writebacks++
-			}
-		}
+	n := len(c.dirty)
+	for _, slot := range c.dirty {
+		c.dirtyAt[slot] = 0
 	}
+	c.dirty = c.dirty[:0]
+	c.stats.Writebacks += uint64(n)
 	return n
 }
 
 // Invalidate empties the cache (used on power loss for a volatile cache).
 func (c *Cache) Invalidate() {
 	c.tick = 0
-	for s := range c.tags {
-		for w := range c.tags[s] {
-			c.tags[s][w] = 0
-			c.dirty[s][w] = false
-			c.lru[s][w] = 0
-		}
+	clear(c.tags)
+	clear(c.lru)
+	for _, slot := range c.dirty {
+		c.dirtyAt[slot] = 0
 	}
+	c.dirty = c.dirty[:0]
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -180,4 +181,164 @@ func TestCacheDirtyInvariant(t *testing.T) {
 	if got := c.FlushDirty(); got != want {
 		t.Fatalf("FlushDirty %d != DirtyBlocks %d", got, want)
 	}
+}
+
+// refCache is the set×way cache model that Cache's flat arrays and
+// dirty list replaced, kept as the reference for
+// TestCacheMatchesReference: a per-set slice of tags, dirty bits and LRU
+// ticks, scanned whole by DirtyBlocks and FlushDirty.
+type refCache struct {
+	blockSize int
+	sets      int
+	ways      int
+
+	tags  [][]uint64
+	dirty [][]bool
+	lru   [][]uint64
+	tick  uint64
+
+	stats CacheStats
+}
+
+func newRefCache(blockSize, sets, ways int) *refCache {
+	c := &refCache{blockSize: blockSize, sets: sets, ways: ways}
+	c.tags = make([][]uint64, sets)
+	c.dirty = make([][]bool, sets)
+	c.lru = make([][]uint64, sets)
+	for i := 0; i < sets; i++ {
+		c.tags[i] = make([]uint64, ways)
+		c.dirty[i] = make([]bool, ways)
+		c.lru[i] = make([]uint64, ways)
+	}
+	return c
+}
+
+func (c *refCache) Access(addr uint32, isStore bool) (hit, writeback bool) {
+	c.tick++
+	block := uint64(addr) / uint64(c.blockSize)
+	set := int(block % uint64(c.sets))
+	key := block + 1
+	if isStore {
+		c.stats.Stores++
+	} else {
+		c.stats.Loads++
+	}
+	for w := 0; w < c.ways; w++ {
+		if c.tags[set][w] == key {
+			c.lru[set][w] = c.tick
+			if isStore {
+				c.dirty[set][w] = true
+			}
+			return true, false
+		}
+	}
+	if isStore {
+		c.stats.StoreMisses++
+	} else {
+		c.stats.LoadMisses++
+	}
+	victim := 0
+	for w := 1; w < c.ways; w++ {
+		if c.lru[set][w] < c.lru[set][victim] {
+			victim = w
+		}
+	}
+	writeback = c.tags[set][victim] != 0 && c.dirty[set][victim]
+	if writeback {
+		c.stats.Writebacks++
+	}
+	c.tags[set][victim] = key
+	c.dirty[set][victim] = isStore
+	c.lru[set][victim] = c.tick
+	return false, writeback
+}
+
+func (c *refCache) DirtyBlocks() int {
+	n := 0
+	for s := range c.dirty {
+		for w := range c.dirty[s] {
+			if c.dirty[s][w] {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func (c *refCache) FlushDirty() int {
+	n := 0
+	for s := range c.dirty {
+		for w := range c.dirty[s] {
+			if c.dirty[s][w] {
+				c.dirty[s][w] = false
+				n++
+				c.stats.Writebacks++
+			}
+		}
+	}
+	return n
+}
+
+func (c *refCache) Invalidate() {
+	c.tick = 0
+	for s := range c.tags {
+		for w := range c.tags[s] {
+			c.tags[s][w] = 0
+			c.dirty[s][w] = false
+			c.lru[s][w] = 0
+		}
+	}
+}
+
+// TestCacheMatchesReference drives Cache and the set×way reference
+// model through the same random operation sequences and requires every
+// return value and the counters to agree after every operation. The
+// addresses span a few times each geometry's capacity, so hits,
+// evictions of clean and dirty blocks and re-dirtied slots all occur.
+func TestCacheMatchesReference(t *testing.T) {
+	for _, g := range []struct{ sets, ways int }{{1, 1}, {1, 4}, {16, 2}, {64, 4}} {
+		const block = 16
+		r := rand.New(rand.NewSource(int64(g.sets*10 + g.ways)))
+		c, ref := newCache(t, block, g.sets, g.ways), newRefCache(block, g.sets, g.ways)
+		span := 4 * block * g.sets * g.ways
+		for i := 0; i < 20000; i++ {
+			var op string
+			var got, want [2]int
+			switch k := r.Intn(100); {
+			case k < 85:
+				addr, store := uint32(r.Intn(span)), r.Intn(2) == 0
+				op = fmt.Sprintf("Access(%d, %v)", addr, store)
+				h, wb := c.Access(addr, store)
+				rh, rwb := ref.Access(addr, store)
+				got, want = [2]int{b2i(h), b2i(wb)}, [2]int{b2i(rh), b2i(rwb)}
+			case k < 92:
+				op = "FlushDirty"
+				got[0], want[0] = c.FlushDirty(), ref.FlushDirty()
+			case k < 97:
+				op = "DirtyBlocks"
+				got[0], want[0] = c.DirtyBlocks(), ref.DirtyBlocks()
+			case k < 99:
+				op = "Invalidate"
+				c.Invalidate()
+				ref.Invalidate()
+			default:
+				op = "ResetStats"
+				c.ResetStats()
+				ref.stats = CacheStats{}
+			}
+			if got != want {
+				t.Fatalf("%d×%d op %d %s = %v, reference %v", g.sets, g.ways, i, op, got, want)
+			}
+			if c.Stats() != ref.stats {
+				t.Fatalf("%d×%d op %d %s: stats %+v, reference %+v", g.sets, g.ways, i, op, c.Stats(), ref.stats)
+			}
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

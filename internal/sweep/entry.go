@@ -306,7 +306,10 @@ func (d *decoder) float() float64 {
 
 // uvarints reads a length-prefixed array of uvarints. The per-backup
 // arrays are most of a long entry, so each is decoded in one loop over
-// a local slice instead of a method call per element.
+// a local slice instead of a method call per element, and the one- and
+// two-byte values that make up nearly all of them are decoded inline.
+// A two-byte encoding whose second byte is zero is not minimal; it
+// falls through to minUvarint, which rejects it.
 func (d *decoder) uvarints() []uint64 {
 	n := d.count(1)
 	if n == 0 {
@@ -315,6 +318,14 @@ func (d *decoder) uvarints() []uint64 {
 	vs := make([]uint64, n)
 	b := d.b
 	for i := range vs {
+		if len(b) > 0 && b[0] < 0x80 {
+			vs[i], b = uint64(b[0]), b[1:]
+			continue
+		}
+		if len(b) > 1 && b[1] != 0 && b[1] < 0x80 {
+			vs[i], b = uint64(b[0]&0x7f)|uint64(b[1])<<7, b[2:]
+			continue
+		}
 		v, k := minUvarint(b)
 		if k <= 0 {
 			d.fail()
@@ -327,7 +338,7 @@ func (d *decoder) uvarints() []uint64 {
 }
 
 // ints reads a length-prefixed array of zig-zag varints, in one loop
-// like uvarints.
+// and with the same inline one- and two-byte paths as uvarints.
 func (d *decoder) ints() []int {
 	n := d.count(1)
 	if n == 0 {
@@ -336,6 +347,14 @@ func (d *decoder) ints() []int {
 	vs := make([]int, n)
 	b := d.b
 	for i := range vs {
+		if len(b) > 0 && b[0] < 0x80 {
+			vs[i], b = int(unzigzag(uint64(b[0]))), b[1:]
+			continue
+		}
+		if len(b) > 1 && b[1] != 0 && b[1] < 0x80 {
+			vs[i], b = int(unzigzag(uint64(b[0]&0x7f)|uint64(b[1])<<7)), b[2:]
+			continue
+		}
 		u, k := minUvarint(b)
 		v := unzigzag(u)
 		if k <= 0 || int64(int(v)) != v {

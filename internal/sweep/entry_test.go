@@ -177,6 +177,35 @@ func manyBackupsEntry() *Entry {
 	return &Entry{Result: r, Prov: &StoredProv{Label: "crc τB=3000", ComputeUS: 5_000, CreatedUnixMS: 1_700_000_000_000}}
 }
 
+// boundaryEntry puts the values at the edges of the decoder's one- and
+// two-byte varint paths into one period's arrays: uvarints 127|128 and
+// 16383|16384 and the largest, zig-zag varints −64|−65 (one byte|two)
+// and −8192|−8193 (two|three).
+func boundaryEntry() *Entry {
+	return &Entry{Result: &device.Result{Periods: []device.PeriodStats{{
+		BackupIntervals: []uint64{0, 127, 128, 16383, 16384, math.MaxUint64},
+		AppBytes:        []int{0, -1, -64, -65, 63, 64, 8191, -8192, -8193, math.MinInt64},
+		PayloadBytes:    []int{-1, -64, -65, 16384},
+	}}}}
+}
+
+// nonMinimalEntry encodes a one-period entry after set puts one zero in
+// one of the period's varint arrays, then writes that zero as the
+// two-byte 0x80 0x00, which encodeEntry never produces.
+func nonMinimalEntry(set func(*device.PeriodStats)) []byte {
+	var p device.PeriodStats
+	plain := encodeEntry(&Entry{Result: &device.Result{Periods: []device.PeriodStats{p}}})
+	set(&p)
+	enc := encodeEntry(&Entry{Result: &device.Result{Periods: []device.PeriodStats{p}}})
+	i := 0
+	for plain[i] == enc[i] {
+		i++
+	}
+	// enc[i] is the array's length, 1 where plain has 0; enc[i+1] its
+	// one element, 0x00.
+	return append(append(enc[:i+1:i+1], 0x80, 0x00), enc[i+2:]...)
+}
+
 // BenchmarkDecodeEntry: the decode half of a store hit, on an entry
 // with many backups.
 func BenchmarkDecodeEntry(b *testing.B) {
@@ -198,12 +227,14 @@ var hugeLength = []byte{0xff, 0xff, 0xff, 0xff, 0x0f}
 // make it allocate beyond what the input's bytes can describe, and it
 // accepts only what encodeEntry writes: an accepted input re-encodes to
 // the same bytes and stops being accepted when truncated, extended or
-// given another version. The seeds — encoded entries, their
-// truncations, oversized length prefixes and a JSON-era entry — replay
-// under plain go test.
+// given another version. The seeds — encoded entries (one with varints
+// at the edges of the decoder's inline one- and two-byte paths), their
+// truncations, oversized length prefixes, a JSON-era entry and a
+// per-backup zero written as the non-minimal 0x80 0x00 — replay under
+// plain go test.
 func FuzzDecodeEntry(f *testing.F) {
 	head := append([]byte(entryMagic), entryVersion)
-	for _, e := range []*Entry{richEntry(), liveEntry(f), manyBackupsEntry(), {Result: &device.Result{}}} {
+	for _, e := range []*Entry{richEntry(), liveEntry(f), manyBackupsEntry(), boundaryEntry(), {Result: &device.Result{}}} {
 		enc := encodeEntry(e)
 		f.Add(enc)
 		for _, n := range []int{0, len(entryMagic), len(head), len(enc) / 2, len(enc) - 1} {
@@ -217,6 +248,10 @@ func FuzzDecodeEntry(f *testing.F) {
 	f.Add(append(append([]byte(nil), head...), append([]byte{0, 0, 1}, hugeLength...)...))
 	f.Add(append(append([]byte(nil), head...), append(make([]byte, 6+8+8), hugeLength...)...))
 	f.Add([]byte(`{"result":{"Strategy":"timer"},"prov":{"label":"x"}}`))
+	// A zero written as 0x80 0x00 in each inline-decoded array: accepted,
+	// it would re-encode as the one byte 0x00.
+	f.Add(nonMinimalEntry(func(p *device.PeriodStats) { p.BackupIntervals = []uint64{0} }))
+	f.Add(nonMinimalEntry(func(p *device.PeriodStats) { p.AppBytes = []int{0} }))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var before, after runtime.MemStats

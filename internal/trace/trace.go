@@ -26,7 +26,8 @@ import (
 // Trace is a harvested open-circuit voltage signal sampled at a fixed
 // period. A Trace must not be modified after construction, whether by
 // a constructor or as a literal: cells running in parallel read one
-// instance, and its CacheFingerprint is computed once, on first use.
+// instance, and its CacheFingerprint and NonFinite are computed once,
+// on first use.
 type Trace struct {
 	Name     string
 	SamplesV []float64 // voltage at each sample point (V)
@@ -36,11 +37,32 @@ type Trace struct {
 		once sync.Once
 		s    string
 	}
+	nonFinite struct { // NonFinite's memo
+		once sync.Once
+		i    int
+	}
 }
 
 // Duration returns the trace length in seconds.
 func (t *Trace) Duration() float64 {
 	return float64(len(t.SamplesV)) * t.PeriodS
+}
+
+// NonFinite returns the index of the first sample that is not a finite
+// voltage (NaN or ±Inf), or -1 when every sample is finite. The scan
+// runs on the first call and is kept, so every harvester built on one
+// trace checks its samples for the price of one pass.
+func (t *Trace) NonFinite() int {
+	t.nonFinite.once.Do(func() {
+		t.nonFinite.i = -1
+		for i, v := range t.SamplesV {
+			if !(math.Abs(v) <= math.MaxFloat64) {
+				t.nonFinite.i = i
+				return
+			}
+		}
+	})
+	return t.nonFinite.i
 }
 
 // VoltageAt returns the linearly interpolated voltage at time ts seconds.

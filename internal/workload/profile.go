@@ -18,9 +18,6 @@ type Profile struct {
 	Stores       uint64
 	// StoreEveryCycles is the mean τ_store (cycles between stores).
 	StoreEveryCycles float64
-	// UniqueStoreWords is the distinct words written — the upper bound
-	// on a run's store-queue payload.
-	UniqueStoreWords int
 	// SRAMFootprint is the initialized volatile data size in bytes.
 	SRAMFootprint int
 	Output        []uint32
@@ -42,7 +39,6 @@ func ProfileProgram(ms *mem.System, prog *asm.Program, maxSteps uint64) (*Profil
 	}
 	c := &cpu.Core{}
 	p := &Profile{SRAMFootprint: len(prog.SRAMImage)}
-	seen := make(map[uint32]struct{})
 	for steps := uint64(0); !c.Halted; steps++ {
 		if steps >= maxSteps {
 			return nil, fmt.Errorf("workload: %q did not halt within %d steps", prog.Name, maxSteps)
@@ -56,13 +52,11 @@ func ProfileProgram(ms *mem.System, prog *asm.Program, maxSteps uint64) (*Profil
 		if st.HasAccess {
 			if st.Access.Store {
 				p.Stores++
-				seen[st.Access.Addr&^3] = struct{}{}
 			} else {
 				p.Loads++
 			}
 		}
 	}
-	p.UniqueStoreWords = len(seen)
 	if p.Stores > 0 {
 		p.StoreEveryCycles = float64(p.Cycles) / float64(p.Stores)
 	}

@@ -37,10 +37,6 @@ func TestProfileProgram(t *testing.T) {
 	if p.Stores == 0 || p.Loads == 0 {
 		t.Fatal("ds performs loads and stores")
 	}
-	// ds increments 16 histogram words and dumps them
-	if p.UniqueStoreWords != 16 {
-		t.Errorf("unique store words = %d, want 16", p.UniqueStoreWords)
-	}
 	if p.StoreEveryCycles <= 0 {
 		t.Error("no τ_store")
 	}
