@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet staticcheck build test test-race bench-once test-short fuzz-equiv fuzz-entry audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard bench-smoke bench-ledger bench-ab serve-smoke clean
+.PHONY: check fmt vet staticcheck build inline-check test test-race bench-once test-short fuzz-equiv fuzz-entry audit audit-quick audit-adversarial lint-workloads lint-tasks lint-wcec bench bench-guard bench-smoke bench-ledger bench-ab serve-smoke clean
 
 # `test` runs the full suite race-free — including the complete engine
 # equivalence matrix, which self-trims to a representative slice under
@@ -15,7 +15,7 @@ GO ?= go
 # the quick-figure CSVs, which an edit to a path both engines share
 # (stepOnce, consume, idleToDeath) must reproduce — the equivalence
 # oracle cannot see such an edit.
-check: fmt vet staticcheck build test test-race bench-once bench-smoke
+check: fmt vet staticcheck build inline-check test test-race bench-once bench-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -38,6 +38,12 @@ staticcheck:
 
 build:
 	$(GO) build ./...
+
+# both halves of the capacitor's settle step (energy.Settle.Credit and
+# Draw) must stay inlined into the fused loops: no result bit shows a
+# half pushed over the inliner's budget, only the benchmark
+inline-check:
+	GO="$(GO)" sh scripts/inline_check.sh
 
 test:
 	$(GO) test ./...

@@ -444,8 +444,8 @@ func (c *Config) Validate() error {
 	if err := c.Power.Validate(); err != nil {
 		return err
 	}
-	if c.CapC <= 0 || c.CapVMax <= 0 {
-		return fmt.Errorf("device: capacitor C=%g Vmax=%g must be positive", c.CapC, c.CapVMax)
+	if !(c.CapC > 0 && c.CapVMax > 0) || math.IsInf(c.CapC, 1) || math.IsInf(c.CapVMax, 1) {
+		return fmt.Errorf("device: capacitor C=%g Vmax=%g must be positive and finite", c.CapC, c.CapVMax)
 	}
 	if !(0 <= c.VOff && c.VOff < c.VOn && c.VOn <= c.CapVMax) {
 		return fmt.Errorf("device: need 0 ≤ VOff < VOn ≤ VMax, have %g/%g/%g", c.VOff, c.VOn, c.CapVMax)
@@ -773,7 +773,7 @@ func (d *Device) transferCycles(bytes int, sigma float64) uint64 {
 // VOff).
 func (d *Device) consume(n uint64, class energy.InstrClass) bool {
 	if n == 0 {
-		return d.cap.Voltage() >= d.cfg.VOff
+		return survives(true, d.cap.Voltage(), d.cfg.VOff)
 	}
 	dt := float64(n) * d.cyclePeriod
 	if d.cfg.Harvester != nil {
@@ -785,12 +785,10 @@ func (d *Device) consume(n uint64, class energy.InstrClass) bool {
 	if d.tape != nil {
 		d.tape.add(dt, n)
 	}
-	e := float64(n) * d.epc[class]
-	ok := d.cap.Draw(e)
-	alive := ok && d.cap.Voltage() >= d.cfg.VOff
+	ok := survives(d.cap.Draw(float64(n)*d.epc[class]), d.cap.Voltage(), d.cfg.VOff)
 	// Scheduled supply faults fire independent of the capacitor model:
 	// the injector empties the store mid-flight, wherever execution is.
-	if alive && d.inj != nil && d.inj.PowerCutDue(d.cycles) {
+	if ok && d.inj != nil && d.inj.PowerCutDue(d.cycles) {
 		d.cap.SetVoltage(0)
 		d.result.Faults.PowerCuts++
 		if d.obs != nil {
@@ -798,15 +796,16 @@ func (d *Device) consume(n uint64, class energy.InstrClass) bool {
 		}
 		return false
 	}
-	return alive
+	return ok
 }
 
 // drawExtra draws flat energy (per-byte NVM surcharges) with no time
 // passing.
 func (d *Device) drawExtra(e float64) bool {
-	if e <= 0 {
-		return d.cap.Voltage() >= d.cfg.VOff
-	}
-	ok := d.cap.Draw(e)
-	return ok && d.cap.Voltage() >= d.cfg.VOff
+	return survives(d.cap.Draw(e), d.cap.Voltage(), d.cfg.VOff)
 }
+
+// survives is the brown-out test after every draw, on both engines:
+// the draw left the capacitor charged (ok) at a voltage v at or above
+// VOff.
+func survives(ok bool, v, voff float64) bool { return ok && v >= voff }

@@ -90,6 +90,9 @@ func TestConfigValidation(t *testing.T) {
 		"nil program":    func(c *Config) { c.Prog = nil },
 		"bad power":      func(c *Config) { c.Power.FreqHz = 0 },
 		"zero cap":       func(c *Config) { c.CapC = 0 },
+		"NaN cap":        func(c *Config) { c.CapC = math.NaN() },
+		"infinite cap":   func(c *Config) { c.CapC = math.Inf(1) },
+		"infinite vmax":  func(c *Config) { c.CapVMax = math.Inf(1) },
 		"von above vmax": func(c *Config) { c.VOn = c.CapVMax + 1 },
 		"voff above von": func(c *Config) { c.VOff = c.VOn },
 		"neg sigmaB":     func(c *Config) { c.SigmaB = -1 },

@@ -425,6 +425,68 @@ func TestEngineEquivalenceHarvested(t *testing.T) {
 	}
 }
 
+// TestEngineEquivalenceZeroPowerClass runs the oracle with a class that
+// draws 0 W, which PowerModel.Validate accepts. Every instruction or
+// sleep chunk of that class then draws 0 J, and the capacitor's draw
+// must leave the voltage exactly as it found it: recomputing √(2e/C)
+// from ½C·v² need not give back v's bits. Four workloads at Scale 2
+// under four runtimes, on a bench supply and on TestFusedSleepPaths'
+// multipeak harvest, with a free ALU class and with a free idle class.
+// A sleep that draws nothing never dies, so the runs stop at 20 M
+// cycles; on the harvest, Hibernus's such sleeps sit at VMax, where
+// the draw from a full capacitor leaves it full, and the fused sleep
+// must settle them on its clamped path.
+func TestEngineEquivalenceZeroPowerClass(t *testing.T) {
+	tr := trace.Generate(trace.MultiPeak, 20, 1e-3, 1)
+	for _, class := range []energy.InstrClass{energy.ClassALU, energy.ClassIdle} {
+		for _, name := range []string{"timer", "hibernus", "mementos", "dino"} {
+			spec, ok := strategy.Lookup(name)
+			if !ok {
+				t.Fatalf("strategy %q missing from catalog", name)
+			}
+			for _, wl := range []string{"crc", "ds", "sha", "counter"} {
+				w, ok := workload.Get(wl)
+				if !ok {
+					t.Fatalf("workload %q missing", wl)
+				}
+				for _, harvest := range []bool{false, true} {
+					// crc and counter sleep; ds and sha finish first.
+					sitsAtVMax := class == energy.ClassIdle && name == "hibernus" && harvest && (wl == "crc" || wl == "counter")
+					t.Run(fmt.Sprintf("%v/%s/%s/harvest=%v", class, name, wl, harvest), func(t *testing.T) {
+						t.Parallel()
+						prog, err := w.Build(workload.Options{Seg: spec.Seg, Scale: 2})
+						if err != nil {
+							t.Fatal(err)
+						}
+						var batched *device.Device
+						runEngines(t, func(eng device.Engine) (*device.Device, device.Strategy) {
+							cfg := benchEquivCfg(prog, 6000)
+							cfg.Engine = eng
+							cfg.MaxCycles = 20_000_000
+							cfg.Power.PowerW[class] = 0
+							if harvest {
+								if cfg.Harvester, err = energy.NewHarvester(tr, 3000, 0.7); err != nil {
+									t.Fatal(err)
+								}
+							}
+							s := spec.New()
+							d, err := device.New(cfg, s)
+							if err != nil {
+								t.Fatal(err)
+							}
+							batched = d // the batched engine runs second
+							return d, s
+						})
+						if clamped, _ := batched.SleepChunks(); sitsAtVMax && clamped == 0 {
+							t.Fatal("the fused sleep settled no clamped chunk")
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestEngineEquivalenceFaulted repeats the oracle under fault
 // injection: scheduled and random power cuts (which the batched engine
 // must land on the exact per-step instruction), torn checkpoint

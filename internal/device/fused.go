@@ -2,7 +2,6 @@ package device
 
 import (
 	"fmt"
-	"math"
 
 	"ehmodel/internal/cpu"
 	"ehmodel/internal/energy"
@@ -30,29 +29,18 @@ import (
 // no extra gating: after every instruction the device state is as
 // current as the reference engine's.
 //
-// Two algebraic rewrites shorten the chain; both are bit-identical to
-// the reference expressions, not approximations:
-//
-//   - v = sqrt(e2/hc) with hc = 0.5*c replaces sqrt(2*e2/c).
-//     Halving and doubling are exact in binary floating point, so
-//     both forms perform one correctly-rounded division of the same
-//     real value 2·e2/c and yield the same bits.
-//   - eBefore is carried across instructions instead of recomputed.
-//     The reference evaluates 0.5*c*v*v twice per step with the same
-//     operands (once for pendingE, once as the next step's eBefore);
-//     one evaluation reused is the same bits by determinism of the
-//     operations.
-//
 // Every batched run settles here: bench and harvested supplies, fault
 // injection and observation recording alike. The harvest credit is
 // Harvester.EnergyOver with its trace lookup and transducer law inlined
 // (trace.Interp and energy.TransducerPower; only a wrap past the first
-// recording calls Trace.VoltageAt), then Capacitor.Store inlined (same
-// operands, same order, same clamp), and
-// pendingE keeps the reference's eBefore + (H − hBefore) − eAfter
-// association — the harvested delta is not always bit-equal to the
-// amount absorbed, and on a bench supply the term is +0, which leaves
-// those bits unchanged.
+// recording calls Trace.VoltageAt). The credit and the draw are the
+// capacitor's settle step (energy.Settle), the one the reference
+// engine's Capacitor.Store and Draw apply, inlined here with the
+// voltage and ½C·v² carried from instruction to instruction in
+// registers; survives is the reference's death test. pendingE keeps
+// the reference's eBefore + (H − hBefore) − eAfter association — the
+// harvested delta is not always bit-equal to the amount absorbed, and
+// on a bench supply the term is +0, which leaves those bits unchanged.
 //
 // A strategy with a PreStepFilter is asked before every instruction
 // whether its PreStep would fire there, with the ExecSinceBackup that
@@ -72,14 +60,12 @@ func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) 
 		harv  = d.cfg.Harvester
 		rec   = d.rec
 		boot  = int32(len(d.result.Periods))
-		hc    = 0.5 * d.cap.C
-		vmax  = d.cap.VMax
-		eMax  = hc * vmax * vmax // 0.5*c*VMax*VMax, the clamp's energy
+		law   = d.cap.Settle()
 		voff  = d.cfg.VOff
 		cp    = d.cyclePeriod
 		epc   = d.epc
 		v     = d.cap.Voltage()
-		eb    = hc * v * v // 0.5*c*v*v, carried instruction to instruction
+		eb    = law.Energy(v) // ½C·v², carried instruction to instruction
 		timeS = d.timeS
 		pend  = d.pendingE
 		hv    = d.period.HarvestedE
@@ -127,30 +113,17 @@ func (d *Device) fusedBatch(code []isa.Instr, budget uint64) (cpu.Batch, error) 
 			if !ok {
 				vs = src.VoltageAt(ts)
 			}
-			if h := energy.TransducerPower(vs, harv.Eta, harv.R) * dt; h > 0 {
-				if v = math.Sqrt((eb + h) / hc); v > vmax {
-					v = vmax
-					hv += math.Max(0, eMax-eb)
-				} else {
-					hv += h
-				}
-				eb = hc * v * v
-			}
+			var absorbed float64
+			v, eb, absorbed, _ = law.Credit(v, eb, energy.TransducerPower(vs, harv.Eta, harv.R)*dt)
+			hv += absorbed
 		}
 		timeS += dt
-		e2 := eb - n*epc[st.Class]
-		if e2 <= 0 {
+		var ok bool
+		if v, eb, ok = law.Draw(v, eb, n*epc[st.Class]); !survives(ok, v, voff) {
 			d.framWrites += fram
 			return b, errBatchOverrun()
 		}
-		v = math.Sqrt(e2 / hc)
-		if v < voff {
-			d.framWrites += fram
-			return b, errBatchOverrun()
-		}
-		eNext := hc * v * v
-		pend += eBefore + (hv - hBefore) - eNext
-		eb = eNext
+		pend += eBefore + (hv - hBefore) - eb
 		// No power-cut check: batchBudget ends every batch cutGuard
 		// cycles short of the next scheduled cut, and PowerCutDue has no
 		// side effect while it returns false, so skipping it here leaves

@@ -62,9 +62,6 @@ type FaultReport struct {
 	ColdRestarts int
 }
 
-// Any reports whether any fault or recovery event occurred.
-func (f FaultReport) Any() bool { return f != FaultReport{} }
-
 // Result aggregates a full intermittent run.
 type Result struct {
 	Strategy  string

@@ -88,28 +88,31 @@ func TestFusedSleepPaths(t *testing.T) {
 	}
 }
 
-// TestClampThreshold: h ≥ ClampThreshold(E(v*), C, VMax) must be
-// Capacitor.Store's clamp test at v* for every harvest, bit for bit —
-// the least clamping double itself clamps and the double below it does
-// not — on the sim-harvest capacitor at its v*, on a full capacitor,
-// and with no v* (NaN), where nothing may clamp.
+// TestClampThreshold: h ≥ ClampThreshold(law, v*, E(v*)) must be the
+// textbook clamp test at v*, √(2(E(v*)+h)/C) > VMax for a harvest
+// h > 0, for every harvest, bit for bit — the least clamping double
+// itself clamps and the double below it does not — and the settle
+// step's credit must clamp exactly when h ≥ h*. It checks the
+// sim-harvest capacitor at its v*, a full capacitor, and no v* (NaN),
+// where nothing may clamp.
 func TestClampThreshold(t *testing.T) {
 	pm := energy.MSP430Power()
 	capC, vmax, _, _ := device.FixedSupplyConfig(6000 * pm.EnergyPerCycle(energy.ClassALU))
 	j := 64 * pm.EnergyPerCycle(energy.ClassIdle)
 	hc := 0.5 * capC
+	law := energy.Settle{HC: hc, VMax: vmax}
 	vStar := math.Sqrt(2 * (hc*vmax*vmax - j) / capC)
 	rng := rand.New(rand.NewSource(1))
 	for _, c := range []struct {
-		name          string
-		eStar, c, max float64
+		name string
+		v, e float64
 	}{
-		{"sim-harvest", hc * vStar * vStar, capC, vmax},
-		{"full", hc * vmax * vmax, capC, vmax},
-		{"no v*", math.NaN(), capC, vmax},
+		{"sim-harvest", vStar, hc * vStar * vStar},
+		{"full", vmax, hc * vmax * vmax},
+		{"no v*", math.NaN(), math.NaN()},
 	} {
-		clamps := func(h float64) bool { return h > 0 && math.Sqrt(2*(c.eStar+h)/c.c) > c.max }
-		hStar := device.ClampThreshold(c.eStar, c.c, c.max)
+		clamps := func(h float64) bool { return h > 0 && math.Sqrt(2*(c.e+h)/capC) > vmax }
+		hStar := device.ClampThreshold(law, c.v, c.e)
 		below := math.Nextafter(hStar, 0)
 		probes := []float64{hStar, below, math.Nextafter(hStar, math.Inf(1)), 0, math.Copysign(0, -1),
 			-1, math.SmallestNonzeroFloat64, math.Inf(1), math.NaN()}
@@ -118,7 +121,10 @@ func TestClampThreshold(t *testing.T) {
 		}
 		for _, h := range probes {
 			if got, want := h >= hStar, clamps(h); got != want {
-				t.Errorf("%s: h=%v: h ≥ %v is %v, Store's clamp test %v", c.name, h, hStar, got, want)
+				t.Errorf("%s: h=%v: h ≥ %v is %v, the clamp test %v", c.name, h, hStar, got, want)
+			}
+			if _, _, _, clamped := law.Credit(c.v, c.e, h); clamped != (h >= hStar) {
+				t.Errorf("%s: h=%v: the credit clamped: %v; h ≥ %v: %v", c.name, h, clamped, hStar, h >= hStar)
 			}
 		}
 		t.Logf("%s: h* = %v", c.name, hStar)

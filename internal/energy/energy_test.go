@@ -115,6 +115,139 @@ func TestPropCapacitorConservation(t *testing.T) {
 	}
 }
 
+// same reports whether two doubles have the same bits.
+func same(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestSettleEdges: the settle step's guards and its clamp and
+// brown-out edges, bit for bit. A harvest h ≤ 0 and a draw j ≤ 0
+// return the voltage and energy they were given; a clamp returns VMax,
+// ½C·VMax² and the headroom max(0, ½C·VMax² − e), which is +0 for a
+// capacitor already at or above ½C·VMax²; and a draw of j ≥ e empties
+// the capacitor to 0 V and 0 J and reports it dead.
+func TestSettleEdges(t *testing.T) {
+	s := Settle{HC: 0.5 * 100e-6, VMax: 5}
+	eMax := s.HC * 5 * 5
+	v := 3.3
+	e := s.Energy(v)
+	for _, h := range []float64{0, math.Copysign(0, -1), -1e-9, math.Inf(-1)} {
+		gv, ge, ga, clamped := s.Credit(v, e, h)
+		if !same(gv, v) || !same(ge, e) || !same(ga, 0) || clamped {
+			t.Errorf("Credit(%v, %v, %v) = %v, %v, %v, %v; want the input state, +0 absorbed, no clamp",
+				v, e, h, gv, ge, ga, clamped)
+		}
+	}
+	for _, j := range []float64{0, math.Copysign(0, -1), -1e-9, math.Inf(-1)} {
+		gv, ge, ok := s.Draw(v, e, j)
+		if !same(gv, v) || !same(ge, e) || !ok {
+			t.Errorf("Draw(%v, %v, %v) = %v, %v, %v; want the input state, alive", v, e, j, gv, ge, ok)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		v, e, h float64
+		absorb  float64
+	}{
+		{"far past the rating", v, e, 1, eMax - e},
+		{"infinite harvest", v, e, math.Inf(1), eMax - e},
+		{"empty", 0, 0, 1, eMax},
+		{"full", 5, eMax, 1e-12, 0},
+		{"above the rating", 5, math.Nextafter(eMax, 1), 1e-12, 0},
+	} {
+		gv, ge, ga, clamped := s.Credit(c.v, c.e, c.h)
+		if !same(gv, 5) || !same(ge, eMax) || !same(ga, c.absorb) || !clamped {
+			t.Errorf("%s: Credit = %v, %v, %v, %v; want 5, %v, %v, clamped", c.name, gv, ge, ga, clamped, eMax, c.absorb)
+		}
+	}
+	for _, j := range []float64{e, math.Nextafter(e, 1), 2 * e, math.Inf(1)} {
+		gv, ge, ok := s.Draw(v, e, j)
+		if !same(gv, 0) || !same(ge, 0) || ok {
+			t.Errorf("Draw(%v, %v, %v) = %v, %v, %v; want 0, 0, dead", v, e, j, gv, ge, ok)
+		}
+	}
+}
+
+// storeRef and drawRef are the reference forms of Capacitor.Store and
+// Draw, on a capacitor of capacitance c rated vMax at voltage v, with
+// the voltage of an energy e written as the textbook √(2e/C). Each
+// returns the new voltage, and the energy absorbed or whether the
+// capacitor survived.
+func storeRef(c, vMax, v, j float64) (float64, float64) {
+	if j <= 0 {
+		return v, 0
+	}
+	e := 0.5*c*v*v + j
+	if vNew := math.Sqrt(2 * e / c); vNew <= vMax {
+		return vNew, j
+	}
+	return vMax, math.Max(0, 0.5*c*vMax*vMax-0.5*c*v*v)
+}
+
+func drawRef(c, v, j float64) (float64, bool) {
+	if j <= 0 {
+		return v, true
+	}
+	e := 0.5*c*v*v - j
+	if e <= 0 {
+		return 0, false
+	}
+	return math.Sqrt(2 * e / c), true
+}
+
+// TestPropSettleVoltage: on random capacitors, voltages and amounts,
+// the settle step's voltage √(e/½C) has the bits of √(2e/C), its
+// credit and draw those of storeRef and drawRef, and its energy those
+// of ½C·v²; Store and Draw on a Capacitor agree with the step.
+func TestPropSettleVoltage(t *testing.T) {
+	const n = 200000
+	var clamps, deaths int
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < n; i++ {
+		capC := math.Ldexp(1+rng.Float64(), -40+rng.Intn(40)) // 1e-12 F to 1 F
+		vMax := 0.5 + 10*rng.Float64()
+		v0 := vMax * rng.Float64()
+		s := Settle{HC: 0.5 * capC, VMax: vMax}
+		e := 0.5 * capC * v0 * v0
+		amount := e * math.Ldexp(rng.Float64(), 4-rng.Intn(60)) // up to 16e, down to ~1e-17 e
+
+		if got, want := s.voltage(e), math.Sqrt(2*e/capC); !same(got, want) {
+			t.Fatalf("C=%v e=%v: voltage %v, √(2e/C) %v", capC, e, got, want)
+		}
+
+		wantV, wantA := storeRef(capC, vMax, v0, amount)
+		gv, ge, ga, clamped := s.Credit(v0, e, amount)
+		if clamped {
+			clamps++
+		}
+		if !same(gv, wantV) || !same(ge, 0.5*capC*wantV*wantV) || !same(ga, wantA) {
+			t.Fatalf("C=%v VMax=%v v=%v h=%v: Credit = %v, %v, %v; want %v, %v, %v",
+				capC, vMax, v0, amount, gv, ge, ga, wantV, 0.5*capC*wantV*wantV, wantA)
+		}
+		c := &Capacitor{C: capC, VMax: vMax, v: v0}
+		if a := c.Store(amount); !same(c.v, gv) || !same(a, ga) {
+			t.Fatalf("C=%v VMax=%v v=%v h=%v: Store left %v and absorbed %v, the step %v and %v",
+				capC, vMax, v0, amount, c.v, a, gv, ga)
+		}
+
+		wantV, wantOK := drawRef(capC, v0, amount)
+		gv, ge, ok := s.Draw(v0, e, amount)
+		if !ok {
+			deaths++
+		}
+		if !same(gv, wantV) || !same(ge, 0.5*capC*wantV*wantV) || ok != wantOK {
+			t.Fatalf("C=%v v=%v j=%v: Draw = %v, %v, %v; want %v, %v, %v",
+				capC, v0, amount, gv, ge, ok, wantV, 0.5*capC*wantV*wantV, wantOK)
+		}
+		c = &Capacitor{C: capC, VMax: vMax, v: v0}
+		if ok := c.Draw(amount); !same(c.v, gv) || ok != wantOK {
+			t.Fatalf("C=%v v=%v j=%v: Draw left %v (%v), the step %v (%v)", capC, v0, amount, c.v, ok, gv, wantOK)
+		}
+	}
+	if clamps == 0 || deaths == 0 {
+		t.Fatalf("of %d cases %d credits clamped and %d draws emptied the capacitor; want some of each", n, clamps, deaths)
+	}
+	t.Logf("of %d cases %d credits clamped and %d draws emptied the capacitor", n, clamps, deaths)
+}
+
 func TestHarvesterValidation(t *testing.T) {
 	src := trace.Constant(3, 1, 0.01)
 	if _, err := NewHarvester(nil, 1, 1); err == nil {
@@ -231,35 +364,24 @@ func TestEnergyPerCycleOutOfRange(t *testing.T) {
 }
 
 func TestPowerModelValidate(t *testing.T) {
+	for _, f := range []float64{0, math.NaN(), math.Inf(1)} {
+		pm := MSP430Power()
+		pm.FreqHz = f
+		if err := pm.Validate(); err == nil {
+			t.Errorf("frequency %v accepted", f)
+		}
+	}
+	for _, p := range []float64{-1, math.NaN(), math.Inf(1)} {
+		pm := MSP430Power()
+		pm.PowerW[ClassMem] = p
+		if err := pm.Validate(); err == nil {
+			t.Errorf("power %v accepted", p)
+		}
+	}
 	pm := MSP430Power()
-	pm.FreqHz = 0
-	if err := pm.Validate(); err == nil {
-		t.Error("zero frequency accepted")
-	}
-	pm = MSP430Power()
-	pm.PowerW[ClassMem] = -1
-	if err := pm.Validate(); err == nil {
-		t.Error("negative power accepted")
-	}
-}
-
-func TestMonitor(t *testing.T) {
-	m := Monitor{ThresholdV: 2.2, CheckCost: 1e-9, CheckPeriod: 100}
-	if !m.ShouldSample(0) || !m.ShouldSample(200) {
-		t.Error("sampling on period boundaries expected")
-	}
-	if m.ShouldSample(50) {
-		t.Error("no sample off-period")
-	}
-	if !m.Fired(2.2) || !m.Fired(1.0) {
-		t.Error("threshold crossing not detected")
-	}
-	if m.Fired(3.0) {
-		t.Error("false trigger above threshold")
-	}
-	every := Monitor{CheckPeriod: 0}
-	if !every.ShouldSample(7) {
-		t.Error("period 0 means every cycle")
+	pm.PowerW[ClassALU] = 0
+	if err := pm.Validate(); err != nil {
+		t.Errorf("a 0 W class rejected: %v", err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package energy
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // InstrClass buckets instructions by their power draw, following the
 // paper's EnergyTrace measurement: "Load and store operations to memory
@@ -84,34 +87,13 @@ func (pm PowerModel) CyclePeriod() float64 { return 1 / pm.FreqHz }
 
 // Validate checks the model is physical.
 func (pm PowerModel) Validate() error {
-	if pm.FreqHz <= 0 {
-		return fmt.Errorf("energy: frequency must be > 0, got %g", pm.FreqHz)
+	if !(pm.FreqHz > 0) || math.IsInf(pm.FreqHz, 1) {
+		return fmt.Errorf("energy: frequency must be finite and > 0, got %g", pm.FreqHz)
 	}
 	for c, p := range pm.PowerW {
-		if p < 0 {
-			return fmt.Errorf("energy: class %v power must be ≥ 0, got %g", InstrClass(c), p)
+		if !(p >= 0) || math.IsInf(p, 1) {
+			return fmt.Errorf("energy: class %v power must be finite and ≥ 0, got %g", InstrClass(c), p)
 		}
 	}
 	return nil
 }
-
-// Monitor is an ADC-style supply-voltage monitor, the mechanism
-// single-backup systems like Hibernus use to detect imminent power loss.
-// Each check costs energy; §IV-B notes such monitoring can consume up to
-// 40% of the budget in aggressive configurations.
-type Monitor struct {
-	ThresholdV  float64 // fires when the supply drops to or below this
-	CheckCost   float64 // joules per sample
-	CheckPeriod uint64  // cycles between samples
-}
-
-// ShouldSample reports whether the monitor samples on this cycle.
-func (m Monitor) ShouldSample(cycle uint64) bool {
-	if m.CheckPeriod == 0 {
-		return true
-	}
-	return cycle%m.CheckPeriod == 0
-}
-
-// Fired reports whether a sampled voltage is at or below the threshold.
-func (m Monitor) Fired(v float64) bool { return v <= m.ThresholdV }

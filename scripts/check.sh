@@ -25,6 +25,9 @@ fi
 echo "== go build =="
 go build ./...
 
+echo "== inline check =="
+sh scripts/inline_check.sh
+
 # Race-free pass runs the full engine-equivalence matrix; the -race
 # pass re-runs everything on the oracle's representative slice (the
 # detector's ~10x slowdown would blow the package timeout otherwise).
